@@ -29,6 +29,7 @@ from .errors import (
 from .geometry import Point2D, PointSet, Tier, Window, mean_nearest_distance, sample_ppp
 from .popularity import DistanceDependent, Fixed, LoadDependent, PopularityDist
 from .simulator import (
+    Cell,
     DelayEstimate,
     DelaySample,
     DistanceMode,

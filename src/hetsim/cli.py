@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
 )
 from .popularity import effective_eta
-from .simulator import MacroUser, estimate
+from .simulator import Cell, MacroUser, estimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,12 +45,15 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every (grid value, scenario) cell of the configured sweep.
 
-    An invalid derived parameter set (e.g. a steepness that falls to 1
-    when the swept small-cell intensity reaches the user intensity)
-    aborts the whole sweep, naming the offending value.
+    The closed forms of all cells come first; then one ``estimate`` call
+    simulates every cell of the sweep. An invalid derived parameter set
+    (e.g. a steepness that falls to 1 when the swept small-cell intensity
+    reaches the user intensity) aborts the whole sweep, naming the
+    offending value, before any simulation starts.
     """
-    rows: list[SweepRow] = []
     window = config.window()
+    cases = []  # (value, label, theory_ms, hit_rate_theory), in row order
+    cells: list[Cell] = []
     for value in config.sweep_grid:
         try:
             params = config.delay_params(value)
@@ -71,40 +74,36 @@ def run_sweep(
                         hit_theory = hit_probability(
                             scenario.policy, cache, eta, config.b3_variant
                         )
-                if theory_only:
-                    sim = None
-                else:
-                    sim = estimate(
-                        scenario,
-                        params,
-                        cache,
-                        window,
-                        config.replications,
-                        config.master_seed,
-                        workers=workers,
-                    )
-                rows.append(
-                    SweepRow(
-                        sweep_var=config.sweep_variable,
-                        value=value,
-                        scenario=label,
-                        theory_ms=theory.total_ms,
-                        sim_ms=sim.mean_ms if sim else None,
-                        ci_low=sim.ci_low_ms if sim else None,
-                        ci_high=sim.ci_high_ms if sim else None,
-                        hit_rate_theory=hit_theory,
-                        hit_rate_sim=sim.hit_rate if sim else None,
-                        outage_rate=sim.outage_rate if sim else None,
-                        reps=sim.replications if sim else 0,
-                        seed=config.master_seed,
-                    )
-                )
+                cases.append((value, label, theory.total_ms, hit_theory))
+                if not theory_only:
+                    cells.append(Cell(scenario, params, cache))
         except (InvalidParameterError, InvalidConfigError) as exc:
             raise type(exc)(
                 f"sweep {config.sweep_variable}={value!r} yields an invalid "
                 f"parameter set: {exc}"
             ) from exc
-    return rows
+
+    if theory_only:
+        sims = [None] * len(cases)
+    else:
+        sims = estimate(cells, window, config.replications, config.master_seed, workers=workers)
+    return [
+        SweepRow(
+            sweep_var=config.sweep_variable,
+            value=value,
+            scenario=label,
+            theory_ms=theory_ms,
+            sim_ms=sim.mean_ms if sim else None,
+            ci_low=sim.ci_low_ms if sim else None,
+            ci_high=sim.ci_high_ms if sim else None,
+            hit_rate_theory=hit_theory,
+            hit_rate_sim=sim.hit_rate if sim else None,
+            outage_rate=sim.outage_rate if sim else None,
+            reps=sim.replications if sim else 0,
+            seed=config.master_seed,
+        )
+        for (value, label, theory_ms, hit_theory), sim in zip(cases, sims)
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

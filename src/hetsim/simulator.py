@@ -6,10 +6,21 @@ of the scenario's tier with fading redrawn independently per attempt, and
 then appends the tail delay: the backhaul draw for macro users, and for
 small-cell users either a cache read (hit) or a backhaul draw (miss).
 
-Replications are embarrassingly parallel. Each one consumes its own
-random stream derived from (master_seed, replication index), and partial
-results are placed by index, so an estimate is bit-identical regardless
-of worker count or execution order. HETSIM_THREADS caps the worker pool.
+A cell is one (scenario, cache config) pair at one parameter set.
+Replication ``i`` of every cell consumes the random stream derived from
+(master_seed, i): the geometry first, then the downlink of the cell's
+serving tier, then the cell's request, hit and tail draws. Cells that
+share a parameter set therefore see the same geometry in replication
+``i``, and cells of one serving tier the same fading, so scenarios and
+storage values are paired. The simulator draws that shared part once per
+replication for all of them and rewinds the generator to the matching
+point before each cell's own draws; a cell's samples do not depend on
+which other cells are estimated alongside it.
+
+Replications are embarrassingly parallel. Partial results are placed by
+index, so an estimate is bit-identical regardless of worker count or
+execution order. One process pool, capped by HETSIM_THREADS, serves all
+cells of an ``estimate`` call.
 """
 
 from __future__ import annotations
@@ -17,14 +28,16 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .caching import CacheConfig, CachePolicy, is_hit, require_valid
 from .channel import RadioParams
-from .errors import InvalidParameterError
+from .errors import InvalidConfigError, InvalidParameterError
 from .geometry import PointSet, Tier, Window, nearest, sample_ppp
 from .popularity import (
     DistanceDependent,
@@ -58,6 +71,15 @@ class SmallUser:
 
 
 Scenario = MacroUser | SmallUser
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (scenario, cache config) pair at one parameter set: one simulated CSV row."""
+
+    scenario: Scenario
+    params: DelayParams
+    cache: CacheConfig
 
 
 @dataclass(frozen=True)
@@ -129,22 +151,29 @@ def downlink_delay(
     return max_attempts, True, slot_ms * max_attempts
 
 
-def run_replication(
-    scenario: Scenario,
-    params: DelayParams,
-    cache: CacheConfig,
-    window: Window,
-    rng: np.random.Generator,
-) -> DelaySample:
-    """Sample one end-to-end delay of the typical user."""
-    routers = sample_ppp(params.lambda_cr, window, rng, Tier.CENTRAL_ROUTER)
-    macro = sample_ppp(params.lambda_mc, window, rng, Tier.MACRO)
-    small = sample_ppp(params.lambda_sc, window, rng, Tier.SMALL_CELL)
+class _Link(NamedTuple):
+    """Downlink outcome of one serving tier, shared by every cell served by it."""
 
-    if isinstance(scenario, MacroUser):
-        serving_set, tier, lambda_tier = macro, Tier.MACRO, params.lambda_mc
+    serving_distance: float
+    attempts: int
+    outage: bool
+    downlink_ms: float
+    backhaul_mean_ms: float
+    state: dict  # generator state right after this tier's downlink
+
+
+def _serve(
+    tier: Tier,
+    routers: PointSet,
+    macro: PointSet,
+    small: PointSet,
+    params: DelayParams,
+    rng: np.random.Generator,
+) -> _Link:
+    if tier is Tier.MACRO:
+        serving_set, lambda_tier = macro, params.lambda_mc
     else:
-        serving_set, tier, lambda_tier = small, Tier.SMALL_CELL, params.lambda_sc
+        serving_set, lambda_tier = small, params.lambda_sc
     serving_index, serving_distance = nearest(serving_set)
 
     attempts, outage, downlink = downlink_delay(
@@ -153,22 +182,63 @@ def run_replication(
 
     _, router_distance = nearest(routers, reference=serving_set.point(serving_index))
     backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
+    return _Link(serving_distance, attempts, outage, downlink, backhaul_mean, rng.bit_generator.state)
 
-    hit = False
-    if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
-        override = (
-            serving_distance
-            if scenario.distance_mode is DistanceMode.PER_USER
-            and isinstance(scenario.model, DistanceDependent)
-            else None
+
+def run_replication(
+    cells: Sequence[Cell],
+    params: DelayParams,
+    window: Window,
+    rng: np.random.Generator,
+) -> list[DelaySample]:
+    """Sample one end-to-end delay of the typical user for every cell.
+
+    All cells must carry ``params``. They share one geometry and one
+    downlink run per serving tier. Before its request, hit and tail draws,
+    each cell restores the generator state its tier's downlink left, so a
+    cell consumes exactly the draws it would consume alone on ``rng``.
+    """
+    routers = sample_ppp(params.lambda_cr, window, rng, Tier.CENTRAL_ROUTER)
+    macro = sample_ppp(params.lambda_mc, window, rng, Tier.MACRO)
+    small = sample_ppp(params.lambda_sc, window, rng, Tier.SMALL_CELL)
+    bit_generator = rng.bit_generator
+    after_geometry = bit_generator.state
+
+    links: dict[Tier, _Link] = {}
+    samples = []
+    for cell in cells:
+        scenario = cell.scenario
+        tier = Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
+        link = links.get(tier)
+        if link is None:
+            bit_generator.state = after_geometry
+            link = links[tier] = _serve(tier, routers, macro, small, params, rng)
+        bit_generator.state = link.state
+
+        hit = False
+        if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
+            override = (
+                link.serving_distance
+                if scenario.distance_mode is DistanceMode.PER_USER
+                and isinstance(scenario.model, DistanceDependent)
+                else None
+            )
+            eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, override)
+            request = float(sample_request(PopularityDist(eta), rng))
+            hit = is_hit(request, scenario.policy, cell.cache, rng)
+
+        tail_mean = params.cache_read_mean_ms if hit else link.backhaul_mean_ms
+        tail = float(rng.exponential(tail_mean)) if tail_mean > 0 else 0.0
+        samples.append(
+            DelaySample(
+                downlink_ms=link.downlink_ms,
+                tail_ms=tail,
+                attempts=link.attempts,
+                outage=link.outage,
+                hit=hit,
+            )
         )
-        eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, override)
-        request = float(sample_request(PopularityDist(eta), rng))
-        hit = is_hit(request, scenario.policy, cache, rng)
-
-    tail_mean = params.cache_read_mean_ms if hit else backhaul_mean
-    tail = float(rng.exponential(tail_mean)) if tail_mean > 0 else 0.0
-    return DelaySample(downlink_ms=downlink, tail_ms=tail, attempts=attempts, outage=outage, hit=hit)
+    return samples
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -176,74 +246,49 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def _run_batch(scenario, params, cache, window, master_seed, start, stop):
-    totals = np.empty(stop - start)
-    outages = np.empty(stop - start, dtype=bool)
-    hits = np.empty(stop - start, dtype=bool)
+def _run_batch(cells, params, window, master_seed, start, stop):
+    """Replications [start, stop) of cells sharing ``params``, as (cell, rep) arrays."""
+    shape = (len(cells), stop - start)
+    totals = np.empty(shape)
+    outages = np.empty(shape, dtype=bool)
+    hits = np.empty(shape, dtype=bool)
     for i, rep in enumerate(range(start, stop)):
-        sample = run_replication(scenario, params, cache, window, replication_rng(master_seed, rep))
-        totals[i] = sample.total_ms
-        outages[i] = sample.outage
-        hits[i] = sample.hit
-    return start, totals, outages, hits
+        samples = run_replication(cells, params, window, replication_rng(master_seed, rep))
+        for c, sample in enumerate(samples):
+            totals[c, i] = sample.total_ms
+            outages[c, i] = sample.outage
+            hits[c, i] = sample.hit
+    return totals, outages, hits
 
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         env = os.environ.get("HETSIM_THREADS")
         if env is not None:
-            workers = int(env)
+            try:
+                workers = int(env)
+            except ValueError:
+                raise InvalidConfigError(
+                    f"HETSIM_THREADS must be an integer worker count, got {env!r}"
+                ) from None
         else:
             workers = min(os.cpu_count() or 1, 8)
     return max(1, workers)
 
 
-def estimate(
-    scenario: Scenario,
-    params: DelayParams,
-    cache: CacheConfig,
-    window: Window,
-    replications: int,
-    master_seed: int,
-    workers: int | None = None,
-) -> DelayEstimate:
-    """Mean delay with a 95% normal-approximation confidence interval.
-
-    Pure function of its arguments: the per-replication streams and the
-    index-ordered reduction make the result independent of ``workers``
-    (default: HETSIM_THREADS, else the CPU count).
-    """
-    if replications < 1:
-        raise InvalidParameterError(f"replications must be >= 1, got {replications}")
+def _check_cell(cell: Cell) -> None:
+    """Fail fast on an invalid cache or an unresolvable steepness, not inside a worker."""
+    scenario = cell.scenario
     if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
-        require_valid(scenario.policy, cache)
-        # fail fast on an unresolvable steepness instead of inside a worker
+        require_valid(scenario.policy, cell.cache)
         if scenario.distance_mode is DistanceMode.AVERAGED or not isinstance(
             scenario.model, DistanceDependent
         ):
-            effective_eta(scenario.model, params.lambda_sc, params.lambda_ut)
+            effective_eta(scenario.model, cell.params.lambda_sc, cell.params.lambda_ut)
 
-    workers = _resolve_workers(workers)
-    spans = [(start, min(start + BATCH_SIZE, replications)) for start in range(0, replications, BATCH_SIZE)]
-    totals = np.empty(replications)
-    outages = np.empty(replications, dtype=bool)
-    hits = np.empty(replications, dtype=bool)
 
-    if workers == 1 or len(spans) == 1:
-        results = (_run_batch(scenario, params, cache, window, master_seed, a, b) for a, b in spans)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_batch, scenario, params, cache, window, master_seed, a, b)
-                for a, b in spans
-            ]
-            results = [f.result() for f in futures]
-    for start, batch_totals, batch_outages, batch_hits in results:
-        stop = start + batch_totals.size
-        totals[start:stop] = batch_totals
-        outages[start:stop] = batch_outages
-        hits[start:stop] = batch_hits
-
+def _summarize(totals: np.ndarray, outages: np.ndarray, hits: np.ndarray) -> DelayEstimate:
+    replications = totals.size
     mean = float(np.mean(totals))
     if replications > 1:
         half = CI_Z * float(np.std(totals, ddof=1)) / math.sqrt(replications)
@@ -257,3 +302,55 @@ def estimate(
         outage_rate=float(np.mean(outages)),
         hit_rate=float(np.mean(hits)),
     )
+
+
+def estimate(
+    cells: Sequence[Cell],
+    window: Window,
+    replications: int,
+    master_seed: int,
+    workers: int | None = None,
+) -> list[DelayEstimate]:
+    """Mean delay of every cell with a 95% normal-approximation confidence interval.
+
+    Cells that share a parameter set are simulated together (see
+    run_replication). Every (parameter set, batch of replications) pair
+    is one task, and one process pool runs them all. Pure function of its
+    arguments: the per-replication streams and the index-ordered reduction
+    make the result independent of ``workers`` (default: HETSIM_THREADS,
+    else the CPU count) and of which other cells are estimated alongside.
+    """
+    if replications < 1:
+        raise InvalidParameterError(f"replications must be >= 1, got {replications}")
+    groups: dict[DelayParams, list[int]] = {}
+    for index, cell in enumerate(cells):
+        _check_cell(cell)
+        groups.setdefault(cell.params, []).append(index)
+
+    workers = _resolve_workers(workers)
+    spans = [(start, min(start + BATCH_SIZE, replications)) for start in range(0, replications, BATCH_SIZE)]
+    keys = [
+        (params, members, start, stop)
+        for params, members in groups.items()
+        for start, stop in spans
+    ]
+    tasks = [
+        ([cells[i] for i in members], params, window, master_seed, start, stop)
+        for params, members, start, stop in keys
+    ]
+    if workers == 1 or len(tasks) <= 1:
+        results = (_run_batch(*task) for task in tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(_run_batch, *task) for task in tasks]
+            results = [f.result() for f in futures]
+
+    shape = (len(cells), replications)
+    totals = np.empty(shape)
+    outages = np.empty(shape, dtype=bool)
+    hits = np.empty(shape, dtype=bool)
+    for (_, members, start, stop), (batch_totals, batch_outages, batch_hits) in zip(keys, results):
+        totals[members, start:stop] = batch_totals
+        outages[members, start:stop] = batch_outages
+        hits[members, start:stop] = batch_hits
+    return [_summarize(totals[c], outages[c], hits[c]) for c in range(len(cells))]

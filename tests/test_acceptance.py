@@ -35,7 +35,8 @@ from hetsim.popularity import (
     pdf,
     sample_request,
 )
-from hetsim.simulator import MacroUser, SmallUser, estimate
+from hetsim.simulator import Cell, MacroUser, SmallUser, estimate
+from single_cell import estimate_one
 
 WINDOW = Window(20_000.0)
 GAMMA_3DB = 10.0 ** 0.3
@@ -122,7 +123,7 @@ def test_criterion_3_cache_hit_oracle():
 def test_criterion_4_coverage_kernel():
     """Single-attempt success probability validates the adopted rho and A(4)."""
     params = DelayParams(max_attempts=1)
-    est = estimate(MacroUser(), params, CacheConfig(), WINDOW, 100_000, master_seed=404)
+    est = estimate_one(MacroUser(), params, CacheConfig(), WINDOW, 100_000, master_seed=404)
     empirical = 1.0 - est.outage_rate
     # the closed form spelled out in full, pi/2 standing in for A(4)
     expected = 1.0 / (
@@ -186,8 +187,13 @@ def test_criterion_6_theory_vs_simulation():
         )
 
     gaps = []
-    for label, scenario, theory in cases:
-        est = estimate(scenario, params, cache, WINDOW, replications, master_seed=606)
+    estimates = estimate(
+        [Cell(scenario, params, cache) for _, scenario, _ in cases],
+        WINDOW,
+        replications,
+        master_seed=606,
+    )
+    for (label, _, theory), est in zip(cases, estimates):
         rel = abs(est.mean_ms - theory) / theory
         gaps.append(f"{label}: sim {est.mean_ms:.4f} theory {theory:.4f} ({rel:+.2%})")
         assert rel < 0.10, gaps[-1]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetsim
 import oracle_reference as oracle
 from hetsim.caching import B3Variant
 from hetsim.cli import EXIT_CONFIG, EXIT_OK, main, run_sweep
@@ -215,6 +220,14 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "7.2e-06" in capsys.readouterr().err
 
+    def test_non_integer_thread_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        monkeypatch.setenv("HETSIM_THREADS", "abc")
+        code = main(["--config", str(config)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "HETSIM_THREADS" in err and "'abc'" in err
+
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
         out_one = tmp_path / "one.csv"
@@ -240,3 +253,19 @@ class TestMain:
         assert code == EXIT_OK
         golden = Path(__file__).parent / "data" / "golden_theory_storage.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetsim", "--theory-only"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("sweep_var,")
+    assert len(proc.stdout.splitlines()) == 1 + 4 * 5
+    assert "RuntimeWarning" not in proc.stderr

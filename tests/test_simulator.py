@@ -12,6 +12,7 @@ from hetsim.errors import EmptyTierError, InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent
 from hetsim.simulator import (
+    Cell,
     DistanceMode,
     MacroUser,
     SmallUser,
@@ -20,6 +21,7 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
+from single_cell import estimate_one, replicate_one
 
 GAMMA_3DB = 10.0 ** 0.3
 
@@ -130,7 +132,7 @@ class TestRunReplication:
         window = Window(6000.0)
         scenario = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
         for rep in range(200):
-            s = run_replication(scenario, params, CacheConfig(), window, replication_rng(5, rep))
+            s = replicate_one(scenario, params, CacheConfig(), window, replication_rng(5, rep))
             assert 1 <= s.attempts <= params.max_attempts
             assert s.total_ms == pytest.approx(s.downlink_ms + s.tail_ms)
             if s.outage:
@@ -143,7 +145,7 @@ class TestRunReplication:
         window = Window(6000.0)
         scenario = SmallUser(policy=CachePolicy.NO_CACHE, model=Fixed(1.45))
         samples = [
-            run_replication(scenario, params, CacheConfig(), window, replication_rng(6, rep))
+            replicate_one(scenario, params, CacheConfig(), window, replication_rng(6, rep))
             for rep in range(100)
         ]
         assert not any(s.hit for s in samples)
@@ -151,7 +153,7 @@ class TestRunReplication:
     def test_macro_never_hits(self):
         params = small_params()
         samples = [
-            run_replication(MacroUser(), params, CacheConfig(), Window(6000.0), replication_rng(7, rep))
+            replicate_one(MacroUser(), params, CacheConfig(), Window(6000.0), replication_rng(7, rep))
             for rep in range(50)
         ]
         assert not any(s.hit for s in samples)
@@ -162,7 +164,7 @@ class TestRunReplication:
         # steepness 200 makes every request land in the popular head
         scenario = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(200.0))
         samples = [
-            run_replication(scenario, params, CacheConfig(), window, replication_rng(8, rep))
+            replicate_one(scenario, params, CacheConfig(), window, replication_rng(8, rep))
             for rep in range(60)
         ]
         assert all(s.hit for s in samples)
@@ -173,7 +175,7 @@ class TestRunReplication:
         window = Window(8000.0)
         tails = np.array(
             [
-                run_replication(MacroUser(), params, CacheConfig(), window, replication_rng(9, rep)).tail_ms
+                replicate_one(MacroUser(), params, CacheConfig(), window, replication_rng(9, rep)).tail_ms
                 for rep in range(12_000)
             ]
         )
@@ -184,22 +186,22 @@ class TestRunReplication:
     def test_empty_tier_raises(self):
         params = small_params(lambda_mc=1e-12)
         with pytest.raises(EmptyTierError):
-            run_replication(MacroUser(), params, CacheConfig(), Window(100.0), replication_rng(1, 0))
+            replicate_one(MacroUser(), params, CacheConfig(), Window(100.0), replication_rng(1, 0))
 
 
 class TestEstimate:
     def test_single_replication_degenerate_interval(self):
-        est = estimate(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 1, 3)
+        est = estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 1, 3)
         assert est.ci_low_ms == est.mean_ms == est.ci_high_ms
         assert est.replications == 1
 
     def test_replications_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
-            estimate(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 0, 3)
+            estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 0, 3)
 
     def test_same_seed_same_result(self):
         args = (MacroUser(), small_params(), CacheConfig(), Window(5000.0), 400, 17)
-        assert estimate(*args) == estimate(*args)
+        assert estimate_one(*args) == estimate_one(*args)
 
     def test_worker_count_does_not_change_result(self):
         args = (
@@ -210,20 +212,20 @@ class TestEstimate:
             600,
             23,
         )
-        sequential = estimate(*args, workers=1)
-        pooled = estimate(*args, workers=3)
+        sequential = estimate_one(*args, workers=1)
+        pooled = estimate_one(*args, workers=3)
         assert sequential == pooled
 
     def test_thread_env_var_respected(self, monkeypatch):
         args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 300, 5)
         monkeypatch.setenv("HETSIM_THREADS", "1")
-        one = estimate(*args)
+        one = estimate_one(*args)
         monkeypatch.setenv("HETSIM_THREADS", "2")
-        two = estimate(*args)
+        two = estimate_one(*args)
         assert one == two
 
     def test_ci_brackets_mean(self):
-        est = estimate(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 500, 29)
+        est = estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 500, 29)
         assert est.ci_low_ms <= est.mean_ms <= est.ci_high_ms
         assert 0.0 <= est.outage_rate <= 1.0
         assert est.hit_rate == 0.0
@@ -233,7 +235,7 @@ class TestEstimate:
         from hetsim.errors import InvalidConfigError
 
         with pytest.raises(InvalidConfigError):
-            estimate(
+            estimate_one(
                 SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
                 small_params(),
                 bad,
@@ -246,7 +248,7 @@ class TestEstimate:
         """beta = mu_ca = 0 isolates the downlink; its mean must sit on the
         exact conditional-moment value, which the closed form undershoots."""
         params = small_params(backhaul_beta=0.0, cache_read_mean_ms=0.0)
-        est = estimate(MacroUser(), params, CacheConfig(), Window(10_000.0), 12_000, 41)
+        est = estimate_one(MacroUser(), params, CacheConfig(), Window(10_000.0), 12_000, 41)
         se = (est.ci_high_ms - est.mean_ms) / 1.959963984540054
         exact = oracle.FROZEN["exact_downlink_macro_ms"]
         assert abs(est.mean_ms - exact) < 3.5 * se
@@ -255,7 +257,7 @@ class TestEstimate:
 
     def test_outage_rate_consistent_with_coverage_at_single_attempt(self):
         params = small_params(max_attempts=1)
-        est = estimate(MacroUser(), params, CacheConfig(), Window(8000.0), 8000, 47)
+        est = estimate_one(MacroUser(), params, CacheConfig(), Window(8000.0), 8000, 47)
         expected = oracle.FROZEN["coverage_macro"]
         se = math.sqrt(expected * (1 - expected) / est.replications)
         assert abs((1.0 - est.outage_rate) - expected) < 3.5 * se
@@ -273,7 +275,7 @@ class TestEstimate:
         from hetsim.popularity import effective_eta
 
         params = small_params()
-        est = estimate(scenario, params, CacheConfig(), Window(5000.0), 4000, 53)
+        est = estimate_one(scenario, params, CacheConfig(), Window(5000.0), 4000, 53)
         if expected_key:
             expected = oracle.FROZEN[expected_key]
         else:
@@ -287,11 +289,11 @@ class TestEstimate:
     def test_paired_seed_caching_reduces_delay(self):
         params = small_params()
         window = Window(6000.0)
-        nocache = estimate(
+        nocache = estimate_one(
             SmallUser(policy=CachePolicy.NO_CACHE, model=Fixed(1.45)),
             params, CacheConfig(), window, 2500, 61,
         )
-        mixpop = estimate(
+        mixpop = estimate_one(
             SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
             params, CacheConfig(), window, 2500, 61,
         )
@@ -299,16 +301,16 @@ class TestEstimate:
 
     def test_doubling_the_window_leaves_the_mean_unchanged(self):
         params = small_params()
-        half = estimate(MacroUser(), params, CacheConfig(), Window(6000.0), 5000, 67)
-        full = estimate(MacroUser(), params, CacheConfig(), Window(12_000.0), 5000, 71)
+        half = estimate_one(MacroUser(), params, CacheConfig(), Window(6000.0), 5000, 67)
+        full = estimate_one(MacroUser(), params, CacheConfig(), Window(12_000.0), 5000, 71)
         se_half = (half.ci_high_ms - half.mean_ms) / 1.959963984540054
         se_full = (full.ci_high_ms - full.mean_ms) / 1.959963984540054
         assert abs(half.mean_ms - full.mean_ms) < 3.5 * math.hypot(se_half, se_full)
 
     def test_doubling_beta_doubles_macro_tail(self):
         window = Window(6000.0)
-        base = estimate(MacroUser(), small_params(), CacheConfig(), window, 4000, 73)
-        doubled = estimate(
+        base = estimate_one(MacroUser(), small_params(), CacheConfig(), window, 4000, 73)
+        doubled = estimate_one(
             MacroUser(), small_params(backhaul_beta=2e-3), CacheConfig(), window, 4000, 73
         )
         # identical streams: downlink part is shared, tails scale by 2
@@ -329,7 +331,7 @@ class TestDistanceModes:
             backhaul_beta=1e-3,
         )
         window = Window(60.0)
-        averaged = estimate(
+        averaged = estimate_one(
             SmallUser(
                 policy=CachePolicy.MIX_POP,
                 model=DistanceDependent(),
@@ -337,7 +339,7 @@ class TestDistanceModes:
             ),
             params, CacheConfig(), window, 4000, 79,
         )
-        per_user = estimate(
+        per_user = estimate_one(
             SmallUser(
                 policy=CachePolicy.MIX_POP,
                 model=DistanceDependent(),
@@ -350,14 +352,66 @@ class TestDistanceModes:
     def test_per_user_mode_irrelevant_for_fixed_model(self):
         params = small_params()
         window = Window(5000.0)
-        base = estimate(
+        base = estimate_one(
             SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
             params, CacheConfig(), window, 500, 83,
         )
-        per_user = estimate(
+        per_user = estimate_one(
             SmallUser(
                 policy=CachePolicy.MIX_POP, model=Fixed(1.45), distance_mode=DistanceMode.PER_USER
             ),
             params, CacheConfig(), window, 500, 83,
         )
         assert base.mean_ms == per_user.mean_ms
+
+
+class TestMultiCell:
+    """Cells evaluated together must equal the same cells evaluated alone."""
+
+    @staticmethod
+    def mixed_cells():
+        params = small_params()
+        other = small_params(lambda_mc=2.0e-6, max_attempts=3)
+        cache = CacheConfig()
+        larger = CacheConfig(total=200.0, popular=9.5, overhead=0.5, uniform=190.0)
+        mixpop = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
+        return [
+            Cell(MacroUser(), params, cache),
+            Cell(mixpop, other, cache),
+            Cell(SmallUser(policy=CachePolicy.NO_CACHE, model=Fixed(1.45)), params, cache),
+            Cell(
+                SmallUser(
+                    policy=CachePolicy.MIX_POP,
+                    model=DistanceDependent(),
+                    distance_mode=DistanceMode.PER_USER,
+                ),
+                params,
+                cache,
+            ),
+            Cell(MacroUser(), other, cache),
+            Cell(mixpop, params, cache),
+            Cell(mixpop, params, larger),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_estimate_matches_one_cell_estimates(self, workers):
+        window = Window(5000.0)
+        cells = self.mixed_cells()
+        together = estimate(cells, window, 600, 31, workers=workers)
+        alone = [estimate_one(c.scenario, c.params, c.cache, window, 600, 31, workers=1) for c in cells]
+        assert together == alone
+
+    def test_run_replication_matches_one_cell_runs(self):
+        window = Window(5000.0)
+        cells = [c for c in self.mixed_cells() if c.params == small_params()]
+        params = cells[0].params
+        for rep in range(40):
+            together = run_replication(cells, params, window, replication_rng(37, rep))
+            alone = [
+                replicate_one(c.scenario, params, c.cache, window, replication_rng(37, rep))
+                for c in cells
+            ]
+            assert together == alone
+
+    def test_empty_cell_list_gives_no_estimates(self):
+        assert estimate([], Window(5000.0), 10, 1) == []
