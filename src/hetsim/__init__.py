@@ -24,7 +24,6 @@ from .errors import (
     InvalidParameterError,
     InvalidSteepnessError,
     NumericalError,
-    SingularityError,
 )
 from .geometry import Point2D, PointSet, Tier, Window, mean_nearest_distance, sample_ppp
 from .popularity import DistanceDependent, Fixed, LoadDependent, PopularityDist

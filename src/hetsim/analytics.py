@@ -92,6 +92,7 @@ class ClosedFormDelay:
     downlink_ms: float
     backhaul_ms: float
     cache_adjustment_ms: float = 0.0
+    hit_probability: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -149,20 +150,6 @@ def attempt_kernel(
         * big_a(alpha)
     )
     return rho(gamma, alpha) + cross
-
-
-def coverage_probability(
-    gamma: float,
-    alpha: float,
-    power_other: float,
-    power_serving: float,
-    lambda_other: float,
-    lambda_serving: float,
-) -> float:
-    """Single-attempt success probability of the typical user, 1/(1+c)."""
-    return 1.0 / (
-        1.0 + attempt_kernel(gamma, alpha, power_other, power_serving, lambda_other, lambda_serving)
-    )
 
 
 def b1(
@@ -254,5 +241,8 @@ def avg_delay_small(
     hit = hit_probability(policy, cache, eta, variant)
     adjustment = (params.cache_read_mean_ms - backhaul) * hit
     return ClosedFormDelay(
-        downlink_ms=downlink, backhaul_ms=backhaul, cache_adjustment_ms=adjustment
+        downlink_ms=downlink,
+        backhaul_ms=backhaul,
+        cache_adjustment_ms=adjustment,
+        hit_probability=hit,
     )

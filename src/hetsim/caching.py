@@ -196,9 +196,10 @@ def hit_mask(
     [1, 1+S_p) hits deterministically (StdPop, MixPop); the remaining
     catalogue hits with probability equal to the cached fraction of the
     eligible segment (UniRand, MixPop). Uniform draws are consumed only
-    for requests in the random-eligible segment.
+    for requests in the random-eligible segment. ``config`` must already
+    satisfy require_valid for ``policy``; the simulator checks it once per
+    cell, not once per request.
     """
-    require_valid(policy, config)
     f = np.asarray(request_f, dtype=float)
     hits = np.zeros(f.shape, dtype=bool)
     if policy is CachePolicy.NO_CACHE:

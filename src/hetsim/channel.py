@@ -1,8 +1,7 @@
-"""Pathloss, Rayleigh fading and the SIR of the typical user.
+"""Radio parameters of the two tiers: transmit powers, pathloss and the SIR target.
 
-The network is interference-limited, so noise never enters: the serving
-power over the summed interference of both tiers decides success. Fading
-power coefficients are i.i.d. Exp(1).
+The per-attempt SIR test that uses them is ``simulator.downlink_delay``;
+the closed forms in ``analytics`` read the same parameters.
 """
 
 from __future__ import annotations
@@ -11,16 +10,9 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidParameterError, SingularityError
-from .geometry import PointSet, Tier
+from .errors import InvalidParameterError
 
 log = logging.getLogger(__name__)
-
-# Per-point fading power coefficients, one per point across both tiers
-# (macro block first, then small-cell block).
-FadingDraw = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -46,72 +38,3 @@ class RadioParams:
                 self.power_macro,
                 self.power_small,
             )
-
-    def power(self, tier: Tier) -> float:
-        if tier is Tier.MACRO:
-            return self.power_macro
-        if tier is Tier.SMALL_CELL:
-            return self.power_small
-        raise InvalidParameterError(f"tier {tier} has no transmit power")
-
-
-def pathloss(distance: float, alpha: float) -> float:
-    """Power-law pathloss gain distance**(-alpha)."""
-    if distance == 0:
-        raise SingularityError("pathloss diverges at zero distance")
-    if distance < 0 or not math.isfinite(distance):
-        raise InvalidParameterError(f"distance must be positive, got {distance}")
-    return distance ** -alpha
-
-
-def draw_fading(count: int, rng: np.random.Generator) -> FadingDraw:
-    """Draw ``count`` i.i.d. Exp(1) fading power coefficients."""
-    if count < 0:
-        raise InvalidParameterError(f"count must be nonnegative, got {count}")
-    return rng.standard_exponential(count)
-
-
-def sir_at_origin(
-    serving_tier: Tier,
-    serving_index: int,
-    macro: PointSet,
-    small: PointSet,
-    fading: FadingDraw,
-    radio: RadioParams,
-) -> float:
-    """SIR of the typical user at the origin for one fading draw.
-
-    ``fading`` holds one coefficient per point, macro block first. The
-    serving point is excluded from the interference by index; every other
-    point of both tiers interferes. With no interferer at all the SIR is
-    infinite (a guaranteed-success outcome).
-    """
-    n_macro = len(macro)
-    if len(fading) != n_macro + len(small):
-        raise InvalidParameterError(
-            f"fading draw has {len(fading)} coefficients for {n_macro + len(small)} points"
-        )
-    serving_set = macro if serving_tier is Tier.MACRO else small
-    if not 0 <= serving_index < len(serving_set):
-        raise InvalidParameterError(
-            f"serving index {serving_index} outside {serving_tier.value} set"
-        )
-
-    alpha = radio.pathloss_exponent
-    r_macro = macro.radii()
-    r_small = small.radii()
-    if (len(r_macro) and r_macro.min() == 0) or (len(r_small) and r_small.min() == 0):
-        raise SingularityError("a point coincides with the origin")
-
-    received = np.concatenate(
-        (
-            radio.power_macro * r_macro**-alpha * fading[:n_macro],
-            radio.power_small * r_small**-alpha * fading[n_macro:],
-        )
-    )
-    flat_serving = serving_index if serving_tier is Tier.MACRO else n_macro + serving_index
-    signal = received[flat_serving]
-    interference = float(np.sum(received)) - signal
-    if interference <= 0.0:
-        return math.inf
-    return float(signal / interference)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analytics import avg_delay_macro, avg_delay_small
-from .caching import B3Variant, CachePolicy, hit_probability
+from .caching import B3Variant
 from .config import (
     SWEEP_VARIABLES,
     ExperimentConfig,
@@ -30,7 +30,6 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .popularity import effective_eta
 from .simulator import Cell, MacroUser, estimate
 
 EXIT_OK = 0
@@ -62,19 +61,11 @@ def run_sweep(
                 scenario = parse_scenario(label, config)
                 if isinstance(scenario, MacroUser):
                     theory = avg_delay_macro(params)
-                    hit_theory = 0.0
                 else:
                     theory = avg_delay_small(
                         scenario.policy, scenario.model, cache, params, config.b3_variant
                     )
-                    if scenario.policy is CachePolicy.NO_CACHE:
-                        hit_theory = 0.0
-                    else:
-                        eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut)
-                        hit_theory = hit_probability(
-                            scenario.policy, cache, eta, config.b3_variant
-                        )
-                cases.append((value, label, theory.total_ms, hit_theory))
+                cases.append((value, label, theory.total_ms, theory.hit_probability))
                 if not theory_only:
                     cells.append(Cell(scenario, params, cache))
         except (InvalidParameterError, InvalidConfigError) as exc:

@@ -9,10 +9,6 @@ class InvalidSteepnessError(InvalidParameterError):
     """A popularity steepness resolved to a value <= 1."""
 
 
-class SingularityError(InvalidParameterError):
-    """Evaluation at a point where the model diverges (e.g. zero distance)."""
-
-
 class EmptyTierError(RuntimeError):
     """A required tier has no point inside the simulation window."""
 

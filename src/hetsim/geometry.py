@@ -26,7 +26,6 @@ class Tier(str, enum.Enum):
     CENTRAL_ROUTER = "central-router"
     MACRO = "macro"
     SMALL_CELL = "small-cell"
-    USER = "user"
 
 
 class Point2D(NamedTuple):
@@ -72,14 +71,6 @@ class PointSet:
             intensity=intensity,
             tier=tier,
         )
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.column_stack((self.r * np.cos(self.theta), self.r * np.sin(self.theta)))
-
-    @property
-    def points(self) -> list[Point2D]:
-        return [Point2D(float(x), float(y)) for x, y in self.xy]
 
     def point(self, index: int) -> Point2D:
         return Point2D(

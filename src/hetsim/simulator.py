@@ -125,10 +125,15 @@ def downlink_delay(
 ) -> tuple[int, bool, float]:
     """Run the retransmission protocol over one fixed geometry.
 
-    Fading is redrawn i.i.d. for every node on every attempt; an attempt
-    succeeds when the SIR clears the target. Returns (attempts, outage,
-    delay); outage means no success within max_attempts, and the slot cost
-    of all attempts is paid either way.
+    This is the package's SIR of the typical user at the origin. The
+    network is interference-limited, so noise never enters: the serving
+    power over the summed interference of every other point of both tiers
+    decides success. Fading power coefficients are i.i.d. Exp(1), redrawn
+    for every point on every attempt (one ``standard_exponential`` vector
+    per attempt, macro block first); an attempt succeeds when the SIR
+    clears the target. Returns (attempts, outage, delay); outage means no
+    success within max_attempts, and the slot cost of all attempts is
+    paid either way.
     """
     gains = np.concatenate(
         (

@@ -1,15 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as oracle
-from hetsim.analytics import coverage_probability
-from hetsim.channel import RadioParams, draw_fading, pathloss, sir_at_origin
-from hetsim.errors import InvalidParameterError, SingularityError
+from hetsim.analytics import attempt_kernel
+from hetsim.channel import RadioParams
+from hetsim.errors import InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, nearest, sample_ppp
+from hetsim.simulator import _gains, downlink_delay
+from sir_reference import FixedFading, reference_downlink, sir_brute_force
 
 
 def rng(seed=0):
@@ -20,6 +20,22 @@ def point_set(coords, tier=None):
     if len(coords) == 0:
         return PointSet(r=np.empty(0), theta=np.empty(0), intensity=1.0, tier=tier)
     return PointSet.from_xy(coords, intensity=1.0, tier=tier)
+
+
+def run_kernel(serving_tier, serving_index, macro, small, draws, radio=RadioParams()):
+    """(attempts, outage) of the production kernel when attempt k sees fading ``draws[k]``."""
+    attempts, outage, _ = downlink_delay(
+        serving_tier, serving_index, macro, small, radio, 0.1, len(draws), FixedFading(*draws)
+    )
+    return attempts, outage
+
+
+def assert_kernel_sir(expected, serving_tier, serving_index, macro, small, fading):
+    """The kernel's one-attempt SIR under ``fading`` is ``expected``: it clears a
+    target just below it and misses one just above."""
+    for target, outage in ((expected * (1 - 1e-9), False), (expected * (1 + 1e-9), True)):
+        radio = RadioParams(target_sir=target)
+        assert run_kernel(serving_tier, serving_index, macro, small, [fading], radio) == (1, outage)
 
 
 class TestRadioParams:
@@ -50,129 +66,89 @@ class TestRadioParams:
 
 
 class TestPathloss:
+    """The kernel's received-power gain power * r**(-alpha), at unit power."""
+
     def test_unit_distance(self):
-        assert pathloss(1.0, 4.0) == 1.0
+        assert _gains(np.array([1.0]), 1.0, 4.0)[0] == 1.0
 
     def test_two_meters_alpha_four(self):
-        assert pathloss(2.0, 4.0) == pytest.approx(0.0625)
+        assert _gains(np.array([2.0]), 1.0, 4.0)[0] == pytest.approx(0.0625)
 
     def test_ten_meters_alpha_three(self):
-        assert pathloss(10.0, 3.0) == pytest.approx(1e-3)
-
-    def test_zero_distance_is_singular(self):
-        with pytest.raises(SingularityError):
-            pathloss(0.0, 4.0)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pathloss(-1.0, 4.0)
-
-
-class TestDrawFading:
-    def test_zero_count(self):
-        assert draw_fading(0, rng()).size == 0
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            draw_fading(-1, rng())
-
-    def test_unit_mean(self):
-        h = draw_fading(1_000_000, rng(5))
-        assert 0.99 < h.mean() < 1.01
-        assert h.min() >= 0.0
-
-    def test_fixed_seed_reproducible(self):
-        np.testing.assert_array_equal(draw_fading(64, rng(9)), draw_fading(64, rng(9)))
-
-
-def sir_brute_force(serving_tier, serving_index, macro, small, fading, radio):
-    """Direct re-computation from the definition, scalar Python throughout."""
-    alpha = radio.pathloss_exponent
-    terms = []
-    for tier_set, power in ((macro, radio.power_macro), (small, radio.power_small)):
-        for point in tier_set.points:
-            terms.append(power * math.hypot(point.x, point.y) ** -alpha)
-    terms = [g * h for g, h in zip(terms, fading)]
-    flat = serving_index if serving_tier is Tier.MACRO else len(macro) + serving_index
-    signal = terms[flat]
-    interference = sum(terms[:flat]) + sum(terms[flat + 1 :])
-    return math.inf if interference == 0 else signal / interference
+        assert _gains(np.array([10.0]), 1.0, 3.0)[0] == pytest.approx(1e-3)
 
 
 class TestSirAtOrigin:
+    """The SIR test inside simulator.downlink_delay, against the model's definition."""
+
     def test_symmetric_two_point_macro(self):
         macro = point_set([(100.0, 0.0), (0.0, 200.0)])
-        small = point_set([])
-        fading = np.array([1.0, 1.0])
-        sir = sir_at_origin(Tier.MACRO, 0, macro, small, fading, RadioParams())
-        assert sir == pytest.approx(16.0)
+        assert_kernel_sir(16.0, Tier.MACRO, 0, macro, point_set([]), [1.0, 1.0])
 
     def test_power_ratio_across_tiers(self):
         macro = point_set([(0.0, 100.0)])
         small = point_set([(100.0, 0.0)])
-        fading = np.array([1.0, 1.0])
-        sir = sir_at_origin(Tier.SMALL_CELL, 0, macro, small, fading, RadioParams())
-        assert sir == pytest.approx(0.1)
+        assert_kernel_sir(0.1, Tier.SMALL_CELL, 0, macro, small, [1.0, 1.0])
 
     def test_no_interferer_gives_infinite_sir(self):
         macro = point_set([(50.0, 0.0)])
-        small = point_set([])
-        sir = sir_at_origin(Tier.MACRO, 0, macro, small, np.array([2.0]), RadioParams())
-        assert sir == math.inf
-
-    def test_fading_length_mismatch_rejected(self):
-        macro = point_set([(50.0, 0.0)])
-        with pytest.raises(InvalidParameterError):
-            sir_at_origin(Tier.MACRO, 0, macro, point_set([]), np.ones(3), RadioParams())
+        radio = RadioParams(target_sir=1e300)
+        assert run_kernel(Tier.MACRO, 0, macro, point_set([]), [[2.0]], radio) == (1, False)
 
     def test_bad_serving_index_rejected(self):
         macro = point_set([(50.0, 0.0)])
+        small = point_set([(80.0, 0.0)])
         with pytest.raises(InvalidParameterError):
-            sir_at_origin(Tier.MACRO, 1, macro, point_set([]), np.ones(1), RadioParams())
-
-    def test_point_at_origin_is_singular(self):
-        macro = point_set([(0.0, 0.0), (10.0, 0.0)])
-        with pytest.raises(SingularityError):
-            sir_at_origin(Tier.MACRO, 1, macro, point_set([]), np.ones(2), RadioParams())
+            downlink_delay(Tier.SMALL_CELL, 1, macro, small, RadioParams(), 0.1, 4, rng())
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_matches_brute_force(self, seed):
+    @given(
+        seed=st.integers(0, 10_000),
+        tier=st.sampled_from([Tier.MACRO, Tier.SMALL_CELL]),
+        alpha=st.one_of(st.just(4.0), st.floats(2.5, 5.0)),
+    )
+    def test_matches_brute_force(self, seed, tier, alpha):
+        """The per-attempt reference SIR predicts the kernel's attempt count, with
+        the target placed just below and just above the first attempt's SIR."""
         g = rng(seed)
         macro = point_set(100.0 * g.random((g.integers(1, 6), 2)) + 1.0)
-        small = point_set(100.0 * g.random((g.integers(0, 6), 2)) + 1.0)
-        n = len(macro) + len(small)
-        fading = draw_fading(n, g)
-        tier = Tier.MACRO if g.random() < 0.5 or len(small) == 0 else Tier.SMALL_CELL
+        small = point_set(100.0 * g.random((g.integers(1, 6), 2)) + 1.0)
         idx = int(g.integers(0, len(macro) if tier is Tier.MACRO else len(small)))
-        radio = RadioParams(pathloss_exponent=float(g.uniform(2.5, 5.0)))
-        got = sir_at_origin(tier, idx, macro, small, fading, radio)
-        want = sir_brute_force(tier, idx, macro, small, fading, radio)
-        assert got == pytest.approx(want, rel=1e-9)
+        first = rng(seed + 1).standard_exponential(len(macro) + len(small))
+        sir = sir_brute_force(tier, idx, macro, small, first, RadioParams(pathloss_exponent=alpha))
+        # the kernel forms interference as total power minus signal, which
+        # costs it about SIR ulps of relative precision
+        margin = 1e-9 + 1e-14 * sir
+        for target in (sir * (1 - margin), sir * (1 + margin)):
+            radio = RadioParams(pathloss_exponent=alpha, target_sir=target)
+            attempts, outage, delay = downlink_delay(
+                tier, idx, macro, small, radio, 0.1, 4, rng(seed + 1)
+            )
+            want = reference_downlink(tier, idx, macro, small, radio, 4, rng(seed + 1))
+            assert (attempts, outage) == want
+            assert delay == pytest.approx(0.1 * attempts)
 
     def test_scale_invariance_under_common_fading_rescale(self):
         g = rng(3)
         macro = point_set(200.0 * g.random((4, 2)) + 1.0)
         small = point_set(200.0 * g.random((3, 2)) + 1.0)
-        fading = draw_fading(7, g)
-        radio = RadioParams()
-        base = sir_at_origin(Tier.MACRO, 2, macro, small, fading, radio)
-        scaled = sir_at_origin(Tier.MACRO, 2, macro, small, 7.5 * fading, radio)
-        assert scaled == pytest.approx(base, rel=1e-12)
+        draws = [g.standard_exponential(7) for _ in range(8)]
+        base = run_kernel(Tier.MACRO, 2, macro, small, draws)
+        scaled = run_kernel(Tier.MACRO, 2, macro, small, [7.5 * h for h in draws])
+        assert base[0] > 1
+        assert scaled == base
 
     def test_removing_an_interferer_never_decreases_sir(self):
         g = rng(4)
         coords = (150.0 * g.random((6, 2)) + 1.0).tolist()
-        fading = draw_fading(6, g)
-        radio = RadioParams()
-        full = sir_at_origin(Tier.MACRO, 0, point_set(coords), point_set([]), fading, radio)
+        draws = [g.standard_exponential(6) for _ in range(8)]
+        full, _ = run_kernel(Tier.MACRO, 0, point_set(coords), point_set([]), draws)
+        assert full > 1
         for drop in range(1, 6):
             kept = [c for i, c in enumerate(coords) if i != drop]
-            kept_fading = np.delete(fading, drop)
-            reduced = sir_at_origin(
-                Tier.MACRO, 0, point_set(kept), point_set([]), kept_fading, radio
-            )
-            assert reduced >= full
+            kept_draws = [np.delete(h, drop) for h in draws]
+            reduced, _ = run_kernel(Tier.MACRO, 0, point_set(kept), point_set([]), kept_draws)
+            assert reduced <= full
 
 
 class TestCoverageDistribution:
@@ -189,11 +165,11 @@ class TestCoverageDistribution:
             if len(macro) == 0:
                 continue
             idx, _ = nearest(macro)
-            fading = draw_fading(len(macro) + len(small), g)
-            sir = sir_at_origin(Tier.MACRO, idx, macro, small, fading, radio)
-            successes += sir >= radio.target_sir
-        expected = coverage_probability(
+            _, outage, _ = downlink_delay(Tier.MACRO, idx, macro, small, radio, 0.1, 1, g)
+            successes += not outage
+        c = attempt_kernel(
             radio.target_sir, 4.0, radio.power_small, radio.power_macro, 3.6e-6, 2.8e-6
         )
+        expected = 1.0 / (1.0 + c)
         assert expected == pytest.approx(oracle.FROZEN["coverage_macro"], rel=1e-12)
         assert abs(successes / trials - expected) / expected < 0.03

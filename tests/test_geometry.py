@@ -153,11 +153,9 @@ class TestPointSet:
     def test_points_round_trip(self):
         coords = [(3.0, 4.0), (-1.0, 2.0)]
         ps = PointSet.from_xy(coords, intensity=1.0)
-        for got, want in zip(ps.points, coords):
-            assert got.x == pytest.approx(want[0])
-            assert got.y == pytest.approx(want[1])
-        one = ps.point(1)
-        assert (one.x, one.y) == (pytest.approx(-1.0), pytest.approx(2.0))
+        for i, want in enumerate(coords):
+            got = ps.point(i)
+            assert (got.x, got.y) == (pytest.approx(want[0]), pytest.approx(want[1]))
 
     def test_radii(self):
         ps = PointSet.from_xy([(3.0, 4.0)], intensity=1.0)

@@ -7,7 +7,7 @@ from scipy import stats
 import oracle_reference as oracle
 from hetsim.analytics import DelayParams, mean_backhaul
 from hetsim.caching import CacheConfig, CachePolicy
-from hetsim.channel import RadioParams, sir_at_origin
+from hetsim.channel import RadioParams
 from hetsim.errors import EmptyTierError, InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent
@@ -22,6 +22,7 @@ from hetsim.simulator import (
     run_replication,
 )
 from single_cell import estimate_one, replicate_one
+from sir_reference import reference_downlink
 
 GAMMA_3DB = 10.0 ** 0.3
 
@@ -100,23 +101,15 @@ class TestDownlinkDelay:
         assert result.pvalue > 0.01
 
     def test_matches_sir_at_origin_step_by_step(self):
-        """The inlined threshold test must track the public SIR operation."""
+        """The inlined threshold test must track the per-attempt SIR reference."""
         radio = RadioParams()
         for seed in range(40):
             g = rng(1000 + seed)
             macro = point_set(400.0 * g.random((int(g.integers(1, 8)), 2)) + 5.0, Tier.MACRO)
             small = point_set(400.0 * g.random((int(g.integers(0, 8)), 2)) + 5.0, Tier.SMALL_CELL)
-            n = len(macro) + len(small)
             got = downlink_delay(Tier.MACRO, 0, macro, small, radio, 0.1, 4, rng(seed))
-            mirror = rng(seed)
-            attempts = None
-            for k in range(1, 5):
-                fading = mirror.standard_exponential(n)
-                if sir_at_origin(Tier.MACRO, 0, macro, small, fading, radio) >= radio.target_sir:
-                    attempts = k
-                    break
-            want = (attempts or 4, attempts is None, 0.1 * (attempts or 4))
-            assert got == (want[0], want[1], pytest.approx(want[2]))
+            attempts, outage = reference_downlink(Tier.MACRO, 0, macro, small, radio, 4, rng(seed))
+            assert got == (attempts, outage, pytest.approx(0.1 * attempts))
 
     def test_bad_serving_index(self):
         macro = point_set([(100.0, 0.0)], Tier.MACRO)
