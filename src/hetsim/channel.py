@@ -1,6 +1,6 @@
 """Radio parameters of the two tiers: transmit powers, pathloss and the SIR target.
 
-The per-attempt SIR test that uses them is ``simulator.downlink_delay``;
+The SIR model that uses them is ``simulator.downlink_delay``;
 the closed forms in ``analytics`` read the same parameters.
 """
 

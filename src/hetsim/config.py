@@ -216,6 +216,12 @@ class SweepRow:
 
 
 _FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
+_NUMBER_FIELDS = {f.name: f.type for f in fields(ExperimentConfig) if f.type in ("int", "float")}
+
+
+def _is_number(value, kind: str) -> bool:
+    """Exact types: JSON ``true``/``false`` load as bool, an int subclass, and are no number."""
+    return type(value) is int or (kind == "float" and type(value) is float)
 
 
 def _config_to_dict(config: ExperimentConfig) -> dict:
@@ -247,6 +253,13 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(_FIELD_NAMES))
     if unknown:
         raise InvalidConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for name, kind in _NUMBER_FIELDS.items():
+        if name in raw and not _is_number(raw[name], kind):
+            what = "an integer" if kind == "int" else "a number"
+            raise InvalidConfigError(f"{path}: {name} must be {what}, got {raw[name]!r}")
+    grid = raw.get("sweep_grid", [])
+    if not isinstance(grid, list) or not all(_is_number(v, "float") for v in grid):
+        raise InvalidConfigError(f"{path}: sweep_grid must be a list of numbers, got {grid!r}")
     kwargs = dict(raw)
     try:
         if "b3_variant" in kwargs:

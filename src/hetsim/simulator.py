@@ -1,21 +1,21 @@
 """Monte Carlo estimation of the average content-delivery delay.
 
 One replication draws fresh network geometry (routers, macro and small
-cells), runs the retransmission protocol against the nearest base station
-of the scenario's tier with fading redrawn independently per attempt, and
-then appends the tail delay: the backhaul draw for macro users, and for
-small-cell users either a cache read (hit) or a backhaul draw (miss).
+cells), takes the expected retransmission delay from the nearest base
+station of the scenario's tier given that geometry, and then appends the
+tail delay: the backhaul draw for macro users, and for small-cell users
+either a cache read (hit) or a backhaul draw (miss). The Rayleigh fading
+is averaged out exactly, not sampled (conditional Monte Carlo).
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replication ``i`` of every cell consumes the random stream derived from
-(master_seed, i): the geometry first, then the downlink of the cell's
-serving tier, then the cell's request, hit and tail draws. Cells that
-share a parameter set therefore see the same geometry in replication
-``i``, and cells of one serving tier the same fading, so scenarios and
-storage values are paired. The simulator draws that shared part once per
-replication for all of them and rewinds the generator to the matching
-point before each cell's own draws; a cell's samples do not depend on
-which other cells are estimated alongside it.
+(master_seed, i): the geometry first, then the cell's own request, hit and
+tail draws; the downlink draws nothing. Cells that share a parameter set
+therefore see the same geometry in replication ``i``, so scenarios and
+storage values are paired. The simulator draws it once per replication for
+all of them and rewinds the generator to the end of the geometry before
+each cell's own draws; a cell's samples do not depend on which other cells
+are estimated alongside it.
 
 Replications are embarrassingly parallel. Partial results are placed by
 index, so an estimate is bit-identical regardless of worker count or
@@ -31,12 +31,10 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .caching import CacheConfig, CachePolicy, is_hit, require_valid
-from .channel import RadioParams
 from .errors import InvalidConfigError, InvalidParameterError
 from .geometry import PointSet, Tier, Window, nearest, sample_ppp
 from .popularity import (
@@ -84,10 +82,12 @@ class Cell:
 
 @dataclass(frozen=True)
 class DelaySample:
+    """One replication of one cell; the downlink fields are expectations given its geometry."""
+
     downlink_ms: float
     tail_ms: float
-    attempts: int
-    outage: bool
+    attempts: float
+    outage: float
     hit: bool
 
     @property
@@ -116,55 +116,42 @@ def _gains(radius: np.ndarray, power: float, alpha: float) -> np.ndarray:
 def downlink_delay(
     serving_tier: Tier,
     serving_index: int,
-    macro: PointSet,
-    small: PointSet,
-    radio: RadioParams,
+    macro_gains: np.ndarray,
+    small_gains: np.ndarray,
+    target_sir: float,
     slot_ms: float,
     max_attempts: int,
-    rng: np.random.Generator,
-) -> tuple[int, bool, float]:
-    """Run the retransmission protocol over one fixed geometry.
+) -> tuple[float, float, float]:
+    """The retransmission protocol over one fixed geometry, fading averaged out exactly.
 
-    This is the package's SIR of the typical user at the origin. The
-    network is interference-limited, so noise never enters: the serving
-    power over the summed interference of every other point of both tiers
-    decides success. Fading power coefficients are i.i.d. Exp(1), redrawn
-    for every point on every attempt (one ``standard_exponential`` vector
-    per attempt, macro block first); an attempt succeeds when the SIR
-    clears the target. Returns (attempts, outage, delay); outage means no
-    success within max_attempts, and the slot cost of all attempts is
-    paid either way.
+    This is the package's SIR model of the typical user at the origin. The
+    gain arrays hold each point's received power under unit fading
+    (``_gains``). The network is interference-limited: an attempt succeeds
+    when the serving power over the summed power of every other point of
+    both tiers clears ``target_sir``. Fading powers are i.i.d. Exp(1) per
+    point and attempt, so given the geometry every attempt succeeds with
+    ``q = prod_{j != serving} 1 / (1 + target_sir * g_j / g_serving)``.
+    Returns (expected attempts ``sum_{k<M} (1-q)^k``, outage probability
+    ``(1-q)^M``, ``slot_ms * attempts``) for M = ``max_attempts``; every
+    attempt costs a slot. Draws no random number.
     """
-    gains = np.concatenate(
-        (
-            _gains(macro.radii(), radio.power_macro, radio.pathloss_exponent),
-            _gains(small.radii(), radio.power_small, radio.pathloss_exponent),
-        )
-    )
-    flat = serving_index if serving_tier is Tier.MACRO else len(macro) + serving_index
-    if not 0 <= flat < gains.size:
+    own = macro_gains if serving_tier is Tier.MACRO else small_gains
+    if not 0 <= serving_index < own.size:
         raise InvalidParameterError(f"serving index {serving_index} outside its tier")
-    gamma = radio.target_sir
-    for attempt in range(1, max_attempts + 1):
-        h = rng.standard_exponential(gains.size)
-        signal = gains[flat] * h[flat]
-        interference = float(gains @ h) - signal
-        # SIR >= gamma without the division, so an interference-free draw
-        # (infinite SIR) is an ordinary success
-        if signal >= gamma * interference:
-            return attempt, False, slot_ms * attempt
-    return max_attempts, True, slot_ms * max_attempts
-
-
-class _Link(NamedTuple):
-    """Downlink outcome of one serving tier, shared by every cell served by it."""
-
-    serving_distance: float
-    attempts: int
-    outage: bool
-    downlink_ms: float
-    backhaul_mean_ms: float
-    state: dict  # generator state right after this tier's downlink
+    scale = target_sir / own[serving_index]
+    minus_log_q = 0.0
+    for gains in (macro_gains, small_gains):
+        terms = gains * scale
+        if gains is own:
+            terms[serving_index] = 0.0  # the signal is no interferer: log1p(0) = 0
+        minus_log_q += float(np.log1p(terms, out=terms).sum())
+    miss = -math.expm1(-minus_log_q)
+    # term by term, so q -> 0 and q -> 1 need no division and no branch
+    attempts, term = 0.0, 1.0
+    for _ in range(max_attempts):
+        attempts += term
+        term *= miss
+    return attempts, term, slot_ms * attempts
 
 
 def _serve(
@@ -172,22 +159,22 @@ def _serve(
     routers: PointSet,
     macro: PointSet,
     small: PointSet,
+    gains: tuple[np.ndarray, np.ndarray],
     params: DelayParams,
-    rng: np.random.Generator,
-) -> _Link:
+) -> tuple[float, float, tuple[float, float, float]]:
+    """(serving distance, mean backhaul delay, downlink_delay) of one serving tier."""
     if tier is Tier.MACRO:
         serving_set, lambda_tier = macro, params.lambda_mc
     else:
         serving_set, lambda_tier = small, params.lambda_sc
     serving_index, serving_distance = nearest(serving_set)
 
-    attempts, outage, downlink = downlink_delay(
-        tier, serving_index, macro, small, params.radio, params.slot_ms, params.max_attempts, rng
+    downlink = downlink_delay(
+        tier, serving_index, *gains, params.radio.target_sir, params.slot_ms, params.max_attempts
     )
-
     _, router_distance = nearest(routers, reference=serving_set.point(serving_index))
     backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
-    return _Link(serving_distance, attempts, outage, downlink, backhaul_mean, rng.bit_generator.state)
+    return serving_distance, backhaul_mean, downlink
 
 
 def run_replication(
@@ -198,32 +185,36 @@ def run_replication(
 ) -> list[DelaySample]:
     """Sample one end-to-end delay of the typical user for every cell.
 
-    All cells must carry ``params``. They share one geometry and one
-    downlink run per serving tier. Before its request, hit and tail draws,
-    each cell restores the generator state its tier's downlink left, so a
-    cell consumes exactly the draws it would consume alone on ``rng``.
+    All cells must carry ``params``. They share one geometry, its received
+    powers and one downlink per serving tier. Before its request, hit and
+    tail draws, each cell restores the generator state the geometry left,
+    so a cell consumes exactly the draws it would consume alone on ``rng``.
     """
     routers = sample_ppp(params.lambda_cr, window, rng, Tier.CENTRAL_ROUTER)
     macro = sample_ppp(params.lambda_mc, window, rng, Tier.MACRO)
     small = sample_ppp(params.lambda_sc, window, rng, Tier.SMALL_CELL)
     bit_generator = rng.bit_generator
     after_geometry = bit_generator.state
+    radio = params.radio
+    gains = (
+        _gains(macro.radii(), radio.power_macro, radio.pathloss_exponent),
+        _gains(small.radii(), radio.power_small, radio.pathloss_exponent),
+    )
 
-    links: dict[Tier, _Link] = {}
+    links = {}  # serving tier -> _serve's outcome, shared by every cell of that tier
     samples = []
     for cell in cells:
         scenario = cell.scenario
         tier = Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
-        link = links.get(tier)
-        if link is None:
-            bit_generator.state = after_geometry
-            link = links[tier] = _serve(tier, routers, macro, small, params, rng)
-        bit_generator.state = link.state
+        if tier not in links:
+            links[tier] = _serve(tier, routers, macro, small, gains, params)
+        serving_distance, backhaul_mean, (attempts, outage, downlink) = links[tier]
+        bit_generator.state = after_geometry
 
         hit = False
         if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
             override = (
-                link.serving_distance
+                serving_distance
                 if scenario.distance_mode is DistanceMode.PER_USER
                 and isinstance(scenario.model, DistanceDependent)
                 else None
@@ -232,17 +223,9 @@ def run_replication(
             request = float(sample_request(PopularityDist(eta), rng))
             hit = is_hit(request, scenario.policy, cell.cache, rng)
 
-        tail_mean = params.cache_read_mean_ms if hit else link.backhaul_mean_ms
+        tail_mean = params.cache_read_mean_ms if hit else backhaul_mean
         tail = float(rng.exponential(tail_mean)) if tail_mean > 0 else 0.0
-        samples.append(
-            DelaySample(
-                downlink_ms=link.downlink_ms,
-                tail_ms=tail,
-                attempts=link.attempts,
-                outage=link.outage,
-                hit=hit,
-            )
-        )
+        samples.append(DelaySample(downlink, tail, attempts, outage, hit))
     return samples
 
 
@@ -252,18 +235,13 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _run_batch(cells, params, window, master_seed, start, stop):
-    """Replications [start, stop) of cells sharing ``params``, as (cell, rep) arrays."""
-    shape = (len(cells), stop - start)
-    totals = np.empty(shape)
-    outages = np.empty(shape, dtype=bool)
-    hits = np.empty(shape, dtype=bool)
+    """Replications [start, stop) of cells sharing ``params``: (total, outage, hit) per (cell, rep)."""
+    out = np.empty((len(cells), stop - start, 3))
     for i, rep in enumerate(range(start, stop)):
         samples = run_replication(cells, params, window, replication_rng(master_seed, rep))
         for c, sample in enumerate(samples):
-            totals[c, i] = sample.total_ms
-            outages[c, i] = sample.outage
-            hits[c, i] = sample.hit
-    return totals, outages, hits
+            out[c, i] = sample.total_ms, sample.outage, sample.hit
+    return out
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -292,7 +270,9 @@ def _check_cell(cell: Cell) -> None:
             effective_eta(scenario.model, cell.params.lambda_sc, cell.params.lambda_ut)
 
 
-def _summarize(totals: np.ndarray, outages: np.ndarray, hits: np.ndarray) -> DelayEstimate:
+def _summarize(samples: np.ndarray) -> DelayEstimate:
+    """Estimate from one cell's (total, outage, hit) rows."""
+    totals, outages, hits = samples.T
     replications = totals.size
     mean = float(np.mean(totals))
     if replications > 1:
@@ -350,12 +330,7 @@ def estimate(
             futures = [pool.submit(_run_batch, *task) for task in tasks]
             results = [f.result() for f in futures]
 
-    shape = (len(cells), replications)
-    totals = np.empty(shape)
-    outages = np.empty(shape, dtype=bool)
-    hits = np.empty(shape, dtype=bool)
-    for (_, members, start, stop), (batch_totals, batch_outages, batch_hits) in zip(keys, results):
-        totals[members, start:stop] = batch_totals
-        outages[members, start:stop] = batch_outages
-        hits[members, start:stop] = batch_hits
-    return [_summarize(totals[c], outages[c], hits[c]) for c in range(len(cells))]
+    samples = np.empty((len(cells), replications, 3))
+    for (_, members, start, stop), batch in zip(keys, results):
+        samples[members, start:stop] = batch
+    return [_summarize(samples[c]) for c in range(len(cells))]

@@ -8,8 +8,9 @@ from hetsim.analytics import attempt_kernel
 from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, nearest, sample_ppp
-from hetsim.simulator import _gains, downlink_delay
-from sir_reference import FixedFading, reference_downlink, sir_brute_force
+from hetsim.simulator import _gains
+from single_cell import kernel
+from sir_reference import success_probability, truncated_geometric
 
 
 def rng(seed=0):
@@ -22,20 +23,9 @@ def point_set(coords, tier=None):
     return PointSet.from_xy(coords, intensity=1.0, tier=tier)
 
 
-def run_kernel(serving_tier, serving_index, macro, small, draws, radio=RadioParams()):
-    """(attempts, outage) of the production kernel when attempt k sees fading ``draws[k]``."""
-    attempts, outage, _ = downlink_delay(
-        serving_tier, serving_index, macro, small, radio, 0.1, len(draws), FixedFading(*draws)
-    )
-    return attempts, outage
-
-
-def assert_kernel_sir(expected, serving_tier, serving_index, macro, small, fading):
-    """The kernel's one-attempt SIR under ``fading`` is ``expected``: it clears a
-    target just below it and misses one just above."""
-    for target, outage in ((expected * (1 - 1e-9), False), (expected * (1 + 1e-9), True)):
-        radio = RadioParams(target_sir=target)
-        assert run_kernel(serving_tier, serving_index, macro, small, [fading], radio) == (1, outage)
+def kernel_success(serving_tier, serving_index, macro, small, radio=RadioParams()):
+    """The kernel's per-attempt success probability: one minus its single-attempt outage."""
+    return 1.0 - kernel(serving_tier, serving_index, macro, small, radio, max_attempts=1)[1]
 
 
 class TestRadioParams:
@@ -79,27 +69,33 @@ class TestPathloss:
 
 
 class TestSirAtOrigin:
-    """The SIR test inside simulator.downlink_delay, against the model's definition."""
+    """The success probability inside simulator.downlink_delay, against the model's definition."""
 
     def test_symmetric_two_point_macro(self):
+        # signal-to-interference ratio of the mean powers is (200/100)^4 = 16
         macro = point_set([(100.0, 0.0), (0.0, 200.0)])
-        assert_kernel_sir(16.0, Tier.MACRO, 0, macro, point_set([]), [1.0, 1.0])
+        gamma = RadioParams().target_sir
+        q = kernel_success(Tier.MACRO, 0, macro, point_set([]))
+        assert q == pytest.approx(1.0 / (1.0 + gamma / 16.0), rel=1e-12, abs=0.0)
 
     def test_power_ratio_across_tiers(self):
+        # equal distances: the macro interferer is 10x the small-cell signal
         macro = point_set([(0.0, 100.0)])
         small = point_set([(100.0, 0.0)])
-        assert_kernel_sir(0.1, Tier.SMALL_CELL, 0, macro, small, [1.0, 1.0])
+        gamma = RadioParams().target_sir
+        q = kernel_success(Tier.SMALL_CELL, 0, macro, small)
+        assert q == pytest.approx(1.0 / (1.0 + 10.0 * gamma), rel=1e-12, abs=0.0)
 
     def test_no_interferer_gives_infinite_sir(self):
         macro = point_set([(50.0, 0.0)])
         radio = RadioParams(target_sir=1e300)
-        assert run_kernel(Tier.MACRO, 0, macro, point_set([]), [[2.0]], radio) == (1, False)
+        assert kernel(Tier.MACRO, 0, macro, point_set([]), radio) == (1.0, 0.0, 0.1)
 
     def test_bad_serving_index_rejected(self):
         macro = point_set([(50.0, 0.0)])
         small = point_set([(80.0, 0.0)])
         with pytest.raises(InvalidParameterError):
-            downlink_delay(Tier.SMALL_CELL, 1, macro, small, RadioParams(), 0.1, 4, rng())
+            kernel(Tier.SMALL_CELL, 1, macro, small)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -108,65 +104,61 @@ class TestSirAtOrigin:
         alpha=st.one_of(st.just(4.0), st.floats(2.5, 5.0)),
     )
     def test_matches_brute_force(self, seed, tier, alpha):
-        """The per-attempt reference SIR predicts the kernel's attempt count, with
-        the target placed just below and just above the first attempt's SIR."""
+        """The kernel's (attempts, outage, delay) are the truncated-geometric
+        values of the exact product-form success probability."""
         g = rng(seed)
         macro = point_set(100.0 * g.random((g.integers(1, 6), 2)) + 1.0)
         small = point_set(100.0 * g.random((g.integers(1, 6), 2)) + 1.0)
         idx = int(g.integers(0, len(macro) if tier is Tier.MACRO else len(small)))
-        first = rng(seed + 1).standard_exponential(len(macro) + len(small))
-        sir = sir_brute_force(tier, idx, macro, small, first, RadioParams(pathloss_exponent=alpha))
-        # the kernel forms interference as total power minus signal, which
-        # costs it about SIR ulps of relative precision
-        margin = 1e-9 + 1e-14 * sir
-        for target in (sir * (1 - margin), sir * (1 + margin)):
-            radio = RadioParams(pathloss_exponent=alpha, target_sir=target)
-            attempts, outage, delay = downlink_delay(
-                tier, idx, macro, small, radio, 0.1, 4, rng(seed + 1)
-            )
-            want = reference_downlink(tier, idx, macro, small, radio, 4, rng(seed + 1))
-            assert (attempts, outage) == want
-            assert delay == pytest.approx(0.1 * attempts)
+        radio = RadioParams(pathloss_exponent=alpha)
+        q = success_probability(tier, idx, macro, small, radio)
+        attempts, outage = truncated_geometric(q, 4)
+        got = kernel(tier, idx, macro, small, radio)
+        assert got == (
+            pytest.approx(float(attempts), rel=1e-12, abs=0.0),
+            pytest.approx(float(outage), rel=1e-12, abs=0.0),
+            pytest.approx(0.1 * float(attempts), rel=1e-12, abs=0.0),
+        )
 
     def test_scale_invariance_under_common_fading_rescale(self):
+        """Rescaling every received power alike, as a common fading or power
+        factor does, leaves the kernel's output unchanged."""
         g = rng(3)
         macro = point_set(200.0 * g.random((4, 2)) + 1.0)
         small = point_set(200.0 * g.random((3, 2)) + 1.0)
-        draws = [g.standard_exponential(7) for _ in range(8)]
-        base = run_kernel(Tier.MACRO, 2, macro, small, draws)
-        scaled = run_kernel(Tier.MACRO, 2, macro, small, [7.5 * h for h in draws])
-        assert base[0] > 1
-        assert scaled == base
+        base = kernel(Tier.MACRO, 2, macro, small)
+        scaled = kernel(Tier.MACRO, 2, macro, small, RadioParams(power_macro=150.0, power_small=15.0))
+        assert base[0] > 1.01
+        assert scaled == pytest.approx(base, rel=1e-12, abs=0.0)
 
     def test_removing_an_interferer_never_decreases_sir(self):
+        """Fewer interferers never raise the expected attempts or the outage."""
         g = rng(4)
         coords = (150.0 * g.random((6, 2)) + 1.0).tolist()
-        draws = [g.standard_exponential(6) for _ in range(8)]
-        full, _ = run_kernel(Tier.MACRO, 0, point_set(coords), point_set([]), draws)
-        assert full > 1
+        attempts, outage, _ = kernel(Tier.MACRO, 0, point_set(coords), point_set([]))
+        assert attempts > 1.01
         for drop in range(1, 6):
             kept = [c for i, c in enumerate(coords) if i != drop]
-            kept_draws = [np.delete(h, drop) for h in draws]
-            reduced, _ = run_kernel(Tier.MACRO, 0, point_set(kept), point_set([]), kept_draws)
-            assert reduced <= full
+            reduced = kernel(Tier.MACRO, 0, point_set(kept), point_set([]))
+            assert reduced[0] <= attempts
+            assert reduced[1] <= outage
 
 
 class TestCoverageDistribution:
     def test_single_attempt_success_matches_kernel(self):
-        """Empirical P(SIR >= gamma) against the adopted closed-form kernel."""
+        """Mean P(SIR >= gamma | geometry) against the adopted closed-form kernel."""
         radio = RadioParams()
         window = Window(8_000.0)
         g = rng(2024)
         trials = 10_000
-        successes = 0
+        successes = 0.0
         for _ in range(trials):
             macro = sample_ppp(2.8e-6, window, g, Tier.MACRO)
             small = sample_ppp(3.6e-6, window, g, Tier.SMALL_CELL)
             if len(macro) == 0:
                 continue
             idx, _ = nearest(macro)
-            _, outage, _ = downlink_delay(Tier.MACRO, idx, macro, small, radio, 0.1, 1, g)
-            successes += not outage
+            successes += kernel_success(Tier.MACRO, idx, macro, small, radio)
         c = attempt_kernel(
             radio.target_sir, 4.0, radio.power_small, radio.power_macro, 3.6e-6, 2.8e-6
         )

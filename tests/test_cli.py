@@ -209,6 +209,18 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "bandwidth_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_attempts", True), ("replications", True), ("replications", "100"), ("t0_ms", None)],
+    )
+    def test_non_numeric_field_is_config_error_naming_it(self, tmp_path, capsys, field, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({field: value}))
+        code = main(["--config", str(path), "--theory-only"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

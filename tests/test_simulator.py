@@ -16,13 +16,12 @@ from hetsim.simulator import (
     DistanceMode,
     MacroUser,
     SmallUser,
-    downlink_delay,
     estimate,
     replication_rng,
     run_replication,
 )
-from single_cell import estimate_one, replicate_one
-from sir_reference import reference_downlink
+from single_cell import estimate_one, kernel, replicate_one
+from sir_reference import reference_downlink, success_probability, truncated_geometric
 
 GAMMA_3DB = 10.0 ** 0.3
 
@@ -53,38 +52,46 @@ def small_params(**overrides):
     return DelayParams(**defaults)
 
 
+# (serving tier, macro points, small points); the server is point 0 of its
+# tier, and the outage probability runs from 5% to 43%
+TWO_TIER_GEOMETRIES = [
+    (Tier.MACRO, [(100.0, 0.0), (0.0, 140.0), (-250.0, 40.0)], [(60.0, 90.0), (-120.0, -70.0)]),
+    (Tier.SMALL_CELL, [(0.0, 300.0), (-200.0, 50.0)], [(40.0, 30.0), (-60.0, 10.0), (70.0, -110.0)]),
+    (Tier.MACRO, [(150.0, 80.0), (-160.0, 90.0), (20.0, -200.0), (300.0, 300.0)], []),
+]
+
+
 class TestDownlinkDelay:
     def test_guaranteed_success_takes_one_slot(self):
         macro = point_set([(100.0, 0.0), (120.0, 50.0)], Tier.MACRO)
         small = point_set([(80.0, -30.0)], Tier.SMALL_CELL)
         radio = RadioParams(target_sir=1e-12)
-        for seed in range(20):
-            attempts, outage, delay = downlink_delay(
-                Tier.MACRO, 0, macro, small, radio, 0.1, 4, rng(seed)
-            )
-            assert (attempts, outage, delay) == (1, False, pytest.approx(0.1))
+        attempts, outage, delay = kernel(Tier.MACRO, 0, macro, small, radio)
+        assert 1.0 <= attempts < 1.0 + 1e-10
+        assert delay == pytest.approx(0.1)
+        # q within 1e-12 of 1: the outage (1-q)^4 must keep its relative precision
+        exact = truncated_geometric(success_probability(Tier.MACRO, 0, macro, small, radio), 4)
+        assert 0.0 < outage == pytest.approx(float(exact[1]), rel=1e-12, abs=0.0)
 
     def test_impossible_target_always_times_out(self):
         macro = point_set([(100.0, 0.0), (100.0, 1.0)], Tier.MACRO)
         small = point_set([], Tier.SMALL_CELL)
         radio = RadioParams(target_sir=1e15)
-        attempts, outage, delay = downlink_delay(
-            Tier.MACRO, 0, macro, small, radio, 0.1, 4, rng(0)
-        )
-        assert (attempts, outage) == (4, True)
+        attempts, outage, delay = kernel(Tier.MACRO, 0, macro, small, radio)
+        exact = truncated_geometric(success_probability(Tier.MACRO, 0, macro, small, radio), 4)
+        assert attempts == pytest.approx(float(exact[0]), rel=1e-12, abs=0.0)
+        assert outage == pytest.approx(float(exact[1]), rel=1e-12, abs=0.0)
         assert delay == pytest.approx(0.4)
 
     def test_no_interferer_succeeds_immediately(self):
         macro = point_set([(500.0, 0.0)], Tier.MACRO)
         small = point_set([], Tier.SMALL_CELL)
-        attempts, outage, delay = downlink_delay(
-            Tier.MACRO, 0, macro, small, RadioParams(), 0.1, 4, rng(1)
-        )
-        assert (attempts, outage, delay) == (1, False, pytest.approx(0.1))
+        assert kernel(Tier.MACRO, 0, macro, small, RadioParams()) == (1.0, 0.0, 0.1)
 
     def test_attempt_distribution_matches_two_point_closed_form(self):
         """With one equal-power interferer the per-attempt success probability
-        is 1/(1 + gamma (d_s/d_i)^alpha) from the Exp(1) fading ratio."""
+        is 1/(1 + gamma (d_s/d_i)^alpha) from the Exp(1) fading ratio: the
+        protocol's attempt counts follow it, and the kernel computes it."""
         d_serving, d_interferer, gamma = 100.0, 200.0, 2.0
         macro = point_set([(d_serving, 0.0), (0.0, d_interferer)], Tier.MACRO)
         small = point_set([], Tier.SMALL_CELL)
@@ -94,29 +101,44 @@ class TestDownlinkDelay:
         counts = np.zeros(4)
         trials = 20_000
         for _ in range(trials):
-            attempts, _, _ = downlink_delay(Tier.MACRO, 0, macro, small, radio, 0.1, 4, g)
+            attempts, _ = reference_downlink(Tier.MACRO, 0, macro, small, radio, 4, g)
             counts[attempts - 1] += 1
         probs = np.array([p, (1 - p) * p, (1 - p) ** 2 * p, (1 - p) ** 3])
         result = stats.chisquare(counts, probs * trials)
         assert result.pvalue > 0.01
+        attempts, outage, _ = kernel(Tier.MACRO, 0, macro, small, radio)
+        assert attempts == pytest.approx(probs @ [1, 2, 3, 4], rel=1e-12, abs=0.0)
+        assert outage == pytest.approx((1 - p) ** 4, rel=1e-12, abs=0.0)
 
     def test_matches_sir_at_origin_step_by_step(self):
-        """The inlined threshold test must track the per-attempt SIR reference."""
+        """Averaged over fading, the per-attempt protocol lands on the kernel."""
         radio = RadioParams()
-        for seed in range(40):
-            g = rng(1000 + seed)
-            macro = point_set(400.0 * g.random((int(g.integers(1, 8)), 2)) + 5.0, Tier.MACRO)
-            small = point_set(400.0 * g.random((int(g.integers(0, 8)), 2)) + 5.0, Tier.SMALL_CELL)
-            got = downlink_delay(Tier.MACRO, 0, macro, small, radio, 0.1, 4, rng(seed))
-            attempts, outage = reference_downlink(Tier.MACRO, 0, macro, small, radio, 4, rng(seed))
-            assert got == (attempts, outage, pytest.approx(0.1 * attempts))
+        trials = 20_000
+        g = rng(1000)
+        for serving_tier, macro, small in TWO_TIER_GEOMETRIES:
+            macro = point_set(macro, Tier.MACRO)
+            small = point_set(small, Tier.SMALL_CELL)
+            runs = np.array(
+                [reference_downlink(serving_tier, 0, macro, small, radio, 4, g) for _ in range(trials)]
+            )
+            attempts, outage, _ = kernel(serving_tier, 0, macro, small, radio)
+            se_attempts = runs[:, 0].std(ddof=1) / math.sqrt(trials)
+            se_outage = math.sqrt(outage * (1 - outage) / trials)
+            assert abs(runs[:, 0].mean() - attempts) < 4 * se_attempts
+            assert abs(runs[:, 1].mean() - outage) < 4 * se_outage
 
     def test_bad_serving_index(self):
         macro = point_set([(100.0, 0.0)], Tier.MACRO)
         with pytest.raises(InvalidParameterError):
-            downlink_delay(
-                Tier.MACRO, 3, macro, point_set([], Tier.SMALL_CELL), RadioParams(), 0.1, 4, rng()
-            )
+            kernel(Tier.MACRO, 3, macro, point_set([], Tier.SMALL_CELL), RadioParams())
+
+    @pytest.mark.parametrize("tier", [Tier.MACRO, Tier.SMALL_CELL])
+    def test_negative_serving_index_rejected(self, tier):
+        """-1 must not wrap around, nor reach into the other tier's points."""
+        macro = point_set([(100.0, 0.0), (0.0, 150.0)], Tier.MACRO)
+        small = point_set([(80.0, 0.0)], Tier.SMALL_CELL)
+        with pytest.raises(InvalidParameterError):
+            kernel(tier, -1, macro, small, RadioParams())
 
 
 class TestRunReplication:
@@ -127,10 +149,9 @@ class TestRunReplication:
         for rep in range(200):
             s = replicate_one(scenario, params, CacheConfig(), window, replication_rng(5, rep))
             assert 1 <= s.attempts <= params.max_attempts
+            assert 0 <= s.outage <= 1
+            assert s.downlink_ms == pytest.approx(params.slot_ms * s.attempts)
             assert s.total_ms == pytest.approx(s.downlink_ms + s.tail_ms)
-            if s.outage:
-                assert s.attempts == params.max_attempts
-                assert s.downlink_ms == pytest.approx(0.4)
             assert s.tail_ms >= 0.0
 
     def test_nocache_never_hits(self):
