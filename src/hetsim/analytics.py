@@ -1,9 +1,9 @@
 """Closed-form average delay of typical macro and small-cell users.
 
 The downlink term is an alternating-binomial sum over the first M
-retransmission attempts whose per-attempt kernel combines the
-nearest-server interference functional rho(gamma, alpha) with a
-cross-tier constant A(alpha); backhaul adds half * beta * lambda_tier *
+retransmission attempts, evaluated as its positive-term product form,
+whose per-attempt kernel combines the nearest-server interference
+functional rho(gamma, alpha) with a cross-tier constant A(alpha); backhaul adds half * beta * lambda_tier *
 lambda_cr^(-3/2); caching shifts the miss traffic from backhaul onto the
 (much faster) cache read, weighted by the closed-form hit probability.
 
@@ -22,7 +22,6 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from scipy import integrate
 
@@ -164,9 +163,10 @@ def b1(
 ) -> float:
     """Average downlink delay of the retransmission protocol.
 
-    slot * sum_{i=0}^{M-1} (-1)^i C(M, i+1) / (1 + i*c). The alternating
-    sum is accumulated in exact rational arithmetic so cancellation cannot
-    bite even at the M = 60 limit.
+    slot * sum_{i<M} (-1)^i C(M, i+1) / (1 + i*c), evaluated as the equal
+    positive-term product slot * (1 + c/(1+c) * (1 + 2c/(1+2c) * (1 + ...)))
+    in integers from c's exact ratio p/q. It is kept exact for byte identity:
+    one correctly rounded division gives the float of the exact sum, bit for bit.
     """
     if not 1 <= max_attempts <= MAX_ATTEMPTS_LIMIT:
         raise InvalidParameterError(
@@ -174,13 +174,13 @@ def b1(
         )
     if min(power_other, power_serving, lambda_other, lambda_serving) <= 0 or slot_ms <= 0:
         raise InvalidParameterError("powers, intensities and slot must be positive")
-    c = Fraction(attempt_kernel(gamma, alpha, power_other, power_serving, lambda_other, lambda_serving))
-    total = Fraction(0)
-    coeff = max_attempts  # C(M, i+1) via multiplicative recurrence
-    for i in range(max_attempts):
-        total += Fraction((-1) ** i * coeff) / (1 + i * c)
-        coeff = coeff * (max_attempts - i - 1) // (i + 2)
-    return slot_ms * float(total)
+    c = attempt_kernel(gamma, alpha, power_other, power_serving, lambda_other, lambda_serving)
+    p, q = c.as_integer_ratio()
+    num = den = 1
+    for k in range(max_attempts - 1, 0, -1):
+        step = q + k * p
+        num, den = step * den + k * p * num, step * den
+    return slot_ms * (num / den)
 
 
 def mean_backhaul(lambda_tier: float, lambda_cr: float, beta: float) -> float:

@@ -7,6 +7,9 @@ bookkeeping overhead S_0 that never serves hits, and a uniformly random
 slice S_u of the remaining catalogue. Content beyond the catalogue bound
 f_0 is non-cacheable.
 
+The per-request hit test consumes one uniform draw for a request in the
+random-eligible segment and none otherwise.
+
 The closed-form uniform-segment hit probability exists in two variants:
 the formula as printed in the delay expressions carries a leading "1 -"
 term that can push the total above 1; the integral-consistent variant is
@@ -184,48 +187,28 @@ def hit_probability(
     return total
 
 
-def hit_mask(
-    request_f: np.ndarray,
-    policy: CachePolicy,
-    config: CacheConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized per-request hit test.
-
-    Requests beyond the catalogue bound always miss. The popular head
-    [1, 1+S_p) hits deterministically (StdPop, MixPop); the remaining
-    catalogue hits with probability equal to the cached fraction of the
-    eligible segment (UniRand, MixPop). Uniform draws are consumed only
-    for requests in the random-eligible segment. ``config`` must already
-    satisfy require_valid for ``policy``; the simulator checks it once per
-    cell, not once per request.
-    """
-    f = np.asarray(request_f, dtype=float)
-    hits = np.zeros(f.shape, dtype=bool)
-    if policy is CachePolicy.NO_CACHE:
-        return hits
-    in_catalogue = f < config.catalogue_bound
-    if policy in (CachePolicy.STD_POP, CachePolicy.MIX_POP):
-        hits |= in_catalogue & (f < 1.0 + config.popular)
-    if policy is CachePolicy.UNI_RAND:
-        eligible = in_catalogue
-        fraction = config.uniform / (config.catalogue_bound - 1.0)
-    elif policy is CachePolicy.MIX_POP:
-        eligible = in_catalogue & (f >= 1.0 + config.popular)
-        fraction = config.uniform / (config.catalogue_bound - config.popular)
-    else:
-        return hits
-    n_eligible = int(np.count_nonzero(eligible))
-    if n_eligible:
-        hits[eligible] = rng.random(n_eligible) < fraction
-    return hits
-
-
 def is_hit(
     request_f: float,
     policy: CachePolicy,
     config: CacheConfig,
     rng: np.random.Generator,
 ) -> bool:
-    """Single-request hit test (see hit_mask)."""
-    return bool(hit_mask(np.array([request_f]), policy, config, rng)[0])
+    """Per-request hit test.
+
+    Requests at or beyond the catalogue bound miss. The popular head
+    [1, 1+S_p) hits (StdPop, MixPop); one uniform draw decides the rest of
+    the catalogue, which hits with the cached fraction of that segment
+    (UniRand, MixPop). ``config`` must already satisfy require_valid for
+    ``policy``; the simulator checks it once per cell, not per request.
+    """
+    if policy is CachePolicy.NO_CACHE or not request_f < config.catalogue_bound:
+        return False
+    if policy is CachePolicy.UNI_RAND:
+        fraction = config.uniform / (config.catalogue_bound - 1.0)
+    elif request_f < 1.0 + config.popular:
+        return True
+    elif policy is CachePolicy.MIX_POP:
+        fraction = config.uniform / (config.catalogue_bound - config.popular)
+    else:
+        return False
+    return rng.random() < fraction

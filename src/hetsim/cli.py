@@ -9,6 +9,7 @@ byte-identical for a given config and seed regardless of HETSIM_THREADS.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +36,7 @@ from .simulator import Cell, MacroUser, estimate
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+MAX_EXPECTED_EMPTY_TIERS = 1e-3  # over a grid value's replications; one empty tier aborts a run
 
 
 def run_sweep(
@@ -48,7 +50,8 @@ def run_sweep(
     simulates every cell of the sweep. An invalid derived parameter set
     (e.g. a steepness that falls to 1 when the swept small-cell intensity
     reaches the user intensity) aborts the whole sweep, naming the
-    offending value, before any simulation starts.
+    offending value, before any simulation starts; so does a window whose
+    replications at some grid value expect an empty tier.
     """
     window = config.window()
     cases = []  # (value, label, theory_ms, hit_rate_theory), in row order
@@ -68,6 +71,13 @@ def run_sweep(
                 cases.append((value, label, theory.total_ms, theory.hit_probability))
                 if not theory_only:
                     cells.append(Cell(scenario, params, cache))
+            lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
+            empty = config.replications * sum(math.exp(-lam * window.area) for lam in lambdas)
+            if not theory_only and empty > MAX_EXPECTED_EMPTY_TIERS:
+                raise InvalidConfigError(
+                    f"window_radius_m={window.radius!r} is too small: "
+                    f"{config.replications} replications expect {empty:.3g} empty tiers"
+                )
         except (InvalidParameterError, InvalidConfigError) as exc:
             raise type(exc)(
                 f"sweep {config.sweep_variable}={value!r} yields an invalid "

@@ -89,6 +89,8 @@ class ExperimentConfig:
             parse_scenario(label, self)  # raises on a malformed label
         if self.replications < 1:
             raise InvalidConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.master_seed < 0:
+            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         # surfaces invalid physical parameters right at load time
         self.delay_params()
 
@@ -220,8 +222,8 @@ _NUMBER_FIELDS = {f.name: f.type for f in fields(ExperimentConfig) if f.type in 
 
 
 def _is_number(value, kind: str) -> bool:
-    """Exact types: JSON ``true``/``false`` load as bool, an int subclass, and are no number."""
-    return type(value) is int or (kind == "float" and type(value) is float)
+    """Exact types: JSON ``true``/``false`` load as bool, an int subclass; NaN/Infinity are no number."""
+    return type(value) is int or (kind == "float" and type(value) is float and math.isfinite(value))
 
 
 def _config_to_dict(config: ExperimentConfig) -> dict:
@@ -255,11 +257,14 @@ def load_config(path) -> ExperimentConfig:
         raise InvalidConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for name, kind in _NUMBER_FIELDS.items():
         if name in raw and not _is_number(raw[name], kind):
-            what = "an integer" if kind == "int" else "a number"
+            what = "an integer" if kind == "int" else "a finite number"
             raise InvalidConfigError(f"{path}: {name} must be {what}, got {raw[name]!r}")
     grid = raw.get("sweep_grid", [])
     if not isinstance(grid, list) or not all(_is_number(v, "float") for v in grid):
-        raise InvalidConfigError(f"{path}: sweep_grid must be a list of numbers, got {grid!r}")
+        raise InvalidConfigError(f"{path}: sweep_grid must be a list of finite numbers, got {grid!r}")
+    labels = raw.get("scenarios", [])
+    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+        raise InvalidConfigError(f"{path}: scenarios must be a list of labels, got {labels!r}")
     kwargs = dict(raw)
     try:
         if "b3_variant" in kwargs:

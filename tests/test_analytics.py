@@ -147,6 +147,18 @@ class TestB1:
             product += term
         assert alternating == product
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 1e3),
+        alpha=st.one_of(st.just(4.0), st.floats(2.5, 5.0)),
+        m=st.integers(1, 60),
+    )
+    def test_equals_exact_rational_alternating_sum(self, gamma, alpha, m):
+        # bit for bit, not to a tolerance: the CSV bytes rest on it
+        c = attempt_kernel(gamma, alpha, 2.0, 20.0, 3.6e-6, 2.8e-6)
+        got = b1(0.1, m, gamma, alpha, 2.0, 20.0, 3.6e-6, 2.8e-6)
+        assert got == oracle.b1_exact_rational(0.1, m, c)
+
     def test_stable_at_attempt_limit(self):
         got = b1(0.1, 60, GAMMA_3DB, 4.0, 2.0, 20.0, 3.6e-6, 2.8e-6)
         want = oracle.b1_product_form(

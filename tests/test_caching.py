@@ -7,7 +7,6 @@ from hetsim.caching import (
     B3Variant,
     CacheConfig,
     CachePolicy,
-    hit_mask,
     hit_prob_popular,
     hit_prob_uniform,
     hit_probability,
@@ -23,6 +22,11 @@ DEFAULTS = CacheConfig()  # total=100, popular=9.5, overhead=0.5, uniform=90, f0
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def hits_of(requests, policy, config, g):
+    """is_hit over a request array, in order, on one generator."""
+    return np.array([is_hit(f, policy, config, g) for f in requests.tolist()])
 
 
 class TestHitProbPopular:
@@ -199,10 +203,40 @@ class TestIsHit:
             assert not is_hit(600.0, policy, config, rng())
             assert not is_hit(500.0, policy, config, rng())
 
+    @pytest.mark.parametrize(
+        "policy,config,no_draw,one_draw",
+        [
+            (CachePolicy.MIX_POP, DEFAULTS, [1.0, 2.0, 10.49, 500.0, 600.0], [10.5, 100.0, 499.9]),
+            (
+                CachePolicy.UNI_RAND,
+                CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0),
+                [500.0, 600.0],
+                [1.0, 2.0, 100.0, 499.9],
+            ),
+            (
+                CachePolicy.STD_POP,
+                CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0),
+                [1.0, 2.0, 10.5, 100.0, 500.0, 600.0],
+                [],
+            ),
+            (CachePolicy.NO_CACHE, DEFAULTS, [1.0, 2.0, 10.5, 100.0, 500.0, 600.0], []),
+        ],
+    )
+    def test_one_uniform_draw_only_in_random_eligible_segment(
+        self, policy, config, no_draw, one_draw
+    ):
+        # each cell's replication stream relies on exactly this consumption
+        for request, draws in [(f, 0) for f in no_draw] + [(f, 1) for f in one_draw]:
+            g, expected = rng(3), rng(3)
+            for _ in range(draws):
+                expected.random()
+            is_hit(request, policy, config, g)
+            assert g.bit_generator.state == expected.bit_generator.state, request
+
     def test_no_cache_never_hits(self):
         g = rng(1)
         requests = sample_request(PopularityDist(1.45), g, size=1000)
-        assert not hit_mask(requests, CachePolicy.NO_CACHE, DEFAULTS, g).any()
+        assert not hits_of(requests, CachePolicy.NO_CACHE, DEFAULTS, g).any()
 
     def test_stdpop_never_hits_outside_popular_head(self):
         stdpop = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
@@ -211,7 +245,7 @@ class TestIsHit:
     def test_uniform_segment_hit_fraction(self):
         # inside the random-eligible segment the hit rate is the cached fraction
         g = rng(5)
-        hits = hit_mask(np.full(200_000, 100.0), CachePolicy.MIX_POP, DEFAULTS, g)
+        hits = hits_of(np.full(200_000, 100.0), CachePolicy.MIX_POP, DEFAULTS, g)
         fraction = 90.0 / 490.5
         se = np.sqrt(fraction * (1 - fraction) / hits.size)
         assert abs(hits.mean() - fraction) < 3 * se
@@ -229,7 +263,7 @@ class TestIsHit:
         """The Monte Carlo rate arbitrates the two closed-form variants."""
         g = rng(int(eta * 1000) + {"stdpop": 1, "unirand": 2, "mixpop": 3}[policy.value])
         requests = sample_request(PopularityDist(eta), g, size=200_000)
-        hits = hit_mask(requests, policy, config, g)
+        hits = hits_of(requests, policy, config, g)
         expected = hit_probability(policy, config, eta, B3Variant.INTEGRAL_CONSISTENT)
         se = np.sqrt(max(expected * (1 - expected), 1e-12) / hits.size)
         # the UniRand closed form keeps the catalogue-length approximation
@@ -240,7 +274,7 @@ class TestIsHit:
     def test_mixpop_fixed_eta_empirical_rate(self):
         g = rng(99)
         requests = sample_request(PopularityDist(1.45), g, size=1_000_000)
-        hits = hit_mask(requests, CachePolicy.MIX_POP, DEFAULTS, g)
+        hits = hits_of(requests, CachePolicy.MIX_POP, DEFAULTS, g)
         printed = hit_probability(CachePolicy.MIX_POP, DEFAULTS, 1.45, B3Variant.AS_PRINTED)
         integral = hit_probability(
             CachePolicy.MIX_POP, DEFAULTS, 1.45, B3Variant.INTEGRAL_CONSISTENT

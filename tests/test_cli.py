@@ -211,7 +211,18 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("max_attempts", True), ("replications", True), ("replications", "100"), ("t0_ms", None)],
+        [
+            ("max_attempts", True),
+            ("replications", True),
+            ("replications", "100"),
+            ("t0_ms", None),
+            ("beta_ms_per_m_per_bs", float("nan")),
+            ("beta_ms_per_m_per_bs", float("inf")),
+            ("sweep_grid", [100.0, float("inf")]),
+            ("master_seed", -1),
+            ("scenarios", [1]),
+            ("scenarios", "macro"),
+        ],
     )
     def test_non_numeric_field_is_config_error_naming_it(self, tmp_path, capsys, field, value):
         path = tmp_path / "typed.json"
@@ -220,6 +231,23 @@ class TestMain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+
+    def test_negative_seed_flag_is_config_error(self, capsys):
+        code = main(["--theory-only", "--seed", "-1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "master_seed" in err
+
+    def test_window_too_small_for_a_grid_value_is_config_error(self, tmp_path, capsys):
+        # 5 km holds the default intensities, not a macro tier at 1e-9 per m^2
+        config = write_config(
+            tmp_path, sweep_variable="lambda_mc", sweep_grid=[1e-9, 2.8e-6], window_radius_m=5000.0
+        )
+        code = main(["--config", str(config)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "window_radius_m" in err and "lambda_mc=1e-09" in err
+        assert main(["--config", str(config), "--theory-only"]) == EXIT_OK
 
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(
