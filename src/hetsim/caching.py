@@ -7,8 +7,10 @@ bookkeeping overhead S_0 that never serves hits, and a uniformly random
 slice S_u of the remaining catalogue. Content beyond the catalogue bound
 f_0 is non-cacheable.
 
-The per-request hit test consumes one uniform draw for a request in the
-random-eligible segment and none otherwise.
+The per-request hit probability is exact given the request: 1 in the
+popular head, the cached fraction in the random-eligible segment, 0
+elsewhere. It draws nothing; the simulator averages the random slice out
+rather than flipping a coin per request (conditional Monte Carlo).
 
 The closed-form uniform-segment hit probability exists in two variants:
 the formula as printed in the delay expressions carries a leading "1 -"
@@ -24,8 +26,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidConfigError, InvalidSteepnessError
 
@@ -187,28 +187,22 @@ def hit_probability(
     return total
 
 
-def is_hit(
-    request_f: float,
-    policy: CachePolicy,
-    config: CacheConfig,
-    rng: np.random.Generator,
-) -> bool:
-    """Per-request hit test.
+def is_hit(request_f: float, policy: CachePolicy, config: CacheConfig) -> float:
+    """Hit probability of one request, given the request.
 
     Requests at or beyond the catalogue bound miss. The popular head
-    [1, 1+S_p) hits (StdPop, MixPop); one uniform draw decides the rest of
-    the catalogue, which hits with the cached fraction of that segment
-    (UniRand, MixPop). ``config`` must already satisfy require_valid for
+    [1, 1+S_p) always hits (StdPop, MixPop); the rest of the catalogue hits
+    with the cached fraction of that segment (UniRand, MixPop), since the
+    random slice holds any one content with that probability. Draws no
+    random number. ``config`` must already satisfy require_valid for
     ``policy``; the simulator checks it once per cell, not per request.
     """
     if policy is CachePolicy.NO_CACHE or not request_f < config.catalogue_bound:
-        return False
+        return 0.0
     if policy is CachePolicy.UNI_RAND:
-        fraction = config.uniform / (config.catalogue_bound - 1.0)
-    elif request_f < 1.0 + config.popular:
-        return True
-    elif policy is CachePolicy.MIX_POP:
-        fraction = config.uniform / (config.catalogue_bound - config.popular)
-    else:
-        return False
-    return rng.random() < fraction
+        return config.uniform / (config.catalogue_bound - 1.0)
+    if request_f < 1.0 + config.popular:
+        return 1.0
+    if policy is CachePolicy.MIX_POP:
+        return config.uniform / (config.catalogue_bound - config.popular)
+    return 0.0

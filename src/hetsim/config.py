@@ -23,6 +23,9 @@ from .simulator import DistanceMode, MacroUser, Scenario, SmallUser
 
 SWEEP_VARIABLES = ("lambda_mc", "lambda_sc", "target_sir", "storage_S")
 DEFAULT_SWEEP_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
+# 2x the default small-cell intensity reaches the user intensity, where the
+# load-dependent steepness collapses to 1; this grid stays below it
+LAMBDA_SC_SWEEP_MULTIPLIERS = (0.25, 0.5, 1.0, 1.5)
 DEFAULT_SCENARIOS = (
     "macro",
     "small-nocache",
@@ -105,6 +108,8 @@ class ExperimentConfig:
             "target_sir": self.target_sir_linear,
             "storage_S": self.storage_total_units,
         }[variable]
+        if variable == "lambda_sc":
+            return tuple(base * m for m in LAMBDA_SC_SWEEP_MULTIPLIERS)
         return tuple(base * m for m in DEFAULT_SWEEP_MULTIPLIERS)
 
     def delay_params(self, sweep_value: float | None = None) -> DelayParams:
@@ -164,17 +169,6 @@ class ExperimentConfig:
 
     def window(self) -> Window:
         return Window(radius=self.window_radius_m)
-
-
-def scenario_label(scenario: Scenario) -> str:
-    if isinstance(scenario, MacroUser):
-        return "macro"
-    if scenario.policy is CachePolicy.NO_CACHE:
-        return "small-nocache"
-    model = {Fixed: "fixed", DistanceDependent: "distance", LoadDependent: "load"}[
-        type(scenario.model)
-    ]
-    return f"small-{scenario.policy.value}-{model}"
 
 
 def parse_scenario(label: str, config: ExperimentConfig) -> Scenario:

@@ -60,18 +60,6 @@ class PointSet:
     def __len__(self) -> int:
         return self.r.shape[0]
 
-    @classmethod
-    def from_xy(
-        cls, xy, intensity: float, tier: Tier | None = None
-    ) -> "PointSet":
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        return cls(
-            r=np.hypot(xy[:, 0], xy[:, 1]),
-            theta=np.arctan2(xy[:, 1], xy[:, 0]),
-            intensity=intensity,
-            tier=tier,
-        )
-
     def point(self, index: int) -> Point2D:
         return Point2D(
             float(self.r[index] * math.cos(self.theta[index])),

@@ -91,20 +91,6 @@ def effective_eta(
     return eta
 
 
-def pdf(f, dist: PopularityDist):
-    """Popularity density (eta-1) f^(-eta) on [1, inf), 0 below."""
-    f = np.asarray(f, dtype=float)
-    out = np.where(f >= 1.0, (dist.eta - 1.0) * np.where(f >= 1.0, f, 1.0) ** -dist.eta, 0.0)
-    return out if out.ndim else float(out)
-
-
-def cdf(f, dist: PopularityDist):
-    """P(request <= f): 1 - f^(1-eta) on the support."""
-    f = np.asarray(f, dtype=float)
-    out = np.where(f >= 1.0, 1.0 - np.where(f >= 1.0, f, 1.0) ** (1.0 - dist.eta), 0.0)
-    return out if out.ndim else float(out)
-
-
 def sample_request(dist: PopularityDist, rng: np.random.Generator, size=None):
     """Inverse-CDF sampling: f = (1-U)^(-1/(eta-1)) with U uniform on [0,1).
 

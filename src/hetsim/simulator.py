@@ -3,19 +3,22 @@
 One replication draws fresh network geometry (routers, macro and small
 cells), takes the expected retransmission delay from the nearest base
 station of the scenario's tier given that geometry, and then appends the
-tail delay: the backhaul draw for macro users, and for small-cell users
-either a cache read (hit) or a backhaul draw (miss). The Rayleigh fading
-is averaged out exactly, not sampled (conditional Monte Carlo).
+expected tail delay: the mean backhaul delay for macro users, and for
+small-cell users a cache read with the request's hit probability and the
+mean backhaul delay otherwise. The Rayleigh fading, the exponential
+backhaul and cache-read delays and the random cache slice are averaged
+out exactly, not sampled (conditional Monte Carlo); only the geometry and
+the request are drawn.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replication ``i`` of every cell consumes the random stream derived from
-(master_seed, i): the geometry first, then the cell's own request, hit and
-tail draws; the downlink draws nothing. Cells that share a parameter set
-therefore see the same geometry in replication ``i``, so scenarios and
-storage values are paired. The simulator draws it once per replication for
-all of them and rewinds the generator to the end of the geometry before
-each cell's own draws; a cell's samples do not depend on which other cells
-are estimated alongside it.
+(master_seed, i): the geometry first, then one uniform for the request of
+a caching cell; macro and no-cache cells draw nothing after the geometry.
+Cells that share a parameter set therefore see the same geometry in
+replication ``i``, so scenarios and storage values are paired. The
+simulator draws it once per replication for all of them and rewinds the
+generator to the end of the geometry before each request; a cell's
+samples do not depend on which other cells are estimated alongside it.
 
 Replications are embarrassingly parallel. Partial results are placed by
 index, so an estimate is bit-identical regardless of worker count or
@@ -82,13 +85,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class DelaySample:
-    """One replication of one cell; the downlink fields are expectations given its geometry."""
+    """One replication of one cell: expectations given its geometry and request.
+
+    ``hit`` is the request's hit probability, ``tail_ms`` the mean
+    backhaul or cache-read delay it implies.
+    """
 
     downlink_ms: float
     tail_ms: float
     attempts: float
     outage: float
-    hit: bool
+    hit: float
 
     @property
     def total_ms(self) -> float:
@@ -186,9 +193,9 @@ def run_replication(
     """Sample one end-to-end delay of the typical user for every cell.
 
     All cells must carry ``params``. They share one geometry, its received
-    powers and one downlink per serving tier. Before its request, hit and
-    tail draws, each cell restores the generator state the geometry left,
-    so a cell consumes exactly the draws it would consume alone on ``rng``.
+    powers and one downlink per serving tier. Before its request, each
+    caching cell restores the generator state the geometry left, so a
+    cell consumes exactly the draws it would consume alone on ``rng``.
     """
     routers = sample_ppp(params.lambda_cr, window, rng, Tier.CENTRAL_ROUTER)
     macro = sample_ppp(params.lambda_mc, window, rng, Tier.MACRO)
@@ -209,9 +216,8 @@ def run_replication(
         if tier not in links:
             links[tier] = _serve(tier, routers, macro, small, gains, params)
         serving_distance, backhaul_mean, (attempts, outage, downlink) = links[tier]
-        bit_generator.state = after_geometry
 
-        hit = False
+        hit = 0.0
         if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
             override = (
                 serving_distance
@@ -220,11 +226,11 @@ def run_replication(
                 else None
             )
             eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, override)
+            bit_generator.state = after_geometry
             request = float(sample_request(PopularityDist(eta), rng))
-            hit = is_hit(request, scenario.policy, cell.cache, rng)
+            hit = is_hit(request, scenario.policy, cell.cache)
 
-        tail_mean = params.cache_read_mean_ms if hit else backhaul_mean
-        tail = float(rng.exponential(tail_mean)) if tail_mean > 0 else 0.0
+        tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
         samples.append(DelaySample(downlink, tail, attempts, outage, hit))
     return samples
 

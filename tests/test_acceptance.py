@@ -31,11 +31,11 @@ from hetsim.popularity import (
     Fixed,
     LoadDependent,
     PopularityDist,
-    cdf,
-    pdf,
     sample_request,
 )
 from hetsim.simulator import Cell, MacroUser, SmallUser, estimate
+from caching_reference import sample_hit
+from model_helpers import cdf, pdf
 from single_cell import estimate_one
 
 WINDOW = Window(20_000.0)
@@ -103,8 +103,13 @@ def test_criterion_3_cache_hit_oracle():
     config = CacheConfig()
     g = np.random.default_rng(303)
     requests = sample_request(PopularityDist(1.45), g, size=1_000_000)
+    # the cache played out per request (tests/caching_reference.py), and the
+    # hit probability given each request that the simulator averages
     empirical = float(
-        np.mean([is_hit(f, CachePolicy.MIX_POP, config, g) for f in requests.tolist()])
+        np.mean([sample_hit(f, CachePolicy.MIX_POP, config, g) for f in requests.tolist()])
+    )
+    conditional = float(
+        np.mean([is_hit(f, CachePolicy.MIX_POP, config) for f in requests.tolist()])
     )
 
     integral = hit_probability(CachePolicy.MIX_POP, config, 1.45, B3Variant.INTEGRAL_CONSISTENT)
@@ -112,6 +117,7 @@ def test_criterion_3_cache_hit_oracle():
     assert integral == pytest.approx(0.7052, abs=5e-4)
     assert printed == pytest.approx(0.8887, abs=5e-4)
     assert abs(empirical - integral) < 0.005, f"empirical {empirical:.4f} vs {integral:.4f}"
+    assert abs(conditional - integral) < 0.005, f"conditional {conditional:.4f} vs {integral:.4f}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     report(

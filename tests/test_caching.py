@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import oracle_reference as oracle
@@ -15,7 +17,9 @@ from hetsim.caching import (
     validate_config,
 )
 from hetsim.errors import InvalidConfigError, InvalidSteepnessError
-from hetsim.popularity import PopularityDist, pdf, sample_request
+from hetsim.popularity import PopularityDist, sample_request
+from caching_reference import sample_hit
+from model_helpers import pdf
 
 DEFAULTS = CacheConfig()  # total=100, popular=9.5, overhead=0.5, uniform=90, f0=500
 
@@ -24,9 +28,9 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def hits_of(requests, policy, config, g):
-    """is_hit over a request array, in order, on one generator."""
-    return np.array([is_hit(f, policy, config, g) for f in requests.tolist()])
+def hits_of(requests, policy, config):
+    """is_hit over a request array: each request's hit probability."""
+    return np.array([is_hit(f, policy, config) for f in requests.tolist()])
 
 
 class TestHitProbPopular:
@@ -187,84 +191,79 @@ class TestValidateConfig:
         assert excinfo.value.violations
 
 
+STDPOP = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
+UNIRAND = CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0)
+
+
 class TestIsHit:
     def test_popular_segment_hits_deterministically(self):
-        assert is_hit(2.0, CachePolicy.MIX_POP, DEFAULTS, rng())
-        stdpop = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
-        assert is_hit(2.0, CachePolicy.STD_POP, stdpop, rng())
+        assert is_hit(2.0, CachePolicy.MIX_POP, DEFAULTS) == 1.0
+        assert is_hit(2.0, CachePolicy.STD_POP, STDPOP) == 1.0
 
     def test_non_cacheable_content_always_misses(self):
-        unirand = CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0)
         for policy, config in (
             (CachePolicy.MIX_POP, DEFAULTS),
-            (CachePolicy.UNI_RAND, unirand),
+            (CachePolicy.UNI_RAND, UNIRAND),
             (CachePolicy.NO_CACHE, DEFAULTS),
         ):
-            assert not is_hit(600.0, policy, config, rng())
-            assert not is_hit(500.0, policy, config, rng())
-
-    @pytest.mark.parametrize(
-        "policy,config,no_draw,one_draw",
-        [
-            (CachePolicy.MIX_POP, DEFAULTS, [1.0, 2.0, 10.49, 500.0, 600.0], [10.5, 100.0, 499.9]),
-            (
-                CachePolicy.UNI_RAND,
-                CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0),
-                [500.0, 600.0],
-                [1.0, 2.0, 100.0, 499.9],
-            ),
-            (
-                CachePolicy.STD_POP,
-                CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0),
-                [1.0, 2.0, 10.5, 100.0, 500.0, 600.0],
-                [],
-            ),
-            (CachePolicy.NO_CACHE, DEFAULTS, [1.0, 2.0, 10.5, 100.0, 500.0, 600.0], []),
-        ],
-    )
-    def test_one_uniform_draw_only_in_random_eligible_segment(
-        self, policy, config, no_draw, one_draw
-    ):
-        # each cell's replication stream relies on exactly this consumption
-        for request, draws in [(f, 0) for f in no_draw] + [(f, 1) for f in one_draw]:
-            g, expected = rng(3), rng(3)
-            for _ in range(draws):
-                expected.random()
-            is_hit(request, policy, config, g)
-            assert g.bit_generator.state == expected.bit_generator.state, request
+            assert is_hit(600.0, policy, config) == 0.0
+            assert is_hit(500.0, policy, config) == 0.0
 
     def test_no_cache_never_hits(self):
-        g = rng(1)
-        requests = sample_request(PopularityDist(1.45), g, size=1000)
-        assert not hits_of(requests, CachePolicy.NO_CACHE, DEFAULTS, g).any()
+        requests = sample_request(PopularityDist(1.45), rng(1), size=1000)
+        assert not hits_of(requests, CachePolicy.NO_CACHE, DEFAULTS).any()
 
     def test_stdpop_never_hits_outside_popular_head(self):
-        stdpop = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
-        assert not is_hit(10.6, CachePolicy.STD_POP, stdpop, rng())
+        assert is_hit(10.6, CachePolicy.STD_POP, STDPOP) == 0.0
 
     def test_uniform_segment_hit_fraction(self):
-        # inside the random-eligible segment the hit rate is the cached fraction
-        g = rng(5)
-        hits = hits_of(np.full(200_000, 100.0), CachePolicy.MIX_POP, DEFAULTS, g)
-        fraction = 90.0 / 490.5
-        se = np.sqrt(fraction * (1 - fraction) / hits.size)
-        assert abs(hits.mean() - fraction) < 3 * se
+        # inside the random-eligible segment the hit probability is the cached fraction
+        assert is_hit(100.0, CachePolicy.MIX_POP, DEFAULTS) == pytest.approx(90.0 / 490.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "policy,config",
+        [
+            (CachePolicy.MIX_POP, DEFAULTS),
+            (CachePolicy.STD_POP, STDPOP),
+            (CachePolicy.UNI_RAND, UNIRAND),
+            (CachePolicy.NO_CACHE, DEFAULTS),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "segment",
+        [(1.0, 10.5), (10.5, 500.0), (500.0, 1e9)],
+        ids=["head", "eligible", "beyond"],  # of the default MixPop cache
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(position=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    def test_equals_mean_of_sampled_reference(self, policy, config, segment, position, seed):
+        """The hit probability is what the played-out cache averages to."""
+        low, high = segment
+        request = min(low + position * (high - low), np.nextafter(high, low))
+        p = is_hit(request, policy, config)
+        g = rng(seed)
+        draws = 4000
+        hits = np.array([sample_hit(request, policy, config, g) for _ in range(draws)])
+        se = np.sqrt(p * (1 - p) / draws)
+        assert abs(hits.mean() - p) <= 4 * se, (policy, request)
 
     @pytest.mark.parametrize("eta", [1.45, 2.0, 263.523138347365])
     @pytest.mark.parametrize(
         "policy,config",
         [
             (CachePolicy.MIX_POP, DEFAULTS),
-            (CachePolicy.STD_POP, CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)),
-            (CachePolicy.UNI_RAND, CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0)),
+            (CachePolicy.STD_POP, STDPOP),
+            (CachePolicy.UNI_RAND, UNIRAND),
         ],
     )
     def test_empirical_rate_matches_integral_variant(self, eta, policy, config):
         """The Monte Carlo rate arbitrates the two closed-form variants."""
         g = rng(int(eta * 1000) + {"stdpop": 1, "unirand": 2, "mixpop": 3}[policy.value])
         requests = sample_request(PopularityDist(eta), g, size=200_000)
-        hits = hits_of(requests, policy, config, g)
+        hits = hits_of(requests, policy, config)
         expected = hit_probability(policy, config, eta, B3Variant.INTEGRAL_CONSISTENT)
+        # averaging hit probabilities rather than 0/1 hits only shrinks the
+        # spread, so the binomial standard error bounds it
         se = np.sqrt(max(expected * (1 - expected), 1e-12) / hits.size)
         # the UniRand closed form keeps the catalogue-length approximation
         # f0 vs f0-1 of the printed expressions, worth ~0.2% here
@@ -274,7 +273,7 @@ class TestIsHit:
     def test_mixpop_fixed_eta_empirical_rate(self):
         g = rng(99)
         requests = sample_request(PopularityDist(1.45), g, size=1_000_000)
-        hits = hits_of(requests, CachePolicy.MIX_POP, DEFAULTS, g)
+        hits = hits_of(requests, CachePolicy.MIX_POP, DEFAULTS)
         printed = hit_probability(CachePolicy.MIX_POP, DEFAULTS, 1.45, B3Variant.AS_PRINTED)
         integral = hit_probability(
             CachePolicy.MIX_POP, DEFAULTS, 1.45, B3Variant.INTEGRAL_CONSISTENT

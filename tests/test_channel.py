@@ -9,6 +9,7 @@ from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, nearest, sample_ppp
 from hetsim.simulator import _gains
+from model_helpers import point_set_from_xy
 from single_cell import kernel
 from sir_reference import success_probability, truncated_geometric
 
@@ -20,7 +21,7 @@ def rng(seed=0):
 def point_set(coords, tier=None):
     if len(coords) == 0:
         return PointSet(r=np.empty(0), theta=np.empty(0), intensity=1.0, tier=tier)
-    return PointSet.from_xy(coords, intensity=1.0, tier=tier)
+    return point_set_from_xy(coords, intensity=1.0, tier=tier)
 
 
 def kernel_success(serving_tier, serving_index, macro, small, radio=RadioParams()):

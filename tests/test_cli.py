@@ -93,7 +93,7 @@ class TestRunSweepTheory:
 
     def test_sweeping_small_intensity_to_user_intensity_aborts_with_value(self):
         # at lambda_sc = lambda_ut the load-dependent steepness collapses to 1
-        cfg = ExperimentConfig(sweep_variable="lambda_sc")
+        cfg = ExperimentConfig(sweep_variable="lambda_sc", sweep_grid=(3.6e-6, 7.2e-6))
         with pytest.raises(InvalidSteepnessError) as excinfo:
             run_sweep(cfg, theory_only=True)
         assert "7.2e-06" in str(excinfo.value)
@@ -159,6 +159,14 @@ class TestMain:
         lines = out.strip().splitlines()
         assert lines[0].startswith("sweep_var,")
         assert len(lines) == 1 + 4 * 5  # four grid points, five scenarios
+
+    def test_default_small_intensity_sweep_runs(self, capsys):
+        # the default lambda_sc grid stops below the user intensity, where the
+        # load-dependent steepness would collapse to 1
+        code = main(["--theory-only", "--sweep", "lambda_sc"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 4 * 5
 
     def test_end_to_end_with_config_and_output(self, tmp_path):
         config = write_config(tmp_path)

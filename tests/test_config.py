@@ -12,12 +12,12 @@ from hetsim.config import (
     load_config,
     parse_scenario,
     save_config,
-    scenario_label,
     write_rows,
 )
 from hetsim.errors import InvalidConfigError
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent
 from hetsim.simulator import DistanceMode, MacroUser
+from model_helpers import scenario_label
 
 
 class TestDefaults:
@@ -52,6 +52,8 @@ class TestDefaults:
         assert cfg.sweep_grid == tuple(2.8e-6 * m for m in (0.5, 1.0, 2.0, 4.0))
         sir_grid = ExperimentConfig(sweep_variable="target_sir").sweep_grid
         assert sir_grid == tuple(10 ** 0.3 * m for m in (0.5, 1.0, 2.0, 4.0))
+        small_grid = ExperimentConfig(sweep_variable="lambda_sc").sweep_grid
+        assert small_grid == tuple(3.6e-6 * m for m in (0.25, 0.5, 1.0, 1.5))
 
     def test_bad_sweep_variable(self):
         with pytest.raises(InvalidConfigError):

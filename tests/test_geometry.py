@@ -17,6 +17,7 @@ from hetsim.geometry import (
     nearest,
     sample_ppp,
 )
+from model_helpers import point_set_from_xy
 
 
 def rng(seed=0):
@@ -94,15 +95,15 @@ class TestSamplePpp:
 
 class TestNearest:
     def test_two_points(self):
-        ps = PointSet.from_xy([(3.0, 4.0), (1.0, 0.0)], intensity=1.0)
+        ps = point_set_from_xy([(3.0, 4.0), (1.0, 0.0)], intensity=1.0)
         assert nearest(ps) == (1, pytest.approx(1.0))
 
     def test_single_point_345(self):
-        ps = PointSet.from_xy([(3.0, 4.0)], intensity=1.0)
+        ps = point_set_from_xy([(3.0, 4.0)], intensity=1.0)
         assert nearest(ps) == (0, pytest.approx(5.0))
 
     def test_tie_breaks_to_lowest_index(self):
-        ps = PointSet.from_xy([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], intensity=1.0)
+        ps = point_set_from_xy([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], intensity=1.0)
         assert nearest(ps)[0] == 0
 
     def test_empty_set_raises(self):
@@ -122,7 +123,7 @@ class TestNearest:
         ref=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
     )
     def test_agrees_with_exhaustive_scan(self, xy, ref):
-        ps = PointSet.from_xy(xy, intensity=1.0)
+        ps = point_set_from_xy(xy, intensity=1.0)
         reference = Point2D(*ref)
         idx, dist = nearest(ps, reference)
         brute = [math.hypot(x - reference.x, y - reference.y) for x, y in xy]
@@ -152,11 +153,11 @@ class TestNearest:
 class TestPointSet:
     def test_points_round_trip(self):
         coords = [(3.0, 4.0), (-1.0, 2.0)]
-        ps = PointSet.from_xy(coords, intensity=1.0)
+        ps = point_set_from_xy(coords, intensity=1.0)
         for i, want in enumerate(coords):
             got = ps.point(i)
             assert (got.x, got.y) == (pytest.approx(want[0]), pytest.approx(want[1]))
 
     def test_radii(self):
-        ps = PointSet.from_xy([(3.0, 4.0)], intensity=1.0)
+        ps = point_set_from_xy([(3.0, 4.0)], intensity=1.0)
         np.testing.assert_allclose(ps.radii(), [5.0])

@@ -14,11 +14,10 @@ from hetsim.popularity import (
     Fixed,
     LoadDependent,
     PopularityDist,
-    cdf,
     effective_eta,
-    pdf,
     sample_request,
 )
+from model_helpers import cdf, pdf
 
 
 def rng(seed=0):

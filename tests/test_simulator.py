@@ -9,8 +9,14 @@ from hetsim.analytics import DelayParams, mean_backhaul
 from hetsim.caching import CacheConfig, CachePolicy
 from hetsim.channel import RadioParams
 from hetsim.errors import EmptyTierError, InvalidParameterError
-from hetsim.geometry import PointSet, Tier, Window
-from hetsim.popularity import DistanceDependent, Fixed, LoadDependent
+from hetsim.geometry import PointSet, Tier, Window, sample_ppp
+from hetsim.popularity import (
+    DistanceDependent,
+    Fixed,
+    LoadDependent,
+    PopularityDist,
+    sample_request,
+)
 from hetsim.simulator import (
     Cell,
     DistanceMode,
@@ -20,10 +26,13 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
+from model_helpers import point_set_from_xy
 from single_cell import estimate_one, kernel, replicate_one
 from sir_reference import reference_downlink, success_probability, truncated_geometric
 
 GAMMA_3DB = 10.0 ** 0.3
+STDPOP = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
+UNIRAND = CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0)
 
 
 def rng(seed=0):
@@ -33,7 +42,7 @@ def rng(seed=0):
 def point_set(coords, tier):
     if len(coords) == 0:
         return PointSet(r=np.empty(0), theta=np.empty(0), intensity=1.0, tier=tier)
-    return PointSet.from_xy(coords, intensity=1.0, tier=tier)
+    return point_set_from_xy(coords, intensity=1.0, tier=tier)
 
 
 def small_params(**overrides):
@@ -196,6 +205,71 @@ class TestRunReplication:
         expected = mean_backhaul(params.lambda_mc, params.lambda_cr, params.backhaul_beta)
         se = tails.std(ddof=1) / math.sqrt(tails.size)
         assert abs(tails.mean() - expected) < 3 * se
+
+    @pytest.mark.parametrize(
+        "scenario,cache,draws",
+        [
+            (SmallUser(policy=CachePolicy.MIX_POP), CacheConfig(), 1),
+            (SmallUser(policy=CachePolicy.UNI_RAND), UNIRAND, 1),
+            (SmallUser(policy=CachePolicy.STD_POP), STDPOP, 1),
+            (SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig(), 0),
+            (MacroUser(), CacheConfig(), 0),
+        ],
+        ids=["mixpop", "unirand", "stdpop", "nocache", "macro"],
+    )
+    def test_one_uniform_draw_only_for_a_caching_cell(self, scenario, cache, draws):
+        # each cell's replication stream relies on exactly this consumption:
+        # the geometry, then a caching cell's request and nothing else
+        params = small_params()
+        window = Window(5000.0)
+        for rep in range(5):
+            g, expected = replication_rng(13, rep), replication_rng(13, rep)
+            for intensity in (params.lambda_cr, params.lambda_mc, params.lambda_sc):
+                sample_ppp(intensity, window, expected)
+            for _ in range(draws):
+                expected.random()
+            replicate_one(scenario, params, cache, window, g)
+            assert g.bit_generator.state == expected.bit_generator.state, rep
+
+    def test_tail_is_the_mean_given_geometry_and_request(self):
+        """Replaying the stream gives the geometry and the request; the tail
+        is then p * cache read + (1 - p) * backhaul mean, with no draw."""
+        params = small_params()
+        window = Window(5000.0)
+        cache = CacheConfig()
+        cells = [
+            Cell(MacroUser(), params, cache),
+            Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
+            Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
+        ]
+        seen = set()
+        for rep in range(100):
+            replay = replication_rng(19, rep)
+            routers, macro, small = [
+                sample_ppp(intensity, window, replay)
+                for intensity in (params.lambda_cr, params.lambda_mc, params.lambda_sc)
+            ]
+            request = float(sample_request(PopularityDist(1.45), replay))
+            samples = run_replication(cells, params, window, replication_rng(19, rep))
+            for cell, sample in zip(cells, samples):
+                if isinstance(cell.scenario, MacroUser):
+                    serving, intensity = macro, params.lambda_mc
+                else:
+                    serving, intensity = small, params.lambda_sc
+                server = serving.point(int(np.argmin(serving.radii())))
+                router_distance = min(
+                    math.hypot(router.x - server.x, router.y - server.y)
+                    for router in map(routers.point, range(len(routers)))
+                )
+                backhaul_mean = params.backhaul_beta * router_distance * intensity / params.lambda_cr
+                p = 0.0
+                if cell is cells[2]:  # MixPop
+                    p = 1.0 if request < 10.5 else 90.0 / 490.5 if request < 500.0 else 0.0
+                    seen.add(p)
+                assert sample.hit == p
+                expected = p * params.cache_read_mean_ms + (1 - p) * backhaul_mean
+                assert sample.tail_ms == pytest.approx(expected, rel=1e-9)
+        assert len(seen) == 3  # every segment of the MixPop cache was exercised
 
     def test_empty_tier_raises(self):
         params = small_params(lambda_mc=1e-12)
