@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
 )
 from .geometry import Point2D, PointSet, Tier, Window, mean_nearest_distance, sample_ppp
-from .popularity import DistanceDependent, Fixed, LoadDependent, PopularityDist
+from .popularity import DistanceDependent, Fixed, LoadDependent
 from .simulator import (
     Cell,
     DelayEstimate,

@@ -56,68 +56,45 @@ class CacheConfig:
     catalogue_bound: float = 500.0
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-
-def validate_config(policy: CachePolicy, config: CacheConfig) -> list[Violation]:
+def require_valid(policy: CachePolicy, config: CacheConfig) -> None:
     """Check every config invariant plus policy-specific constraints.
 
-    Returns all violations found; never raises.
+    Raises one InvalidConfigError whose message lists every violated
+    condition as ``code: detail``.
     """
-    v: list[Violation] = []
+    problems: list[str] = []
     for name in ("total", "popular", "overhead", "uniform"):
         if getattr(config, name) < 0 or not math.isfinite(getattr(config, name)):
-            v.append(Violation("negative-storage", f"{name} must be >= 0"))
+            problems.append(f"negative-storage: {name} must be >= 0")
     split = config.popular + config.overhead + config.uniform
     if not math.isclose(split, config.total, rel_tol=1e-9, abs_tol=1e-12):
-        v.append(
-            Violation(
-                "storage-split-mismatch",
-                f"popular+overhead+uniform = {split} != total = {config.total}",
-            )
+        problems.append(
+            f"storage-split-mismatch: popular+overhead+uniform = {split} != total = {config.total}"
         )
     if config.catalogue_bound < 1.0 + config.popular:
-        v.append(
-            Violation(
-                "popular-segment-exceeds-catalogue",
-                f"need 1 + popular <= catalogue bound, got {1 + config.popular} > "
-                f"{config.catalogue_bound}",
-            )
+        problems.append(
+            "popular-segment-exceeds-catalogue: need 1 + popular <= catalogue bound, got "
+            f"{1 + config.popular} > {config.catalogue_bound}"
         )
     if config.uniform > config.catalogue_bound - config.popular:
-        v.append(
-            Violation(
-                "uniform-segment-exceeds-catalogue",
-                f"uniform = {config.uniform} exceeds catalogue room "
-                f"{config.catalogue_bound - config.popular}",
-            )
+        problems.append(
+            f"uniform-segment-exceeds-catalogue: uniform = {config.uniform} exceeds catalogue "
+            f"room {config.catalogue_bound - config.popular}"
         )
     if policy is CachePolicy.STD_POP and config.uniform != 0:
-        v.append(Violation("policy-forbids-uniform-segment", "StdPop requires uniform = 0"))
+        problems.append("policy-forbids-uniform-segment: StdPop requires uniform = 0")
     if policy is CachePolicy.UNI_RAND:
         if config.popular != 0:
-            v.append(Violation("policy-forbids-popular-segment", "UniRand requires popular = 0"))
+            problems.append("policy-forbids-popular-segment: UniRand requires popular = 0")
         if config.overhead != 0:
-            v.append(Violation("policy-forbids-overhead", "UniRand tracks no popularity profile"))
+            problems.append("policy-forbids-overhead: UniRand tracks no popularity profile")
         if config.uniform > config.catalogue_bound - 1.0:
-            v.append(
-                Violation(
-                    "uniform-segment-exceeds-catalogue",
-                    f"UniRand caches from [1, f0): uniform must be <= {config.catalogue_bound - 1}",
-                )
+            problems.append(
+                "uniform-segment-exceeds-catalogue: UniRand caches from [1, f0): uniform must "
+                f"be <= {config.catalogue_bound - 1}"
             )
-    return v
-
-
-def require_valid(policy: CachePolicy, config: CacheConfig) -> None:
-    violations = validate_config(policy, config)
-    if violations:
-        raise InvalidConfigError(
-            "; ".join(f"{x.code}: {x.message}" for x in violations), violations
-        )
+    if problems:
+        raise InvalidConfigError("; ".join(problems))
 
 
 def hit_prob_popular(s_popular: float, eta: float) -> float:

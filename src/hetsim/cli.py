@@ -143,17 +143,24 @@ def main(argv=None) -> int:
             overrides["b3_variant"] = B3Variant(args.b3_variant)
         if overrides:
             config = replace(config, **overrides)
+        if args.out and (args.out.is_dir() or not args.out.parent.is_dir()):
+            # caught before the sweep rather than after it
+            raise InvalidConfigError(f"--out {args.out}: not a file in an existing directory")
         rows = run_sweep(config, theory_only=args.theory_only)
-    except (InvalidConfigError, InvalidParameterError, FileNotFoundError) as exc:
+    except (InvalidConfigError, InvalidParameterError) as exc:
         print(f"hetsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, EmptyTierError, ArithmeticError) as exc:
         print(f"hetsim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out:
-        write_rows(args.out, rows)
-    else:
-        sys.stdout.write(format_rows(rows))
+    try:
+        if args.out:
+            write_rows(args.out, rows)
+        else:
+            sys.stdout.write(format_rows(rows))
+    except OSError as exc:
+        print(f"hetsim: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .analytics import DelayParams
@@ -32,11 +33,6 @@ DEFAULT_SCENARIOS = (
     "small-mixpop-fixed",
     "small-mixpop-distance",
     "small-mixpop-load",
-)
-
-CSV_HEADER = (
-    "sweep_var,value,scenario,theory_ms,sim_ms,ci_low,ci_high,"
-    "hit_rate_theory,hit_rate_sim,outage_rate,reps,seed"
 )
 
 _POLICIES = {
@@ -197,6 +193,8 @@ def parse_scenario(label: str, config: ExperimentConfig) -> Scenario:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One CSV row; the field order is the column order."""
+
     sweep_var: str
     value: float
     scenario: str
@@ -210,6 +208,10 @@ class SweepRow:
     reps: int
     seed: int
 
+
+_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+_row_values = attrgetter(*_CSV_COLUMNS)
 
 _FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
 _NUMBER_FIELDS = {f.name: f.type for f in fields(ExperimentConfig) if f.type in ("int", "float")}
@@ -234,7 +236,10 @@ def _config_to_dict(config: ExperimentConfig) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     """Read a JSON config; unknown keys and malformed values are fatal."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"{path}: cannot read config: {exc}") from exc
     if not text.strip():
         raise InvalidConfigError(
             f"{path}: config file is empty; expected a JSON object with any of the fields "
@@ -292,27 +297,7 @@ def _cell(value) -> str:
 
 
 def format_rows(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    row.sweep_var,
-                    row.value,
-                    row.scenario,
-                    row.theory_ms,
-                    row.sim_ms,
-                    row.ci_low,
-                    row.ci_high,
-                    row.hit_rate_theory,
-                    row.hit_rate_sim,
-                    row.outage_rate,
-                    row.reps,
-                    row.seed,
-                )
-            )
-        )
+    lines = [CSV_HEADER, *(",".join(map(_cell, _row_values(row))) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,14 +14,7 @@ class EmptyTierError(RuntimeError):
 
 
 class InvalidConfigError(ValueError):
-    """A cache or experiment configuration violates its invariants.
-
-    Carries the structured violation list when raised by the validators.
-    """
-
-    def __init__(self, message, violations=()):
-        super().__init__(message)
-        self.violations = tuple(violations)
+    """A cache or experiment configuration violates its invariants."""
 
 
 class NumericalError(ArithmeticError):

@@ -54,7 +54,6 @@ class PointSet:
 
     r: np.ndarray
     theta: np.ndarray
-    intensity: float
     tier: Tier | None = None
 
     def __len__(self) -> int:
@@ -65,10 +64,6 @@ class PointSet:
             float(self.r[index] * math.cos(self.theta[index])),
             float(self.r[index] * math.sin(self.theta[index])),
         )
-
-    def radii(self) -> np.ndarray:
-        """Distances of all points to the origin."""
-        return self.r
 
 
 def sample_ppp(
@@ -87,7 +82,7 @@ def sample_ppp(
     n = rng.poisson(intensity * window.area)
     r = window.radius * np.sqrt(rng.random(n))
     theta = rng.random(n) * (2.0 * np.pi)
-    return PointSet(r=r, theta=theta, intensity=intensity, tier=tier)
+    return PointSet(r=r, theta=theta, tier=tier)
 
 
 def nearest(point_set: PointSet, reference: Point2D = Point2D(0.0, 0.0)) -> tuple[int, float]:

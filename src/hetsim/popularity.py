@@ -24,15 +24,6 @@ ETA_CLAMP = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
-class PopularityDist:
-    eta: float
-
-    def __post_init__(self):
-        if not (self.eta > 1 and math.isfinite(self.eta)):
-            raise InvalidSteepnessError(f"steepness must exceed 1, got {self.eta}")
-
-
-@dataclass(frozen=True)
 class Fixed:
     eta0: float
 
@@ -91,14 +82,16 @@ def effective_eta(
     return eta
 
 
-def sample_request(dist: PopularityDist, rng: np.random.Generator, size=None):
-    """Inverse-CDF sampling: f = (1-U)^(-1/(eta-1)) with U uniform on [0,1).
+def sample_request(eta: float, u):
+    """Inverse CDF of the popularity law: f = (1-u)^(-1/(eta-1)) for u in [0, 1).
 
-    A steepness within float epsilon of 1 can push the coordinate past the
+    Maps a uniform, or an array of them, to requests; draws nothing. A
+    steepness within float epsilon of 1 can push the coordinate past the
     float range; such requests come out as inf (they miss any finite
     catalogue), not as an error.
     """
-    u = np.asarray(rng.random(size))
+    if not (eta > 1 and math.isfinite(eta)):
+        raise InvalidSteepnessError(f"steepness must exceed 1, got {eta}")
     with np.errstate(over="ignore"):
-        out = (1.0 - u) ** (-1.0 / (dist.eta - 1.0))
+        out = (1.0 - np.asarray(u)) ** (-1.0 / (eta - 1.0))
     return out if out.ndim else float(out)

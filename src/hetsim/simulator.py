@@ -11,14 +11,14 @@ out exactly, not sampled (conditional Monte Carlo); only the geometry and
 the request are drawn.
 
 A cell is one (scenario, cache config) pair at one parameter set.
-Replication ``i`` of every cell consumes the random stream derived from
-(master_seed, i): the geometry first, then one uniform for the request of
-a caching cell; macro and no-cache cells draw nothing after the geometry.
-Cells that share a parameter set therefore see the same geometry in
-replication ``i``, so scenarios and storage values are paired. The
-simulator draws it once per replication for all of them and rewinds the
-generator to the end of the geometry before each request; a cell's
-samples do not depend on which other cells are estimated alongside it.
+Replication ``i`` consumes the random stream derived from (master_seed, i):
+the geometry first, then, if any of its cells caches, one uniform ``u``.
+Cells that share a parameter set see the same geometry in replication
+``i``, and every caching cell maps the same ``u`` to its request through
+its own steepness, so scenarios and storage values are paired (common
+random numbers). Macro and no-cache cells draw nothing after the
+geometry, and a cell's samples do not depend on which other cells are
+estimated alongside it.
 
 Replications are embarrassingly parallel. Partial results are placed by
 index, so an estimate is bit-identical regardless of worker count or
@@ -40,14 +40,7 @@ import numpy as np
 from .caching import CacheConfig, CachePolicy, is_hit, require_valid
 from .errors import InvalidConfigError, InvalidParameterError
 from .geometry import PointSet, Tier, Window, nearest, sample_ppp
-from .popularity import (
-    DistanceDependent,
-    Fixed,
-    PopularityDist,
-    PopularityModel,
-    effective_eta,
-    sample_request,
-)
+from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request
 from .analytics import DelayParams
 
 BATCH_SIZE = 256  # fixed so results never depend on worker count
@@ -72,6 +65,11 @@ class SmallUser:
 
 
 Scenario = MacroUser | SmallUser
+
+
+def _caches(scenario: Scenario) -> bool:
+    """Whether the scenario's user has a cache, so its cell draws a request."""
+    return isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE
 
 
 @dataclass(frozen=True)
@@ -193,19 +191,18 @@ def run_replication(
     """Sample one end-to-end delay of the typical user for every cell.
 
     All cells must carry ``params``. They share one geometry, its received
-    powers and one downlink per serving tier. Before its request, each
-    caching cell restores the generator state the geometry left, so a
-    cell consumes exactly the draws it would consume alone on ``rng``.
+    powers and one downlink per serving tier. After the geometry, one
+    uniform is drawn if some cell caches, and every caching cell maps that
+    uniform to its request; macro and no-cache cells draw nothing.
     """
     routers = sample_ppp(params.lambda_cr, window, rng, Tier.CENTRAL_ROUTER)
     macro = sample_ppp(params.lambda_mc, window, rng, Tier.MACRO)
     small = sample_ppp(params.lambda_sc, window, rng, Tier.SMALL_CELL)
-    bit_generator = rng.bit_generator
-    after_geometry = bit_generator.state
+    u = rng.random() if any(_caches(cell.scenario) for cell in cells) else None
     radio = params.radio
     gains = (
-        _gains(macro.radii(), radio.power_macro, radio.pathloss_exponent),
-        _gains(small.radii(), radio.power_small, radio.pathloss_exponent),
+        _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
+        _gains(small.r, radio.power_small, radio.pathloss_exponent),
     )
 
     links = {}  # serving tier -> _serve's outcome, shared by every cell of that tier
@@ -218,7 +215,7 @@ def run_replication(
         serving_distance, backhaul_mean, (attempts, outage, downlink) = links[tier]
 
         hit = 0.0
-        if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
+        if _caches(scenario):
             override = (
                 serving_distance
                 if scenario.distance_mode is DistanceMode.PER_USER
@@ -226,9 +223,7 @@ def run_replication(
                 else None
             )
             eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, override)
-            bit_generator.state = after_geometry
-            request = float(sample_request(PopularityDist(eta), rng))
-            hit = is_hit(request, scenario.policy, cell.cache)
+            hit = is_hit(sample_request(eta, u), scenario.policy, cell.cache)
 
         tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
         samples.append(DelaySample(downlink, tail, attempts, outage, hit))
@@ -268,7 +263,7 @@ def _resolve_workers(workers: int | None) -> int:
 def _check_cell(cell: Cell) -> None:
     """Fail fast on an invalid cache or an unresolvable steepness, not inside a worker."""
     scenario = cell.scenario
-    if isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE:
+    if _caches(scenario):
         require_valid(scenario.policy, cell.cache)
         if scenario.distance_mode is DistanceMode.AVERAGED or not isinstance(
             scenario.model, DistanceDependent

@@ -21,26 +21,25 @@ def scenario_label(scenario):
     return f"small-{scenario.policy.value}-{model}"
 
 
-def point_set_from_xy(xy, intensity, tier=None):
+def point_set_from_xy(xy, tier=None):
     """A PointSet holding the given Cartesian points, in order."""
     xy = np.atleast_2d(np.asarray(xy, dtype=float))
     return PointSet(
         r=np.hypot(xy[:, 0], xy[:, 1]),
         theta=np.arctan2(xy[:, 1], xy[:, 0]),
-        intensity=intensity,
         tier=tier,
     )
 
 
-def pdf(f, dist):
+def pdf(f, eta):
     """Popularity density (eta-1) f^(-eta) on [1, inf), 0 below."""
     f = np.asarray(f, dtype=float)
-    out = np.where(f >= 1.0, (dist.eta - 1.0) * np.where(f >= 1.0, f, 1.0) ** -dist.eta, 0.0)
+    out = np.where(f >= 1.0, (eta - 1.0) * np.where(f >= 1.0, f, 1.0) ** -eta, 0.0)
     return out if out.ndim else float(out)
 
 
-def cdf(f, dist):
+def cdf(f, eta):
     """P(request <= f): 1 - f^(1-eta) on the support."""
     f = np.asarray(f, dtype=float)
-    out = np.where(f >= 1.0, 1.0 - np.where(f >= 1.0, f, 1.0) ** (1.0 - dist.eta), 0.0)
+    out = np.where(f >= 1.0, 1.0 - np.where(f >= 1.0, f, 1.0) ** (1.0 - eta), 0.0)
     return out if out.ndim else float(out)

@@ -16,8 +16,8 @@ def replicate_one(scenario, params, cache, window, rng):
 
 def kernel(serving_tier, serving_index, macro, small, radio=RadioParams(), max_attempts=4):
     """(expected attempts, outage probability, delay) of ``downlink_delay``, 0.1 ms slots."""
-    macro_gains = _gains(macro.radii(), radio.power_macro, radio.pathloss_exponent)
-    small_gains = _gains(small.radii(), radio.power_small, radio.pathloss_exponent)
+    macro_gains = _gains(macro.r, radio.power_macro, radio.pathloss_exponent)
+    small_gains = _gains(small.r, radio.power_small, radio.pathloss_exponent)
     return downlink_delay(
         serving_tier, serving_index, macro_gains, small_gains, radio.target_sir, 0.1, max_attempts
     )

@@ -26,13 +26,7 @@ from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability,
 from hetsim.config import ExperimentConfig
 from hetsim.cli import main, run_sweep
 from hetsim.geometry import Window, mean_nearest_distance, nearest, sample_ppp
-from hetsim.popularity import (
-    DistanceDependent,
-    Fixed,
-    LoadDependent,
-    PopularityDist,
-    sample_request,
-)
+from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, sample_request
 from hetsim.simulator import Cell, MacroUser, SmallUser, estimate
 from caching_reference import sample_hit
 from model_helpers import cdf, pdf
@@ -88,11 +82,10 @@ def test_criterion_1_geometry_statistics():
 def test_criterion_2_popularity_distribution():
     """Density normalizes to 1 and sampling follows the CDF."""
     for eta in (1.45, 2.0, 263.5):
-        dist = PopularityDist(eta)
-        total, _ = integrate.quad(lambda f: pdf(f, dist), 1.0, math.inf)
+        total, _ = integrate.quad(lambda f: pdf(f, eta), 1.0, math.inf)
         assert abs(total - 1.0) < 1e-9
-        samples = sample_request(dist, np.random.default_rng(202), size=100_000)
-        distance = stats.kstest(samples, lambda f: cdf(f, dist)).statistic
+        samples = sample_request(eta, np.random.default_rng(202).random(100_000))
+        distance = stats.kstest(samples, lambda f: cdf(f, eta)).statistic
         assert distance < 0.01
     report(2, "density normalization 1e-9 and KS < 0.01 for eta in {1.45, 2, 263.5}")
 
@@ -102,7 +95,7 @@ def test_criterion_3_cache_hit_oracle():
     started = time.perf_counter()
     config = CacheConfig()
     g = np.random.default_rng(303)
-    requests = sample_request(PopularityDist(1.45), g, size=1_000_000)
+    requests = sample_request(1.45, g.random(1_000_000))
     # the cache played out per request (tests/caching_reference.py), and the
     # hit probability given each request that the simulator averages
     empirical = float(

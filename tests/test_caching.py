@@ -14,10 +14,9 @@ from hetsim.caching import (
     hit_probability,
     is_hit,
     require_valid,
-    validate_config,
 )
 from hetsim.errors import InvalidConfigError, InvalidSteepnessError
-from hetsim.popularity import PopularityDist, sample_request
+from hetsim.popularity import sample_request
 from caching_reference import sample_hit
 from model_helpers import pdf
 
@@ -49,7 +48,7 @@ class TestHitProbPopular:
         )
 
     def test_matches_quadrature_of_density(self):
-        mass, _ = integrate.quad(lambda f: pdf(f, PopularityDist(1.45)), 1.0, 10.5)
+        mass, _ = integrate.quad(lambda f: pdf(f, 1.45), 1.0, 10.5)
         assert hit_prob_popular(9.5, 1.45) == pytest.approx(mass, abs=1e-10)
 
     def test_invalid_steepness(self):
@@ -84,7 +83,7 @@ class TestHitProbUniform:
         assert got == pytest.approx(oracle.FROZEN["b3_integral_fixed"], rel=1e-12)
 
     def test_integral_variant_matches_quadrature(self):
-        mass, _ = integrate.quad(lambda f: pdf(f, PopularityDist(1.45)), 10.5, 501.0)
+        mass, _ = integrate.quad(lambda f: pdf(f, 1.45), 10.5, 501.0)
         want = 90.0 / 490.5 * mass
         got = hit_prob_uniform(90.0, 9.5, 500.0, 1.45, B3Variant.INTEGRAL_CONSISTENT)
         assert got == pytest.approx(want, abs=1e-10)
@@ -152,43 +151,49 @@ class TestHitProbability:
 
 class TestValidateConfig:
     def test_defaults_are_valid_for_mixpop(self):
-        assert validate_config(CachePolicy.MIX_POP, DEFAULTS) == []
+        require_valid(CachePolicy.MIX_POP, DEFAULTS)  # raises on any violation
 
     def test_storage_split_mismatch(self):
         bad = CacheConfig(total=100.0, popular=9.5, overhead=0.5, uniform=50.0)
-        codes = [v.code for v in validate_config(CachePolicy.MIX_POP, bad)]
-        assert "storage-split-mismatch" in codes
+        with pytest.raises(InvalidConfigError, match="storage-split-mismatch"):
+            require_valid(CachePolicy.MIX_POP, bad)
 
     def test_unirand_forbids_popular_segment(self):
         bad = CacheConfig(total=5.5, popular=5.0, overhead=0.5, uniform=0.0)
-        codes = [v.code for v in validate_config(CachePolicy.UNI_RAND, bad)]
-        assert "policy-forbids-popular-segment" in codes
-        assert "policy-forbids-overhead" in codes
+        with pytest.raises(
+            InvalidConfigError, match="policy-forbids-popular-segment.*policy-forbids-overhead"
+        ):
+            require_valid(CachePolicy.UNI_RAND, bad)
 
     def test_stdpop_forbids_uniform_segment(self):
-        codes = [v.code for v in validate_config(CachePolicy.STD_POP, DEFAULTS)]
-        assert "policy-forbids-uniform-segment" in codes
+        with pytest.raises(InvalidConfigError, match="policy-forbids-uniform-segment"):
+            require_valid(CachePolicy.STD_POP, DEFAULTS)
 
     def test_popular_head_must_fit_catalogue(self):
         bad = CacheConfig(total=600.0, popular=599.5, overhead=0.5, uniform=0.0)
-        codes = [v.code for v in validate_config(CachePolicy.STD_POP, bad)]
-        assert "popular-segment-exceeds-catalogue" in codes
+        with pytest.raises(InvalidConfigError, match="popular-segment-exceeds-catalogue"):
+            require_valid(CachePolicy.STD_POP, bad)
 
     def test_uniform_must_fit_catalogue(self):
         bad = CacheConfig(total=505.0, popular=9.5, overhead=0.5, uniform=495.0)
-        codes = [v.code for v in validate_config(CachePolicy.MIX_POP, bad)]
-        assert "uniform-segment-exceeds-catalogue" in codes
+        with pytest.raises(InvalidConfigError, match="uniform-segment-exceeds-catalogue"):
+            require_valid(CachePolicy.MIX_POP, bad)
 
     def test_negative_storage(self):
         bad = CacheConfig(total=-1.0, popular=0.0, overhead=0.0, uniform=-1.0)
-        codes = [v.code for v in validate_config(CachePolicy.MIX_POP, bad)]
-        assert codes.count("negative-storage") == 2
-
-    def test_require_valid_raises_with_violations(self):
-        bad = CacheConfig(total=100.0, popular=9.5, overhead=0.5, uniform=50.0)
         with pytest.raises(InvalidConfigError) as excinfo:
             require_valid(CachePolicy.MIX_POP, bad)
-        assert excinfo.value.violations
+        assert str(excinfo.value).count("negative-storage") == 2
+
+    def test_require_valid_raises_with_violations(self):
+        # one error lists every violated condition, each under its code
+        bad = CacheConfig(total=100.0, popular=9.5, overhead=0.5, uniform=-50.0)
+        with pytest.raises(InvalidConfigError) as excinfo:
+            require_valid(CachePolicy.MIX_POP, bad)
+        assert str(excinfo.value) == (
+            "negative-storage: uniform must be >= 0; "
+            "storage-split-mismatch: popular+overhead+uniform = -40.0 != total = 100.0"
+        )
 
 
 STDPOP = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
@@ -210,7 +215,7 @@ class TestIsHit:
             assert is_hit(500.0, policy, config) == 0.0
 
     def test_no_cache_never_hits(self):
-        requests = sample_request(PopularityDist(1.45), rng(1), size=1000)
+        requests = sample_request(1.45, rng(1).random(1000))
         assert not hits_of(requests, CachePolicy.NO_CACHE, DEFAULTS).any()
 
     def test_stdpop_never_hits_outside_popular_head(self):
@@ -259,7 +264,7 @@ class TestIsHit:
     def test_empirical_rate_matches_integral_variant(self, eta, policy, config):
         """The Monte Carlo rate arbitrates the two closed-form variants."""
         g = rng(int(eta * 1000) + {"stdpop": 1, "unirand": 2, "mixpop": 3}[policy.value])
-        requests = sample_request(PopularityDist(eta), g, size=200_000)
+        requests = sample_request(eta, g.random(200_000))
         hits = hits_of(requests, policy, config)
         expected = hit_probability(policy, config, eta, B3Variant.INTEGRAL_CONSISTENT)
         # averaging hit probabilities rather than 0/1 hits only shrinks the
@@ -272,7 +277,7 @@ class TestIsHit:
 
     def test_mixpop_fixed_eta_empirical_rate(self):
         g = rng(99)
-        requests = sample_request(PopularityDist(1.45), g, size=1_000_000)
+        requests = sample_request(1.45, g.random(1_000_000))
         hits = hits_of(requests, CachePolicy.MIX_POP, DEFAULTS)
         printed = hit_probability(CachePolicy.MIX_POP, DEFAULTS, 1.45, B3Variant.AS_PRINTED)
         integral = hit_probability(

@@ -20,8 +20,8 @@ def rng(seed=0):
 
 def point_set(coords, tier=None):
     if len(coords) == 0:
-        return PointSet(r=np.empty(0), theta=np.empty(0), intensity=1.0, tier=tier)
-    return point_set_from_xy(coords, intensity=1.0, tier=tier)
+        return PointSet(r=np.empty(0), theta=np.empty(0), tier=tier)
+    return point_set_from_xy(coords, tier=tier)
 
 
 def kernel_success(serving_tier, serving_index, macro, small, radio=RadioParams()):

@@ -10,6 +10,7 @@ import pytest
 import hetsim
 import oracle_reference as oracle
 from hetsim.caching import B3Variant
+from hetsim import cli
 from hetsim.cli import EXIT_CONFIG, EXIT_OK, main, run_sweep
 from hetsim.config import ExperimentConfig, load_config
 from hetsim.errors import InvalidSteepnessError
@@ -209,6 +210,47 @@ class TestMain:
         code = main(["--config", str(tmp_path / "nope.json")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        code = main(["--config", str(tmp_path), "--theory-only"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(tmp_path) in err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"scenarios": ["macro"], "note": "\u00e9"}'.encode("latin-1"))
+        code = main(["--config", str(path), "--theory-only"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_config_error_before_the_sweep(
+        self, where, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "nowhere" / "out.csv" if where == "missing-directory" else tmp_path
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        code = main(["--theory-only", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+
+    def test_failed_write_is_config_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+
+        def denied(path, rows):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_rows", denied)
+        code = main(["--theory-only", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

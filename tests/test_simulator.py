@@ -10,13 +10,7 @@ from hetsim.caching import CacheConfig, CachePolicy
 from hetsim.channel import RadioParams
 from hetsim.errors import EmptyTierError, InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, sample_ppp
-from hetsim.popularity import (
-    DistanceDependent,
-    Fixed,
-    LoadDependent,
-    PopularityDist,
-    sample_request,
-)
+from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, sample_request
 from hetsim.simulator import (
     Cell,
     DistanceMode,
@@ -41,8 +35,8 @@ def rng(seed=0):
 
 def point_set(coords, tier):
     if len(coords) == 0:
-        return PointSet(r=np.empty(0), theta=np.empty(0), intensity=1.0, tier=tier)
-    return point_set_from_xy(coords, intensity=1.0, tier=tier)
+        return PointSet(r=np.empty(0), theta=np.empty(0), tier=tier)
+    return point_set_from_xy(coords, tier=tier)
 
 
 def small_params(**overrides):
@@ -207,28 +201,46 @@ class TestRunReplication:
         assert abs(tails.mean() - expected) < 3 * se
 
     @pytest.mark.parametrize(
-        "scenario,cache,draws",
+        "members,draws",
         [
-            (SmallUser(policy=CachePolicy.MIX_POP), CacheConfig(), 1),
-            (SmallUser(policy=CachePolicy.UNI_RAND), UNIRAND, 1),
-            (SmallUser(policy=CachePolicy.STD_POP), STDPOP, 1),
-            (SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig(), 0),
-            (MacroUser(), CacheConfig(), 0),
+            ([(SmallUser(policy=CachePolicy.MIX_POP), CacheConfig())], 1),
+            ([(SmallUser(policy=CachePolicy.UNI_RAND), UNIRAND)], 1),
+            ([(SmallUser(policy=CachePolicy.STD_POP), STDPOP)], 1),
+            ([(SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig())], 0),
+            ([(MacroUser(), CacheConfig())], 0),
+            (
+                [
+                    (MacroUser(), CacheConfig()),
+                    (SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig()),
+                    (SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), CacheConfig()),
+                    (SmallUser(policy=CachePolicy.UNI_RAND, model=LoadDependent()), UNIRAND),
+                    (
+                        SmallUser(
+                            policy=CachePolicy.STD_POP,
+                            model=DistanceDependent(),
+                            distance_mode=DistanceMode.PER_USER,
+                        ),
+                        STDPOP,
+                    ),
+                ],
+                1,
+            ),
         ],
-        ids=["mixpop", "unirand", "stdpop", "nocache", "macro"],
+        ids=["mixpop", "unirand", "stdpop", "nocache", "macro", "mixed"],
     )
-    def test_one_uniform_draw_only_for_a_caching_cell(self, scenario, cache, draws):
-        # each cell's replication stream relies on exactly this consumption:
-        # the geometry, then a caching cell's request and nothing else
+    def test_one_uniform_draw_only_for_a_caching_cell(self, members, draws):
+        # the replication stream is exactly the geometry, then one uniform
+        # if any cell caches, shared by every caching cell's request
         params = small_params()
         window = Window(5000.0)
+        cells = [Cell(scenario, params, cache) for scenario, cache in members]
         for rep in range(5):
             g, expected = replication_rng(13, rep), replication_rng(13, rep)
             for intensity in (params.lambda_cr, params.lambda_mc, params.lambda_sc):
                 sample_ppp(intensity, window, expected)
             for _ in range(draws):
                 expected.random()
-            replicate_one(scenario, params, cache, window, g)
+            run_replication(cells, params, window, g)
             assert g.bit_generator.state == expected.bit_generator.state, rep
 
     def test_tail_is_the_mean_given_geometry_and_request(self):
@@ -249,14 +261,14 @@ class TestRunReplication:
                 sample_ppp(intensity, window, replay)
                 for intensity in (params.lambda_cr, params.lambda_mc, params.lambda_sc)
             ]
-            request = float(sample_request(PopularityDist(1.45), replay))
+            request = sample_request(1.45, replay.random())
             samples = run_replication(cells, params, window, replication_rng(19, rep))
             for cell, sample in zip(cells, samples):
                 if isinstance(cell.scenario, MacroUser):
                     serving, intensity = macro, params.lambda_mc
                 else:
                     serving, intensity = small, params.lambda_sc
-                server = serving.point(int(np.argmin(serving.radii())))
+                server = serving.point(int(np.argmin(serving.r)))
                 router_distance = min(
                     math.hypot(router.x - server.x, router.y - server.y)
                     for router in map(routers.point, range(len(routers)))
