@@ -1,8 +1,10 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
-The typical user sits at the origin; every tier of the network is sampled
-as an independent PPP inside a finite disc window large enough that the
-neglected far-field interference is below Monte Carlo noise.
+The typical user sits at the origin; every tier of the network is an
+independent PPP inside a finite disc window, the model's extent. The
+simulator samples a near disc, and an annulus beyond it only where the
+near points cannot settle a replication; everywhere else it averages the
+annulus out exactly (``simulator.far_log_moments``).
 
 Points are stored in polar form (the origin-centric queries and the SIR
 only ever need distances); Cartesian coordinates materialize on demand.
@@ -71,16 +73,25 @@ def sample_ppp(
     window: Window,
     rng: np.random.Generator,
     tier: Tier | None = None,
+    inner_radius: float = 0.0,
 ) -> PointSet:
-    """Sample a homogeneous PPP of the given intensity on the window disc.
+    """Sample a homogeneous PPP of the given intensity on the window disc,
+    or on its annulus ``inner_radius <= r < window.radius``.
 
     The count is Poisson(intensity * area) and positions are i.i.d.
-    uniform on the disc (radius via the square-root transform).
+    uniform on the disc or annulus (squared radius uniform).
     """
     if not (intensity > 0 and math.isfinite(intensity)):
         raise InvalidParameterError(f"intensity must be positive, got {intensity}")
-    n = rng.poisson(intensity * window.area)
-    r = window.radius * np.sqrt(rng.random(n))
+    if not 0.0 <= inner_radius < window.radius:
+        raise InvalidParameterError(
+            f"inner radius must lie in [0, {window.radius}), got {inner_radius}"
+        )
+    n = rng.poisson(intensity * (window.area - math.pi * inner_radius**2))
+    if inner_radius:
+        r = np.sqrt(inner_radius**2 + (window.radius**2 - inner_radius**2) * rng.random(n))
+    else:  # the disc's own form, so a seeded disc keeps its radii bit for bit
+        r = window.radius * np.sqrt(rng.random(n))
     theta = rng.random(n) * (2.0 * np.pi)
     return PointSet(r=r, theta=theta, tier=tier)
 

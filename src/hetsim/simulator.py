@@ -10,15 +10,27 @@ backhaul and cache-read delays and the random cache slice are averaged
 out exactly, not sampled (conditional Monte Carlo); only the geometry and
 the request are drawn.
 
+The geometry is sampled in a near disc of radius
+``min(NEAR_RADIUS_M, window.radius)``. The points of the annulus between
+it and the window are an independent PPP, so given the near points their
+interference is averaged out exactly through its probability generating
+functional (``far_log_moments``). The estimand stays the model on the
+whole window. A serving tier that the near points cannot settle (it has
+no near point, an annulus router could be nearer to its server than every
+near router, or ``max_attempts > J_MAX``) falls back to sampling the
+annulus and running the same kernel on the union of both point sets.
+
 A cell is one (scenario, cache config) pair at one parameter set.
 Replication ``i`` consumes the random stream derived from (master_seed, i):
-the geometry first, then, if any of its cells caches, one uniform ``u``.
-Cells that share a parameter set see the same geometry in replication
-``i``, and every caching cell maps the same ``u`` to its request through
-its own steepness, so scenarios and storage values are paired (common
-random numbers). Macro and no-cache cells draw nothing after the
-geometry, and a cell's samples do not depend on which other cells are
-estimated alongside it.
+the near points first, then, if any of its cells caches, one uniform
+``u``, then, only if some serving tier falls back, the annulus points.
+When the window fits in the near disc there is no annulus and nothing is
+drawn after ``u``. Cells that share a parameter set see the same geometry
+in replication ``i``, and every caching cell maps the same ``u`` to its
+request through its own steepness, so scenarios and storage values are
+paired (common random numbers). Macro and no-cache cells draw nothing
+after the geometry, and a cell's samples do not depend on which other
+cells are estimated alongside it.
 
 Replications are embarrassingly parallel. Partial results are placed by
 index, so an estimate is bit-identical regardless of worker count or
@@ -29,21 +41,28 @@ cells of an ``estimate`` call.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .caching import CacheConfig, CachePolicy, is_hit, require_valid
 from .errors import InvalidConfigError, InvalidParameterError
 from .geometry import PointSet, Tier, Window, nearest, sample_ppp
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request
 from .analytics import DelayParams
+from .channel import RadioParams
 
 BATCH_SIZE = 256  # fixed so results never depend on worker count
+NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when the near field falls back
+J_MAX = 12  # largest max_attempts whose far-field expansion stays accurate
+_LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -118,6 +137,66 @@ def _gains(radius: np.ndarray, power: float, alpha: float) -> np.ndarray:
     return power * radius**-alpha
 
 
+def far_log_moments(
+    scales: Sequence[float],
+    intensities: Sequence[float],
+    alpha: float,
+    inner: float,
+    outer: float,
+    max_attempts: int,
+) -> list[float]:
+    """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
+
+    ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
+    independent PPPs of the given intensities on the annulus
+    ``inner <= r < outer``, tier ``t`` scaled by ``scales[t]``. By the PGFL,
+    ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
+    over the annulus, which is
+    ``pi lambda_t [r^2 (F_i(s_t r^-alpha) - 1)]`` from ``outer`` to ``inner``
+    with ``F_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha; -z)``.
+    """
+    delta = 2.0 / alpha
+    ends = ((inner, 1.0), (outer, -1.0))
+    z = np.array([-s * r**-alpha for s in scales for r, _ in ends])
+    weights = [math.pi * lam * sign * r * r for lam in intensities for r, sign in ends]
+    excess = hyp2f1(np.arange(1, max_attempts + 1), -delta, 1.0 - delta, z[:, None]) - 1.0
+    return np.dot(weights, excess).tolist()
+
+
+@functools.cache
+def _binomials(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row k holds ``C(k, j)`` for j = 0..k, k = 0..m."""
+    return tuple(tuple(math.comb(k, j) for j in range(k + 1)) for k in range(m + 1))
+
+
+@functools.cache
+def _signed_binomials(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row j - 1 holds ``C(j, i) (-1)^i`` for i = 1..j, j = 1..m."""
+    return tuple(tuple((-1) ** i * c for i, c in enumerate(row) if i) for row in _binomials(m)[1:])
+
+
+def far_z_moments(log_moments: Sequence[float]) -> list[float]:
+    """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..len, from ``Lambda_i = -log E[Q^i]``.
+
+    ``E[Z^j] = sum_{i>=1} C(j, i) (-1)^i (E[Q^i] - 1)``. Each ``E[Q^i] - 1``
+    enters as ``expm1(-Lambda_i)`` when ``Lambda_i <= log 2``, else as
+    ``exp(-Lambda_i)`` with the ``-1`` moved into an integer offset, so no
+    float term exceeds 1/2 in magnitude. A Veltkamp split makes every
+    product with a binomial exact, and ``math.fsum`` adds them exactly.
+    """
+    hi, lo, above = [], [], []
+    for lam in log_moments:
+        above.append(lam > _LOG_2)
+        x = math.exp(-lam) if above[-1] else math.expm1(-lam)
+        t = x * 134217729.0  # 2^27 + 1: both halves carry at most 26 bits
+        hi.append(t - (t - x))
+        lo.append(x - hi[-1])
+    return [
+        math.fsum([*map(mul, row, hi), *map(mul, row, lo), -sum(c for c, a in zip(row, above) if a)])
+        for row in _signed_binomials(len(hi))
+    ]
+
+
 def downlink_delay(
     serving_tier: Tier,
     serving_index: int,
@@ -126,6 +205,7 @@ def downlink_delay(
     target_sir: float,
     slot_ms: float,
     max_attempts: int,
+    far: Sequence[float] | None = None,
 ) -> tuple[float, float, float]:
     """The retransmission protocol over one fixed geometry, fading averaged out exactly.
 
@@ -139,6 +219,12 @@ def downlink_delay(
     Returns (expected attempts ``sum_{k<M} (1-q)^k``, outage probability
     ``(1-q)^M``, ``slot_ms * attempts``) for M = ``max_attempts``; every
     attempt costs a slot. Draws no random number.
+
+    ``far``, if given, holds ``Lambda_i = -log E[Q^i]`` for i = 1..M
+    (``far_log_moments``) of an unsampled annulus whose factor ``Q``
+    multiplies the sampled ``q``. Its powers are then averaged out exactly
+    in ``Z = 1 - Q``, where every term is positive:
+    ``E[(1 - q Q)^k] = sum_j C(k, j) (1 - q)^(k-j) q^j E[Z^j]``.
     """
     own = macro_gains if serving_tier is Tier.MACRO else small_gains
     if not 0 <= serving_index < own.size:
@@ -151,6 +237,21 @@ def downlink_delay(
             terms[serving_index] = 0.0  # the signal is no interferer: log1p(0) = 0
         minus_log_q += float(np.log1p(terms, out=terms).sum())
     miss = -math.expm1(-minus_log_q)
+    if far is not None:
+        if not len(far) == max_attempts <= J_MAX:
+            raise InvalidParameterError(f"far field needs {max_attempts} <= {J_MAX} moments")
+        q = math.exp(-minus_log_q)
+        scaled, misses, q_j = [1.0], [1.0], 1.0  # q^j E[Z^j] and (1 - q)^j for j = 0..M
+        for z in far_z_moments(far):
+            q_j *= q
+            scaled.append(q_j * z)
+            misses.append(misses[-1] * miss)
+        moments = [
+            sum(map(mul, row, map(mul, misses[k::-1], scaled)))
+            for k, row in enumerate(_binomials(max_attempts))
+        ]
+        attempts = sum(moments[:-1])
+        return attempts, moments[-1], slot_ms * attempts
     # term by term, so q -> 0 and q -> 1 need no division and no branch
     attempts, term = 0.0, 1.0
     for _ in range(max_attempts):
@@ -159,27 +260,66 @@ def downlink_delay(
     return attempts, term, slot_ms * attempts
 
 
+Geometry = tuple[PointSet, PointSet, PointSet]  # routers, macro cells, small cells
+
+
 def _serve(
     tier: Tier,
-    routers: PointSet,
-    macro: PointSet,
-    small: PointSet,
+    geometry: Geometry,
     gains: tuple[np.ndarray, np.ndarray],
     params: DelayParams,
-) -> tuple[float, float, tuple[float, float, float]]:
-    """(serving distance, mean backhaul delay, downlink_delay) of one serving tier."""
+    annulus: tuple[float, float] | None = None,
+) -> tuple[float, float, tuple[float, float, float]] | None:
+    """(serving distance, mean backhaul delay, downlink_delay) of one serving tier.
+
+    With ``annulus = (inner, outer)`` the geometry holds only the points
+    inside ``inner``, and the annulus's interference is averaged out. The
+    result is None when those points cannot settle the tier exactly.
+    """
+    routers, macro, small = geometry
     if tier is Tier.MACRO:
         serving_set, lambda_tier = macro, params.lambda_mc
     else:
         serving_set, lambda_tier = small, params.lambda_sc
+    if annulus is not None and (not len(serving_set) or not len(routers) or params.max_attempts > J_MAX):
+        return None
     serving_index, serving_distance = nearest(serving_set)
-
-    downlink = downlink_delay(
-        tier, serving_index, *gains, params.radio.target_sir, params.slot_ms, params.max_attempts
-    )
     _, router_distance = nearest(routers, reference=serving_set.point(serving_index))
+
+    radio = params.radio
+    far = None
+    if annulus is not None:
+        inner, outer = annulus
+        if router_distance > inner - serving_distance:  # an annulus router could be nearer
+            return None
+        scale = radio.target_sir / (gains[0] if tier is Tier.MACRO else gains[1])[serving_index]
+        far = far_log_moments(
+            (scale * radio.power_macro, scale * radio.power_small),
+            (params.lambda_mc, params.lambda_sc),
+            radio.pathloss_exponent,
+            inner,
+            outer,
+            params.max_attempts,
+        )
+    downlink = downlink_delay(
+        tier, serving_index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
+    )
     backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
     return serving_distance, backhaul_mean, downlink
+
+
+def _tier_gains(geometry: Geometry, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+    """Macro and small-cell gains (``_gains``) of one geometry."""
+    _, macro, small = geometry
+    return (
+        _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
+        _gains(small.r, radio.power_small, radio.pathloss_exponent),
+    )
+
+
+def _merge(near: PointSet, far: PointSet) -> PointSet:
+    """The points of both sets, near ones first."""
+    return PointSet(np.concatenate((near.r, far.r)), np.concatenate((near.theta, far.theta)), near.tier)
 
 
 def run_replication(
@@ -191,19 +331,20 @@ def run_replication(
     """Sample one end-to-end delay of the typical user for every cell.
 
     All cells must carry ``params``. They share one geometry, its received
-    powers and one downlink per serving tier. After the geometry, one
-    uniform is drawn if some cell caches, and every caching cell maps that
-    uniform to its request; macro and no-cache cells draw nothing.
+    powers and one downlink per serving tier. The near points come first;
+    after them one uniform is drawn if some cell caches, and every caching
+    cell maps that uniform to its request; macro and no-cache cells draw
+    nothing. The annulus is drawn last, once, only if a serving tier falls
+    back to it (see the module docstring).
     """
-    routers = sample_ppp(params.lambda_cr, window, rng, Tier.CENTRAL_ROUTER)
-    macro = sample_ppp(params.lambda_mc, window, rng, Tier.MACRO)
-    small = sample_ppp(params.lambda_sc, window, rng, Tier.SMALL_CELL)
+    lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
+    tiers = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
+    inner = min(NEAR_RADIUS_M, window.radius)
+    near = tuple(sample_ppp(lam, Window(inner), rng, t) for lam, t in zip(lambdas, tiers))
     u = rng.random() if any(_caches(cell.scenario) for cell in cells) else None
-    radio = params.radio
-    gains = (
-        _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
-        _gains(small.r, radio.power_small, radio.pathloss_exponent),
-    )
+    annulus = (inner, window.radius) if inner < window.radius else None
+    near_gains = _tier_gains(near, params.radio)
+    union = None  # (geometry, gains) of near and annulus points, once drawn
 
     links = {}  # serving tier -> _serve's outcome, shared by every cell of that tier
     samples = []
@@ -211,7 +352,14 @@ def run_replication(
         scenario = cell.scenario
         tier = Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
         if tier not in links:
-            links[tier] = _serve(tier, routers, macro, small, gains, params)
+            link = _serve(tier, near, near_gains, params, annulus)
+            if link is None:
+                if union is None:
+                    beyond = [sample_ppp(lam, window, rng, t, inner) for lam, t in zip(lambdas, tiers)]
+                    geometry = tuple(map(_merge, near, beyond))
+                    union = geometry, _tier_gains(geometry, params.radio)
+                link = _serve(tier, *union, params)
+            links[tier] = link
         serving_distance, backhaul_mean, (attempts, outage, downlink) = links[tier]
 
         hit = 0.0
@@ -251,9 +399,11 @@ def _resolve_workers(workers: int | None) -> int:
         if env is not None:
             try:
                 workers = int(env)
+                if workers < 1:
+                    raise ValueError
             except ValueError:
                 raise InvalidConfigError(
-                    f"HETSIM_THREADS must be an integer worker count, got {env!r}"
+                    f"HETSIM_THREADS must be a positive integer worker count, got {env!r}"
                 ) from None
         else:
             workers = min(os.cpu_count() or 1, 8)

@@ -5,7 +5,7 @@ line per criterion (the printed PASS lines stream with -s; pytest's own
 PASSED/FAILED verdicts carry the same information either way).
 
 The heavyweight Monte Carlo checks (criteria 4 and 6) honour
-HETSIM_THREADS; criterion 6 alone takes about a minute on one core.
+HETSIM_THREADS; criterion 6 alone takes about half a minute on one core.
 """
 
 import math

@@ -318,6 +318,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "HETSIM_THREADS" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_thread_cap_is_config_error(self, tmp_path, monkeypatch, capsys, value):
+        config = write_config(tmp_path)
+        monkeypatch.setenv("HETSIM_THREADS", value)
+        code = main(["--config", str(config)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "HETSIM_THREADS" in err and repr(value) in err
+
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
         out_one = tmp_path / "one.csv"

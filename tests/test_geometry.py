@@ -92,6 +92,23 @@ class TestSamplePpp:
         assert angle_p > 0.01
         assert radial_p > 0.01
 
+    def test_annulus_count_and_radial_law(self):
+        # beyond inner radius 200: count mean lambda pi (300^2 - 200^2), r^2 uniform on [200^2, 300^2]
+        window, inner = Window(300.0), 200.0
+        g = rng(13)
+        sets = [sample_ppp(1e-2, window, g, inner_radius=inner) for _ in range(400)]
+        mu = 1e-2 * math.pi * (300.0**2 - inner**2)
+        counts = np.array([len(ps) for ps in sets])
+        assert abs(counts.mean() - mu) < 3 * math.sqrt(mu / counts.size)
+        r = np.concatenate([ps.r for ps in sets])
+        assert np.all((inner <= r) & (r < 300.0))
+        assert stats.kstest((r**2 - inner**2) / (300.0**2 - inner**2), "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("inner", [-1.0, 100.0, 150.0, math.nan])
+    def test_rejects_inner_radius_outside_window(self, inner):
+        with pytest.raises(InvalidParameterError):
+            sample_ppp(1e-3, Window(100.0), rng(), inner_radius=inner)
+
 
 class TestNearest:
     def test_two_points(self):
