@@ -17,20 +17,23 @@ interference is averaged out exactly through its probability generating
 functional (``far_log_moments``). The estimand stays the model on the
 whole window. A serving tier that the near points cannot settle (it has
 no near point, an annulus router could be nearer to its server than every
-near router, or ``max_attempts > J_MAX``) falls back to sampling the
-annulus and running the same kernel on the union of both point sets.
+near router, or ``max_attempts > J_MAX``), or whose far moments would leave
+the checked domain of their closed form (``FAR_ALPHA_MIN``,
+``FAR_Z_MAX``), falls back to sampling the annulus and running the same
+kernel on the union of both point sets.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replication ``i`` consumes the random stream derived from (master_seed, i):
-the near points first, then, if any of its cells caches, one uniform
-``u``, then, only if some serving tier falls back, the annulus points.
-When the window fits in the near disc there is no annulus and nothing is
-drawn after ``u``. Cells that share a parameter set see the same geometry
-in replication ``i``, and every caching cell maps the same ``u`` to its
-request through its own steepness, so scenarios and storage values are
-paired (common random numbers). Macro and no-cache cells draw nothing
-after the geometry, and a cell's samples do not depend on which other
-cells are estimated alongside it.
+the near points first, then one uniform ``u``, then, only if some serving
+tier falls back, the annulus points. When the window fits in the near disc
+there is no annulus, nothing is drawn after ``u``, and ``u`` itself is
+drawn only if some cell caches. Otherwise ``u`` is always drawn, so the
+annulus starts at the same stream position whichever cells run together.
+Cells that share a parameter set see the same geometry in replication
+``i``, and every caching cell maps the same ``u`` to its request through
+its own steepness, so scenarios and storage values are paired (common
+random numbers). A cell's samples do not depend on which other cells are
+estimated alongside it.
 
 Replications are embarrassingly parallel. Partial results are placed by
 index, so an estimate is bit-identical regardless of worker count or
@@ -62,6 +65,10 @@ from .channel import RadioParams
 BATCH_SIZE = 256  # fixed so results never depend on worker count
 NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when the near field falls back
 J_MAX = 12  # largest max_attempts whose far-field expansion stays accurate
+# the domain where far_log_moments' hyp2f1 closed form is checked against quadrature;
+# as alpha nears 2 its two terms cancel, and at large arguments hyp2f1 loses digits
+FAR_ALPHA_MIN = 2.1
+FAR_Z_MAX = 1e4  # largest s_t R^-alpha
 _LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -274,25 +281,33 @@ def _serve(
 
     With ``annulus = (inner, outer)`` the geometry holds only the points
     inside ``inner``, and the annulus's interference is averaged out. The
-    result is None when those points cannot settle the tier exactly.
+    result is None when those points cannot settle the tier exactly, or
+    when its far moments would leave the checked domain of their closed form.
     """
     routers, macro, small = geometry
     if tier is Tier.MACRO:
         serving_set, lambda_tier = macro, params.lambda_mc
     else:
         serving_set, lambda_tier = small, params.lambda_sc
-    if annulus is not None and (not len(serving_set) or not len(routers) or params.max_attempts > J_MAX):
+    radio = params.radio
+    if annulus is not None and (
+        not len(serving_set)
+        or not len(routers)
+        or params.max_attempts > J_MAX
+        or radio.pathloss_exponent < FAR_ALPHA_MIN
+    ):
         return None
     serving_index, serving_distance = nearest(serving_set)
     _, router_distance = nearest(routers, reference=serving_set.point(serving_index))
 
-    radio = params.radio
     far = None
     if annulus is not None:
         inner, outer = annulus
         if router_distance > inner - serving_distance:  # an annulus router could be nearer
             return None
         scale = radio.target_sir / (gains[0] if tier is Tier.MACRO else gains[1])[serving_index]
+        if scale * radio.power_macro * inner**-radio.pathloss_exponent > FAR_Z_MAX:
+            return None
         far = far_log_moments(
             (scale * radio.power_macro, scale * radio.power_small),
             (params.lambda_mc, params.lambda_sc),
@@ -332,17 +347,18 @@ def run_replication(
 
     All cells must carry ``params``. They share one geometry, its received
     powers and one downlink per serving tier. The near points come first;
-    after them one uniform is drawn if some cell caches, and every caching
-    cell maps that uniform to its request; macro and no-cache cells draw
-    nothing. The annulus is drawn last, once, only if a serving tier falls
-    back to it (see the module docstring).
+    after them one uniform is drawn if some cell caches or the window
+    reaches beyond the near disc, and every caching cell maps that uniform
+    to its request. The annulus is drawn last, once, only if a serving tier
+    falls back to it (see the module docstring).
     """
     lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
     tiers = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
     inner = min(NEAR_RADIUS_M, window.radius)
     near = tuple(sample_ppp(lam, Window(inner), rng, t) for lam, t in zip(lambdas, tiers))
-    u = rng.random() if any(_caches(cell.scenario) for cell in cells) else None
     annulus = (inner, window.radius) if inner < window.radius else None
+    # with an annulus, u is drawn even when unused so the annulus's stream position is fixed
+    u = rng.random() if annulus or any(_caches(cell.scenario) for cell in cells) else None
     near_gains = _tier_gains(near, params.radio)
     union = None  # (geometry, gains) of near and annulus points, once drawn
 

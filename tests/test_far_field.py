@@ -21,6 +21,8 @@ from hetsim.errors import InvalidParameterError
 from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest, sample_ppp
 from hetsim.popularity import Fixed, sample_request
 from hetsim.simulator import (
+    FAR_ALPHA_MIN,
+    FAR_Z_MAX,
     J_MAX,
     NEAR_RADIUS_M,
     Cell,
@@ -62,10 +64,11 @@ class TestLogMoments:
             expected = quad_log_moment(s, alpha, NEAR_RADIUS_M, DEFAULT_WINDOW_RADIUS_M, i)
             assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
 
-    @pytest.mark.parametrize("alpha", [2.5, 4.0, 5.0])
-    @pytest.mark.parametrize("z", [1e-3, 0.1, 3.0, 100.0])
+    @pytest.mark.parametrize("alpha", [FAR_ALPHA_MIN, 2.5, 4.0, 5.0, 10.0])
+    @pytest.mark.parametrize("z", [1e-3, 0.1, 3.0, 100.0, FAR_Z_MAX])
     def test_match_quadrature_up_to_a_server_at_the_near_edge(self, alpha, z):
-        # z = s R^-alpha reaches target_sir * (P_macro / P_small) when the server sits near R
+        # z = s R^-alpha reaches target_sir * (P_macro / P_small) when the server sits near R;
+        # beyond FAR_ALPHA_MIN and FAR_Z_MAX the replication samples the annulus instead
         s = z * NEAR_RADIUS_M**alpha
         lam = far_log_moments((s,), (1.0,), alpha, NEAR_RADIUS_M, DEFAULT_WINDOW_RADIUS_M, J_MAX)
         for i in (1, 2, 4, J_MAX):
@@ -229,8 +232,11 @@ def fallback_reason(tier, near, params):
     """Why the near points leave ``tier`` unsettled (a FALLBACKS key), or None."""
     routers, macro, small = near
     serving = macro if tier is Tier.MACRO else small
+    radio = params.radio
     if params.max_attempts > J_MAX:
         return "attempts-above-j-max"
+    if radio.pathloss_exponent < FAR_ALPHA_MIN:
+        return "pathloss-near-two"
     if not len(serving):
         return "empty-serving-tier"
     if not len(routers):
@@ -238,6 +244,10 @@ def fallback_reason(tier, near, params):
     index, distance = nearest(serving)
     if nearest(routers, reference=serving.point(index))[1] > NEAR_RADIUS_M - distance:
         return "router-beyond"
+    power = radio.power_macro if tier is Tier.MACRO else radio.power_small
+    edge = (distance / NEAR_RADIUS_M) ** radio.pathloss_exponent
+    if radio.target_sir * radio.power_macro / power * edge > FAR_Z_MAX:
+        return "argument-above-z-max"
     return None
 
 
@@ -249,6 +259,10 @@ FALLBACKS = {
     "router-beyond": (DelayParams(lambda_cr=5e-8, lambda_sc=1e-7), [MIXPOP]),
     # too many attempts for the expansion: every replication falls back
     "attempts-above-j-max": (DelayParams(max_attempts=J_MAX + 1), [MacroUser(), MIXPOP]),
+    # a pathloss exponent below the checked domain of the closed form: every replication
+    "pathloss-near-two": (DelayParams(radio=RadioParams(pathloss_exponent=2.05)), [MacroUser()]),
+    # a huge SIR target puts s R^-alpha beyond FAR_Z_MAX once the server is a few hundred metres off
+    "argument-above-z-max": (DelayParams(radio=RadioParams(target_sir=1e8)), [MIXPOP]),
 }
 
 
@@ -261,13 +275,12 @@ def test_fallback_replays_the_kernel_on_the_union(case):
     near_window = Window(NEAR_RADIUS_M)
     lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
     tiers = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
-    caching = MIXPOP in scenarios
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
     reasons = []
     for rep in range(40):
         replay = replication_rng(71, rep)
         near = [sample_ppp(lam, near_window, replay, tier) for lam, tier in zip(lambdas, tiers)]
-        u = replay.random() if caching else None
+        u = replay.random()  # drawn whenever the window reaches beyond the near disc
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
         reason = fallback_reason(serving_tiers[0], near, params)
@@ -287,7 +300,7 @@ def test_fallback_replays_the_kernel_on_the_union(case):
             tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul
             assert sample == DelaySample(downlink, tail, attempts, outage, hit), rep
     assert reasons.count(case) >= 3
-    if case != "attempts-above-j-max":
+    if case not in ("attempts-above-j-max", "pathloss-near-two"):
         assert reasons.count(None) >= 3
 
 

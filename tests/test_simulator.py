@@ -12,6 +12,7 @@ from hetsim.errors import EmptyTierError, InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, sample_ppp
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, sample_request
 from hetsim.simulator import (
+    J_MAX,
     Cell,
     DistanceMode,
     MacroUser,
@@ -512,6 +513,31 @@ class TestMultiCell:
                 for c in cells
             ]
             assert together == alone
+
+    # beyond the near disc: every replication falls back, or a sparse near
+    # macro tier often does, so the annulus is drawn beside caching cells
+    FALLBACK_PARAMS = {
+        "attempts-above-j-max": small_params(max_attempts=J_MAX + 1),
+        "sparse-macro": small_params(lambda_mc=2e-8),
+    }
+
+    @pytest.mark.parametrize("case", list(FALLBACK_PARAMS))
+    def test_fallback_replications_match_one_cell_runs(self, case):
+        params = self.FALLBACK_PARAMS[case]
+        window = Window(20_000.0)
+        cache = CacheConfig()
+        cells = [
+            Cell(MacroUser(), params, cache),
+            Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
+            Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
+        ]
+        for rep in range(12):
+            together = run_replication(cells, params, window, replication_rng(43, rep))
+            alone = [
+                replicate_one(c.scenario, params, c.cache, window, replication_rng(43, rep))
+                for c in cells
+            ]
+            assert together == alone, rep
 
     def test_empty_cell_list_gives_no_estimates(self):
         assert estimate([], Window(5000.0), 10, 1) == []
