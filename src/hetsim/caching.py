@@ -22,10 +22,14 @@ matches the integral-consistent form).
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidConfigError, InvalidSteepnessError
 
@@ -164,22 +168,36 @@ def hit_probability(
     return total
 
 
-def is_hit(request_f: float, policy: CachePolicy, config: CacheConfig) -> float:
-    """Hit probability of one request, given the request.
+@functools.cache
+def _hit_steps(policy: CachePolicy, config: CacheConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A request's hit probability as a step function: ``values[i]`` holds
+    from ``edges[i - 1]`` (inclusive) up to ``edges[i]``.
 
     Requests at or beyond the catalogue bound miss. The popular head
     [1, 1+S_p) always hits (StdPop, MixPop); the rest of the catalogue hits
     with the cached fraction of that segment (UniRand, MixPop), since the
-    random slice holds any one content with that probability. Draws no
-    random number. ``config`` must already satisfy require_valid for
-    ``policy``; the simulator checks it once per cell, not per request.
+    random slice holds any one content with that probability.
     """
-    if policy is CachePolicy.NO_CACHE or not request_f < config.catalogue_bound:
-        return 0.0
+    bound = config.catalogue_bound
+    if policy is CachePolicy.NO_CACHE:
+        return (), (0.0,)
     if policy is CachePolicy.UNI_RAND:
-        return config.uniform / (config.catalogue_bound - 1.0)
-    if request_f < 1.0 + config.popular:
-        return 1.0
-    if policy is CachePolicy.MIX_POP:
-        return config.uniform / (config.catalogue_bound - config.popular)
-    return 0.0
+        return (bound,), (config.uniform / (bound - 1.0) if bound > 1.0 else 0.0, 0.0)
+    middle = config.uniform / (bound - config.popular) if policy is CachePolicy.MIX_POP else 0.0
+    return (min(1.0 + config.popular, bound), bound), (1.0, middle, 0.0)
+
+
+def is_hit(request_f: float, policy: CachePolicy, config: CacheConfig) -> float:
+    """Hit probability of one request, given the request (see ``_hit_steps``).
+
+    Draws no random number. ``config`` must already satisfy require_valid
+    for ``policy``; the simulator checks it once per cell, not per request.
+    """
+    edges, values = _hit_steps(policy, config)
+    return values[bisect.bisect_right(edges, request_f)]
+
+
+def request_hit_probabilities(requests: np.ndarray, policy: CachePolicy, config: CacheConfig) -> np.ndarray:
+    """``is_hit`` of every request of an array."""
+    edges, values = _hit_steps(policy, config)
+    return np.asarray(values)[np.searchsorted(edges, requests, side="right")]

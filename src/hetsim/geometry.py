@@ -68,6 +68,37 @@ class PointSet:
         )
 
 
+def sample_ppp_batch(
+    intensity: float,
+    window: Window,
+    rng: np.random.Generator,
+    size: int,
+    inner_radius: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``size`` independent samples of ``sample_ppp``, as (counts, radii, angles).
+
+    Sample ``k`` holds the ``counts[k]`` points that follow those of the
+    samples before it. All counts are drawn first, then all radii, then all
+    angles, so a batch of one reads exactly the draws of ``sample_ppp``.
+    """
+    if not (intensity > 0 and math.isfinite(intensity)):
+        raise InvalidParameterError(f"intensity must be positive, got {intensity}")
+    if not 0.0 <= inner_radius < window.radius:
+        raise InvalidParameterError(
+            f"inner radius must lie in [0, {window.radius}), got {inner_radius}"
+        )
+    counts = rng.poisson(intensity * (window.area - math.pi * inner_radius**2), size)
+    n = int(counts.sum())
+    if inner_radius:
+        r = np.sqrt(inner_radius**2 + (window.radius**2 - inner_radius**2) * rng.random(n))
+    else:  # the disc's own form, so a seeded disc keeps its radii bit for bit
+        r = np.sqrt(rng.random(n))
+        r *= window.radius
+    theta = rng.random(n)
+    theta *= 2.0 * np.pi
+    return counts, r, theta
+
+
 def sample_ppp(
     intensity: float,
     window: Window,
@@ -81,18 +112,7 @@ def sample_ppp(
     The count is Poisson(intensity * area) and positions are i.i.d.
     uniform on the disc or annulus (squared radius uniform).
     """
-    if not (intensity > 0 and math.isfinite(intensity)):
-        raise InvalidParameterError(f"intensity must be positive, got {intensity}")
-    if not 0.0 <= inner_radius < window.radius:
-        raise InvalidParameterError(
-            f"inner radius must lie in [0, {window.radius}), got {inner_radius}"
-        )
-    n = rng.poisson(intensity * (window.area - math.pi * inner_radius**2))
-    if inner_radius:
-        r = np.sqrt(inner_radius**2 + (window.radius**2 - inner_radius**2) * rng.random(n))
-    else:  # the disc's own form, so a seeded disc keeps its radii bit for bit
-        r = window.radius * np.sqrt(rng.random(n))
-    theta = rng.random(n) * (2.0 * np.pi)
+    _, r, theta = sample_ppp_batch(intensity, window, rng, 1, inner_radius)
     return PointSet(r=r, theta=theta, tier=tier)
 
 

@@ -82,15 +82,16 @@ def effective_eta(
     return eta
 
 
-def sample_request(eta: float, u):
+def sample_request(eta, u):
     """Inverse CDF of the popularity law: f = (1-u)^(-1/(eta-1)) for u in [0, 1).
 
-    Maps a uniform, or an array of them, to requests; draws nothing. A
-    steepness within float epsilon of 1 can push the coordinate past the
-    float range; such requests come out as inf (they miss any finite
-    catalogue), not as an error.
+    Maps a uniform, or an array of them, to requests; draws nothing. An
+    array of steepness values pairs one with each uniform. A steepness
+    within float epsilon of 1 can push the coordinate past the float range;
+    such requests come out as inf (they miss any finite catalogue), not as
+    an error.
     """
-    if not (eta > 1 and math.isfinite(eta)):
+    if not np.all((np.asarray(eta) > 1) & np.isfinite(eta)):
         raise InvalidSteepnessError(f"steepness must exceed 1, got {eta}")
     with np.errstate(over="ignore"):
         out = (1.0 - np.asarray(u)) ** (-1.0 / (eta - 1.0))

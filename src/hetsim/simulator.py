@@ -23,22 +23,31 @@ the checked domain of their closed form (``FAR_ALPHA_MIN``,
 kernel on the union of both point sets.
 
 A cell is one (scenario, cache config) pair at one parameter set.
-Replication ``i`` consumes the random stream derived from (master_seed, i):
-the near points first, then one uniform ``u``, then, only if some serving
-tier falls back, the annulus points. When the window fits in the near disc
-there is no annulus, nothing is drawn after ``u``, and ``u`` itself is
-drawn only if some cell caches. Otherwise ``u`` is always drawn, so the
-annulus starts at the same stream position whichever cells run together.
-Cells that share a parameter set see the same geometry in replication
-``i``, and every caching cell maps the same ``u`` to its request through
-its own steepness, so scenarios and storage values are paired (common
-random numbers). A cell's samples do not depend on which other cells are
-estimated alongside it.
+Replications run in batches of ``BATCH_SIZE`` through one vectorised
+kernel, points held as ragged arrays. Batch ``b`` (replications
+``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``, the last one possibly short)
+consumes the random stream derived from (master_seed, b), in this order:
+for each tier in turn (routers, macro cells, small cells) all counts, then
+all radii, then all angles of the near points; then one uniform ``u`` per
+replication; then, in replication order, the annulus points of each
+replication that falls back. When the window fits in the near disc there
+is no annulus and ``u`` is drawn only if some cell caches; otherwise ``u``
+is always drawn. A replication falls back when either serving tier, macro
+or small cell, is unsettled, whichever cells run; a tier then runs on the
+union of near and annulus points only if it is unsettled itself. So the
+stream is read the same way whichever cells run together, and a cell's
+samples do not depend on which other cells are estimated alongside it.
+``run_replication`` is a batch of one, whose near points are exactly
+three ``sample_ppp`` draws.
+Cells that share a parameter set see the same geometry in each
+replication, and every caching cell maps the same ``u`` to its request
+through its own steepness, so scenarios and storage values are paired
+(common random numbers).
 
-Replications are embarrassingly parallel. Partial results are placed by
-index, so an estimate is bit-identical regardless of worker count or
-execution order. One process pool, capped by HETSIM_THREADS, serves all
-cells of an ``estimate`` call.
+Batches are embarrassingly parallel. Partial results are placed by index,
+so an estimate is bit-identical regardless of worker count or execution
+order. One process pool, capped by HETSIM_THREADS, serves all cells of an
+``estimate`` call.
 """
 
 from __future__ import annotations
@@ -51,18 +60,21 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import hyp2f1
 
-from .caching import CacheConfig, CachePolicy, is_hit, require_valid
-from .errors import InvalidConfigError, InvalidParameterError
-from .geometry import PointSet, Tier, Window, nearest, sample_ppp
+# is_hit and nearest are the scalar forms of steps the batch kernel runs over arrays;
+# perfbench/tracer.py wraps them under these names
+from .caching import CacheConfig, CachePolicy, is_hit, request_hit_probabilities, require_valid  # noqa: F401
+from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
+from .geometry import PointSet, Tier, Window, nearest, sample_ppp, sample_ppp_batch  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request
 from .analytics import DelayParams
 from .channel import RadioParams
 
-BATCH_SIZE = 256  # fixed so results never depend on worker count
+BATCH_SIZE = 64  # replications per random stream; fixed so results never depend on worker count
 NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when the near field falls back
 J_MAX = 12  # largest max_attempts whose far-field expansion stays accurate
 # the domain where far_log_moments' hyp2f1 closed form is checked against quadrature;
@@ -139,19 +151,20 @@ class DelayEstimate:
 def _gains(radius: np.ndarray, power: float, alpha: float) -> np.ndarray:
     """Received-power coefficients power * r^(-alpha) for unit fading."""
     if alpha == 4.0:  # dominant case; avoids a large pow() bill
-        r2 = radius * radius
-        return power / (r2 * r2)
+        r4 = radius * radius
+        r4 *= r4  # in place: a batch's temporaries set the peak memory
+        return np.divide(power, r4, out=r4)
     return power * radius**-alpha
 
 
 def far_log_moments(
-    scales: Sequence[float],
+    scales: Sequence[float] | Sequence[np.ndarray],
     intensities: Sequence[float],
     alpha: float,
     inner: float,
     outer: float,
     max_attempts: int,
-) -> list[float]:
+) -> list[float] | np.ndarray:
     """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
 
     ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
@@ -160,14 +173,19 @@ def far_log_moments(
     ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
     over the annulus, which is
     ``pi lambda_t [r^2 (F_i(s_t r^-alpha) - 1)]`` from ``outer`` to ``inner``
-    with ``F_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha; -z)``.
+    with ``F_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha; -z)``. Returns a list for
+    float scales; for scales that are arrays over replications, an array
+    with one row per replication.
     """
     delta = 2.0 / alpha
-    ends = ((inner, 1.0), (outer, -1.0))
-    z = np.array([-s * r**-alpha for s in scales for r, _ in ends])
-    weights = [math.pi * lam * sign * r * r for lam in intensities for r, sign in ends]
-    excess = hyp2f1(np.arange(1, max_attempts + 1), -delta, 1.0 - delta, z[:, None]) - 1.0
-    return np.dot(weights, excess).tolist()
+    ends = np.array([inner**-alpha, outer**-alpha])
+    z = -np.multiply.outer(np.asarray(scales, dtype=float), ends)  # (tier, [replication,] end)
+    excess = hyp2f1(np.arange(1, max_attempts + 1), -delta, 1.0 - delta, z[..., None]) - 1.0
+    log_moments = 0.0
+    for lam, (near, far) in zip(intensities, np.moveaxis(excess, -2, 1)):
+        weight = math.pi * lam
+        log_moments = log_moments + (weight * inner * inner * near - weight * outer * outer * far)
+    return log_moments.tolist() if log_moments.ndim == 1 else log_moments
 
 
 @functools.cache
@@ -182,26 +200,111 @@ def _signed_binomials(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((-1) ** i * c for i, c in enumerate(row) if i) for row in _binomials(m)[1:])
 
 
-def far_z_moments(log_moments: Sequence[float]) -> list[float]:
-    """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..len, from ``Lambda_i = -log E[Q^i]``.
+def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> list[float] | np.ndarray:
+    """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, from ``Lambda_i = -log E[Q^i]``.
 
-    ``E[Z^j] = sum_{i>=1} C(j, i) (-1)^i (E[Q^i] - 1)``. Each ``E[Q^i] - 1``
-    enters as ``expm1(-Lambda_i)`` when ``Lambda_i <= log 2``, else as
-    ``exp(-Lambda_i)`` with the ``-1`` moved into an integer offset, so no
-    float term exceeds 1/2 in magnitude. A Veltkamp split makes every
-    product with a binomial exact, and ``math.fsum`` adds them exactly.
+    Takes one row of M log-moments (returns a list) or an array with one
+    row per replication (returns an array). ``E[Z^j] = sum_{i>=1} C(j, i)
+    (-1)^i (E[Q^i] - 1)``. Each ``E[Q^i] - 1`` enters as ``expm1(-Lambda_i)``
+    when ``Lambda_i <= log 2``, else as ``exp(-Lambda_i)`` with the ``-1``
+    moved into an integer offset, so no float term exceeds 1/2 in
+    magnitude. A Veltkamp split makes every product with a binomial exact,
+    and compensated summation (TwoSum) adds them to within about one
+    rounding of the exact sum.
     """
-    hi, lo, above = [], [], []
-    for lam in log_moments:
-        above.append(lam > _LOG_2)
-        x = math.exp(-lam) if above[-1] else math.expm1(-lam)
-        t = x * 134217729.0  # 2^27 + 1: both halves carry at most 26 bits
-        hi.append(t - (t - x))
-        lo.append(x - hi[-1])
-    return [
-        math.fsum([*map(mul, row, hi), *map(mul, row, lo), -sum(c for c, a in zip(row, above) if a)])
-        for row in _signed_binomials(len(hi))
-    ]
+    lam = np.asarray(log_moments, dtype=float)
+    above = lam > _LOG_2
+    x = np.where(above, np.exp(-lam), np.expm1(-lam))
+    t = x * 134217729.0  # 2^27 + 1: both halves carry at most 26 bits
+    hi = t - (t - x)
+    lo = x - hi
+    rows = []
+    for row in _signed_binomials(lam.shape[-1]):
+        total = -np.dot(above[..., : len(row)], row).astype(float)
+        error = 0.0
+        for i, c in enumerate(row):
+            for part in (c * hi[..., i], c * lo[..., i]):
+                new = total + part
+                back = new - total
+                error = error + ((total - (new - back)) + (part - back))
+                total = new
+        rows.append(total + error)
+    out = np.stack(rows, axis=-1)
+    return out.tolist() if out.ndim == 1 else out
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Segment bounds of ragged points: segment ``k`` is ``[offsets[k], offsets[k + 1])``."""
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _segments(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray, empty: float) -> np.ndarray:
+    """``ufunc`` reduced over every segment of ``values``; ``empty`` for an empty segment."""
+    starts = offsets[:-1]
+    full = offsets[1:] > starts
+    out = np.full(starts.size, empty)
+    if full.any():
+        out[full] = ufunc.reduceat(values, starts[full])
+    return out
+
+
+def _segment_argmin(values: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of the first smallest value of every segment, and that
+    value: -1 and inf for an empty segment."""
+    low = _segments(np.minimum, values, offsets, np.inf)
+    hits = np.flatnonzero(values == np.repeat(low, np.diff(offsets)))
+    full = np.isfinite(low)
+    index = np.full(low.size, -1)
+    index[full] = hits[np.searchsorted(hits, offsets[:-1][full])]
+    return index, low
+
+
+def _downlink(
+    own: int,
+    serving: np.ndarray,
+    gains: tuple[np.ndarray, np.ndarray],
+    offsets: tuple[np.ndarray, np.ndarray],
+    target_sir: float,
+    max_attempts: int,
+    far: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected attempts and outage probability of every replication of a batch.
+
+    This is ``downlink_delay``'s model. ``gains`` holds the macro and
+    small-cell gains of all replications, replication ``k`` owning the
+    segment ``[offsets[t][k], offsets[t][k + 1])`` of tier ``t``;
+    ``serving[k]`` is the flat index of its server in ``gains[own]``.
+    ``far``, if given, holds one row of far log-moments per replication.
+    """
+    scale = target_sir / gains[own][serving]
+    minus_log_q = 0.0
+    for tier, (tier_gains, tier_offsets) in enumerate(zip(gains, offsets)):
+        terms = np.repeat(scale, np.diff(tier_offsets))
+        terms *= tier_gains
+        if tier == own:
+            terms[serving] = 0.0  # the signal is no interferer: log1p(0) = 0
+        minus_log_q = minus_log_q + _segments(np.add, np.log1p(terms, out=terms), tier_offsets, 0.0)
+    miss = -np.expm1(-minus_log_q)
+    if far is not None:
+        z = far_z_moments(far).T
+        q = np.exp(-minus_log_q)
+        ones = np.ones_like(q)
+        scaled, misses, q_j = [ones], [ones], ones  # q^j E[Z^j] and (1 - q)^j for j = 0..M
+        for z_j in z:
+            q_j = q_j * q
+            scaled.append(q_j * z_j)
+            misses.append(misses[-1] * miss)
+        moments = [
+            sum(map(mul, row, map(mul, misses[k::-1], scaled)))
+            for k, row in enumerate(_binomials(max_attempts))
+        ]
+        return sum(moments[:-1]), moments[-1]
+    # term by term, so q -> 0 and q -> 1 need no division and no branch
+    attempts, term = np.zeros_like(miss), np.ones_like(miss)
+    for _ in range(max_attempts):
+        attempts += term
+        term *= miss
+    return attempts, term
 
 
 def downlink_delay(
@@ -225,7 +328,8 @@ def downlink_delay(
     ``q = prod_{j != serving} 1 / (1 + target_sir * g_j / g_serving)``.
     Returns (expected attempts ``sum_{k<M} (1-q)^k``, outage probability
     ``(1-q)^M``, ``slot_ms * attempts``) for M = ``max_attempts``; every
-    attempt costs a slot. Draws no random number.
+    attempt costs a slot. Draws no random number. The simulator runs the
+    same model over a batch of replications at once (``_downlink``).
 
     ``far``, if given, holds ``Lambda_i = -log E[Q^i]`` for i = 1..M
     (``far_log_moments``) of an unsampled annulus whose factor ``Q``
@@ -233,94 +337,75 @@ def downlink_delay(
     in ``Z = 1 - Q``, where every term is positive:
     ``E[(1 - q Q)^k] = sum_j C(k, j) (1 - q)^(k-j) q^j E[Z^j]``.
     """
-    own = macro_gains if serving_tier is Tier.MACRO else small_gains
-    if not 0 <= serving_index < own.size:
+    own = 0 if serving_tier is Tier.MACRO else 1
+    gains = (macro_gains, small_gains)
+    if not 0 <= serving_index < gains[own].size:
         raise InvalidParameterError(f"serving index {serving_index} outside its tier")
-    scale = target_sir / own[serving_index]
-    minus_log_q = 0.0
-    for gains in (macro_gains, small_gains):
-        terms = gains * scale
-        if gains is own:
-            terms[serving_index] = 0.0  # the signal is no interferer: log1p(0) = 0
-        minus_log_q += float(np.log1p(terms, out=terms).sum())
-    miss = -math.expm1(-minus_log_q)
     if far is not None:
         if not len(far) == max_attempts <= J_MAX:
             raise InvalidParameterError(f"far field needs {max_attempts} <= {J_MAX} moments")
-        q = math.exp(-minus_log_q)
-        scaled, misses, q_j = [1.0], [1.0], 1.0  # q^j E[Z^j] and (1 - q)^j for j = 0..M
-        for z in far_z_moments(far):
-            q_j *= q
-            scaled.append(q_j * z)
-            misses.append(misses[-1] * miss)
-        moments = [
-            sum(map(mul, row, map(mul, misses[k::-1], scaled)))
-            for k, row in enumerate(_binomials(max_attempts))
-        ]
-        attempts = sum(moments[:-1])
-        return attempts, moments[-1], slot_ms * attempts
-    # term by term, so q -> 0 and q -> 1 need no division and no branch
-    attempts, term = 0.0, 1.0
-    for _ in range(max_attempts):
-        attempts += term
-        term *= miss
-    return attempts, term, slot_ms * attempts
+        far = np.array([far], dtype=float)
+    offsets = tuple(np.array([0, g.size]) for g in gains)
+    serving = np.array([serving_index])
+    attempts, outage = _downlink(own, serving, gains, offsets, target_sir, max_attempts, far)
+    return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
-Geometry = tuple[PointSet, PointSet, PointSet]  # routers, macro cells, small cells
+class _Ragged(NamedTuple):
+    """One tier's points of a batch of replications (see ``_offsets``)."""
+
+    r: np.ndarray
+    theta: np.ndarray
+    offsets: np.ndarray
 
 
-def _serve(
-    tier: Tier,
-    geometry: Geometry,
-    gains: tuple[np.ndarray, np.ndarray],
-    params: DelayParams,
-    annulus: tuple[float, float] | None = None,
-) -> tuple[float, float, tuple[float, float, float]] | None:
-    """(serving distance, mean backhaul delay, downlink_delay) of one serving tier.
+Geometry = tuple[_Ragged, _Ragged, _Ragged]  # routers, macro cells, small cells
+_TIER_NAMES = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
 
-    With ``annulus = (inner, outer)`` the geometry holds only the points
-    inside ``inner``, and the annulus's interference is averaged out. The
-    result is None when those points cannot settle the tier exactly, or
-    when its far moments would leave the checked domain of their closed form.
-    """
+
+def _take(geometry: Geometry, keep: np.ndarray) -> Geometry:
+    """The replications of ``geometry`` that ``keep`` marks."""
+    out = []
+    for points in geometry:
+        counts = np.diff(points.offsets)
+        mask = np.repeat(keep, counts)
+        out.append(_Ragged(points.r[mask], points.theta[mask], _offsets(counts[keep])))
+    return tuple(out)
+
+
+def _serving(tier: Tier, geometry: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per replication: flat index and distance of the nearest station of
+    ``tier`` (-1 and inf without one), and the distance from it to the
+    nearest router (inf without either)."""
     routers, macro, small = geometry
-    if tier is Tier.MACRO:
-        serving_set, lambda_tier = macro, params.lambda_mc
-    else:
-        serving_set, lambda_tier = small, params.lambda_sc
-    radio = params.radio
-    if annulus is not None and (
-        not len(serving_set)
-        or not len(routers)
-        or params.max_attempts > J_MAX
-        or radio.pathloss_exponent < FAR_ALPHA_MIN
-    ):
-        return None
-    serving_index, serving_distance = nearest(serving_set)
-    _, router_distance = nearest(routers, reference=serving_set.point(serving_index))
+    own = macro if tier is Tier.MACRO else small
+    index, distance = _segment_argmin(own.r, own.offsets)
+    found = index >= 0
+    rho, phi = np.zeros(index.size), np.zeros(index.size)
+    rho[found], phi[found] = own.r[index[found]], own.theta[index[found]]
+    counts = np.diff(routers.offsets)
+    rho, phi = np.repeat(rho, counts), np.repeat(phi, counts)
+    # law of cosines against the serving station, one pass over the batch
+    d2 = routers.r**2 + rho**2 - 2.0 * rho * routers.r * np.cos(routers.theta - phi)
+    router_d2 = _segments(np.minimum, d2, routers.offsets, np.inf)
+    router_distance = np.sqrt(np.maximum(router_d2, 0.0))
+    router_distance[~found] = np.inf
+    return index, distance, router_distance
 
-    far = None
-    if annulus is not None:
-        inner, outer = annulus
-        if router_distance > inner - serving_distance:  # an annulus router could be nearer
-            return None
-        scale = radio.target_sir / (gains[0] if tier is Tier.MACRO else gains[1])[serving_index]
-        if scale * radio.power_macro * inner**-radio.pathloss_exponent > FAR_Z_MAX:
-            return None
-        far = far_log_moments(
-            (scale * radio.power_macro, scale * radio.power_small),
-            (params.lambda_mc, params.lambda_sc),
-            radio.pathloss_exponent,
-            inner,
-            outer,
-            params.max_attempts,
-        )
-    downlink = downlink_delay(
-        tier, serving_index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
-    )
-    backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
-    return serving_distance, backhaul_mean, downlink
+
+def _settled(tier: Tier, serving, params: DelayParams, inner: float) -> np.ndarray:
+    """Which replications the near points settle for ``tier``, their far
+    moments staying in the checked domain of the closed form."""
+    index, distance, router_distance = serving
+    radio = params.radio
+    if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
+        return np.zeros(index.size, dtype=bool)
+    near = np.flatnonzero((index >= 0) & (router_distance <= inner - distance))  # no annulus router is nearer
+    power = radio.power_macro if tier is Tier.MACRO else radio.power_small
+    scale = radio.target_sir / _gains(distance[near], power, radio.pathloss_exponent)
+    settled = np.zeros(index.size, dtype=bool)
+    settled[near] = scale * radio.power_macro * inner**-radio.pathloss_exponent <= FAR_Z_MAX
+    return settled
 
 
 def _tier_gains(geometry: Geometry, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +417,131 @@ def _tier_gains(geometry: Geometry, radio: RadioParams) -> tuple[np.ndarray, np.
     )
 
 
-def _merge(near: PointSet, far: PointSet) -> PointSet:
-    """The points of both sets, near ones first."""
-    return PointSet(np.concatenate((near.r, far.r)), np.concatenate((near.theta, far.theta)), near.tier)
+def _link(
+    tier: Tier,
+    geometry: Geometry,
+    gains: tuple[np.ndarray, np.ndarray],
+    params: DelayParams,
+    annulus: tuple[float, float] | None = None,
+    serving=None,
+) -> np.ndarray:
+    """Rows (serving distance, mean backhaul delay, attempts, outage) of one
+    serving tier, one column per replication.
+
+    Every replication must have a serving station and a router. With
+    ``annulus = (inner, outer)`` the geometry holds only the points inside
+    ``inner``, and the annulus's interference is averaged out. ``serving``
+    is ``_serving``'s result for ``tier``, if already known.
+    """
+    _, macro, small = geometry
+    for points, name in zip(geometry, _TIER_NAMES):
+        if name in (Tier.CENTRAL_ROUTER, tier) and (np.diff(points.offsets) == 0).any():
+            raise EmptyTierError(f"no {name.value} point in window; resample or enlarge the window")
+    index, distance, router_distance = serving or _serving(tier, geometry)
+    radio = params.radio
+    own = 0 if tier is Tier.MACRO else 1
+    far = None
+    if annulus is not None:
+        scale = radio.target_sir / gains[own][index]
+        far = far_log_moments(
+            (scale * radio.power_macro, scale * radio.power_small),
+            (params.lambda_mc, params.lambda_sc),
+            radio.pathloss_exponent,
+            *annulus,
+            params.max_attempts,
+        )
+    offsets = (macro.offsets, small.offsets)
+    attempts, outage = _downlink(own, index, gains, offsets, radio.target_sir, params.max_attempts, far)
+    lambda_tier = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
+    backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
+    return np.array([distance, backhaul_mean, attempts, outage])
+
+
+def _union(near: Geometry, annuli: list[list[PointSet]], fallback: np.ndarray) -> Geometry:
+    """The near points of every replication, each followed by its annulus
+    points if it falls back."""
+    out = []
+    for t, points in enumerate(near):
+        beyond = [annulus[t] for annulus in annuli]
+        sizes = [len(ps) for ps in beyond]
+        at = np.repeat(points.offsets[fallback + 1], sizes)
+        counts = np.diff(points.offsets)
+        counts[fallback] += sizes
+        r = np.insert(points.r, at, np.concatenate([ps.r for ps in beyond]))
+        theta = np.insert(points.theta, at, np.concatenate([ps.theta for ps in beyond]))
+        out.append(_Ragged(r, theta, _offsets(counts)))
+    return tuple(out)
+
+
+def _simulate(
+    cells: Sequence[Cell],
+    params: DelayParams,
+    window: Window,
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """``size`` replications of every cell, read from one stream.
+
+    Returns rows (downlink, tail, attempts, outage, hit) per cell, one
+    column per replication. The stream holds, per tier (routers, macro
+    cells, small cells), all counts, then all radii, then all angles of the
+    near points; then one uniform per replication if some cell caches or
+    the window reaches beyond the near disc; then, in replication order,
+    the annulus of each replication that falls back.
+    """
+    lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
+    inner = min(NEAR_RADIUS_M, window.radius)
+    near = tuple(
+        _Ragged(r, theta, _offsets(counts))
+        for counts, r, theta in (sample_ppp_batch(lam, Window(inner), rng, size) for lam in lambdas)
+    )
+    beyond = inner < window.radius
+    # with an annulus, u is drawn even when unused so the annulus's stream position is fixed
+    u = rng.random(size) if beyond or any(_caches(cell.scenario) for cell in cells) else None
+    tiers = {Tier.MACRO if isinstance(cell.scenario, MacroUser) else Tier.SMALL_CELL for cell in cells}
+
+    links = {}  # serving tier -> _link rows, shared by every cell of that tier
+    gains = _tier_gains(near, params.radio)
+    if not beyond:
+        links = {tier: _link(tier, near, gains, params) for tier in tiers}
+    else:
+        # both serving tiers decide, so which replications draw an annulus is the same for any cells
+        serving = {tier: _serving(tier, near) for tier in (Tier.MACRO, Tier.SMALL_CELL)}
+        settled = {tier: _settled(tier, serving[tier], params, inner) for tier in serving}
+        fallback = np.flatnonzero(~(settled[Tier.MACRO] & settled[Tier.SMALL_CELL]))
+        annuli = [
+            [sample_ppp(lam, window, rng, t, inner) for lam, t in zip(lambdas, _TIER_NAMES)] for _ in fallback
+        ]
+        union = _union(near, annuli, fallback) if annuli else None
+        annulus = (inner, window.radius)
+        for tier in tiers:
+            ok = settled[tier]
+            if ok.all():  # the common case, with no copy of the near points
+                links[tier] = _link(tier, near, gains, params, annulus, serving[tier])
+                continue
+            links[tier] = rows = np.empty((4, size))
+            for keep, geometry, far in ((ok, near, annulus), (~ok, union, None)):
+                if keep.any():
+                    kept = _take(geometry, keep)
+                    rows[:, keep] = _link(tier, kept, _tier_gains(kept, params.radio), params, far)
+
+    out = np.empty((len(cells), 5, size))
+    for c, cell in enumerate(cells):
+        scenario = cell.scenario
+        serving_distance, backhaul_mean, attempts, outage = links[
+            Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
+        ]
+        hit = np.zeros(size)
+        if _caches(scenario):
+            steepness = functools.partial(effective_eta, scenario.model, params.lambda_sc, params.lambda_ut)
+            if scenario.distance_mode is DistanceMode.PER_USER and isinstance(scenario.model, DistanceDependent):
+                eta = np.array([steepness(d) for d in serving_distance.tolist()])
+            else:
+                eta = steepness()
+            hit = request_hit_probabilities(sample_request(eta, u), scenario.policy, cell.cache)
+        tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
+        out[c] = params.slot_ms * attempts, tail, attempts, outage, hit
+    return out
 
 
 def run_replication(
@@ -345,67 +552,32 @@ def run_replication(
 ) -> list[DelaySample]:
     """Sample one end-to-end delay of the typical user for every cell.
 
-    All cells must carry ``params``. They share one geometry, its received
-    powers and one downlink per serving tier. The near points come first;
-    after them one uniform is drawn if some cell caches or the window
-    reaches beyond the near disc, and every caching cell maps that uniform
-    to its request. The annulus is drawn last, once, only if a serving tier
-    falls back to it (see the module docstring).
+    All cells must carry ``params``. This is a batch of one of the
+    simulator's kernel, so it reads ``rng`` as one batch does (see the
+    module docstring): the near points, then one uniform if some cell
+    caches or the window reaches beyond the near disc, then the annulus if
+    either serving tier falls back to it.
     """
-    lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
-    tiers = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
-    inner = min(NEAR_RADIUS_M, window.radius)
-    near = tuple(sample_ppp(lam, Window(inner), rng, t) for lam, t in zip(lambdas, tiers))
-    annulus = (inner, window.radius) if inner < window.radius else None
-    # with an annulus, u is drawn even when unused so the annulus's stream position is fixed
-    u = rng.random() if annulus or any(_caches(cell.scenario) for cell in cells) else None
-    near_gains = _tier_gains(near, params.radio)
-    union = None  # (geometry, gains) of near and annulus points, once drawn
-
-    links = {}  # serving tier -> _serve's outcome, shared by every cell of that tier
-    samples = []
-    for cell in cells:
-        scenario = cell.scenario
-        tier = Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
-        if tier not in links:
-            link = _serve(tier, near, near_gains, params, annulus)
-            if link is None:
-                if union is None:
-                    beyond = [sample_ppp(lam, window, rng, t, inner) for lam, t in zip(lambdas, tiers)]
-                    geometry = tuple(map(_merge, near, beyond))
-                    union = geometry, _tier_gains(geometry, params.radio)
-                link = _serve(tier, *union, params)
-            links[tier] = link
-        serving_distance, backhaul_mean, (attempts, outage, downlink) = links[tier]
-
-        hit = 0.0
-        if _caches(scenario):
-            override = (
-                serving_distance
-                if scenario.distance_mode is DistanceMode.PER_USER
-                and isinstance(scenario.model, DistanceDependent)
-                else None
-            )
-            eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, override)
-            hit = is_hit(sample_request(eta, u), scenario.policy, cell.cache)
-
-        tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
-        samples.append(DelaySample(downlink, tail, attempts, outage, hit))
-    return samples
+    return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
-    """The stream replication ``index`` consumes, independent of execution order."""
+    """The stream that batch ``index`` of replications consumes, independent of execution order."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
 def _run_batch(cells, params, window, master_seed, start, stop):
-    """Replications [start, stop) of cells sharing ``params``: (total, outage, hit) per (cell, rep)."""
+    """Replications [start, stop) of cells sharing ``params``: (total, outage, hit) per (cell, rep).
+
+    ``start`` is a multiple of BATCH_SIZE; batch ``b`` covers replications
+    ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)`` and reads stream ``b``.
+    """
     out = np.empty((len(cells), stop - start, 3))
-    for i, rep in enumerate(range(start, stop)):
-        samples = run_replication(cells, params, window, replication_rng(master_seed, rep))
-        for c, sample in enumerate(samples):
-            out[c, i] = sample.total_ms, sample.outage, sample.hit
+    for first in range(start, stop, BATCH_SIZE):
+        last = min(first + BATCH_SIZE, stop)
+        rng = replication_rng(master_seed, first // BATCH_SIZE)
+        downlink, tail, _, outage, hit = _simulate(cells, params, window, rng, last - first).swapaxes(0, 1)
+        out[:, first - start : last - start] = np.stack((downlink + tail, outage, hit), axis=-1)
     return out
 
 
@@ -423,7 +595,9 @@ def _resolve_workers(workers: int | None) -> int:
                 ) from None
         else:
             workers = min(os.cpu_count() or 1, 8)
-    return max(1, workers)
+    elif workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _check_cell(cell: Cell) -> None:
@@ -466,11 +640,12 @@ def estimate(
     """Mean delay of every cell with a 95% normal-approximation confidence interval.
 
     Cells that share a parameter set are simulated together (see
-    run_replication). Every (parameter set, batch of replications) pair
-    is one task, and one process pool runs them all. Pure function of its
-    arguments: the per-replication streams and the index-ordered reduction
-    make the result independent of ``workers`` (default: HETSIM_THREADS,
-    else the CPU count) and of which other cells are estimated alongside.
+    run_replication). Every (parameter set, run of batches) pair is one
+    task, and one process pool runs them all. Pure function of its
+    arguments: the per-batch streams and the index-ordered reduction make
+    the result independent of ``workers`` (default: HETSIM_THREADS, else
+    the CPU count capped at 8) and of which other cells are estimated
+    alongside.
     """
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications}")
@@ -480,7 +655,11 @@ def estimate(
         groups.setdefault(cell.params, []).append(index)
 
     workers = _resolve_workers(workers)
-    spans = [(start, min(start + BATCH_SIZE, replications)) for start in range(0, replications, BATCH_SIZE)]
+    # about four tasks per worker, each a run of whole batches: enough to balance the load,
+    # few enough that shipping cells and results stays cheap
+    batches = -(-replications // BATCH_SIZE) * len(groups)
+    step = BATCH_SIZE * max(1, -(-batches // (4 * workers)))
+    spans = [(start, min(start + step, replications)) for start in range(0, replications, step)]
     keys = [
         (params, members, start, stop)
         for params, members in groups.items()

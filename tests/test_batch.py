@@ -1,0 +1,86 @@
+"""The batch kernel: every replication of a batch equals that replication
+run alone, as a batch of one, on the same draws.
+
+``stream_script`` splits the draws of one batch into the share of each
+replication, so the replication can be rerun through ``run_replication``
+on exactly the near points, uniform and annulus it had inside the batch.
+The comparison is ``==``.
+"""
+
+import pytest
+
+from hetsim.analytics import DelayParams
+from hetsim.caching import CacheConfig, CachePolicy
+from hetsim.geometry import Window
+from hetsim.popularity import DistanceDependent, LoadDependent
+from hetsim.simulator import (
+    BATCH_SIZE,
+    Cell,
+    DelaySample,
+    DistanceMode,
+    MacroUser,
+    SmallUser,
+    _simulate,
+    replication_rng,
+    run_replication,
+)
+from stream_script import Recorder, replication_streams
+from test_far_field import FALLBACKS, MIXPOP
+
+NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
+PER_USER = SmallUser(
+    policy=CachePolicy.MIX_POP, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER
+)
+LOAD = SmallUser(policy=CachePolicy.MIX_POP, model=LoadDependent())
+EVERY_KIND = [MacroUser(), NOCACHE, MIXPOP, PER_USER, LOAD]
+
+CASES = {
+    "5km-every-kind": (DelayParams(), 5000.0, EVERY_KIND),
+    "20km-every-kind": (DelayParams(), 20_000.0, EVERY_KIND),
+    "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),  # no uniform is drawn
+    "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
+    # each reason the near points can leave a serving tier unsettled, caching cells beside
+    **{
+        f"fallback-{reason}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
+        for reason, (params, scenarios) in FALLBACKS.items()
+    },
+}
+
+
+def split_batch(cells, params, window, seed, size):
+    """(batch result, per-replication results as batches of one, fallback count)."""
+    recorder = Recorder(replication_rng(seed, 0))
+    batch = _simulate(cells, params, window, recorder, size)
+    scripts, annuli = replication_streams(recorder.log, size)
+    fallbacks = len(annuli)
+    alone = []
+    for script in scripts:
+        alone.append(run_replication(cells, params, window, script))
+        assert not script.draws  # the replication read all of its share
+    assert not annuli  # and the same replications fell back
+    return batch, alone, fallbacks
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_batch_equals_its_replications_run_alone(case):
+    params, radius, scenarios = CASES[case]
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
+    batch, alone, fallbacks = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    for k, samples in enumerate(alone):
+        assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
+    if case.startswith("fallback-"):
+        assert fallbacks >= 3
+        if case not in ("fallback-attempts-above-j-max", "fallback-pathloss-near-two"):
+            assert fallbacks < BATCH_SIZE  # near-settled and fallback replications mix in one batch
+    else:
+        assert fallbacks == 0
+
+
+def test_a_short_batch_reads_a_prefix_of_the_same_pattern():
+    """The last batch of an estimate may be short; it is split the same way."""
+    params = DelayParams()
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in EVERY_KIND]
+    batch, alone, _ = split_batch(cells, params, Window(20_000.0), 5, 5)
+    assert batch.shape == (len(cells), 5, 5)
+    for k, samples in enumerate(alone):
+        assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k

@@ -4,7 +4,8 @@
 quadrature and to 50-digit arithmetic; ``downlink_delay`` fed with them is
 held to annuli sampled point by point; and every fallback of
 ``run_replication`` is held, on a replayed stream, to the kernel run on the
-union of near and annulus points.
+union of near and annulus points for a serving tier that falls back, and on
+the near points with the far field averaged out for one that does not.
 """
 
 import math
@@ -208,22 +209,38 @@ def _union(near, far):
     return PointSet(np.concatenate((near.r, far.r)), np.concatenate((near.theta, far.theta)), near.tier)
 
 
-def full_window_link(tier, routers, macro, small, params):
-    """(attempts, outage, downlink, backhaul mean) of the kernel on one full point set."""
+def link(tier, routers, macro, small, params, annulus=False):
+    """(attempts, outage, downlink, backhaul mean) of the kernel on one point set.
+
+    With ``annulus`` the points are the near disc's, and the annulus out to
+    the default window is averaged out. The router distance is measured
+    from the server's polar coordinates by the law of cosines.
+    """
     radio = params.radio
     serving = macro if tier is Tier.MACRO else small
     intensity = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
     index, distance = nearest(serving)
-    attempts, outage, downlink = downlink_delay(
-        tier,
-        index,
+    gains = (
         _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
         _gains(small.r, radio.power_small, radio.pathloss_exponent),
-        radio.target_sir,
-        params.slot_ms,
-        params.max_attempts,
     )
-    _, router_distance = nearest(routers, reference=serving.point(index))
+    far = None
+    if annulus:
+        scale = radio.target_sir / (gains[0] if tier is Tier.MACRO else gains[1])[index]
+        far = far_log_moments(
+            (scale * radio.power_macro, scale * radio.power_small),
+            (params.lambda_mc, params.lambda_sc),
+            radio.pathloss_exponent,
+            NEAR_RADIUS_M,
+            DEFAULT_WINDOW_RADIUS_M,
+            params.max_attempts,
+        )
+    attempts, outage, downlink = downlink_delay(
+        tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
+    )
+    rho, phi = serving.r[index : index + 1], serving.theta[index : index + 1]
+    d2 = routers.r**2 + rho**2 - 2.0 * rho * routers.r * np.cos(routers.theta - phi)
+    router_distance = math.sqrt(max(d2.min(), 0.0))
     backhaul = params.backhaul_beta * router_distance * (intensity / params.lambda_cr)
     return attempts, outage, downlink, backhaul
 
@@ -283,17 +300,21 @@ def test_fallback_replays_the_kernel_on_the_union(case):
         u = replay.random()  # drawn whenever the window reaches beyond the near disc
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
-        reason = fallback_reason(serving_tiers[0], near, params)
-        reasons.append(reason)
-        if reason is None:
+        # either serving tier decides whether the annulus is drawn, whichever cells run
+        reason = {tier: fallback_reason(tier, near, params) for tier in (Tier.MACRO, Tier.SMALL_CELL)}
+        reasons.append(reason[serving_tiers[0]])
+        if set(reason.values()) == {None}:
             assert g.bit_generator.state == replay.bit_generator.state, rep  # no annulus drawn
             continue
         far = [sample_ppp(lam, window, replay, tier, NEAR_RADIUS_M) for lam, tier in zip(lambdas, tiers)]
         assert g.bit_generator.state == replay.bit_generator.state, rep
         union = [_union(a, b) for a, b in zip(near, far)]
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
-            assert fallback_reason(tier, near, params) is not None
-            attempts, outage, downlink, backhaul = full_window_link(tier, *union, params)
+            # a tier runs on the union only if it falls back itself
+            if reason[tier] is None:
+                attempts, outage, downlink, backhaul = link(tier, *near, params, annulus=True)
+            else:
+                attempts, outage, downlink, backhaul = link(tier, *union, params)
             hit = 0.0
             if scenario == MIXPOP:
                 hit = is_hit(sample_request(1.45, u), CachePolicy.MIX_POP, cache)
@@ -306,8 +327,10 @@ def test_fallback_replays_the_kernel_on_the_union(case):
 
 def test_window_within_near_disc_keeps_the_full_window_estimates():
     """At a window no larger than the near disc nothing is averaged out: these
-    are the estimates of the full-window sampler, recorded before the near disc
-    existed, compared with ==."""
+    are the estimates of the full-window sampler, compared with ==. They were
+    recorded on the batch streams; the per-replication loop that preceded the
+    batch kernel gives the same values bit for bit when each replication is
+    fed its share of those streams (``stream_script``)."""
     params = DelayParams()
     cache = CacheConfig()
     cells = [
@@ -317,9 +340,9 @@ def test_window_within_near_disc_keeps_the_full_window_estimates():
     ]
     got = estimate(cells, Window(5000.0), 300, 2026, workers=1)
     recorded = [
-        (1.1564219517012049, 1.1048514238410279, 1.207992479561382, 0.5160908920765235, 0.0),
-        (1.4259002901969549, 1.3599176690829085, 1.4918829113110013, 0.7606999753127655, 0.0),
-        (0.6365170281985477, 0.5807268735739516, 0.6923071828231439, 0.7606999753127655, 0.7385932721712538),
+        (1.0986642076762498, 1.0500170816614103, 1.1473113336910894, 0.5434429673975569, 0.0),
+        (1.4377598163119625, 1.374052860363653, 1.501466772260272, 0.7502676271249719, 0.0),
+        (0.6584079312331692, 0.5992984434700499, 0.7175174189962885, 0.7502676271249719, 0.7122629969418959),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (

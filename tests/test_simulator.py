@@ -12,6 +12,7 @@ from hetsim.errors import EmptyTierError, InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, sample_ppp
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, sample_request
 from hetsim.simulator import (
+    BATCH_SIZE,
     J_MAX,
     Cell,
     DistanceMode,
@@ -325,6 +326,40 @@ class TestEstimate:
         two = estimate_one(*args)
         assert one == two
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_explicit_nonpositive_workers_rejected(self, workers):
+        args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 30, 5)
+        with pytest.raises(InvalidParameterError, match="workers"):
+            estimate_one(*args, workers=workers)
+
+    def test_batch_boundaries_do_not_depend_on_workers(self):
+        """Two full batches and a short one, at 20 km: the pool splits them
+        into tasks, and each batch still reads its own stream."""
+        params = small_params()
+        cells = [
+            Cell(MacroUser(), params, CacheConfig()),
+            Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, CacheConfig()),
+            Cell(
+                SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
+                small_params(max_attempts=3),
+                CacheConfig(),
+            ),
+        ]
+        replications = 2 * BATCH_SIZE + 5
+        sequential = estimate(cells, Window(20_000.0), replications, 89, workers=1)
+        pooled = estimate(cells, Window(20_000.0), replications, 89, workers=3)
+        assert sequential == pooled
+        assert all(est.replications == replications for est in pooled)
+
+    def test_batch_streams_are_distinct(self):
+        """Batch b reads the stream of (master_seed, b); the simulator derives
+        no other stream, so every batch of every seed must read its own, and
+        none may repeat the master seed's root stream."""
+        first_draws = [np.random.default_rng(np.random.SeedSequence(s)).random(4).tolist() for s in (7, 8)]
+        for seed in (7, 8):
+            first_draws += [replication_rng(seed, b).random(4).tolist() for b in range(200)]
+        assert len({tuple(d) for d in first_draws}) == len(first_draws)
+
     def test_ci_brackets_mean(self):
         est = estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 500, 29)
         assert est.ci_low_ms <= est.mean_ms <= est.ci_high_ms
@@ -515,10 +550,12 @@ class TestMultiCell:
             assert together == alone
 
     # beyond the near disc: every replication falls back, or a sparse near
-    # macro tier often does, so the annulus is drawn beside caching cells
+    # macro tier often does, so the annulus is drawn beside caching cells;
+    # with both tiers sparse, each falls back in replications where the other does not
     FALLBACK_PARAMS = {
         "attempts-above-j-max": small_params(max_attempts=J_MAX + 1),
         "sparse-macro": small_params(lambda_mc=2e-8),
+        "sparse-both": small_params(lambda_mc=2e-8, lambda_sc=3e-8),
     }
 
     @pytest.mark.parametrize("case", list(FALLBACK_PARAMS))
@@ -538,6 +575,21 @@ class TestMultiCell:
                 for c in cells
             ]
             assert together == alone, rep
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", list(FALLBACK_PARAMS))
+    def test_fallback_estimates_match_one_cell_estimates(self, case, workers):
+        params = self.FALLBACK_PARAMS[case]
+        window = Window(20_000.0)
+        cache = CacheConfig()
+        cells = [
+            Cell(MacroUser(), params, cache),
+            Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
+            Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
+        ]
+        together = estimate(cells, window, 150, 47, workers=workers)
+        alone = [estimate_one(c.scenario, c.params, c.cache, window, 150, 47, workers=1) for c in cells]
+        assert together == alone
 
     def test_empty_cell_list_gives_no_estimates(self):
         assert estimate([], Window(5000.0), 10, 1) == []
