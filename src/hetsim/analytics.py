@@ -11,9 +11,13 @@ rho and A have no closed form stated alongside the delay expressions;
 the standard stochastic-geometry forms are adopted here:
 
     rho(g, a) = g^(2/a) * integral_{g^(-2/a)}^inf du / (1 + u^(a/2))
+              = (2g/(a-2)) * 2F1(1, 1 - 2/a; 2 - 2/a; -g)
     A(a)      = Gamma(1 + 2/a) * Gamma(1 - 2/a) = (2*pi/a) / sin(2*pi/a)
 
-Both are validated against Monte Carlo coverage in the test suite.
+The hypergeometric form of rho is Andrews, Baccelli and Ganti (2011,
+arXiv:1009.0516); it is the i = 1 case of the PGFL excess that
+``simulator.far_log_moments`` evaluates. Both are validated against Monte
+Carlo coverage in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from scipy import integrate
+from scipy.special import hyp2f1
 
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, require_valid
 from .channel import RadioParams
@@ -33,7 +37,6 @@ from .popularity import PopularityModel, effective_eta
 log = logging.getLogger(__name__)
 
 MAX_ATTEMPTS_LIMIT = 60
-RHO_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,29 +103,23 @@ class ClosedFormDelay:
 
 @functools.lru_cache(maxsize=4096)
 def rho(gamma: float, alpha: float) -> float:
-    """Nearest-server Rayleigh interference functional, by adaptive quadrature.
+    """Nearest-server Rayleigh interference functional, in closed form.
 
-    gamma^(2/a) * int_{gamma^(-2/a)}^inf du / (1 + u^(a/2)). The chained
-    substitution u -> t^(-2/(a-2)) turns the infinite tail into the finite
-    integral (2/(a-2)) * int_0^{gamma^((a-2)/a)} dt / (1 + t^(a/(a-2)))
-    whose integrand is smooth and bounded for every a > 2, so the
-    quadrature is cancellation- and singularity-free at any gamma.
+    gamma^(2/a) * int_{gamma^(-2/a)}^inf du / (1 + u^(a/2))
+    = (2 gamma/(a-2)) * 2F1(1, 1-2/a; 2-2/a; -gamma) (Andrews, Baccelli and
+    Ganti 2011). It is the i = 1 case of the PGFL excess
+    2F1(i, -2/a; 1-2/a; -z) - 1 that ``simulator.far_log_moments`` uses, in
+    the contiguous form without the "- 1", which cancels at small gamma.
     """
-    if not gamma > 0:
-        raise InvalidParameterError(f"target SIR must be positive, got {gamma}")
-    if not alpha > 2:
-        raise InvalidParameterError(f"pathloss exponent must exceed 2, got {alpha}")
-    q = alpha / (alpha - 2.0)
-    upper = gamma ** ((alpha - 2.0) / alpha)
-    value, abserr = integrate.quad(
-        lambda t: 1.0 / (1.0 + t**q), 0.0, upper, epsabs=1e-13, epsrel=1e-12, limit=200
-    )
-    if abserr > RHO_TOLERANCE * max(1.0, abs(value)):
-        raise NumericalError(
-            f"rho quadrature did not converge: gamma={gamma}, alpha={alpha}, "
-            f"value={value}, abserr={abserr}"
-        )
-    return gamma ** (2.0 / alpha) * (2.0 / (alpha - 2.0)) * value
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise InvalidParameterError(f"target SIR must be positive and finite, got {gamma}")
+    if not (alpha > 2 and math.isfinite(alpha)):
+        raise InvalidParameterError(f"pathloss exponent must be finite and exceed 2, got {alpha}")
+    delta = 2.0 / alpha
+    value = 2.0 * gamma / (alpha - 2.0) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -gamma)
+    if not math.isfinite(value):
+        raise NumericalError(f"rho is not finite: gamma={gamma}, alpha={alpha}, value={value}")
+    return value
 
 
 def big_a(alpha: float) -> float:

@@ -22,7 +22,6 @@ matches the integral-consistent form).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import logging
@@ -193,8 +192,7 @@ def is_hit(request_f: float, policy: CachePolicy, config: CacheConfig) -> float:
     Draws no random number. ``config`` must already satisfy require_valid
     for ``policy``; the simulator checks it once per cell, not per request.
     """
-    edges, values = _hit_steps(policy, config)
-    return values[bisect.bisect_right(edges, request_f)]
+    return float(request_hit_probabilities(request_f, policy, config))
 
 
 def request_hit_probabilities(requests: np.ndarray, policy: CachePolicy, config: CacheConfig) -> np.ndarray:

@@ -27,9 +27,9 @@ class RadioParams:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise InvalidParameterError(f"{name} must be positive, got {value}")
-        if not self.pathloss_exponent > 2:
+        if not (self.pathloss_exponent > 2 and math.isfinite(self.pathloss_exponent)):
             raise InvalidParameterError(
-                f"pathloss exponent must exceed 2, got {self.pathloss_exponent}"
+                f"pathloss exponent must be finite and exceed 2, got {self.pathloss_exponent}"
             )
         if self.power_macro <= self.power_small:
             log.warning(

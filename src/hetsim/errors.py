@@ -18,4 +18,4 @@ class InvalidConfigError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A numerical routine failed to converge to the requested tolerance."""
+    """A numerical routine returned a non-finite result for admissible input."""

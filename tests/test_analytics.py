@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,21 @@ def rho_series(gamma, alpha, terms=500):
     return gamma ** (2.0 / alpha) * total
 
 
+def rho_mp(gamma, alpha):
+    """rho in the Andrews-Baccelli-Ganti form, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        g, a = mpmath.mpf(gamma), mpmath.mpf(alpha)
+        return 2 * g / (a - 2) * mpmath.hyp2f1(1, 1 - 2 / a, 2 - 2 / a, -g)
+
+
+def rho_mp_integral(gamma, alpha):
+    """rho by its defining integral, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        g, a = mpmath.mpf(gamma), mpmath.mpf(alpha)
+        lower = g ** (-2 / a)
+        return g ** (2 / a) * mpmath.quad(lambda u: 1 / (1 + u ** (a / 2)), [lower, mpmath.inf])
+
+
 def rho_closed_alpha4(gamma):
     return math.sqrt(gamma) * (math.pi / 2 - math.atan(1 / math.sqrt(gamma)))
 
@@ -57,6 +73,19 @@ class TestRho:
         want = rho_series(gamma, alpha)
         assert rho(gamma, alpha) == pytest.approx(want, rel=1e-9, abs=1e-13)
 
+    @pytest.mark.parametrize("alpha", [2.01, 2.05, 2.5, 3.0, 4.0, 8.0, 12.0])
+    @pytest.mark.parametrize("gamma", [1e-12, 3e-5, 0.5, 1.0, 10.0, 1e4, 3e7, 1e8])
+    def test_matches_50_digit_reference(self, gamma, alpha):
+        want = rho_mp(gamma, alpha)
+        assert abs((rho(gamma, alpha) - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "gamma, alpha", [(3e-5, 4.0), (0.5, 12.0), (1.0, 3.0), (10.0, 3.0), (1e4, 3.0), (1e8, 8.0)]
+    )
+    def test_reference_form_equals_defining_integral(self, gamma, alpha):
+        form, integral = rho_mp(gamma, alpha), rho_mp_integral(gamma, alpha)
+        assert abs((form - integral) / integral) <= 1e-25
+
     def test_vanishes_for_vanishing_target(self):
         assert rho(1e-60, 4.0) < 1e-30
 
@@ -69,6 +98,10 @@ class TestRho:
             rho(0.0, 4.0)
         with pytest.raises(InvalidParameterError):
             rho(1.0, 2.0)
+        with pytest.raises(InvalidParameterError):
+            rho(math.inf, 4.0)
+        with pytest.raises(InvalidParameterError):
+            rho(1.0, math.inf)
 
     def test_memoized(self):
         before = rho.cache_info().hits

@@ -43,6 +43,7 @@ class TestRadioParams:
             {"power_macro": 0.0},
             {"power_small": -1.0},
             {"pathloss_exponent": 2.0},
+            {"pathloss_exponent": float("inf")},
             {"target_sir": 0.0},
         ],
     )

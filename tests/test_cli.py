@@ -169,6 +169,19 @@ class TestMain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 4 * 5
 
+    def test_steep_pathloss_at_high_target_sir_runs(self, tmp_path, capsys):
+        # the grid reaches target SIRs above 1e8 at alpha = 8, deep in rho's large-gamma tail
+        config = tmp_path / "steep.json"
+        config.write_text(
+            json.dumps(
+                {"pathloss_exponent": 8.0, "target_sir_db": 75.0, "sweep_variable": "target_sir"}
+            )
+        )
+        code = main(["--config", str(config), "--theory-only"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 4 * 5
+
     def test_end_to_end_with_config_and_output(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "rows.csv"
@@ -368,3 +381,19 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.splitlines()[0].startswith("sweep_var,")
     assert len(proc.stdout.splitlines()) == 1 + 4 * 5
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_import_loads_no_quadrature_or_optimizer():
+    """The closed forms need neither scipy.integrate nor scipy.optimize;
+    checked in a fresh interpreter, since pytest has loaded both."""
+    src = str(Path(hetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, hetsim.cli\n"
+        "loaded = sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules))\n"
+        "sys.exit(f'loaded: {loaded}' if loaded else 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
