@@ -15,9 +15,10 @@ the standard stochastic-geometry forms are adopted here:
     A(a)      = Gamma(1 + 2/a) * Gamma(1 - 2/a) = (2*pi/a) / sin(2*pi/a)
 
 The hypergeometric form of rho is Andrews, Baccelli and Ganti (2011,
-arXiv:1009.0516); it is the i = 1 case of the PGFL excess that
-``simulator.far_log_moments`` evaluates. Both are validated against Monte
-Carlo coverage in the test suite.
+arXiv:1009.0516). It is the k = 1 term of ``rho_k``, the one kernel of the
+PGFL excess that ``rho`` and ``simulator.far_log_moments`` (the averaged-out
+annulus) share. rho and A are validated against Monte Carlo coverage in
+the test suite.
 """
 
 from __future__ import annotations
@@ -101,22 +102,30 @@ class ClosedFormDelay:
         return self.downlink_ms + self.backhaul_ms + self.cache_adjustment_ms
 
 
+def rho_k(z, alpha, k):
+    """``(2z/(a-2)) 2F1(k, 1-2/a; 2-2/a; -z)``, elementwise; a scalar call stays a scalar ufunc call.
+
+    ``sum_{k<=i} rho_k = 2F1(i, -2/a; 1-2/a; -z) - 1``, the PGFL excess of
+    ``simulator.far_log_moments``, in positive terms: the "- 1" cancels at
+    small z. ``rho`` is the k = 1 term.
+    """
+    delta = 2.0 / alpha
+    return 2.0 * z / (alpha - 2.0) * hyp2f1(k, 1.0 - delta, 2.0 - delta, -z)
+
+
 @functools.lru_cache(maxsize=4096)
 def rho(gamma: float, alpha: float) -> float:
     """Nearest-server Rayleigh interference functional, in closed form.
 
     gamma^(2/a) * int_{gamma^(-2/a)}^inf du / (1 + u^(a/2))
     = (2 gamma/(a-2)) * 2F1(1, 1-2/a; 2-2/a; -gamma) (Andrews, Baccelli and
-    Ganti 2011). It is the i = 1 case of the PGFL excess
-    2F1(i, -2/a; 1-2/a; -z) - 1 that ``simulator.far_log_moments`` uses, in
-    the contiguous form without the "- 1", which cancels at small gamma.
+    Ganti 2011), the k = 1 term of ``rho_k``.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise InvalidParameterError(f"target SIR must be positive and finite, got {gamma}")
     if not (alpha > 2 and math.isfinite(alpha)):
         raise InvalidParameterError(f"pathloss exponent must be finite and exceed 2, got {alpha}")
-    delta = 2.0 / alpha
-    value = 2.0 * gamma / (alpha - 2.0) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -gamma)
+    value = float(rho_k(gamma, alpha, 1))
     if not math.isfinite(value):
         raise NumericalError(f"rho is not finite: gamma={gamma}, alpha={alpha}, value={value}")
     return value

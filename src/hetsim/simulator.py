@@ -15,12 +15,13 @@ The geometry is sampled in a near disc of radius
 it and the window are an independent PPP, so given the near points their
 interference is averaged out exactly through its probability generating
 functional (``far_log_moments``). The estimand stays the model on the
-whole window. A serving tier that the near points cannot settle (it has
-no near point, an annulus router could be nearer to its server than every
-near router, or ``max_attempts > J_MAX``), or whose far moments would leave
-the checked domain of their closed form (``FAR_ALPHA_MIN``,
-``FAR_Z_MAX``), falls back to sampling the annulus and running the same
-kernel on the union of both point sets.
+whole window. A serving tier is unsettled when it has no near point, an
+annulus router could be nearer to its server than every near router,
+``max_attempts > J_MAX``, or its far moments would leave the checked
+domain of their closed form (``FAR_ALPHA_MIN``, ``FAR_Z_MAX``). A
+replication where either serving tier is unsettled falls back: it samples
+its annulus, and every tier runs the same kernel on the union of both
+point sets. So a batch holds one geometry.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications run in batches of ``BATCH_SIZE`` through one vectorised
@@ -32,11 +33,10 @@ all radii, then all angles of the near points; then one uniform ``u`` per
 replication; then, in replication order, the annulus points of each
 replication that falls back. When the window fits in the near disc there
 is no annulus and ``u`` is drawn only if some cell caches; otherwise ``u``
-is always drawn. A replication falls back when either serving tier, macro
-or small cell, is unsettled, whichever cells run; a tier then runs on the
-union of near and annulus points only if it is unsettled itself. So the
-stream is read the same way whichever cells run together, and a cell's
-samples do not depend on which other cells are estimated alongside it.
+is always drawn. Both serving tiers decide the fallback, whichever cells
+run, so the stream is read the same way whichever cells run together, and
+a cell's samples do not depend on which other cells are estimated
+alongside it.
 ``run_replication`` is a batch of one, whose near points are exactly
 three ``sample_ppp`` draws.
 Cells that share a parameter set see the same geometry in each
@@ -63,7 +63,6 @@ from operator import mul
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import hyp2f1
 
 # is_hit and nearest are the scalar forms of steps the batch kernel runs over arrays;
 # perfbench/tracer.py wraps them under these names
@@ -71,16 +70,17 @@ from .caching import CacheConfig, CachePolicy, is_hit, request_hit_probabilities
 from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
 from .geometry import PointSet, Tier, Window, nearest, sample_ppp, sample_ppp_batch  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request
-from .analytics import DelayParams
+from .analytics import DelayParams, rho_k
 from .channel import RadioParams
 
 BATCH_SIZE = 64  # replications per random stream; fixed so results never depend on worker count
 NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when the near field falls back
 J_MAX = 12  # largest max_attempts whose far-field expansion stays accurate
-# the domain where far_log_moments' hyp2f1 closed form is checked against quadrature;
-# as alpha nears 2 its two terms cancel, and at large arguments hyp2f1 loses digits
+# far_log_moments' domain checked against quadrature: at large z = s r^-alpha, r^2 E_i(s r^-alpha)
+# nears one multiple of s^(2/alpha) at both radii, and that shared term cancels in their difference,
+# the more as z grows and as alpha nears 2 (where the outer radius's z stays large too)
 FAR_ALPHA_MIN = 2.1
-FAR_Z_MAX = 1e4  # largest s_t R^-alpha
+FAR_Z_MAX = 1e4  # largest s_t R^-alpha at the inner radius R
 _LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -171,16 +171,16 @@ def far_log_moments(
     independent PPPs of the given intensities on the annulus
     ``inner <= r < outer``, tier ``t`` scaled by ``scales[t]``. By the PGFL,
     ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
-    over the annulus, which is
-    ``pi lambda_t [r^2 (F_i(s_t r^-alpha) - 1)]`` from ``outer`` to ``inner``
-    with ``F_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha; -z)``. Returns a list for
+    over the annulus, which is ``pi lambda_t [r^2 E_i(s_t r^-alpha)]`` from
+    ``outer`` to ``inner`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
+    2/alpha; -z) - 1``, summed as ``rho_k`` terms, all positive
+    (``analytics.rho_k``). Returns a list for
     float scales; for scales that are arrays over replications, an array
     with one row per replication.
     """
-    delta = 2.0 / alpha
     ends = np.array([inner**-alpha, outer**-alpha])
-    z = -np.multiply.outer(np.asarray(scales, dtype=float), ends)  # (tier, [replication,] end)
-    excess = hyp2f1(np.arange(1, max_attempts + 1), -delta, 1.0 - delta, z[..., None]) - 1.0
+    z = np.multiply.outer(np.asarray(scales, dtype=float), ends)  # (tier, [replication,] end)
+    excess = np.cumsum(rho_k(z[..., None], alpha, np.arange(1, max_attempts + 1)), axis=-1)
     log_moments = 0.0
     for lam, (near, far) in zip(intensities, np.moveaxis(excess, -2, 1)):
         weight = math.pi * lam
@@ -363,16 +363,6 @@ Geometry = tuple[_Ragged, _Ragged, _Ragged]  # routers, macro cells, small cells
 _TIER_NAMES = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
 
 
-def _take(geometry: Geometry, keep: np.ndarray) -> Geometry:
-    """The replications of ``geometry`` that ``keep`` marks."""
-    out = []
-    for points in geometry:
-        counts = np.diff(points.offsets)
-        mask = np.repeat(keep, counts)
-        out.append(_Ragged(points.r[mask], points.theta[mask], _offsets(counts[keep])))
-    return tuple(out)
-
-
 def _serving(tier: Tier, geometry: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per replication: flat index and distance of the nearest station of
     ``tier`` (-1 and inf without one), and the distance from it to the
@@ -395,7 +385,8 @@ def _serving(tier: Tier, geometry: Geometry) -> tuple[np.ndarray, np.ndarray, np
 
 def _settled(tier: Tier, serving, params: DelayParams, inner: float) -> np.ndarray:
     """Which replications the near points settle for ``tier``, their far
-    moments staying in the checked domain of the closed form."""
+    moments staying in the checked domain of the closed form. Where either
+    serving tier is unsettled, both run on all points of the window."""
     index, distance, router_distance = serving
     radio = params.radio
     if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
@@ -422,16 +413,18 @@ def _link(
     geometry: Geometry,
     gains: tuple[np.ndarray, np.ndarray],
     params: DelayParams,
-    annulus: tuple[float, float] | None = None,
+    annulus: tuple[float, float, np.ndarray] | None = None,
     serving=None,
 ) -> np.ndarray:
     """Rows (serving distance, mean backhaul delay, attempts, outage) of one
     serving tier, one column per replication.
 
     Every replication must have a serving station and a router. With
-    ``annulus = (inner, outer)`` the geometry holds only the points inside
-    ``inner``, and the annulus's interference is averaged out. ``serving``
-    is ``_serving``'s result for ``tier``, if already known.
+    ``annulus = (inner, outer, fallback)`` the annulus's interference is
+    averaged out of the near points inside ``inner``, except in the
+    replications ``fallback``, which hold all points of the window (their
+    log-moments are 0, so ``Q = 1``). ``serving`` is ``_serving``'s result
+    for ``tier``, if already known.
     """
     _, macro, small = geometry
     for points, name in zip(geometry, _TIER_NAMES):
@@ -442,14 +435,12 @@ def _link(
     own = 0 if tier is Tier.MACRO else 1
     far = None
     if annulus is not None:
+        inner, outer, fallback = annulus
         scale = radio.target_sir / gains[own][index]
-        far = far_log_moments(
-            (scale * radio.power_macro, scale * radio.power_small),
-            (params.lambda_mc, params.lambda_sc),
-            radio.pathloss_exponent,
-            *annulus,
-            params.max_attempts,
-        )
+        scales = (scale * radio.power_macro, scale * radio.power_small)
+        lambdas = (params.lambda_mc, params.lambda_sc)
+        far = far_log_moments(scales, lambdas, radio.pathloss_exponent, inner, outer, params.max_attempts)
+        far[fallback] = 0.0
     offsets = (macro.offsets, small.offsets)
     attempts, outage = _downlink(own, index, gains, offsets, radio.target_sir, params.max_attempts, far)
     lambda_tier = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
@@ -500,30 +491,23 @@ def _simulate(
     u = rng.random(size) if beyond or any(_caches(cell.scenario) for cell in cells) else None
     tiers = {Tier.MACRO if isinstance(cell.scenario, MacroUser) else Tier.SMALL_CELL for cell in cells}
 
-    links = {}  # serving tier -> _link rows, shared by every cell of that tier
-    gains = _tier_gains(near, params.radio)
-    if not beyond:
-        links = {tier: _link(tier, near, gains, params) for tier in tiers}
-    else:
+    geometry, serving, annulus = near, {}, None
+    if beyond:
         # both serving tiers decide, so which replications draw an annulus is the same for any cells
         serving = {tier: _serving(tier, near) for tier in (Tier.MACRO, Tier.SMALL_CELL)}
-        settled = {tier: _settled(tier, serving[tier], params, inner) for tier in serving}
-        fallback = np.flatnonzero(~(settled[Tier.MACRO] & settled[Tier.SMALL_CELL]))
-        annuli = [
-            [sample_ppp(lam, window, rng, t, inner) for lam, t in zip(lambdas, _TIER_NAMES)] for _ in fallback
-        ]
-        union = _union(near, annuli, fallback) if annuli else None
-        annulus = (inner, window.radius)
-        for tier in tiers:
-            ok = settled[tier]
-            if ok.all():  # the common case, with no copy of the near points
-                links[tier] = _link(tier, near, gains, params, annulus, serving[tier])
-                continue
-            links[tier] = rows = np.empty((4, size))
-            for keep, geometry, far in ((ok, near, annulus), (~ok, union, None)):
-                if keep.any():
-                    kept = _take(geometry, keep)
-                    rows[:, keep] = _link(tier, kept, _tier_gains(kept, params.radio), params, far)
+        settled = [_settled(tier, found, params, inner) for tier, found in serving.items()]
+        fallback = np.flatnonzero(~(settled[0] & settled[1]))
+        if fallback.size:
+            annuli = [
+                [sample_ppp(lam, window, rng, t, inner) for lam, t in zip(lambdas, _TIER_NAMES)]
+                for _ in fallback
+            ]
+            geometry, serving = _union(near, annuli, fallback), {}
+        if fallback.size < size:
+            annulus = (inner, window.radius, fallback)
+    gains = _tier_gains(geometry, params.radio)
+    # serving tier -> _link rows, shared by every cell of that tier
+    links = {tier: _link(tier, geometry, gains, params, annulus, serving.get(tier)) for tier in tiers}
 
     out = np.empty((len(cells), 5, size))
     for c, cell in enumerate(cells):
@@ -556,7 +540,8 @@ def run_replication(
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): the near points, then one uniform if some cell
     caches or the window reaches beyond the near disc, then the annulus if
-    either serving tier falls back to it.
+    either serving tier falls back to it; every cell then runs on the union
+    of near and annulus points.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 

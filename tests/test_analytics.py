@@ -19,6 +19,7 @@ from hetsim.analytics import (
     big_a,
     mean_backhaul,
     rho,
+    rho_k,
 )
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy
 from hetsim.channel import RadioParams
@@ -52,6 +53,13 @@ def rho_mp_integral(gamma, alpha):
         g, a = mpmath.mpf(gamma), mpmath.mpf(alpha)
         lower = g ** (-2 / a)
         return g ** (2 / a) * mpmath.quad(lambda u: 1 / (1 + u ** (a / 2)), [lower, mpmath.inf])
+
+
+def pgfl_excess_mp(z, alpha, j):
+    """``2F1(j, -2/a; 1-2/a; -z) - 1`` in 50-digit arithmetic, where the "- 1" costs no digits."""
+    with mpmath.workdps(50):
+        delta = 2 / mpmath.mpf(alpha)
+        return mpmath.hyp2f1(j, -delta, 1 - delta, -mpmath.mpf(z)) - 1
 
 
 def rho_closed_alpha4(gamma):
@@ -108,6 +116,17 @@ class TestRho:
         first = rho(2.5, 4.0)
         assert rho(2.5, 4.0) == first
         assert rho.cache_info().hits > before
+
+
+class TestRhoK:
+    @pytest.mark.parametrize("alpha", [2.01, 2.1, 2.5, 3.0, 4.0, 8.0, 12.0])
+    @pytest.mark.parametrize("z", [1e-14, 1e-10, 1e-6, 1e-3, 1.0, 1e4, 1e8])
+    def test_partial_sums_match_50_digit_pgfl_excess(self, z, alpha):
+        sums = np.cumsum(rho_k(z, alpha, np.arange(1, 13)))
+        assert rho(z, alpha) == float(rho_k(z, alpha, 1)) == sums[0]
+        for j, got in enumerate(sums.tolist(), 1):
+            want = pgfl_excess_mp(z, alpha, j)
+            assert abs((got - want) / want) <= 1e-13, j
 
 
 class TestBigA:
