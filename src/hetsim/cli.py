@@ -71,7 +71,7 @@ def run_sweep(
                 cases.append((value, label, theory.total_ms, theory.hit_probability))
                 if not theory_only:
                     cells.append(Cell(scenario, params, cache))
-            lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
+            lambdas = (params.lambda_mc, params.lambda_sc)  # routers are averaged out, not sampled
             empty = config.replications * sum(math.exp(-lam * window.area) for lam in lambdas)
             if not theory_only and empty > MAX_EXPECTED_EMPTY_TIERS:
                 raise InvalidConfigError(

@@ -1,10 +1,10 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
-The typical user sits at the origin; every tier of the network is an
-independent PPP inside a finite disc window, the model's extent. The
-simulator samples a near disc, and an annulus beyond it only where the
-near points cannot settle a replication; everywhere else it averages the
-annulus out exactly (``simulator.far_log_moments``).
+The typical user sits at the origin; the base-station tiers are independent
+PPPs inside a finite disc window, the model's extent. The simulator samples a
+near disc, and an annulus beyond it only where the near points cannot settle a
+replication (``simulator.far_log_moments`` averages it out elsewhere). Routers,
+a PPP on the plane, enter only through ``mean_nearest_distance``.
 
 Points are stored in polar form (the origin-centric queries and the SIR
 only ever need distances); Cartesian coordinates materialize on demand.
@@ -25,7 +25,6 @@ DEFAULT_WINDOW_RADIUS_M = 20_000.0
 
 
 class Tier(str, enum.Enum):
-    CENTRAL_ROUTER = "central-router"
     MACRO = "macro"
     SMALL_CELL = "small-cell"
 

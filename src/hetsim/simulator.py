@@ -1,22 +1,25 @@
 """Monte Carlo estimation of the average content-delivery delay.
 
-One replication draws fresh network geometry (routers, macro and small
+One replication draws fresh base-station geometry (macro and small
 cells), takes the expected retransmission delay from the nearest base
 station of the scenario's tier given that geometry, and then appends the
 expected tail delay: the mean backhaul delay for macro users, and for
-small-cell users a cache read with the request's hit probability and the
-mean backhaul delay otherwise. The Rayleigh fading, the exponential
-backhaul and cache-read delays and the random cache slice are averaged
-out exactly, not sampled (conditional Monte Carlo); only the geometry and
-the request are drawn.
+small-cell users a cache read with the mean hit probability and the mean
+backhaul delay otherwise. The Rayleigh fading, the exponential backhaul
+and cache-read delays, the router distance, the request and the random
+cache slice are averaged out exactly, not sampled (conditional Monte
+Carlo); only the base stations are drawn. Given them, the tail is linear
+in the router distance, whose mean on the plane PPP of routers is
+``mean_nearest_distance(lambda_cr)``, and the hit probability averages
+over the popularity law to ``caching.mean_hit_probability``, at the
+cell's steepness or, in per-user distance mode, at the replication's.
 
 The geometry is sampled in a near disc of radius
 ``min(NEAR_RADIUS_M, window.radius)``. The points of the annulus between
 it and the window are an independent PPP, so given the near points their
 interference is averaged out exactly through its probability generating
 functional (``far_log_moments``). The estimand stays the model on the
-whole window. A serving tier is unsettled when it has no near point, an
-annulus router could be nearer to its server than every near router,
+whole window. A serving tier is unsettled when it has no near point,
 ``max_attempts > J_MAX``, or its far moments would leave the checked
 domain of their closed form (``FAR_ALPHA_MIN``, ``FAR_Z_MAX``). A
 replication where either serving tier is unsettled falls back: it samples
@@ -28,21 +31,18 @@ Replications run in batches of ``BATCH_SIZE`` through one vectorised
 kernel, points held as ragged arrays. Batch ``b`` (replications
 ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``, the last one possibly short)
 consumes the random stream derived from (master_seed, b), in this order:
-for each tier in turn (routers, macro cells, small cells) all counts, then
-all radii, then all angles of the near points; then one uniform ``u`` per
-replication; then, in replication order, the annulus points of each
-replication that falls back. When the window fits in the near disc there
-is no annulus and ``u`` is drawn only if some cell caches; otherwise ``u``
-is always drawn. Both serving tiers decide the fallback, whichever cells
-run, so the stream is read the same way whichever cells run together, and
-a cell's samples do not depend on which other cells are estimated
-alongside it.
+for each tier in turn (macro cells, small cells) all counts, then all
+radii, then all angles of the near points; then, in replication order, the
+annulus points of each replication that falls back. Neither routers nor
+requests are drawn. Both serving tiers decide the fallback, whichever
+cells run, so the stream is read the same way whichever cells run
+together, and a cell's samples do not depend on which other cells are
+estimated alongside it.
 ``run_replication`` is a batch of one, whose near points are exactly
-three ``sample_ppp`` draws.
+two ``sample_ppp`` draws.
 Cells that share a parameter set see the same geometry in each
-replication, and every caching cell maps the same ``u`` to its request
-through its own steepness, so scenarios and storage values are paired
-(common random numbers).
+replication, so scenarios and storage values are paired (common random
+numbers).
 
 Batches are embarrassingly parallel. Partial results are placed by index,
 so an estimate is bit-identical regardless of worker count or execution
@@ -64,12 +64,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# is_hit and nearest are the scalar forms of steps the batch kernel runs over arrays;
-# perfbench/tracer.py wraps them under these names
-from .caching import CacheConfig, CachePolicy, is_hit, request_hit_probabilities, require_valid  # noqa: F401
+# is_hit, nearest and sample_request are scalar forms of steps the kernel averages out or runs
+# over arrays; perfbench/tracer.py wraps them under these names
+from .caching import CacheConfig, CachePolicy, is_hit, mean_hit_probability, require_valid  # noqa: F401
 from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
-from .geometry import PointSet, Tier, Window, nearest, sample_ppp, sample_ppp_batch  # noqa: F401
-from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request
+from .geometry import PointSet, Tier, Window, mean_nearest_distance, sample_ppp, sample_ppp_batch
+from .geometry import nearest  # noqa: F401
+from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
 from .analytics import DelayParams, rho_k
 from .channel import RadioParams
 
@@ -106,7 +107,7 @@ Scenario = MacroUser | SmallUser
 
 
 def _caches(scenario: Scenario) -> bool:
-    """Whether the scenario's user has a cache, so its cell draws a request."""
+    """Whether the scenario's user has a cache, so its requests can hit."""
     return isinstance(scenario, SmallUser) and scenario.policy is not CachePolicy.NO_CACHE
 
 
@@ -121,9 +122,9 @@ class Cell:
 
 @dataclass(frozen=True)
 class DelaySample:
-    """One replication of one cell: expectations given its geometry and request.
+    """One replication of one cell: expectations given its base-station geometry.
 
-    ``hit`` is the request's hit probability, ``tail_ms`` the mean
+    ``hit`` is the mean hit probability of a request, ``tail_ms`` the mean
     backhaul or cache-read delay it implies.
     """
 
@@ -359,39 +360,26 @@ class _Ragged(NamedTuple):
     offsets: np.ndarray
 
 
-Geometry = tuple[_Ragged, _Ragged, _Ragged]  # routers, macro cells, small cells
-_TIER_NAMES = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
+Geometry = tuple[_Ragged, _Ragged]  # macro cells, small cells
+_TIER_NAMES = (Tier.MACRO, Tier.SMALL_CELL)
 
 
-def _serving(tier: Tier, geometry: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _serving(tier: Tier, geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
     """Per replication: flat index and distance of the nearest station of
-    ``tier`` (-1 and inf without one), and the distance from it to the
-    nearest router (inf without either)."""
-    routers, macro, small = geometry
-    own = macro if tier is Tier.MACRO else small
-    index, distance = _segment_argmin(own.r, own.offsets)
-    found = index >= 0
-    rho, phi = np.zeros(index.size), np.zeros(index.size)
-    rho[found], phi[found] = own.r[index[found]], own.theta[index[found]]
-    counts = np.diff(routers.offsets)
-    rho, phi = np.repeat(rho, counts), np.repeat(phi, counts)
-    # law of cosines against the serving station, one pass over the batch
-    d2 = routers.r**2 + rho**2 - 2.0 * rho * routers.r * np.cos(routers.theta - phi)
-    router_d2 = _segments(np.minimum, d2, routers.offsets, np.inf)
-    router_distance = np.sqrt(np.maximum(router_d2, 0.0))
-    router_distance[~found] = np.inf
-    return index, distance, router_distance
+    ``tier`` (-1 and inf without one)."""
+    own = geometry[_TIER_NAMES.index(tier)]
+    return _segment_argmin(own.r, own.offsets)
 
 
 def _settled(tier: Tier, serving, params: DelayParams, inner: float) -> np.ndarray:
     """Which replications the near points settle for ``tier``, their far
     moments staying in the checked domain of the closed form. Where either
     serving tier is unsettled, both run on all points of the window."""
-    index, distance, router_distance = serving
+    index, distance = serving
     radio = params.radio
     if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
         return np.zeros(index.size, dtype=bool)
-    near = np.flatnonzero((index >= 0) & (router_distance <= inner - distance))  # no annulus router is nearer
+    near = np.flatnonzero(index >= 0)
     power = radio.power_macro if tier is Tier.MACRO else radio.power_small
     scale = radio.target_sir / _gains(distance[near], power, radio.pathloss_exponent)
     settled = np.zeros(index.size, dtype=bool)
@@ -401,7 +389,7 @@ def _settled(tier: Tier, serving, params: DelayParams, inner: float) -> np.ndarr
 
 def _tier_gains(geometry: Geometry, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
     """Macro and small-cell gains (``_gains``) of one geometry."""
-    _, macro, small = geometry
+    macro, small = geometry
     return (
         _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
         _gains(small.r, radio.power_small, radio.pathloss_exponent),
@@ -416,23 +404,21 @@ def _link(
     annulus: tuple[float, float, np.ndarray] | None = None,
     serving=None,
 ) -> np.ndarray:
-    """Rows (serving distance, mean backhaul delay, attempts, outage) of one
-    serving tier, one column per replication.
+    """Rows (serving distance, attempts, outage) of one serving tier, one
+    column per replication.
 
-    Every replication must have a serving station and a router. With
+    Every replication must have a serving station. With
     ``annulus = (inner, outer, fallback)`` the annulus's interference is
     averaged out of the near points inside ``inner``, except in the
     replications ``fallback``, which hold all points of the window (their
     log-moments are 0, so ``Q = 1``). ``serving`` is ``_serving``'s result
     for ``tier``, if already known.
     """
-    _, macro, small = geometry
-    for points, name in zip(geometry, _TIER_NAMES):
-        if name in (Tier.CENTRAL_ROUTER, tier) and (np.diff(points.offsets) == 0).any():
-            raise EmptyTierError(f"no {name.value} point in window; resample or enlarge the window")
-    index, distance, router_distance = serving or _serving(tier, geometry)
+    own = _TIER_NAMES.index(tier)
+    if (np.diff(geometry[own].offsets) == 0).any():
+        raise EmptyTierError(f"no {tier.value} point in window; resample or enlarge the window")
+    index, distance = serving or _serving(tier, geometry)
     radio = params.radio
-    own = 0 if tier is Tier.MACRO else 1
     far = None
     if annulus is not None:
         inner, outer, fallback = annulus
@@ -441,11 +427,9 @@ def _link(
         lambdas = (params.lambda_mc, params.lambda_sc)
         far = far_log_moments(scales, lambdas, radio.pathloss_exponent, inner, outer, params.max_attempts)
         far[fallback] = 0.0
-    offsets = (macro.offsets, small.offsets)
+    offsets = tuple(points.offsets for points in geometry)
     attempts, outage = _downlink(own, index, gains, offsets, radio.target_sir, params.max_attempts, far)
-    lambda_tier = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
-    backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
-    return np.array([distance, backhaul_mean, attempts, outage])
+    return np.array([distance, attempts, outage])
 
 
 def _union(near: Geometry, annuli: list[list[PointSet]], fallback: np.ndarray) -> Geometry:
@@ -474,21 +458,18 @@ def _simulate(
     """``size`` replications of every cell, read from one stream.
 
     Returns rows (downlink, tail, attempts, outage, hit) per cell, one
-    column per replication. The stream holds, per tier (routers, macro
-    cells, small cells), all counts, then all radii, then all angles of the
-    near points; then one uniform per replication if some cell caches or
-    the window reaches beyond the near disc; then, in replication order,
-    the annulus of each replication that falls back.
+    column per replication. The stream holds, per tier (macro cells, small
+    cells), all counts, then all radii, then all angles of the near points;
+    then, in replication order, the annulus of each replication that falls
+    back.
     """
-    lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
+    lambdas = (params.lambda_mc, params.lambda_sc)
     inner = min(NEAR_RADIUS_M, window.radius)
     near = tuple(
         _Ragged(r, theta, _offsets(counts))
         for counts, r, theta in (sample_ppp_batch(lam, Window(inner), rng, size) for lam in lambdas)
     )
     beyond = inner < window.radius
-    # with an annulus, u is drawn even when unused so the annulus's stream position is fixed
-    u = rng.random(size) if beyond or any(_caches(cell.scenario) for cell in cells) else None
     tiers = {Tier.MACRO if isinstance(cell.scenario, MacroUser) else Tier.SMALL_CELL for cell in cells}
 
     geometry, serving, annulus = near, {}, None
@@ -509,22 +490,25 @@ def _simulate(
     # serving tier -> _link rows, shared by every cell of that tier
     links = {tier: _link(tier, geometry, gains, params, annulus, serving.get(tier)) for tier in tiers}
 
+    router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
     out = np.empty((len(cells), 5, size))
     for c, cell in enumerate(cells):
         scenario = cell.scenario
-        serving_distance, backhaul_mean, attempts, outage = links[
-            Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
-        ]
-        hit = np.zeros(size)
+        tier = Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
+        serving_distance, attempts, outage = links[tier]
+        lambda_tier = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
+        backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
+        hit = 0.0
         if _caches(scenario):
             steepness = functools.partial(effective_eta, scenario.model, params.lambda_sc, params.lambda_ut)
             if scenario.distance_mode is DistanceMode.PER_USER and isinstance(scenario.model, DistanceDependent):
                 eta = np.array([steepness(d) for d in serving_distance.tolist()])
             else:
                 eta = steepness()
-            hit = request_hit_probabilities(sample_request(eta, u), scenario.policy, cell.cache)
-        tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
-        out[c] = params.slot_ms * attempts, tail, attempts, outage, hit
+            hit = mean_hit_probability(scenario.policy, cell.cache, eta)
+        out[c, 0] = params.slot_ms * attempts
+        out[c, 1] = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
+        out[c, 2], out[c, 3], out[c, 4] = attempts, outage, hit
     return out
 
 
@@ -538,10 +522,10 @@ def run_replication(
 
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
-    module docstring): the near points, then one uniform if some cell
-    caches or the window reaches beyond the near disc, then the annulus if
-    either serving tier falls back to it; every cell then runs on the union
-    of near and annulus points.
+    module docstring): the near macro and small-cell points, two
+    ``sample_ppp`` draws, then the annulus if either serving tier falls
+    back to it; every cell then runs on the union of near and annulus
+    points.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 

@@ -46,16 +46,16 @@ class Script:
 
 
 def replication_streams(log, size):
-    """One ``Script`` per replication of a batch of ``size`` that drew ``log``."""
-    near, rest = log[:9], log[9:]
-    u = None
-    if len(rest) % 9:  # the uniforms precede the annuli, nine draws each
-        (_, _, u), rest = rest[0], rest[1:]
-    annuli = [rest[i : i + 9] for i in range(0, len(rest), 9)]
+    """One ``Script`` per replication of a batch of ``size`` that drew ``log``:
+    three draws for each of the macro and small-cell tiers, then the annuli,
+    six draws each."""
+    near, rest = log[:6], log[6:]
+    assert len(rest) % 6 == 0  # no draw beyond the geometry
+    annuli = [rest[i : i + 6] for i in range(0, len(rest), 6)]
     scripts = []
     for k in range(size):
         draws = []
-        for t in range(3):
+        for t in range(2):
             (_, lam, counts), (_, _, radii), (_, _, angles) = near[3 * t : 3 * t + 3]
             lo = counts[:k].sum()
             hi = lo + counts[k]
@@ -64,7 +64,5 @@ def replication_streams(log, size):
                 ("random", None, radii[lo:hi]),
                 ("random", None, angles[lo:hi]),
             ]
-        if u is not None:
-            draws.append(("random", None, u[k : k + 1]))
         scripts.append(Script(draws, annuli))
     return scripts, annuli

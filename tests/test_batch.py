@@ -3,7 +3,7 @@ run alone, as a batch of one, on the same draws.
 
 ``stream_script`` splits the draws of one batch into the share of each
 replication, so the replication can be rerun through ``run_replication``
-on exactly the near points, uniform and annulus it had inside the batch.
+on exactly the near points and annulus it had inside the batch.
 The comparison is ``==``.
 """
 
@@ -37,9 +37,10 @@ EVERY_KIND = [MacroUser(), NOCACHE, MIXPOP, PER_USER, LOAD]
 CASES = {
     "5km-every-kind": (DelayParams(), 5000.0, EVERY_KIND),
     "20km-every-kind": (DelayParams(), 20_000.0, EVERY_KIND),
-    "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),  # no uniform is drawn
+    "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
     "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
-    # each reason the near points can leave a serving tier unsettled, caching cells beside
+    # each reason the near points can leave a serving tier unsettled, caching cells beside;
+    # sparse routers ("router-beyond") are averaged out and leave every replication settled
     **{
         f"fallback-{reason}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
         for reason, (params, scenarios) in FALLBACKS.items()
@@ -68,7 +69,7 @@ def test_batch_equals_its_replications_run_alone(case):
     batch, alone, fallbacks = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
-    if case.startswith("fallback-"):
+    if case.startswith("fallback-") and case != "fallback-router-beyond":
         assert fallbacks >= 3
         if case not in ("fallback-attempts-above-j-max", "fallback-pathloss-near-two"):
             assert fallbacks < BATCH_SIZE  # near-settled and fallback replications mix in one batch

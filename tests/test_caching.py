@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hetsim.caching import (
     hit_prob_uniform,
     hit_probability,
     is_hit,
+    mean_hit_probability,
     require_valid,
 )
 from hetsim.errors import InvalidConfigError, InvalidSteepnessError
@@ -285,3 +289,63 @@ class TestIsHit:
         )
         assert abs(hits.mean() - integral) < 0.005
         assert abs(hits.mean() - printed) > 0.15  # printed variant clearly refuted
+
+
+# (policy, config, hit steps as ((start, end), value)); requests beyond the last step miss
+STEP_CASES = {
+    "nocache": (CachePolicy.NO_CACHE, DEFAULTS, ()),
+    "stdpop": (CachePolicy.STD_POP, STDPOP, (((1, 10.5), 1),)),
+    "unirand": (CachePolicy.UNI_RAND, UNIRAND, (((1, 500), mpmath.mpf(180) / 998),)),
+    "mixpop": (CachePolicy.MIX_POP, DEFAULTS, (((1, 10.5), 1), ((10.5, 500), mpmath.mpf(180) / 981))),
+}
+ETAS = (1.05, 1.45, 3.0, 263.5)
+
+
+def step_density_integral(steps, eta):
+    """``int v(f) (eta - 1) f^-eta df`` over the steps, by 30-digit quadrature."""
+    with mpmath.workdps(30):
+        e = mpmath.mpf(eta)
+        return sum(v * mpmath.quad(lambda f: (e - 1) * f**-e, [a, b]) for (a, b), v in steps)
+
+
+class TestMeanHitProbability:
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_matches_30_digit_integral_of_step_density(self, case, eta):
+        policy, config, steps = STEP_CASES[case]
+        exact = float(step_density_integral(steps, eta))
+        assert mean_hit_probability(policy, config, eta) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_array_of_steepness_is_elementwise(self, case):
+        policy, config, steps = STEP_CASES[case]
+        got = mean_hit_probability(policy, config, np.array(ETAS))
+        assert got.shape == (len(ETAS),)
+        assert got.tolist() == [mean_hit_probability(policy, config, eta) for eta in ETAS]
+        for value, eta in zip(got, ETAS):
+            assert value == pytest.approx(float(step_density_integral(steps, eta)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["stdpop", "unirand", "mixpop"])
+    def test_matches_played_out_cache_over_sampled_requests(self, case):
+        """One million requests, each played out through the cache, land
+        within 4 standard errors of the mean hit probability."""
+        policy, config, _ = STEP_CASES[case]
+        g = rng({"stdpop": 71, "unirand": 72, "mixpop": 73}[case])
+        requests = sample_request(1.45, g.random(1_000_000))
+        hits = np.array([sample_hit(f, policy, config, g) for f in requests.tolist()])
+        se = hits.std(ddof=1) / math.sqrt(hits.size)
+        assert abs(hits.mean() - mean_hit_probability(policy, config, 1.45)) <= 4 * se
+
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_differs_from_integral_closed_form_only_by_the_catalogue_edge(self, eta):
+        """The closed form ends the catalogue at 1 + f0, the steps at f0."""
+        closed = hit_probability(CachePolicy.MIX_POP, DEFAULTS, eta, B3Variant.INTEGRAL_CONSISTENT)
+        gap = closed - mean_hit_probability(CachePolicy.MIX_POP, DEFAULTS, eta)
+        edge = 90.0 / 490.5 * (500.0 ** (1 - eta) - 501.0 ** (1 - eta))
+        assert 0.0 <= gap <= 1.4e-5
+        assert gap == pytest.approx(edge, rel=1e-6, abs=1e-15)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5, np.array([1.45, 1.0]), math.inf, math.nan])
+    def test_invalid_steepness(self, eta):
+        with pytest.raises(InvalidSteepnessError):
+            mean_hit_probability(CachePolicy.MIX_POP, DEFAULTS, eta)

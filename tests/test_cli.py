@@ -312,6 +312,15 @@ class TestMain:
         assert "config error" in err and "window_radius_m" in err and "lambda_mc=1e-09" in err
         assert main(["--config", str(config), "--theory-only"]) == EXIT_OK
 
+    def test_sparse_routers_do_not_trip_the_window_guard(self, tmp_path, capsys):
+        # a 5 km window holds a router at 1e-9 per m^2 only 8% of the time, but routers are
+        # averaged out on the plane, not sampled, so only the base-station tiers count
+        config = tmp_path / "config.json"
+        config.write_text('{"lambda_cr_per_m2": 1e-9, "window_radius_m": 5000, "replications": 50}')
+        assert main(["--config", str(config)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4 * 5 and all(row.split(",")[10] == "50" for row in rows)
+
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

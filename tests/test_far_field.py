@@ -5,7 +5,7 @@ quadrature and to 50-digit arithmetic; ``downlink_delay`` fed with them is
 held to annuli sampled point by point; and every fallback of
 ``run_replication`` is held, on a replayed stream, to the kernel run on the
 union of near and annulus points for every serving tier, whichever tier
-caused it.
+caused it. Routers are never sampled, so they cause no fallback.
 """
 
 import math
@@ -16,11 +16,11 @@ import pytest
 from scipy import integrate
 
 from hetsim.analytics import DelayParams
-from hetsim.caching import CacheConfig, CachePolicy, is_hit
+from hetsim.caching import CacheConfig, CachePolicy, mean_hit_probability
 from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
 from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest, sample_ppp
-from hetsim.popularity import Fixed, sample_request
+from hetsim.popularity import Fixed
 from hetsim.simulator import (
     FAR_ALPHA_MIN,
     FAR_Z_MAX,
@@ -210,16 +210,16 @@ def _union(near, far):
     return PointSet(np.concatenate((near.r, far.r)), np.concatenate((near.theta, far.theta)), near.tier)
 
 
-def link(tier, routers, macro, small, params):
+def link(tier, macro, small, params):
     """(attempts, outage, downlink, backhaul mean) of the kernel on one point set.
 
-    The router distance is measured from the server's polar coordinates by
-    the law of cosines.
+    The backhaul mean takes the router distance's mean on the plane,
+    ``1 / (2 sqrt(lambda_cr))``.
     """
     radio = params.radio
     serving = macro if tier is Tier.MACRO else small
     intensity = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
-    index, distance = nearest(serving)
+    index, _ = nearest(serving)
     gains = (
         _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
         _gains(small.r, radio.power_small, radio.pathloss_exponent),
@@ -227,16 +227,14 @@ def link(tier, routers, macro, small, params):
     attempts, outage, downlink = downlink_delay(
         tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts
     )
-    rho, phi = serving.r[index : index + 1], serving.theta[index : index + 1]
-    d2 = routers.r**2 + rho**2 - 2.0 * rho * routers.r * np.cos(routers.theta - phi)
-    router_distance = math.sqrt(max(d2.min(), 0.0))
+    router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
     backhaul = params.backhaul_beta * router_distance * (intensity / params.lambda_cr)
     return attempts, outage, downlink, backhaul
 
 
 def fallback_reason(tier, near, params):
     """Why the near points leave ``tier`` unsettled (a FALLBACKS key), or None."""
-    routers, macro, small = near
+    macro, small = near
     serving = macro if tier is Tier.MACRO else small
     radio = params.radio
     if params.max_attempts > J_MAX:
@@ -245,11 +243,7 @@ def fallback_reason(tier, near, params):
         return "pathloss-near-two"
     if not len(serving):
         return "empty-serving-tier"
-    if not len(routers):
-        return "no-near-router"
-    index, distance = nearest(serving)
-    if nearest(routers, reference=serving.point(index))[1] > NEAR_RADIUS_M - distance:
-        return "router-beyond"
+    _, distance = nearest(serving)
     power = radio.power_macro if tier is Tier.MACRO else radio.power_small
     edge = (distance / NEAR_RADIUS_M) ** radio.pathloss_exponent
     if radio.target_sir * radio.power_macro / power * edge > FAR_Z_MAX:
@@ -261,7 +255,8 @@ MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
 FALLBACKS = {
     # a near disc that often holds no macro cell
     "empty-serving-tier": (DelayParams(lambda_mc=2e-8), [MacroUser()]),
-    # few routers and far-flung small cells: the nearest near router is often beyond R - rho
+    # few routers and far-flung small cells: routers are averaged out on the plane, not sampled,
+    # so however sparse they cause no fallback
     "router-beyond": (DelayParams(lambda_cr=5e-8, lambda_sc=1e-7), [MIXPOP]),
     # too many attempts for the expansion: every replication falls back
     "attempts-above-j-max": (DelayParams(max_attempts=J_MAX + 1), [MacroUser(), MIXPOP]),
@@ -281,14 +276,13 @@ def test_fallback_replays_the_kernel_on_the_union(case):
     cells = [Cell(scenario, params, cache) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
     near_window = Window(NEAR_RADIUS_M)
-    lambdas = (params.lambda_cr, params.lambda_mc, params.lambda_sc)
-    tiers = (Tier.CENTRAL_ROUTER, Tier.MACRO, Tier.SMALL_CELL)
+    lambdas = (params.lambda_mc, params.lambda_sc)
+    tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
     reasons, mixed = [], 0
     for rep in range(40):
         replay = replication_rng(71, rep)
         near = [sample_ppp(lam, near_window, replay, tier) for lam, tier in zip(lambdas, tiers)]
-        u = replay.random()  # drawn whenever the window reaches beyond the near disc
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
         # either serving tier decides whether the annulus is drawn, whichever cells run
@@ -306,10 +300,12 @@ def test_fallback_replays_the_kernel_on_the_union(case):
             attempts, outage, downlink, backhaul = link(tier, *union, params)
             hit = 0.0
             if scenario == MIXPOP:
-                hit = is_hit(sample_request(1.45, u), CachePolicy.MIX_POP, cache)
+                hit = mean_hit_probability(CachePolicy.MIX_POP, cache, 1.45)
             tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul
             assert sample == DelaySample(downlink, tail, attempts, outage, hit), rep
-    if case == "mixed":
+    if case == "router-beyond":
+        assert reasons.count(None) == 40 and mixed == 0  # no replication falls back
+    elif case == "mixed":
         assert mixed >= 3
     else:
         assert reasons.count(case) >= 3
@@ -318,11 +314,11 @@ def test_fallback_replays_the_kernel_on_the_union(case):
 
 
 def test_window_within_near_disc_keeps_the_full_window_estimates():
-    """At a window no larger than the near disc nothing is averaged out: these
-    are the estimates of the full-window sampler, compared with ==. They were
-    recorded on the batch streams; the per-replication loop that preceded the
-    batch kernel gives the same values bit for bit when each replication is
-    fed its share of those streams (``stream_script``)."""
+    """At a window no larger than the near disc no interference is averaged
+    out: these are the estimates of the full-window sampler, compared with
+    ==. They were recorded on the batch streams, which hold only the macro
+    and small-cell points; ``test_batch`` holds every replication of such a
+    batch to the same replication run alone on its share of the stream."""
     params = DelayParams()
     cache = CacheConfig()
     cells = [
@@ -332,9 +328,9 @@ def test_window_within_near_disc_keeps_the_full_window_estimates():
     ]
     got = estimate(cells, Window(5000.0), 300, 2026, workers=1)
     recorded = [
-        (1.0986642076762498, 1.0500170816614103, 1.1473113336910894, 0.5434429673975569, 0.0),
-        (1.4377598163119625, 1.374052860363653, 1.501466772260272, 0.7502676271249719, 0.0),
-        (0.6584079312331692, 0.5992984434700499, 0.7175174189962885, 0.7502676271249719, 0.7122629969418959),
+        (1.1243214511922348, 1.1109462796748348, 1.1376966227096348, 0.5054223900666067, 0.0),
+        (1.4283726248274844, 1.4169190544227568, 1.439826195232212, 0.759886603606107, 0.0),
+        (0.6689358259582853, 0.6574822555535578, 0.6803893963630128, 0.759886603606107, 0.7053853100078218),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (

@@ -10,7 +10,7 @@ from hetsim.caching import CacheConfig, CachePolicy
 from hetsim.channel import RadioParams
 from hetsim.errors import EmptyTierError, InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, sample_ppp
-from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, sample_request
+from hetsim.popularity import DistanceDependent, Fixed, LoadDependent
 from hetsim.simulator import (
     BATCH_SIZE,
     J_MAX,
@@ -190,27 +190,24 @@ class TestRunReplication:
         assert all(s.tail_ms == 0.0 for s in samples)
 
     def test_macro_tail_mean_matches_backhaul_closed_form(self):
+        """The router distance is averaged out, so every replication's tail
+        is the closed-form mean backhaul delay."""
         params = small_params()
         window = Window(8000.0)
-        tails = np.array(
-            [
-                replicate_one(MacroUser(), params, CacheConfig(), window, replication_rng(9, rep)).tail_ms
-                for rep in range(12_000)
-            ]
-        )
         expected = mean_backhaul(params.lambda_mc, params.lambda_cr, params.backhaul_beta)
-        se = tails.std(ddof=1) / math.sqrt(tails.size)
-        assert abs(tails.mean() - expected) < 3 * se
+        for rep in range(BATCH_SIZE):
+            sample = replicate_one(MacroUser(), params, CacheConfig(), window, replication_rng(9, rep))
+            assert sample.tail_ms == pytest.approx(expected, rel=1e-12, abs=0.0), rep
 
     @pytest.mark.parametrize(
-        "members,draws",
+        "members",
         [
-            ([(SmallUser(policy=CachePolicy.MIX_POP), CacheConfig())], 1),
-            ([(SmallUser(policy=CachePolicy.UNI_RAND), UNIRAND)], 1),
-            ([(SmallUser(policy=CachePolicy.STD_POP), STDPOP)], 1),
-            ([(SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig())], 0),
-            ([(MacroUser(), CacheConfig())], 0),
-            (
+            [(SmallUser(policy=CachePolicy.MIX_POP), CacheConfig())],
+            [(SmallUser(policy=CachePolicy.UNI_RAND), UNIRAND)],
+            [(SmallUser(policy=CachePolicy.STD_POP), STDPOP)],
+            [(SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig())],
+            [(MacroUser(), CacheConfig())],
+
                 [
                     (MacroUser(), CacheConfig()),
                     (SmallUser(policy=CachePolicy.NO_CACHE), CacheConfig()),
@@ -225,29 +222,28 @@ class TestRunReplication:
                         STDPOP,
                     ),
                 ],
-                1,
-            ),
         ],
         ids=["mixpop", "unirand", "stdpop", "nocache", "macro", "mixed"],
     )
-    def test_one_uniform_draw_only_for_a_caching_cell(self, members, draws):
-        # the replication stream is exactly the geometry, then one uniform
-        # if any cell caches, shared by every caching cell's request
+    def test_draws_only_the_geometry(self, members):
+        # the replication stream is exactly the macro and small-cell points,
+        # whether or not a cell caches: no router and no request is drawn
         params = small_params()
         window = Window(5000.0)
         cells = [Cell(scenario, params, cache) for scenario, cache in members]
         for rep in range(5):
             g, expected = replication_rng(13, rep), replication_rng(13, rep)
-            for intensity in (params.lambda_cr, params.lambda_mc, params.lambda_sc):
+            for intensity in (params.lambda_mc, params.lambda_sc):
                 sample_ppp(intensity, window, expected)
-            for _ in range(draws):
-                expected.random()
             run_replication(cells, params, window, g)
             assert g.bit_generator.state == expected.bit_generator.state, rep
 
     def test_tail_is_the_mean_given_geometry_and_request(self):
-        """Replaying the stream gives the geometry and the request; the tail
-        is then p * cache read + (1 - p) * backhaul mean, with no draw."""
+        """The router distance and the request are averaged out: the tail is
+        p * cache read + (1 - p) * backhaul mean, where the backhaul mean
+        takes the plane PPP's mean router distance 1 / (2 sqrt(lambda_cr))
+        and p is the MixPop hit probability averaged over the popularity
+        law, its cache edges at 1 + S_p = 10.5 and f0 = 500."""
         params = small_params()
         window = Window(5000.0)
         cache = CacheConfig()
@@ -256,34 +252,17 @@ class TestRunReplication:
             Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
             Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
         ]
-        seen = set()
-        for rep in range(100):
-            replay = replication_rng(19, rep)
-            routers, macro, small = [
-                sample_ppp(intensity, window, replay)
-                for intensity in (params.lambda_cr, params.lambda_mc, params.lambda_sc)
-            ]
-            request = sample_request(1.45, replay.random())
+        router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
+        mixpop = (1.0 - 10.5**-0.45) + 90.0 / 490.5 * (10.5**-0.45 - 500.0**-0.45)
+        for rep in range(20):
             samples = run_replication(cells, params, window, replication_rng(19, rep))
             for cell, sample in zip(cells, samples):
-                if isinstance(cell.scenario, MacroUser):
-                    serving, intensity = macro, params.lambda_mc
-                else:
-                    serving, intensity = small, params.lambda_sc
-                server = serving.point(int(np.argmin(serving.r)))
-                router_distance = min(
-                    math.hypot(router.x - server.x, router.y - server.y)
-                    for router in map(routers.point, range(len(routers)))
-                )
+                intensity = params.lambda_mc if isinstance(cell.scenario, MacroUser) else params.lambda_sc
                 backhaul_mean = params.backhaul_beta * router_distance * intensity / params.lambda_cr
-                p = 0.0
-                if cell is cells[2]:  # MixPop
-                    p = 1.0 if request < 10.5 else 90.0 / 490.5 if request < 500.0 else 0.0
-                    seen.add(p)
-                assert sample.hit == p
+                p = mixpop if cell is cells[2] else 0.0
+                assert sample.hit == pytest.approx(p, rel=1e-14, abs=0.0)
                 expected = p * params.cache_read_mean_ms + (1 - p) * backhaul_mean
-                assert sample.tail_ms == pytest.approx(expected, rel=1e-9)
-        assert len(seen) == 3  # every segment of the MixPop cache was exercised
+                assert sample.tail_ms == pytest.approx(expected, rel=1e-12)
 
     def test_empty_tier_raises(self):
         params = small_params(lambda_mc=1e-12)
