@@ -25,7 +25,7 @@ from .errors import (
     InvalidSteepnessError,
     NumericalError,
 )
-from .geometry import Point2D, PointSet, Tier, Window, mean_nearest_distance, sample_ppp
+from .geometry import PointSet, Tier, Window, mean_nearest_distance, sample_ppp
 from .popularity import DistanceDependent, Fixed, LoadDependent
 from .simulator import (
     Cell,

@@ -4,20 +4,21 @@ Storage is measured in content units (one unit = one unit-length interval
 of the content axis; the usual GByte labels map one-to-one). A cache
 splits its space into a deterministic popular head of size S_p, a
 bookkeeping overhead S_0 that never serves hits, and a uniformly random
-slice S_u of the remaining catalogue. Content beyond the catalogue bound
-f_0 is non-cacheable.
+slice S_u of the remaining catalogue. The catalogue is ``[1, 1 + f_0)``;
+content beyond it is non-cacheable.
 
 The per-request hit probability is exact given the request: 1 in the
 popular head, the cached fraction in the random-eligible segment, 0
-elsewhere. It draws nothing; the simulator averages it over the request
-law too (``mean_hit_probability``; conditional Monte Carlo).
+elsewhere (``_hit_steps``, one step function for every policy). It draws
+nothing.
 
-The closed-form uniform-segment hit probability exists in two variants:
-the formula as printed in the delay expressions carries a leading "1 -"
-term that can push the total above 1; the integral-consistent variant is
-the popularity mass of the un-cached catalogue segment times the cached
-fraction. Both are exposed; the Monte Carlo hit rate arbitrates (it
-matches the integral-consistent form).
+The closed-form uniform-segment hit probability exists in two variants.
+The integral-consistent variant is the popularity mass of the un-cached
+catalogue segment times the cached fraction, so ``hit_probability`` in
+that variant is exactly ``is_hit`` averaged over the popularity law; the
+simulator takes it as each replication's hit (conditional Monte Carlo).
+The formula as printed in the delay expressions adds the cached fraction
+itself to that, which can push the total above 1.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidConfigError, InvalidSteepnessError
 
@@ -92,18 +91,13 @@ def require_valid(policy: CachePolicy, config: CacheConfig) -> None:
             problems.append("policy-forbids-popular-segment: UniRand requires popular = 0")
         if config.overhead != 0:
             problems.append("policy-forbids-overhead: UniRand tracks no popularity profile")
-        if config.uniform > config.catalogue_bound - 1.0:
-            problems.append(
-                "uniform-segment-exceeds-catalogue: UniRand caches from [1, f0): uniform must "
-                f"be <= {config.catalogue_bound - 1}"
-            )
     if problems:
         raise InvalidConfigError("; ".join(problems))
 
 
 def hit_prob_popular(s_popular: float, eta: float) -> float:
     """Probability that a request lands in the deterministic popular head."""
-    if not eta > 1:
+    if not (eta > 1 and math.isfinite(eta)):
         raise InvalidSteepnessError(f"steepness must exceed 1, got {eta}")
     if s_popular < 0:
         raise InvalidConfigError(f"popular segment must be >= 0, got {s_popular}")
@@ -118,7 +112,7 @@ def hit_prob_uniform(
     variant: B3Variant = B3Variant.AS_PRINTED,
 ) -> float:
     """Uniform-segment term of the hit probability, in the chosen variant."""
-    if not eta > 1:
+    if not (eta > 1 and math.isfinite(eta)):
         raise InvalidSteepnessError(f"steepness must exceed 1, got {eta}")
     if catalogue_bound <= s_popular:
         raise InvalidConfigError(
@@ -138,23 +132,18 @@ def hit_probability(
     eta: float,
     variant: B3Variant = B3Variant.AS_PRINTED,
 ) -> float:
-    """Total closed-form hit probability of a policy.
+    """Total closed-form hit probability of a policy: the popular term plus
+    the uniform term.
 
-    StdPop keeps only the popular term, UniRand only the uniform term with
-    an empty popular head, MixPop both; no cache hits nothing. Warns when
-    the as-printed variant exceeds 1, which it can.
+    ``require_valid`` leaves StdPop no uniform slice and UniRand no popular
+    head, so one sum serves every caching policy; no cache hits nothing.
+    Warns when the as-printed variant exceeds 1, which it can.
     """
     if policy is CachePolicy.NO_CACHE:
         return 0.0
-    total = 0.0
-    if policy in (CachePolicy.STD_POP, CachePolicy.MIX_POP):
-        total += hit_prob_popular(config.popular, eta)
-    if policy is CachePolicy.UNI_RAND:
-        total += hit_prob_uniform(config.uniform, 0.0, config.catalogue_bound, eta, variant)
-    elif policy is CachePolicy.MIX_POP:
-        total += hit_prob_uniform(
-            config.uniform, config.popular, config.catalogue_bound, eta, variant
-        )
+    total = hit_prob_popular(config.popular, eta) + hit_prob_uniform(
+        config.uniform, config.popular, config.catalogue_bound, eta, variant
+    )
     if total > 1.0:
         key = (policy.value, variant.value, round(total, 9))
         if key not in _WARNED_ABOVE_ONE:  # a sweep re-evaluates the same cell per row
@@ -173,34 +162,16 @@ def _hit_steps(policy: CachePolicy, config: CacheConfig) -> tuple[tuple[float, .
     """A request's hit probability as a step function: ``values[i]`` holds
     from ``edges[i - 1]`` (inclusive) up to ``edges[i]``.
 
-    Requests at or beyond the catalogue bound miss. The popular head
-    [1, 1+S_p) always hits (StdPop, MixPop); the rest of the catalogue hits
-    with the cached fraction of that segment (UniRand, MixPop), since the
-    random slice holds any one content with that probability.
+    The popular head [1, 1+S_p) always hits; the rest of the catalogue, up
+    to 1 + f0, hits with the cached fraction S_u / (f0 - S_p) of that
+    segment, since the random slice holds any one content with that
+    probability; requests beyond it miss. ``hit_probability`` in the
+    integral variant is this step function's mean over the popularity law.
     """
-    bound = config.catalogue_bound
     if policy is CachePolicy.NO_CACHE:
         return (), (0.0,)
-    if policy is CachePolicy.UNI_RAND:
-        return (bound,), (config.uniform / (bound - 1.0) if bound > 1.0 else 0.0, 0.0)
-    middle = config.uniform / (bound - config.popular) if policy is CachePolicy.MIX_POP else 0.0
-    return (min(1.0 + config.popular, bound), bound), (1.0, middle, 0.0)
-
-
-def mean_hit_probability(policy: CachePolicy, config: CacheConfig, eta):
-    """``is_hit`` averaged over the popularity law, at a steepness or an array of them.
-
-    A step ``[a, b)`` of ``_hit_steps`` with value ``v`` adds ``v (a^(1-eta) - b^(1-eta))``
-    (requests start at 1; the last step runs to infinity). The integral closed form ends the
-    catalogue at ``1 + f0``, not at ``f0``, and differs from this mean by up to 1.4e-5.
-    """
-    if not np.all((np.asarray(eta) > 1) & np.isfinite(eta)):
-        raise InvalidSteepnessError(f"steepness must exceed 1, got {eta}")
-    edges, values = _hit_steps(policy, config)
-    exponent = 1.0 - np.asarray(eta, dtype=float)
-    survival = [np.ones_like(exponent), *(edge**exponent for edge in edges), np.zeros_like(exponent)]
-    total = sum(v * (a - b) for v, a, b in zip(values, survival, survival[1:]))
-    return total if total.ndim else float(total)
+    bound = config.catalogue_bound
+    return (1.0 + config.popular, 1.0 + bound), (1.0, config.uniform / (bound - config.popular), 0.0)
 
 
 def is_hit(request_f: float, policy: CachePolicy, config: CacheConfig) -> float:

@@ -6,8 +6,8 @@ near disc, and an annulus beyond it only where the near points cannot settle a
 replication (``simulator.far_log_moments`` averages it out elsewhere). Routers,
 a PPP on the plane, enter only through ``mean_nearest_distance``.
 
-Points are stored in polar form (the origin-centric queries and the SIR
-only ever need distances); Cartesian coordinates materialize on demand.
+Points are stored in polar form: the origin-centric queries and the SIR
+only ever need distances.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +26,6 @@ DEFAULT_WINDOW_RADIUS_M = 20_000.0
 class Tier(str, enum.Enum):
     MACRO = "macro"
     SMALL_CELL = "small-cell"
-
-
-class Point2D(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -59,12 +53,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.r.shape[0]
-
-    def point(self, index: int) -> Point2D:
-        return Point2D(
-            float(self.r[index] * math.cos(self.theta[index])),
-            float(self.r[index] * math.sin(self.theta[index])),
-        )
 
 
 def sample_ppp_batch(
@@ -115,26 +103,18 @@ def sample_ppp(
     return PointSet(r=r, theta=theta, tier=tier)
 
 
-def nearest(point_set: PointSet, reference: Point2D = Point2D(0.0, 0.0)) -> tuple[int, float]:
-    """Index and distance of the point closest to ``reference``.
+def nearest(point_set: PointSet) -> tuple[int, float]:
+    """Index and distance of the point closest to the origin (the typical user).
 
-    Defaults to the origin (the typical user). Ties resolve to the lowest
-    index, which argmin guarantees.
+    Ties resolve to the lowest index, which argmin guarantees.
     """
     if len(point_set) == 0:
         raise EmptyTierError(
             f"no {point_set.tier.value if point_set.tier else 'tier'} point in window; "
             "resample or enlarge the window"
         )
-    if reference == (0.0, 0.0):
-        idx = int(np.argmin(point_set.r))
-        return idx, float(point_set.r[idx])
-    rho = math.hypot(reference.x, reference.y)
-    phi = math.atan2(reference.y, reference.x)
-    # law of cosines against the reference point, no Cartesian round trip
-    d2 = point_set.r**2 + rho**2 - 2.0 * rho * point_set.r * np.cos(point_set.theta - phi)
-    idx = int(np.argmin(d2))
-    return idx, float(math.sqrt(max(d2[idx], 0.0)))
+    idx = int(np.argmin(point_set.r))
+    return idx, float(point_set.r[idx])
 
 
 def mean_nearest_distance(intensity: float) -> float:

@@ -11,8 +11,9 @@ cache slice are averaged out exactly, not sampled (conditional Monte
 Carlo); only the base stations are drawn. Given them, the tail is linear
 in the router distance, whose mean on the plane PPP of routers is
 ``mean_nearest_distance(lambda_cr)``, and the hit probability averages
-over the popularity law to ``caching.mean_hit_probability``, at the
-cell's steepness or, in per-user distance mode, at the replication's.
+over the popularity law to ``caching.hit_probability`` in its integral
+variant, at the cell's steepness or, in per-user distance mode, at the
+replication's.
 
 The geometry is sampled in a near disc of radius
 ``min(NEAR_RADIUS_M, window.radius)``. The points of the annulus between
@@ -66,7 +67,7 @@ import numpy as np
 
 # is_hit, nearest and sample_request are scalar forms of steps the kernel averages out or runs
 # over arrays; perfbench/tracer.py wraps them under these names
-from .caching import CacheConfig, CachePolicy, is_hit, mean_hit_probability, require_valid  # noqa: F401
+from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, is_hit, require_valid  # noqa: F401
 from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
 from .geometry import PointSet, Tier, Window, mean_nearest_distance, sample_ppp, sample_ppp_batch
 from .geometry import nearest  # noqa: F401
@@ -502,10 +503,12 @@ def _simulate(
         if _caches(scenario):
             steepness = functools.partial(effective_eta, scenario.model, params.lambda_sc, params.lambda_ut)
             if scenario.distance_mode is DistanceMode.PER_USER and isinstance(scenario.model, DistanceDependent):
-                eta = np.array([steepness(d) for d in serving_distance.tolist()])
+                etas = [steepness(d) for d in serving_distance.tolist()]
             else:
-                eta = steepness()
-            hit = mean_hit_probability(scenario.policy, cell.cache, eta)
+                etas = [steepness()]
+            # the integral variant is exactly is_hit's mean over the popularity law
+            integral = B3Variant.INTEGRAL_CONSISTENT
+            hit = np.array([hit_probability(scenario.policy, cell.cache, eta, integral) for eta in etas])
         out[c, 0] = params.slot_ms * attempts
         out[c, 1] = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
         out[c, 2], out[c, 3], out[c, 4] = attempts, outage, hit

@@ -12,15 +12,15 @@ from hetsim.caching import CachePolicy
 def sample_hit(request_f, policy, config, rng):
     """One sampled hit of a request: True on a cache hit.
 
-    Requests at or beyond the catalogue bound miss. The popular head
-    [1, 1+S_p) hits (StdPop, MixPop); one uniform draw decides the rest of
-    the catalogue, which hits with the cached fraction of that segment
-    (UniRand, MixPop).
+    The catalogue is [1, 1 + f0): requests at or beyond 1 + f0 miss. The
+    popular head [1, 1+S_p) hits (StdPop, MixPop); one uniform draw decides
+    the rest of the catalogue, which hits with the cached fraction of that
+    segment (UniRand, MixPop).
     """
-    if policy is CachePolicy.NO_CACHE or not request_f < config.catalogue_bound:
+    if policy is CachePolicy.NO_CACHE or not request_f < 1.0 + config.catalogue_bound:
         return False
     if policy is CachePolicy.UNI_RAND:
-        fraction = config.uniform / (config.catalogue_bound - 1.0)
+        fraction = config.uniform / config.catalogue_bound
     elif request_f < 1.0 + config.popular:
         return True
     elif policy is CachePolicy.MIX_POP:

@@ -20,9 +20,9 @@ def _gains(macro, small, radio):
     alpha = radio.pathloss_exponent
     gains = []
     for tier_set, power in ((macro, radio.power_macro), (small, radio.power_small)):
-        for i in range(len(tier_set)):
-            point = tier_set.point(i)
-            gains.append(power * math.hypot(point.x, point.y) ** -alpha)
+        for r, theta in zip(tier_set.r.tolist(), tier_set.theta.tolist()):
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            gains.append(power * math.hypot(x, y) ** -alpha)
     return gains
 
 

@@ -16,7 +16,6 @@ from hetsim.caching import (
     hit_prob_uniform,
     hit_probability,
     is_hit,
-    mean_hit_probability,
     require_valid,
 )
 from hetsim.errors import InvalidConfigError, InvalidSteepnessError
@@ -183,6 +182,16 @@ class TestValidateConfig:
         with pytest.raises(InvalidConfigError, match="uniform-segment-exceeds-catalogue"):
             require_valid(CachePolicy.MIX_POP, bad)
 
+    def test_unirand_may_cache_the_whole_catalogue(self):
+        whole = CacheConfig(total=500.0, popular=0.0, overhead=0.0, uniform=500.0)
+        require_valid(CachePolicy.UNI_RAND, whole)  # the catalogue [1, 501) holds 500 units
+        for request in (1.0, 250.0, math.nextafter(501.0, 0.0)):
+            assert is_hit(request, CachePolicy.UNI_RAND, whole) == 1.0
+        assert is_hit(501.0, CachePolicy.UNI_RAND, whole) == 0.0
+        over = CacheConfig(total=500.5, popular=0.0, overhead=0.0, uniform=500.5)
+        with pytest.raises(InvalidConfigError, match="uniform-segment-exceeds-catalogue"):
+            require_valid(CachePolicy.UNI_RAND, over)
+
     def test_negative_storage(self):
         bad = CacheConfig(total=-1.0, popular=0.0, overhead=0.0, uniform=-1.0)
         with pytest.raises(InvalidConfigError) as excinfo:
@@ -216,7 +225,7 @@ class TestIsHit:
             (CachePolicy.NO_CACHE, DEFAULTS),
         ):
             assert is_hit(600.0, policy, config) == 0.0
-            assert is_hit(500.0, policy, config) == 0.0
+            assert is_hit(501.0, policy, config) == 0.0
 
     def test_no_cache_never_hits(self):
         requests = sample_request(1.45, rng(1).random(1000))
@@ -240,7 +249,7 @@ class TestIsHit:
     )
     @pytest.mark.parametrize(
         "segment",
-        [(1.0, 10.5), (10.5, 500.0), (500.0, 1e9)],
+        [(1.0, 10.5), (10.5, 501.0), (501.0, 1e9)],
         ids=["head", "eligible", "beyond"],  # of the default MixPop cache
     )
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -274,10 +283,7 @@ class TestIsHit:
         # averaging hit probabilities rather than 0/1 hits only shrinks the
         # spread, so the binomial standard error bounds it
         se = np.sqrt(max(expected * (1 - expected), 1e-12) / hits.size)
-        # the UniRand closed form keeps the catalogue-length approximation
-        # f0 vs f0-1 of the printed expressions, worth ~0.2% here
-        slack = 0.002 if policy is CachePolicy.UNI_RAND else 0.0
-        assert abs(hits.mean() - expected) < 3 * se + slack
+        assert abs(hits.mean() - expected) < 3 * se
 
     def test_mixpop_fixed_eta_empirical_rate(self):
         g = rng(99)
@@ -295,8 +301,8 @@ class TestIsHit:
 STEP_CASES = {
     "nocache": (CachePolicy.NO_CACHE, DEFAULTS, ()),
     "stdpop": (CachePolicy.STD_POP, STDPOP, (((1, 10.5), 1),)),
-    "unirand": (CachePolicy.UNI_RAND, UNIRAND, (((1, 500), mpmath.mpf(180) / 998),)),
-    "mixpop": (CachePolicy.MIX_POP, DEFAULTS, (((1, 10.5), 1), ((10.5, 500), mpmath.mpf(180) / 981))),
+    "unirand": (CachePolicy.UNI_RAND, UNIRAND, (((1, 501), mpmath.mpf(90) / 500),)),
+    "mixpop": (CachePolicy.MIX_POP, DEFAULTS, (((1, 10.5), 1), ((10.5, 501), mpmath.mpf(180) / 981))),
 }
 ETAS = (1.05, 1.45, 3.0, 263.5)
 
@@ -308,22 +314,18 @@ def step_density_integral(steps, eta):
         return sum(v * mpmath.quad(lambda f: (e - 1) * f**-e, [a, b]) for (a, b), v in steps)
 
 
+def mean_hit(policy, config, eta):
+    """``is_hit`` averaged over the popularity law: the integral variant."""
+    return hit_probability(policy, config, eta, B3Variant.INTEGRAL_CONSISTENT)
+
+
 class TestMeanHitProbability:
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("case", list(STEP_CASES))
     def test_matches_30_digit_integral_of_step_density(self, case, eta):
         policy, config, steps = STEP_CASES[case]
         exact = float(step_density_integral(steps, eta))
-        assert mean_hit_probability(policy, config, eta) == pytest.approx(exact, rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("case", list(STEP_CASES))
-    def test_array_of_steepness_is_elementwise(self, case):
-        policy, config, steps = STEP_CASES[case]
-        got = mean_hit_probability(policy, config, np.array(ETAS))
-        assert got.shape == (len(ETAS),)
-        assert got.tolist() == [mean_hit_probability(policy, config, eta) for eta in ETAS]
-        for value, eta in zip(got, ETAS):
-            assert value == pytest.approx(float(step_density_integral(steps, eta)), rel=1e-12, abs=0.0)
+        assert mean_hit(policy, config, eta) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", ["stdpop", "unirand", "mixpop"])
     def test_matches_played_out_cache_over_sampled_requests(self, case):
@@ -334,18 +336,9 @@ class TestMeanHitProbability:
         requests = sample_request(1.45, g.random(1_000_000))
         hits = np.array([sample_hit(f, policy, config, g) for f in requests.tolist()])
         se = hits.std(ddof=1) / math.sqrt(hits.size)
-        assert abs(hits.mean() - mean_hit_probability(policy, config, 1.45)) <= 4 * se
+        assert abs(hits.mean() - mean_hit(policy, config, 1.45)) <= 4 * se
 
-    @pytest.mark.parametrize("eta", ETAS)
-    def test_differs_from_integral_closed_form_only_by_the_catalogue_edge(self, eta):
-        """The closed form ends the catalogue at 1 + f0, the steps at f0."""
-        closed = hit_probability(CachePolicy.MIX_POP, DEFAULTS, eta, B3Variant.INTEGRAL_CONSISTENT)
-        gap = closed - mean_hit_probability(CachePolicy.MIX_POP, DEFAULTS, eta)
-        edge = 90.0 / 490.5 * (500.0 ** (1 - eta) - 501.0 ** (1 - eta))
-        assert 0.0 <= gap <= 1.4e-5
-        assert gap == pytest.approx(edge, rel=1e-6, abs=1e-15)
-
-    @pytest.mark.parametrize("eta", [1.0, 0.5, np.array([1.45, 1.0]), math.inf, math.nan])
+    @pytest.mark.parametrize("eta", [1.0, 0.5, math.inf, math.nan])
     def test_invalid_steepness(self, eta):
         with pytest.raises(InvalidSteepnessError):
-            mean_hit_probability(CachePolicy.MIX_POP, DEFAULTS, eta)
+            mean_hit(CachePolicy.MIX_POP, DEFAULTS, eta)

@@ -117,6 +117,16 @@ class TestRunSweepTheory:
         assert row.theory_ms == recomputed.total_ms
 
 
+@pytest.mark.parametrize("variable", ["lambda_mc", "lambda_sc", "target_sir", "storage_S"])
+def test_integral_variant_default_sweep_has_no_impossible_row(variable, capsys):
+    assert main(["--theory-only", "--sweep", variable, "--b3-variant", "integral"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 4 * 5
+    for row in rows:
+        theory_ms, hit_rate_theory = float(row[3]), float(row[7])
+        assert 0.0 <= hit_rate_theory <= 1.0 and theory_ms > 0.0, row
+
+
 class TestRunSweepSimulation:
     def test_simulated_rows_carry_estimates(self):
         cfg = ExperimentConfig(
@@ -311,6 +321,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "window_radius_m" in err and "lambda_mc=1e-09" in err
         assert main(["--config", str(config), "--theory-only"]) == EXIT_OK
+
+    def test_unirand_may_cache_the_whole_catalogue_and_no_more(self, tmp_path, capsys):
+        # f0 = 500 units cover the catalogue [1, 501), so every catalogue request hits
+        whole = dict(
+            sweep_grid=[500.0],
+            scenarios=["small-unirand-fixed"],
+            storage_popular_units=0.0,
+            storage_overhead_units=0.0,
+            replications=64,
+        )
+        config = write_config(tmp_path, **whole)
+        assert main(["--config", str(config), "--b3-variant", "integral"]) == EXIT_OK
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        catalogue_mass = 1.0 - 501.0**-0.45
+        assert float(row[7]) == pytest.approx(catalogue_mass, rel=1e-12)  # hit_rate_theory
+        assert float(row[8]) == pytest.approx(catalogue_mass, rel=1e-12)  # hit_rate_sim
+        config = write_config(tmp_path, **{**whole, "sweep_grid": [500.5]})
+        assert main(["--config", str(config), "--theory-only"]) == EXIT_CONFIG
+        assert "uniform-segment-exceeds-catalogue" in capsys.readouterr().err
 
     def test_sparse_routers_do_not_trip_the_window_guard(self, tmp_path, capsys):
         # a 5 km window holds a router at 1e-9 per m^2 only 8% of the time, but routers are

@@ -6,11 +6,11 @@ from scipy import stats
 
 import oracle_reference as oracle
 from hetsim.analytics import DelayParams, mean_backhaul
-from hetsim.caching import CacheConfig, CachePolicy
+from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
 from hetsim.errors import EmptyTierError, InvalidParameterError
-from hetsim.geometry import PointSet, Tier, Window, sample_ppp
-from hetsim.popularity import DistanceDependent, Fixed, LoadDependent
+from hetsim.geometry import PointSet, Tier, Window, sample_ppp, sample_ppp_batch
+from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, effective_eta
 from hetsim.simulator import (
     BATCH_SIZE,
     J_MAX,
@@ -18,6 +18,7 @@ from hetsim.simulator import (
     DistanceMode,
     MacroUser,
     SmallUser,
+    _simulate,
     estimate,
     replication_rng,
     run_replication,
@@ -29,6 +30,7 @@ from sir_reference import reference_downlink, success_probability, truncated_geo
 GAMMA_3DB = 10.0 ** 0.3
 STDPOP = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
 UNIRAND = CacheConfig(total=90.0, popular=0.0, overhead=0.0, uniform=90.0)
+CACHES = {CachePolicy.STD_POP: STDPOP, CachePolicy.UNI_RAND: UNIRAND, CachePolicy.MIX_POP: CacheConfig()}
 
 
 def rng(seed=0):
@@ -243,7 +245,7 @@ class TestRunReplication:
         p * cache read + (1 - p) * backhaul mean, where the backhaul mean
         takes the plane PPP's mean router distance 1 / (2 sqrt(lambda_cr))
         and p is the MixPop hit probability averaged over the popularity
-        law, its cache edges at 1 + S_p = 10.5 and f0 = 500."""
+        law, its cache edges at 1 + S_p = 10.5 and 1 + f0 = 501."""
         params = small_params()
         window = Window(5000.0)
         cache = CacheConfig()
@@ -253,7 +255,7 @@ class TestRunReplication:
             Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
         ]
         router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
-        mixpop = (1.0 - 10.5**-0.45) + 90.0 / 490.5 * (10.5**-0.45 - 500.0**-0.45)
+        mixpop = (1.0 - 10.5**-0.45) + 90.0 / 490.5 * (10.5**-0.45 - 501.0**-0.45)
         for rep in range(20):
             samples = run_replication(cells, params, window, replication_rng(19, rep))
             for cell, sample in zip(cells, samples):
@@ -386,9 +388,6 @@ class TestEstimate:
         ],
     )
     def test_hit_rate_matches_integral_closed_form(self, scenario, expected_key):
-        from hetsim.caching import B3Variant, hit_probability
-        from hetsim.popularity import effective_eta
-
         params = small_params()
         est = estimate_one(scenario, params, CacheConfig(), Window(5000.0), 4000, 53)
         if expected_key:
@@ -398,8 +397,7 @@ class TestEstimate:
             expected = hit_probability(
                 CachePolicy.MIX_POP, CacheConfig(), eta, B3Variant.INTEGRAL_CONSISTENT
             )
-        se = math.sqrt(max(expected * (1 - expected), 1e-9) / est.replications)
-        assert abs(est.hit_rate - expected) < 3.5 * se + 1e-4
+        assert est.hit_rate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_paired_seed_caching_reduces_delay(self):
         params = small_params()
@@ -432,6 +430,40 @@ class TestEstimate:
         base_tail = base.mean_ms - oracle.FROZEN["exact_downlink_macro_ms"]
         doubled_tail = doubled.mean_ms - oracle.FROZEN["exact_downlink_macro_ms"]
         assert doubled_tail == pytest.approx(2 * base_tail, rel=0.05)
+
+
+class TestHitIsTheIntegralClosedForm:
+    """Every replication's hit is ``is_hit`` averaged over the popularity
+    law, which is the integral variant of the closed form, compared with ==."""
+
+    @pytest.mark.parametrize("model", [Fixed(1.45), LoadDependent(), DistanceDependent()], ids=str)
+    @pytest.mark.parametrize("policy", list(CACHES), ids=lambda policy: policy.value)
+    def test_averaged_steepness(self, policy, model):
+        params = small_params()
+        cache = CACHES[policy]
+        eta = effective_eta(model, params.lambda_sc, params.lambda_ut)
+        expected = hit_probability(policy, cache, eta, B3Variant.INTEGRAL_CONSISTENT)
+        cells = [Cell(SmallUser(policy=policy, model=model), params, cache)]
+        hits = _simulate(cells, params, Window(20_000.0), replication_rng(89, 0), BATCH_SIZE)[0, 4]
+        assert hits.tolist() == [expected] * BATCH_SIZE
+
+    @pytest.mark.parametrize("policy", list(CACHES), ids=lambda policy: policy.value)
+    def test_per_user_steepness(self, policy):
+        # metre-scale cells (mean serving distance 2 m), so the steepness varies per replication
+        params = small_params(lambda_cr=0.005, lambda_mc=0.01, lambda_sc=0.0625, lambda_ut=0.125)
+        cache = CACHES[policy]
+        window = Window(60.0)  # inside the near disc: the stream holds the two tiers' points only
+        scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
+        hits = _simulate([Cell(scenario, params, cache)], params, window, replication_rng(97, 0), BATCH_SIZE)[0, 4]
+        replay = replication_rng(97, 0)
+        sample_ppp_batch(params.lambda_mc, window, replay, BATCH_SIZE)
+        counts, r, _ = sample_ppp_batch(params.lambda_sc, window, replay, BATCH_SIZE)
+        expected = []
+        for segment in np.split(r, np.cumsum(counts)[:-1]):
+            eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, float(segment.min()))
+            expected.append(hit_probability(policy, cache, eta, B3Variant.INTEGRAL_CONSISTENT))
+        assert hits.tolist() == expected
+        assert len(set(expected)) > BATCH_SIZE // 2
 
 
 class TestDistanceModes:
