@@ -1,13 +1,15 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
 The typical user sits at the origin; the base-station tiers are independent
-PPPs inside a finite disc window, the model's extent. The simulator samples a
-near disc, and an annulus beyond it only where the near points cannot settle a
-replication (``simulator.far_log_moments`` averages it out elsewhere). Routers,
-a PPP on the plane, enter only through ``mean_nearest_distance``.
+PPPs inside a finite disc window, the model's extent. The simulator draws each
+tier's nearest distance first (``nearest_distance``), then the tier's other
+points in a near disc (``sample_beyond``), and an annulus beyond it only where
+the near points cannot settle a replication (``simulator.far_log_moments``
+averages it out elsewhere). Routers, a PPP on the plane, enter only through
+``mean_nearest_distance``.
 
 Points are stored in polar form: the origin-centric queries and the SIR
-only ever need distances.
+only ever need distances, so the simulator's near points carry no angle.
 """
 
 from __future__ import annotations
@@ -55,37 +57,6 @@ class PointSet:
         return self.r.shape[0]
 
 
-def sample_ppp_batch(
-    intensity: float,
-    window: Window,
-    rng: np.random.Generator,
-    size: int,
-    inner_radius: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``size`` independent samples of ``sample_ppp``, as (counts, radii, angles).
-
-    Sample ``k`` holds the ``counts[k]`` points that follow those of the
-    samples before it. All counts are drawn first, then all radii, then all
-    angles, so a batch of one reads exactly the draws of ``sample_ppp``.
-    """
-    if not (intensity > 0 and math.isfinite(intensity)):
-        raise InvalidParameterError(f"intensity must be positive, got {intensity}")
-    if not 0.0 <= inner_radius < window.radius:
-        raise InvalidParameterError(
-            f"inner radius must lie in [0, {window.radius}), got {inner_radius}"
-        )
-    counts = rng.poisson(intensity * (window.area - math.pi * inner_radius**2), size)
-    n = int(counts.sum())
-    if inner_radius:
-        r = np.sqrt(inner_radius**2 + (window.radius**2 - inner_radius**2) * rng.random(n))
-    else:  # the disc's own form, so a seeded disc keeps its radii bit for bit
-        r = np.sqrt(rng.random(n))
-        r *= window.radius
-    theta = rng.random(n)
-    theta *= 2.0 * np.pi
-    return counts, r, theta
-
-
 def sample_ppp(
     intensity: float,
     window: Window,
@@ -97,10 +68,47 @@ def sample_ppp(
     or on its annulus ``inner_radius <= r < window.radius``.
 
     The count is Poisson(intensity * area) and positions are i.i.d.
-    uniform on the disc or annulus (squared radius uniform).
+    uniform on the disc or annulus (squared radius uniform). The count is
+    drawn first, then all radii, then all angles.
     """
-    _, r, theta = sample_ppp_batch(intensity, window, rng, 1, inner_radius)
+    if not (intensity > 0 and math.isfinite(intensity)):
+        raise InvalidParameterError(f"intensity must be positive, got {intensity}")
+    if not 0.0 <= inner_radius < window.radius:
+        raise InvalidParameterError(
+            f"inner radius must lie in [0, {window.radius}), got {inner_radius}"
+        )
+    n = int(rng.poisson(intensity * (window.area - math.pi * inner_radius**2)))
+    r = np.sqrt(inner_radius**2 + (window.radius**2 - inner_radius**2) * rng.random(n))
+    theta = rng.random(n)
+    theta *= 2.0 * np.pi
     return PointSet(r=r, theta=theta, tier=tier)
+
+
+def nearest_distance(intensity: float, levels: np.ndarray) -> np.ndarray:
+    """Distance from the origin to the nearest point of a plane PPP, at the
+    given probability levels: the inverse of ``P(R <= r) = 1 - exp(-pi
+    intensity r^2)`` (Andrews, Baccelli and Ganti 2011, section III)."""
+    return np.sqrt(-np.log1p(-levels) / (math.pi * intensity))
+
+
+def sample_beyond(
+    intensity: float, closest: np.ndarray, radius: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The other points inside ``radius`` of PPPs whose nearest points lie at
+    ``closest``, as (counts, radii): sample ``k`` holds the ``counts[k]``
+    radii that follow those of the samples before it.
+
+    Beyond its nearest point a PPP is again a PPP, so they are a PPP on
+    ``closest[k] < r < radius``, empty where ``closest[k] >= radius``. All
+    counts are drawn first, then all radii; no angle is drawn.
+    """
+    start = np.minimum(closest, radius) ** 2
+    counts = rng.poisson(intensity * math.pi * (radius**2 - start))
+    start = np.repeat(start, counts)
+    r = rng.random(start.size)
+    r *= radius**2 - start
+    r += start
+    return counts, np.sqrt(r, out=r)
 
 
 def nearest(point_set: PointSet) -> tuple[int, float]:

@@ -15,32 +15,41 @@ over the popularity law to ``caching.hit_probability`` in its integral
 variant, at the cell's steepness or, in per-user distance mode, at the
 replication's.
 
-The geometry is sampled in a near disc of radius
-``min(NEAR_RADIUS_M, window.radius)``. The points of the annulus between
-it and the window are an independent PPP, so given the near points their
-interference is averaged out exactly through its probability generating
-functional (``far_log_moments``). The estimand stays the model on the
-whole window. A serving tier is unsettled when it has no near point,
-``max_attempts > J_MAX``, or its far moments would leave the checked
-domain of their closed form (``FAR_ALPHA_MIN``, ``FAR_Z_MAX``). A
-replication where either serving tier is unsettled falls back: it samples
-its annulus, and every tier runs the same kernel on the union of both
-point sets. So a batch holds one geometry.
+Each tier's nearest distance is drawn first, from its exact law
+(``geometry.nearest_distance``), and kept apart from the tier's other
+points, which are interferers only. Beyond its nearest point a PPP is again
+a PPP, so those are drawn on ``r_t < |x| < min(NEAR_RADIUS_M,
+window.radius)``, the near disc (``geometry.sample_beyond``). The points
+beyond the near disc, or beyond a nearest point outside it, are an
+independent PPP, so given the near points their interference is averaged
+out exactly through its probability generating functional
+(``far_log_moments``), tier ``t`` from ``max(near radius, r_t)``. The
+estimand stays the model on the whole window. A replication falls back
+when ``max_attempts > J_MAX``, when either serving tier's far moments
+would leave the checked domain of their closed form (``FAR_ALPHA_MIN``,
+``FAR_Z_MAX``), or when a tier has no point in the window: it samples its
+annulus, and every tier runs the same kernel on the union of both point
+sets. So a batch holds one geometry.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications run in batches of ``BATCH_SIZE`` through one vectorised
-kernel, points held as ragged arrays. Batch ``b`` (replications
+kernel, interferers held as ragged arrays. The nearest distances are
+stratified per batch, a Latin hypercube over its replications: tier
+``t``'s level in replication ``k`` is ``U_k = (perm_t(k) + V_k) / B`` for a
+batch of ``B``, one random permutation per tier, so every one of the
+``B`` equal-probability strata holds one level. Batch ``b`` (replications
 ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``, the last one possibly short)
 consumes the random stream derived from (master_seed, b), in this order:
-for each tier in turn (macro cells, small cells) all counts, then all
-radii, then all angles of the near points; then, in replication order, the
-annulus points of each replication that falls back. Neither routers nor
-requests are drawn. Both serving tiers decide the fallback, whichever
+for each tier in turn (macro cells, small cells) the permutation, all
+``V_k``, all counts and then all radii of the near interferers; then, in
+replication order, the annulus points of each replication that falls
+back, two ``sample_ppp`` draws. No angle of a near point, no router and no
+request is drawn. Both serving tiers decide the fallback, whichever
 cells run, so the stream is read the same way whichever cells run
 together, and a cell's samples do not depend on which other cells are
 estimated alongside it.
-``run_replication`` is a batch of one, whose near points are exactly
-two ``sample_ppp`` draws.
+``run_replication`` is a batch of one, whose permutation draws nothing
+and whose level is its ``V``.
 Cells that share a parameter set see the same geometry in each
 replication, so scenarios and storage values are paired (common random
 numbers).
@@ -69,13 +78,14 @@ import numpy as np
 # over arrays; perfbench/tracer.py wraps them under these names
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, is_hit, require_valid  # noqa: F401
 from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
-from .geometry import PointSet, Tier, Window, mean_nearest_distance, sample_ppp, sample_ppp_batch
+from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond, sample_ppp
 from .geometry import nearest  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
 from .analytics import DelayParams, rho_k
-from .channel import RadioParams
 
-BATCH_SIZE = 64  # replications per random stream; fixed so results never depend on worker count
+# replications per random stream, and strata of its Latin hypercube; fixed so that results
+# never depend on the worker count
+BATCH_SIZE = 64
 NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when the near field falls back
 J_MAX = 12  # largest max_attempts whose far-field expansion stays accurate
 # far_log_moments' domain checked against quadrature: at large z = s r^-alpha, r^2 E_i(s r^-alpha)
@@ -163,30 +173,33 @@ def far_log_moments(
     scales: Sequence[float] | Sequence[np.ndarray],
     intensities: Sequence[float],
     alpha: float,
-    inner: float,
+    inner: float | Sequence[np.ndarray],
     outer: float,
     max_attempts: int,
 ) -> list[float] | np.ndarray:
     """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
 
     ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
-    independent PPPs of the given intensities on the annulus
-    ``inner <= r < outer``, tier ``t`` scaled by ``scales[t]``. By the PGFL,
+    independent PPPs of the given intensities on the annuli
+    ``inner_t <= r < outer``, tier ``t`` scaled by ``scales[t]``. By the PGFL,
     ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
     over the annulus, which is ``pi lambda_t [r^2 E_i(s_t r^-alpha)]`` from
-    ``outer`` to ``inner`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
+    ``outer`` to ``inner_t`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
     2/alpha; -z) - 1``, summed as ``rho_k`` terms, all positive
-    (``analytics.rho_k``). Returns a list for
-    float scales; for scales that are arrays over replications, an array
-    with one row per replication.
+    (``analytics.rho_k``). ``inner`` is one radius for every tier, or one
+    per tier and replication, at most ``outer``. Returns a list for float
+    scales; for scales that are arrays over replications, an array with one
+    row per replication.
     """
-    ends = np.array([inner**-alpha, outer**-alpha])
-    z = np.multiply.outer(np.asarray(scales, dtype=float), ends)  # (tier, [replication,] end)
+    scales = np.asarray(scales, dtype=float)
+    inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)  # (tier, [replication])
+    radii = np.stack((inner, np.full_like(inner, outer)), axis=-1)  # (tier, [replication,] end)
+    z = scales[..., None] * radii**-alpha
     excess = np.cumsum(rho_k(z[..., None], alpha, np.arange(1, max_attempts + 1)), axis=-1)
+    area = radii[..., None] ** 2 * excess
     log_moments = 0.0
-    for lam, (near, far) in zip(intensities, np.moveaxis(excess, -2, 1)):
-        weight = math.pi * lam
-        log_moments = log_moments + (weight * inner * inner * near - weight * outer * outer * far)
+    for lam, (near, far) in zip(intensities, np.moveaxis(area, -2, 1)):
+        log_moments = log_moments + math.pi * lam * (near - far)
     return log_moments.tolist() if log_moments.ndim == 1 else log_moments
 
 
@@ -250,42 +263,29 @@ def _segments(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray, empty: f
     return out
 
 
-def _segment_argmin(values: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index of the first smallest value of every segment, and that
-    value: -1 and inf for an empty segment."""
-    low = _segments(np.minimum, values, offsets, np.inf)
-    hits = np.flatnonzero(values == np.repeat(low, np.diff(offsets)))
-    full = np.isfinite(low)
-    index = np.full(low.size, -1)
-    index[full] = hits[np.searchsorted(hits, offsets[:-1][full])]
-    return index, low
-
-
 def _downlink(
-    own: int,
-    serving: np.ndarray,
-    gains: tuple[np.ndarray, np.ndarray],
-    offsets: tuple[np.ndarray, np.ndarray],
+    signal: np.ndarray,
+    rival: np.ndarray,
+    interferers: Sequence[tuple[np.ndarray, np.ndarray]],
     target_sir: float,
     max_attempts: int,
     far: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected attempts and outage probability of every replication of a batch.
 
-    This is ``downlink_delay``'s model. ``gains`` holds the macro and
-    small-cell gains of all replications, replication ``k`` owning the
-    segment ``[offsets[t][k], offsets[t][k + 1])`` of tier ``t``;
-    ``serving[k]`` is the flat index of its server in ``gains[own]``.
-    ``far``, if given, holds one row of far log-moments per replication.
+    This is ``downlink_delay``'s model. ``signal[k]`` is the serving gain of
+    replication ``k`` and ``rival[k]`` one more interferer's gain (0 for
+    none). Each ``(gains, offsets)`` of ``interferers`` holds the other
+    interferers' gains of all replications, replication ``k`` owning the
+    segment ``[offsets[k], offsets[k + 1])``. ``far``, if given, holds one
+    row of far log-moments per replication.
     """
-    scale = target_sir / gains[own][serving]
-    minus_log_q = 0.0
-    for tier, (tier_gains, tier_offsets) in enumerate(zip(gains, offsets)):
-        terms = np.repeat(scale, np.diff(tier_offsets))
-        terms *= tier_gains
-        if tier == own:
-            terms[serving] = 0.0  # the signal is no interferer: log1p(0) = 0
-        minus_log_q = minus_log_q + _segments(np.add, np.log1p(terms, out=terms), tier_offsets, 0.0)
+    scale = target_sir / signal
+    minus_log_q = np.log1p(scale * rival)
+    for gains, offsets in interferers:
+        terms = np.repeat(scale, np.diff(offsets))
+        terms *= gains
+        minus_log_q += _segments(np.add, np.log1p(terms, out=terms), offsets, 0.0)
     miss = -np.expm1(-minus_log_q)
     if far is not None:
         z = far_z_moments(far).T
@@ -340,113 +340,59 @@ def downlink_delay(
     ``E[(1 - q Q)^k] = sum_j C(k, j) (1 - q)^(k-j) q^j E[Z^j]``.
     """
     own = 0 if serving_tier is Tier.MACRO else 1
-    gains = (macro_gains, small_gains)
+    gains = [macro_gains, small_gains]
     if not 0 <= serving_index < gains[own].size:
         raise InvalidParameterError(f"serving index {serving_index} outside its tier")
     if far is not None:
         if not len(far) == max_attempts <= J_MAX:
             raise InvalidParameterError(f"far field needs {max_attempts} <= {J_MAX} moments")
         far = np.array([far], dtype=float)
-    offsets = tuple(np.array([0, g.size]) for g in gains)
-    serving = np.array([serving_index])
-    attempts, outage = _downlink(own, serving, gains, offsets, target_sir, max_attempts, far)
+    signal = gains[own][serving_index : serving_index + 1]
+    gains[own] = np.delete(gains[own], serving_index)
+    interferers = [(g, np.array([0, g.size])) for g in gains]
+    attempts, outage = _downlink(signal, np.zeros(1), interferers, target_sir, max_attempts, far)
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
 class _Ragged(NamedTuple):
-    """One tier's points of a batch of replications (see ``_offsets``)."""
+    """One tier's interferers of a batch of replications (see ``_offsets``)."""
 
     r: np.ndarray
-    theta: np.ndarray
     offsets: np.ndarray
 
 
-Geometry = tuple[_Ragged, _Ragged]  # macro cells, small cells
 _TIER_NAMES = (Tier.MACRO, Tier.SMALL_CELL)
 
 
-def _serving(tier: Tier, geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per replication: flat index and distance of the nearest station of
-    ``tier`` (-1 and inf without one)."""
-    own = geometry[_TIER_NAMES.index(tier)]
-    return _segment_argmin(own.r, own.offsets)
-
-
-def _settled(tier: Tier, serving, params: DelayParams, inner: float) -> np.ndarray:
-    """Which replications the near points settle for ``tier``, their far
-    moments staying in the checked domain of the closed form. Where either
-    serving tier is unsettled, both run on all points of the window."""
-    index, distance = serving
+def _settled(closest: np.ndarray, starts: np.ndarray, params: DelayParams) -> np.ndarray:
+    """Which replications the near points settle: for either serving tier,
+    every tier's far moments stay in the checked domain of the closed form,
+    ``z = s_t R_t^-alpha <= FAR_Z_MAX`` at the tier's inner radius ``R_t``
+    (``starts``). A replication with an empty tier is unsettled. Where a
+    replication is unsettled, every tier runs on all points of the window."""
     radio = params.radio
     if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
-        return np.zeros(index.size, dtype=bool)
-    near = np.flatnonzero(index >= 0)
-    power = radio.power_macro if tier is Tier.MACRO else radio.power_small
-    scale = radio.target_sir / _gains(distance[near], power, radio.pathloss_exponent)
-    settled = np.zeros(index.size, dtype=bool)
-    settled[near] = scale * radio.power_macro * inner**-radio.pathloss_exponent <= FAR_Z_MAX
-    return settled
+        return np.zeros(closest.shape[1], dtype=bool)
+    powers = (radio.power_macro, radio.power_small)
+    alpha = radio.pathloss_exponent
+    # z_t = target_sir * g_t(R_t) / g_s(r_s): the largest over tiers t and serving tiers s
+    weakest = np.minimum(*(_gains(r, power, alpha) for r, power in zip(closest, powers)))
+    edge = np.maximum(*(_gains(r, power, alpha) for r, power in zip(starts, powers)))
+    return radio.target_sir * edge <= FAR_Z_MAX * weakest
 
 
-def _tier_gains(geometry: Geometry, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
-    """Macro and small-cell gains (``_gains``) of one geometry."""
-    macro, small = geometry
-    return (
-        _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
-        _gains(small.r, radio.power_small, radio.pathloss_exponent),
-    )
-
-
-def _link(
-    tier: Tier,
-    geometry: Geometry,
-    gains: tuple[np.ndarray, np.ndarray],
-    params: DelayParams,
-    annulus: tuple[float, float, np.ndarray] | None = None,
-    serving=None,
-) -> np.ndarray:
-    """Rows (serving distance, attempts, outage) of one serving tier, one
-    column per replication.
-
-    Every replication must have a serving station. With
-    ``annulus = (inner, outer, fallback)`` the annulus's interference is
-    averaged out of the near points inside ``inner``, except in the
-    replications ``fallback``, which hold all points of the window (their
-    log-moments are 0, so ``Q = 1``). ``serving`` is ``_serving``'s result
-    for ``tier``, if already known.
-    """
-    own = _TIER_NAMES.index(tier)
-    if (np.diff(geometry[own].offsets) == 0).any():
-        raise EmptyTierError(f"no {tier.value} point in window; resample or enlarge the window")
-    index, distance = serving or _serving(tier, geometry)
-    radio = params.radio
-    far = None
-    if annulus is not None:
-        inner, outer, fallback = annulus
-        scale = radio.target_sir / gains[own][index]
-        scales = (scale * radio.power_macro, scale * radio.power_small)
-        lambdas = (params.lambda_mc, params.lambda_sc)
-        far = far_log_moments(scales, lambdas, radio.pathloss_exponent, inner, outer, params.max_attempts)
-        far[fallback] = 0.0
-    offsets = tuple(points.offsets for points in geometry)
-    attempts, outage = _downlink(own, index, gains, offsets, radio.target_sir, params.max_attempts, far)
-    return np.array([distance, attempts, outage])
-
-
-def _union(near: Geometry, annuli: list[list[PointSet]], fallback: np.ndarray) -> Geometry:
-    """The near points of every replication, each followed by its annulus
-    points if it falls back."""
+def _union(near: list[_Ragged], annuli: list[list[np.ndarray]], fallback: np.ndarray) -> list[_Ragged]:
+    """The near interferers of every replication, each followed by its
+    annulus points if it falls back."""
     out = []
     for t, points in enumerate(near):
         beyond = [annulus[t] for annulus in annuli]
-        sizes = [len(ps) for ps in beyond]
+        sizes = [r.size for r in beyond]
         at = np.repeat(points.offsets[fallback + 1], sizes)
         counts = np.diff(points.offsets)
         counts[fallback] += sizes
-        r = np.insert(points.r, at, np.concatenate([ps.r for ps in beyond]))
-        theta = np.insert(points.theta, at, np.concatenate([ps.theta for ps in beyond]))
-        out.append(_Ragged(r, theta, _offsets(counts)))
-    return tuple(out)
+        out.append(_Ragged(np.insert(points.r, at, np.concatenate(beyond)), _offsets(counts)))
+    return out
 
 
 def _simulate(
@@ -460,50 +406,79 @@ def _simulate(
 
     Returns rows (downlink, tail, attempts, outage, hit) per cell, one
     column per replication. The stream holds, per tier (macro cells, small
-    cells), all counts, then all radii, then all angles of the near points;
+    cells), a permutation and the offsets of the stratified levels of the
+    nearest distances, then the counts and radii of the near interferers;
     then, in replication order, the annulus of each replication that falls
     back.
     """
     lambdas = (params.lambda_mc, params.lambda_sc)
     inner = min(NEAR_RADIUS_M, window.radius)
-    near = tuple(
-        _Ragged(r, theta, _offsets(counts))
-        for counts, r, theta in (sample_ppp_batch(lam, Window(inner), rng, size) for lam in lambdas)
-    )
-    beyond = inner < window.radius
-    tiers = {Tier.MACRO if isinstance(cell.scenario, MacroUser) else Tier.SMALL_CELL for cell in cells}
+    closest, near = np.empty((2, size)), []
+    for t, lam in enumerate(lambdas):
+        # a Latin hypercube over the batch: one level in each of its equal-probability strata
+        levels = rng.permutation(size) + rng.random(size)
+        levels /= size
+        closest[t] = nearest_distance(lam, levels)
+        closest[t][closest[t] >= window.radius] = np.inf  # no point of the tier in the window
+        counts, r = sample_beyond(lam, closest[t], inner, rng)
+        near.append(_Ragged(r, _offsets(counts)))
 
-    geometry, serving, annulus = near, {}, None
-    if beyond:
+    geometry, starts = near, None
+    if inner < window.radius:
+        # each tier's far field starts at the near disc's edge or, beyond it, at its nearest point
+        starts = np.clip(closest, inner, window.radius)
         # both serving tiers decide, so which replications draw an annulus is the same for any cells
-        serving = {tier: _serving(tier, near) for tier in (Tier.MACRO, Tier.SMALL_CELL)}
-        settled = [_settled(tier, found, params, inner) for tier, found in serving.items()]
-        fallback = np.flatnonzero(~(settled[0] & settled[1]))
+        fallback = np.flatnonzero(~_settled(closest, starts, params))
         if fallback.size:
             annuli = [
-                [sample_ppp(lam, window, rng, t, inner) for lam, t in zip(lambdas, _TIER_NAMES)]
-                for _ in fallback
+                [
+                    sample_ppp(lam, window, rng, tier, start).r if start < window.radius else np.empty(0)
+                    for lam, tier, start in zip(lambdas, _TIER_NAMES, starts[:, k].tolist())
+                ]
+                for k in fallback
             ]
-            geometry, serving = _union(near, annuli, fallback), {}
-        if fallback.size < size:
-            annulus = (inner, window.radius, fallback)
-    gains = _tier_gains(geometry, params.radio)
-    # serving tier -> _link rows, shared by every cell of that tier
-    links = {tier: _link(tier, geometry, gains, params, annulus, serving.get(tier)) for tier in tiers}
+            geometry = _union(near, annuli, fallback)
+        if fallback.size == size:
+            starts = None  # no far field is left to average out
+
+    radio = params.radio
+    powers = (radio.power_macro, radio.power_small)
+    closest_gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
+    interferers = [
+        (_gains(points.r, power, radio.pathloss_exponent), points.offsets)
+        for points, power in zip(geometry, powers)
+    ]
+    owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
+    links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
+    for own in set(owns):
+        if np.isinf(closest[own]).any():
+            raise EmptyTierError(
+                f"no {_TIER_NAMES[own].value} point in window; resample or enlarge the window"
+            )
+        far = None
+        if starts is not None:
+            scale = radio.target_sir / closest_gains[own]
+            scales = [scale * power for power in powers]
+            far = far_log_moments(
+                scales, lambdas, radio.pathloss_exponent, starts, window.radius, params.max_attempts
+            )
+            far[fallback] = 0.0  # all points of the window are sampled: Q = 1
+        links[own] = _downlink(
+            closest_gains[own], closest_gains[1 - own], interferers, radio.target_sir, params.max_attempts, far
+        )
 
     router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
     out = np.empty((len(cells), 5, size))
-    for c, cell in enumerate(cells):
+    for c, (cell, own) in enumerate(zip(cells, owns)):
         scenario = cell.scenario
-        tier = Tier.MACRO if isinstance(scenario, MacroUser) else Tier.SMALL_CELL
-        serving_distance, attempts, outage = links[tier]
-        lambda_tier = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
+        attempts, outage = links[own]
+        lambda_tier = lambdas[own]
         backhaul_mean = params.backhaul_beta * router_distance * (lambda_tier / params.lambda_cr)
         hit = 0.0
         if _caches(scenario):
             steepness = functools.partial(effective_eta, scenario.model, params.lambda_sc, params.lambda_ut)
             if scenario.distance_mode is DistanceMode.PER_USER and isinstance(scenario.model, DistanceDependent):
-                etas = [steepness(d) for d in serving_distance.tolist()]
+                etas = [steepness(d) for d in closest[own].tolist()]
             else:
                 etas = [steepness()]
             # the integral variant is exactly is_hit's mean over the popularity law
@@ -525,10 +500,11 @@ def run_replication(
 
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
-    module docstring): the near macro and small-cell points, two
-    ``sample_ppp`` draws, then the annulus if either serving tier falls
-    back to it; every cell then runs on the union of near and annulus
-    points.
+    module docstring): per tier (macro, then small cells) the level of the
+    nearest distance, which is one uniform draw, then the count and radii
+    of the near interferers; then the annulus, two ``sample_ppp`` draws, if
+    the replication falls back, and every cell then runs on the union of
+    near and annulus points.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 
@@ -583,12 +559,33 @@ def _check_cell(cell: Cell) -> None:
             effective_eta(scenario.model, cell.params.lambda_sc, cell.params.lambda_ut)
 
 
+def ci_quantile(replications: int) -> float:
+    """The two-sided 95% quantile by which ``estimate`` scales a cell's
+    standard error: Student-t with one degree of freedom fewer than its
+    batches, or ``CI_Z`` below two batches."""
+    batches = -(-replications // BATCH_SIZE)
+    if batches < 2:
+        return CI_Z
+    from scipy.special import stdtrit  # already loaded with analytics
+
+    return float(stdtrit(batches - 1, 0.975))
+
+
 def _summarize(samples: np.ndarray) -> DelayEstimate:
-    """Estimate from one cell's (total, outage, hit) rows."""
+    """Estimate from one cell's (total, outage, hit) rows, batch ``b`` in
+    rows ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``."""
     totals, outages, hits = samples.T
     replications = totals.size
     mean = float(np.mean(totals))
-    if replications > 1:
+    starts = np.arange(0, replications, BATCH_SIZE)
+    if starts.size > 1:
+        # a batch mean of n_b replications has variance about tau^2 / n_b, so
+        # sum n_b (m_b - mean)^2 / (batches - 1) estimates tau^2, and the mean's variance is tau^2 / n
+        sizes = np.diff(starts, append=replications)
+        deviations = np.add.reduceat(totals, starts) / sizes - mean
+        tau2 = float(sizes @ deviations**2) / (starts.size - 1)
+        half = ci_quantile(replications) * math.sqrt(tau2 / replications)
+    elif replications > 1:
         half = CI_Z * float(np.std(totals, ddof=1)) / math.sqrt(replications)
     else:
         half = 0.0
@@ -609,7 +606,19 @@ def estimate(
     master_seed: int,
     workers: int | None = None,
 ) -> list[DelayEstimate]:
-    """Mean delay of every cell with a 95% normal-approximation confidence interval.
+    """Mean delay of every cell with a 95% confidence interval.
+
+    The interval is by batch means. Replications within a batch are not
+    independent, since its nearest distances are stratified, but batches
+    are. A batch mean ``m_b`` of ``n_b`` replications, the last batch
+    possibly short, is weighted by ``n_b``: the half-width is
+    ``ci_quantile(n) * sqrt(sum_b n_b (m_b - mean)^2 / ((batches - 1) n))``,
+    a Student-t quantile at ``batches - 1`` degrees of freedom. Below two
+    batches (``replications <= BATCH_SIZE``) it is ``CI_Z`` times the
+    per-replication standard deviation over ``sqrt(n)``, which is
+    conservative because the variance of a Latin-hypercube mean is at most
+    ``sigma^2 / (n - 1)`` (Owen 1997). One replication has a zero-width
+    interval.
 
     Cells that share a parameter set are simulated together (see
     run_replication). Every (parameter set, run of batches) pair is one

@@ -27,7 +27,7 @@ from hetsim.config import ExperimentConfig
 from hetsim.cli import main, run_sweep
 from hetsim.geometry import Window, mean_nearest_distance, nearest, sample_ppp
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, sample_request
-from hetsim.simulator import CI_Z, Cell, MacroUser, SmallUser, estimate
+from hetsim.simulator import Cell, MacroUser, SmallUser, ci_quantile, estimate
 import oracle_reference as oracle
 from caching_reference import sample_hit
 from model_helpers import cdf, pdf
@@ -204,17 +204,11 @@ def test_criterion_6_theory_vs_simulation():
     report(6, f"{'; '.join(gaps)}; total {elapsed:.0f}s")
 
 
-def test_criterion_6_simulation_matches_exact_theory_to_monte_carlo_noise():
-    """Every criterion-6 cell lies within 4 standard errors of the exact model.
-
-    The exact value is built from ``tests/oracle_reference.py`` alone: the
+def exact_cases():
+    """(label, scenario, exact mean delay) of the five criterion-6 scenarios
+    at the default parameters, from ``tests/oracle_reference.py`` alone: the
     exact-moment downlink, the mean backhaul delay, and the
-    integral-consistent hit probability, whose catalogue edge sits 1 unit
-    beyond the simulator's (a difference below 1.4e-5 in the hit).
-    """
-    started = time.perf_counter()
-    params = DelayParams()
-    cache = CacheConfig()
+    integral-consistent hit probability."""
     downlink = {
         "macro": (oracle.POWER_SC, oracle.POWER_MC, oracle.LAMBDA_SC, oracle.LAMBDA_MC),
         "small": (oracle.POWER_MC, oracle.POWER_SC, oracle.LAMBDA_MC, oracle.LAMBDA_SC),
@@ -239,16 +233,47 @@ def test_criterion_6_simulation_matches_exact_theory_to_monte_carlo_noise():
         )
         exact = base["small"] + (oracle.MU_CA_MS - backhaul_small) * hit
         cases.append((f"small-mixpop-{name}", SmallUser(policy=CachePolicy.MIX_POP, model=model), exact))
+    return cases
 
+
+def test_criterion_6_simulation_matches_exact_theory_to_monte_carlo_noise():
+    """Every criterion-6 cell lies within 4 standard errors of the exact model
+    (``exact_cases``). The standard error is the interval's half-width over
+    the quantile the estimate used (``ci_quantile``)."""
+    started = time.perf_counter()
+    params = DelayParams()
+    cache = CacheConfig()
+    cases = exact_cases()
     estimates = estimate(
         [Cell(scenario, params, cache) for _, scenario, _ in cases], WINDOW, 100_000, master_seed=606
     )
     scores = []
     for (label, _, exact), est in zip(cases, estimates):
-        se = (est.ci_high_ms - est.mean_ms) / CI_Z
+        se = (est.ci_high_ms - est.mean_ms) / ci_quantile(est.replications)
         scores.append(f"{label}: z = {(est.mean_ms - exact) / se:+.2f}")
         assert abs(est.mean_ms - exact) <= 4 * se, f"{scores[-1]} (sim {est.mean_ms}, exact {exact})"
     report(6, f"exact theory within 4 SE: {'; '.join(scores)}; {time.perf_counter() - started:.1f}s")
+
+
+def test_batch_means_intervals_cover_the_exact_mean():
+    """The 95% interval is by batch means over stratified batches. Over 300
+    independent seeds at the 20 km window, the intervals of the five
+    criterion-6 cells (320 replications, five batches each) cover the exact
+    mean at a rate within [0.91, 0.99] of the 1 500 intervals."""
+    started = time.perf_counter()
+    params = DelayParams()
+    cache = CacheConfig()
+    cases = exact_cases()
+    cells = [Cell(scenario, params, cache) for _, scenario, _ in cases]
+    covered = 0
+    seeds = range(1000, 1300)
+    for seed in seeds:
+        for (_, _, exact), est in zip(cases, estimate(cells, WINDOW, 320, seed, workers=1)):
+            covered += est.ci_low_ms <= exact <= est.ci_high_ms
+    rate = covered / (len(seeds) * len(cases))
+    assert 0.91 <= rate <= 0.99, rate
+    print(f"batch-means coverage {rate:.3f} over {len(seeds) * len(cases)} intervals; "
+          f"{time.perf_counter() - started:.1f}s")
 
 
 def test_criterion_7_trend_reproduction():

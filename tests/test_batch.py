@@ -3,7 +3,8 @@ run alone, as a batch of one, on the same draws.
 
 ``stream_script`` splits the draws of one batch into the share of each
 replication, so the replication can be rerun through ``run_replication``
-on exactly the near points and annulus it had inside the batch.
+on exactly the nearest distances, near points and annulus it had inside the
+batch: its stratified level is served as a batch of one's uniform draw.
 The comparison is ``==``.
 """
 
@@ -40,7 +41,8 @@ CASES = {
     "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
     "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
     # each reason the near points can leave a serving tier unsettled, caching cells beside;
-    # sparse routers ("router-beyond") are averaged out and leave every replication settled
+    # sparse routers ("router-beyond") are averaged out, and a nearest macro cell beyond the
+    # near disc ("empty-serving-tier") starts its far field, so both leave every replication settled
     **{
         f"fallback-{reason}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
         for reason, (params, scenarios) in FALLBACKS.items()
@@ -48,40 +50,47 @@ CASES = {
 }
 
 
+SETTLED = ("fallback-router-beyond", "fallback-empty-serving-tier")
+
+
 def split_batch(cells, params, window, seed, size):
-    """(batch result, per-replication results as batches of one, fallback count)."""
+    """(batch result, per-replication results as batches of one, fallback
+    count, replications without a near macro cell)."""
     recorder = Recorder(replication_rng(seed, 0))
     batch = _simulate(cells, params, window, recorder, size)
     scripts, annuli = replication_streams(recorder.log, size)
-    fallbacks = len(annuli)
     alone = []
     for script in scripts:
         alone.append(run_replication(cells, params, window, script))
         assert not script.draws  # the replication read all of its share
     assert not annuli  # and the same replications fell back
-    return batch, alone, fallbacks
+    fallbacks = sum(script.fell_back for script in scripts)
+    _, macro_means, _, _ = recorder.log[2]
+    return batch, alone, fallbacks, int((macro_means == 0).sum())
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batch_equals_its_replications_run_alone(case):
     params, radius, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    batch, alone, fallbacks = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    batch, alone, fallbacks, beyond = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
-    if case.startswith("fallback-") and case != "fallback-router-beyond":
+    if case.startswith("fallback-") and case not in SETTLED:
         assert fallbacks >= 3
         if case not in ("fallback-attempts-above-j-max", "fallback-pathloss-near-two"):
             assert fallbacks < BATCH_SIZE  # near-settled and fallback replications mix in one batch
     else:
         assert fallbacks == 0
+    if case == "fallback-empty-serving-tier":
+        assert beyond >= 3  # far fields that start at a nearest macro cell beyond the near disc
 
 
 def test_a_short_batch_reads_a_prefix_of_the_same_pattern():
     """The last batch of an estimate may be short; it is split the same way."""
     params = DelayParams()
     cells = [Cell(scenario, params, CacheConfig()) for scenario in EVERY_KIND]
-    batch, alone, _ = split_batch(cells, params, Window(20_000.0), 5, 5)
+    batch, alone, _, _ = split_batch(cells, params, Window(20_000.0), 5, 5)
     assert batch.shape == (len(cells), 5, 5)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k

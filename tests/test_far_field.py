@@ -9,6 +9,7 @@ caused it. Routers are never sampled, so they cause no fallback.
 """
 
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -21,16 +22,18 @@ from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
 from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest, sample_ppp
 from hetsim.popularity import Fixed
+from hetsim import simulator
 from hetsim.simulator import (
+    BATCH_SIZE,
     FAR_ALPHA_MIN,
     FAR_Z_MAX,
     J_MAX,
     NEAR_RADIUS_M,
     Cell,
-    DelaySample,
     MacroUser,
     SmallUser,
     _gains,
+    _simulate,
     downlink_delay,
     estimate,
     far_log_moments,
@@ -39,6 +42,7 @@ from hetsim.simulator import (
     run_replication,
 )
 from model_helpers import point_set_from_xy
+from stream_script import Recorder
 
 GAMMA_3DB = 10.0 ** 0.3
 
@@ -76,6 +80,29 @@ class TestLogMoments:
         for i in (1, 2, 4, J_MAX):
             expected = quad_log_moment(s, alpha, NEAR_RADIUS_M, DEFAULT_WINDOW_RADIUS_M, i)
             assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
+
+    @pytest.mark.parametrize("alpha", [FAR_ALPHA_MIN, 2.5, 4.0, 10.0])
+    def test_match_quadrature_from_a_nearest_point_beyond_the_near_disc(self, alpha):
+        """One inner radius per tier and replication: where a tier's nearest
+        point lies beyond the near disc, its far field starts there, and at
+        the window's edge it is empty. Each replication's row is held to
+        quadrature, tier by tier, up to FAR_Z_MAX at the inner radius."""
+        outer = DEFAULT_WINDOW_RADIUS_M
+        weights = (1.0, 0.5)
+        radii = np.array(
+            [[6000.0, 9000.0, 15_000.0, 19_500.0, outer], [NEAR_RADIUS_M, 12_000.0, 7000.0, outer, 8000.0]]
+        )
+        z = np.array([[1e-6, 3.0, FAR_Z_MAX, 100.0, 1.0], [FAR_Z_MAX, 1e-3, 0.1, 5.0, 10.0]])
+        scales = z * radii**alpha
+        lam = far_log_moments(tuple(scales), weights, alpha, radii, outer, J_MAX)
+        assert lam.shape == (radii.shape[1], J_MAX)
+        for k in range(radii.shape[1]):
+            for i in (1, 2, 4, J_MAX):
+                expected = sum(
+                    w * quad_log_moment(s, alpha, r, outer, i) if r < outer else 0.0
+                    for w, s, r in zip(weights, scales[:, k], radii[:, k])
+                )
+                assert lam[k, i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), (k, i)
 
     def test_tiers_add(self):
         both = far_log_moments((1e10, 1e9), (2.8e-6, 3.6e-6), 4.0, 5000.0, 20_000.0, 4)
@@ -206,8 +233,29 @@ class TestNearKernelAgainstMaterialisedAnnulus:
                 downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m, far)
 
 
-def _union(near, far):
-    return PointSet(np.concatenate((near.r, far.r)), np.concatenate((near.theta, far.theta)), near.tier)
+def replay_near(params, rng, inner, outer):
+    """Per tier (macro, then small cells), the nearest distance and near
+    interferers that a batch of one draws, the formulas written out: a
+    uniform level ``U``, ``r = sqrt(-log(1 - U) / (pi lambda))`` (infinite at
+    or beyond ``outer``, an empty tier), then a Poisson count of points on
+    ``r < |x| < inner`` with uniform squared radii."""
+    closest, near = [], []
+    for lam in (params.lambda_mc, params.lambda_sc):
+        assert rng.permutation(1).tolist() == [0]  # a stratum of one: the level is the uniform draw
+        r = np.sqrt(-np.log1p(-rng.random(1)) / (math.pi * lam))
+        if r[0] >= outer:
+            r[:] = np.inf
+        start = np.minimum(r, inner) ** 2
+        count = rng.poisson(lam * math.pi * (inner**2 - start))
+        closest.append(float(r[0]))
+        near.append(np.sqrt(start + (inner**2 - start) * rng.random(int(count[0]))))
+    return closest, near
+
+
+def point_set(radii, tier):
+    """A tier's points at the given distances; the SIR reads no angle."""
+    r = np.concatenate(radii)
+    return PointSet(r, np.zeros_like(r), tier)
 
 
 def link(tier, macro, small, params):
@@ -232,28 +280,34 @@ def link(tier, macro, small, params):
     return attempts, outage, downlink, backhaul
 
 
-def fallback_reason(tier, near, params):
-    """Why the near points leave ``tier`` unsettled (a FALLBACKS key), or None."""
-    macro, small = near
-    serving = macro if tier is Tier.MACRO else small
+def far_starts(closest, outer):
+    """Where each tier's far field starts: the near disc's edge, or its nearest point beyond it."""
+    return [min(max(r, NEAR_RADIUS_M), outer) for r in closest]
+
+
+def fallback_reason(tier, closest, params, outer):
+    """Why the nearest distances leave ``tier`` unsettled (a FALLBACKS key), or None."""
     radio = params.radio
     if params.max_attempts > J_MAX:
         return "attempts-above-j-max"
     if radio.pathloss_exponent < FAR_ALPHA_MIN:
         return "pathloss-near-two"
-    if not len(serving):
-        return "empty-serving-tier"
-    _, distance = nearest(serving)
-    power = radio.power_macro if tier is Tier.MACRO else radio.power_small
-    edge = (distance / NEAR_RADIUS_M) ** radio.pathloss_exponent
-    if radio.target_sir * radio.power_macro / power * edge > FAR_Z_MAX:
-        return "argument-above-z-max"
+    if math.inf in closest:
+        return "empty-tier"
+    powers = (radio.power_macro, radio.power_small)
+    own = 0 if tier is Tier.MACRO else 1
+    for start, power in zip(far_starts(closest, outer), powers):
+        # s_t R_t^-alpha, with s_t = target_sir * P_t / (P_own r_own^-alpha)
+        z = radio.target_sir * power / powers[own] * (closest[own] / start) ** radio.pathloss_exponent
+        if z > FAR_Z_MAX:
+            return "argument-above-z-max"
     return None
 
 
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
 FALLBACKS = {
-    # a near disc that often holds no macro cell
+    # a near disc that often holds no macro cell: the nearest one, drawn first, starts the
+    # macro far field beyond it, so no replication falls back
     "empty-serving-tier": (DelayParams(lambda_mc=2e-8), [MacroUser()]),
     # few routers and far-flung small cells: routers are averaged out on the plane, not sampled,
     # so however sparse they cause no fallback
@@ -264,37 +318,48 @@ FALLBACKS = {
     "pathloss-near-two": (DelayParams(radio=RadioParams(pathloss_exponent=2.05)), [MacroUser()]),
     # a huge SIR target puts s R^-alpha beyond FAR_Z_MAX once the server is a few hundred metres off
     "argument-above-z-max": (DelayParams(radio=RadioParams(target_sir=1e8)), [MIXPOP]),
-    # sparse macro and small tiers: often one serving tier is settled and the other is not
-    "mixed": (DelayParams(lambda_mc=2e-8, lambda_sc=3e-8), [MacroUser(), MIXPOP]),
+    # sparse tiers at a high SIR target: the small-cell server is often far enough out for the
+    # macro far field to leave the checked domain while the macro server's stays inside it
+    "mixed": (
+        DelayParams(lambda_mc=2e-8, lambda_sc=3e-8, radio=RadioParams(target_sir=1e4)),
+        [MacroUser(), MIXPOP],
+    ),
 }
+SETTLED = ("router-beyond", "empty-serving-tier")
 
 
 @pytest.mark.parametrize("case", list(FALLBACKS))
 def test_fallback_replays_the_kernel_on_the_union(case):
+    """Every fallback runs the kernel on the union of the nearest points,
+    the near interferers and the annulus, for every serving tier; it equals
+    ``downlink_delay`` on those point sets up to the order of summation."""
     params, scenarios = FALLBACKS[case]
     cache = CacheConfig()
     cells = [Cell(scenario, params, cache) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
-    near_window = Window(NEAR_RADIUS_M)
     lambdas = (params.lambda_mc, params.lambda_sc)
     tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
-    reasons, mixed = [], 0
+    reasons, mixed, beyond = [], 0, 0
     for rep in range(40):
         replay = replication_rng(71, rep)
-        near = [sample_ppp(lam, near_window, replay, tier) for lam, tier in zip(lambdas, tiers)]
+        closest, near = replay_near(params, replay, NEAR_RADIUS_M, window.radius)
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
         # either serving tier decides whether the annulus is drawn, whichever cells run
-        reason = {tier: fallback_reason(tier, near, params) for tier in (Tier.MACRO, Tier.SMALL_CELL)}
+        reason = {tier: fallback_reason(tier, closest, params, window.radius) for tier in tiers}
         reasons.append(reason[serving_tiers[0]])
         mixed += list(reason.values()).count(None) == 1
+        beyond += closest[0] > NEAR_RADIUS_M
         if set(reason.values()) == {None}:
             assert g.bit_generator.state == replay.bit_generator.state, rep  # no annulus drawn
             continue
-        far = [sample_ppp(lam, window, replay, tier, NEAR_RADIUS_M) for lam, tier in zip(lambdas, tiers)]
+        far = [
+            sample_ppp(lam, window, replay, tier, start).r if start < window.radius else np.empty(0)
+            for lam, tier, start in zip(lambdas, tiers, far_starts(closest, window.radius))
+        ]
         assert g.bit_generator.state == replay.bit_generator.state, rep
-        union = [_union(a, b) for a, b in zip(near, far)]
+        union = [point_set(([r], n, f), tier) for r, n, f, tier in zip(closest, near, far, tiers)]
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
             # every tier runs on the union, also one that the near points settle
             attempts, outage, downlink, backhaul = link(tier, *union, params)
@@ -302,25 +367,56 @@ def test_fallback_replays_the_kernel_on_the_union(case):
             if scenario == MIXPOP:
                 hit = hit_probability(CachePolicy.MIX_POP, cache, 1.45, B3Variant.INTEGRAL_CONSISTENT)
             tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul
-            assert sample == DelaySample(downlink, tail, attempts, outage, hit), rep
-    if case == "router-beyond":
+            expected = (downlink, tail, attempts, outage, hit)
+            assert astuple(sample) == pytest.approx(expected, rel=1e-12, abs=0.0), rep
+    if case in SETTLED:
         assert reasons.count(None) == 40 and mixed == 0  # no replication falls back
     elif case == "mixed":
         assert mixed >= 3
     else:
         assert reasons.count(case) >= 3
+    if case == "empty-serving-tier":
+        assert beyond >= 3  # the macro far field starts at a nearest point beyond the near disc
     if case not in ("attempts-above-j-max", "pathloss-near-two"):
         assert reasons.count(None) >= 3
+
+
+def test_far_field_from_a_nearest_point_beyond_the_near_disc_is_the_sampled_annulus_mean(monkeypatch):
+    """Where the nearest macro cell lies beyond the near disc, the macro far
+    field starts at it. Averaged out, it must equal on average the same
+    replications with their annulus sampled point by point: the nearest
+    distances and near points are drawn first, so both runs share them."""
+    # the nearest macro cell lies beyond 5 km in 21% of replications, and sparse small cells
+    # leave its downlink unsaturated
+    params = DelayParams(lambda_mc=2e-8, lambda_sc=3e-8)
+    scenarios = (MacroUser(), SmallUser(policy=CachePolicy.NO_CACHE))
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
+    window = Window(DEFAULT_WINDOW_RADIUS_M)
+    averaged, sampled, beyond = [], [], []
+    for batch in range(40):
+        g = Recorder(replication_rng(83, batch))
+        averaged.append(_simulate(cells, params, window, g, BATCH_SIZE)[:, 2])
+        beyond.append(g.log[2][1] == 0)  # no macro cell inside the near disc
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "FAR_Z_MAX", -1.0)  # every replication samples its annulus
+            sampled.append(_simulate(cells, params, window, replication_rng(83, batch), BATCH_SIZE)[:, 2])
+    beyond = np.concatenate(beyond)
+    difference = (np.concatenate(averaged, axis=1) - np.concatenate(sampled, axis=1))[:, beyond]
+    assert beyond.sum() > 300
+    for attempts in difference:
+        se = attempts.std(ddof=1) / math.sqrt(attempts.size)
+        assert abs(attempts.mean()) < 4 * se, (attempts.mean(), se)
 
 
 def test_window_within_near_disc_keeps_the_full_window_estimates():
     """At a window no larger than the near disc no interference is averaged
     out: these are the estimates of the full-window sampler, compared with
-    ==. They were recorded on the batch streams, which hold only the macro
-    and small-cell points; ``test_batch`` holds every replication of such a
-    batch to the same replication run alone on its share of the stream.
-    The MixPop hit is the integral closed form, its catalogue ending at
-    1 + f0."""
+    ==. They were recorded on the batch streams, which hold only each tier's
+    stratified nearest distances and its other points; ``test_batch`` holds
+    every replication of such a batch to the same replication run alone on
+    its share of the stream. The intervals are batch means over five
+    batches, the last of 44 replications. The MixPop hit is the integral
+    closed form, its catalogue ending at 1 + f0."""
     params = DelayParams()
     cache = CacheConfig()
     cells = [
@@ -330,9 +426,9 @@ def test_window_within_near_disc_keeps_the_full_window_estimates():
     ]
     got = estimate(cells, Window(5000.0), 300, 2026, workers=1)
     recorded = [
-        (1.1243214511922348, 1.1109462796748348, 1.1376966227096348, 0.5054223900666067, 0.0),
-        (1.4283726248274844, 1.4169190544227568, 1.439826195232212, 0.759886603606107, 0.0),
-        (0.6689249930372931, 0.6574714226325656, 0.6803785634420206, 0.759886603606107, 0.7053953719159934),
+        (1.1282781734222973, 1.1201525156216166, 1.136403831222978, 0.5039331868215752, 0.0),
+        (1.4347721032557272, 1.4284430962538106, 1.4411011102576439, 0.777932473391859, 0.0),
+        (0.675324471465536, 0.6689954644636195, 0.6816534784674525, 0.777932473391859, 0.7053953719159934),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (

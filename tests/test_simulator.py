@@ -9,16 +9,19 @@ from hetsim.analytics import DelayParams, mean_backhaul
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
 from hetsim.errors import EmptyTierError, InvalidParameterError
-from hetsim.geometry import PointSet, Tier, Window, sample_ppp, sample_ppp_batch
+from hetsim.geometry import PointSet, Tier, Window
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, effective_eta
 from hetsim.simulator import (
     BATCH_SIZE,
+    CI_Z,
     J_MAX,
     Cell,
     DistanceMode,
     MacroUser,
     SmallUser,
     _simulate,
+    _summarize,
+    ci_quantile,
     estimate,
     replication_rng,
     run_replication,
@@ -26,6 +29,7 @@ from hetsim.simulator import (
 from model_helpers import point_set_from_xy
 from single_cell import estimate_one, kernel, replicate_one
 from sir_reference import reference_downlink, success_probability, truncated_geometric
+from stream_script import Recorder
 
 GAMMA_3DB = 10.0 ** 0.3
 STDPOP = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
@@ -228,17 +232,23 @@ class TestRunReplication:
         ids=["mixpop", "unirand", "stdpop", "nocache", "macro", "mixed"],
     )
     def test_draws_only_the_geometry(self, members):
-        # the replication stream is exactly the macro and small-cell points,
-        # whether or not a cell caches: no router and no request is drawn
+        # the replication stream is exactly the macro and small-cell geometry, whether or not a
+        # cell caches: per tier the permutation of one stratum (no draw) and the level of the
+        # nearest distance, then the count and radii of the other points, with no angle;
+        # no router and no request is drawn (the recorder offers no other kind of draw)
         params = small_params()
         window = Window(5000.0)
         cells = [Cell(scenario, params, cache) for scenario, cache in members]
         for rep in range(5):
-            g, expected = replication_rng(13, rep), replication_rng(13, rep)
-            for intensity in (params.lambda_mc, params.lambda_sc):
-                sample_ppp(intensity, window, expected)
+            g = Recorder(replication_rng(13, rep))
             run_replication(cells, params, window, g)
-            assert g.bit_generator.state == expected.bit_generator.state, rep
+            draws = [(kind, size) for kind, _, size, _ in g.log]
+            counts = [int(values[0]) for kind, _, _, values in g.log if kind == "poisson"]
+            expected = []
+            for count in counts:
+                expected += [("permutation", 1), ("random", 1), ("poisson", None), ("random", count)]
+            assert draws == expected, rep
+            assert [lam.shape for kind, lam, _, _ in g.log if kind == "poisson"] == [(1,), (1,)]
 
     def test_tail_is_the_mean_given_geometry_and_request(self):
         """The router distance and the request are averaged out: the tail is
@@ -274,6 +284,7 @@ class TestRunReplication:
 
 class TestEstimate:
     def test_single_replication_degenerate_interval(self):
+        # below two batches the interval takes the per-replication standard deviation, 0 for one
         est = estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 1, 3)
         assert est.ci_low_ms == est.mean_ms == est.ci_high_ms
         assert est.replications == 1
@@ -366,7 +377,7 @@ class TestEstimate:
         exact conditional-moment value, which the closed form undershoots."""
         params = small_params(backhaul_beta=0.0, cache_read_mean_ms=0.0)
         est = estimate_one(MacroUser(), params, CacheConfig(), Window(10_000.0), 12_000, 41)
-        se = (est.ci_high_ms - est.mean_ms) / 1.959963984540054
+        se = (est.ci_high_ms - est.mean_ms) / ci_quantile(est.replications)
         exact = oracle.FROZEN["exact_downlink_macro_ms"]
         assert abs(est.mean_ms - exact) < 3.5 * se
         # the alternating-binomial approximation sits measurably below
@@ -416,8 +427,8 @@ class TestEstimate:
         params = small_params()
         half = estimate_one(MacroUser(), params, CacheConfig(), Window(6000.0), 5000, 67)
         full = estimate_one(MacroUser(), params, CacheConfig(), Window(12_000.0), 5000, 71)
-        se_half = (half.ci_high_ms - half.mean_ms) / 1.959963984540054
-        se_full = (full.ci_high_ms - full.mean_ms) / 1.959963984540054
+        se_half = (half.ci_high_ms - half.mean_ms) / ci_quantile(half.replications)
+        se_full = (full.ci_high_ms - full.mean_ms) / ci_quantile(full.replications)
         assert abs(half.mean_ms - full.mean_ms) < 3.5 * math.hypot(se_half, se_full)
 
     def test_doubling_beta_doubles_macro_tail(self):
@@ -430,6 +441,41 @@ class TestEstimate:
         base_tail = base.mean_ms - oracle.FROZEN["exact_downlink_macro_ms"]
         doubled_tail = doubled.mean_ms - oracle.FROZEN["exact_downlink_macro_ms"]
         assert doubled_tail == pytest.approx(2 * base_tail, rel=0.05)
+
+
+class TestConfidenceInterval:
+    """The rule of ``estimate``'s docstring: batch means from two batches on,
+    the per-replication standard deviation below that."""
+
+    def test_batch_means_weight_the_short_last_batch(self):
+        n = 2 * BATCH_SIZE + 10  # three batches, the last of ten replications
+        totals = np.random.default_rng(3).gamma(2.0, size=n)
+        est = _summarize(np.stack((totals, np.zeros(n), np.zeros(n)), axis=-1))
+        sizes = np.array([BATCH_SIZE, BATCH_SIZE, 10])
+        means = np.array([batch.mean() for batch in np.split(totals, [BATCH_SIZE, 2 * BATCH_SIZE])])
+        tau2 = np.sum(sizes * (means - totals.mean()) ** 2) / 2
+        quantile = stats.t.ppf(0.975, 2)
+        assert ci_quantile(n) == pytest.approx(quantile, rel=1e-12)
+        assert est.mean_ms == pytest.approx(totals.mean(), rel=1e-15)
+        assert est.ci_high_ms - est.mean_ms == pytest.approx(quantile * math.sqrt(tau2 / n), rel=1e-12)
+        assert est.mean_ms - est.ci_low_ms == pytest.approx(quantile * math.sqrt(tau2 / n), rel=1e-12)
+
+    @pytest.mark.parametrize("replications", [2, 17, BATCH_SIZE])
+    def test_below_two_batches_the_replications_standard_deviation(self, replications):
+        params = small_params()
+        window = Window(5000.0)
+        cell = Cell(MacroUser(), params, CacheConfig())
+        est = estimate([cell], window, replications, 3, workers=1)[0]
+        downlink, tail = _simulate([cell], params, window, replication_rng(3, 0), replications)[0, :2]
+        totals = downlink + tail
+        half = CI_Z * totals.std(ddof=1) / math.sqrt(replications)
+        assert ci_quantile(replications) == CI_Z
+        assert est.mean_ms == pytest.approx(totals.mean(), rel=1e-15)
+        assert est.ci_high_ms - est.mean_ms == pytest.approx(half, rel=1e-12)
+
+    def test_two_batches_take_one_degree_of_freedom(self):
+        assert ci_quantile(BATCH_SIZE + 1) == pytest.approx(stats.t.ppf(0.975, 1), rel=1e-12)
+        assert ci_quantile(8 * BATCH_SIZE) == pytest.approx(stats.t.ppf(0.975, 7), rel=1e-12)
 
 
 class TestHitIsTheIntegralClosedForm:
@@ -454,13 +500,16 @@ class TestHitIsTheIntegralClosedForm:
         cache = CACHES[policy]
         window = Window(60.0)  # inside the near disc: the stream holds the two tiers' points only
         scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
-        hits = _simulate([Cell(scenario, params, cache)], params, window, replication_rng(97, 0), BATCH_SIZE)[0, 4]
-        replay = replication_rng(97, 0)
-        sample_ppp_batch(params.lambda_mc, window, replay, BATCH_SIZE)
-        counts, r, _ = sample_ppp_batch(params.lambda_sc, window, replay, BATCH_SIZE)
+        g = Recorder(replication_rng(97, 0))
+        hits = _simulate([Cell(scenario, params, cache)], params, window, g, BATCH_SIZE)[0, 4]
+        # the small-cell tier's permutation and offsets give its stratified levels and nearest distances
+        (_, _, _, perm), (_, _, _, offsets) = g.log[4:6]
+        levels = (perm + offsets) / BATCH_SIZE
+        assert sorted(np.floor(levels * BATCH_SIZE).tolist()) == list(range(BATCH_SIZE))  # one per stratum
         expected = []
-        for segment in np.split(r, np.cumsum(counts)[:-1]):
-            eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, float(segment.min()))
+        for level in levels.tolist():
+            distance = math.sqrt(-math.log1p(-level) / (math.pi * params.lambda_sc))
+            eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, distance)
             expected.append(hit_probability(policy, cache, eta, B3Variant.INTEGRAL_CONSISTENT))
         assert hits.tolist() == expected
         assert len(set(expected)) > BATCH_SIZE // 2
