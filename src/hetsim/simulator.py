@@ -349,8 +349,14 @@ def downlink_delay(
         far = np.array([far], dtype=float)
     signal = gains[own][serving_index : serving_index + 1]
     gains[own] = np.delete(gains[own], serving_index)
+    # the other tier's strongest point enters first, as the kernel's nearest rival does
+    rival = np.zeros(1)
+    if gains[1 - own].size:
+        strongest = int(np.argmax(gains[1 - own]))
+        rival = gains[1 - own][strongest : strongest + 1]
+        gains[1 - own] = np.delete(gains[1 - own], strongest)
     interferers = [(g, np.array([0, g.size])) for g in gains]
-    attempts, outage = _downlink(signal, np.zeros(1), interferers, target_sir, max_attempts, far)
+    attempts, outage = _downlink(signal, rival, interferers, target_sir, max_attempts, far)
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
