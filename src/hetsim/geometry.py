@@ -3,13 +3,14 @@
 The typical user sits at the origin; the base-station tiers are independent
 PPPs inside a finite disc window, the model's extent. The simulator draws each
 tier's nearest distance first (``nearest_distance``), then the tier's other
-points in a near disc (``sample_beyond``), and an annulus beyond it only where
-the near points cannot settle a replication (``simulator.far_log_moments``
-averages it out elsewhere). Routers, a PPP on the plane, enter only through
-``mean_nearest_distance``.
+points once (``sample_beyond``): out to the near disc where the near points
+settle a replication (``simulator.far_log_moments`` averages out the rest),
+out to the window's edge where they do not. Routers, a PPP on the plane,
+enter only through ``mean_nearest_distance``.
 
 Points are stored in polar form: the origin-centric queries and the SIR
-only ever need distances, so the simulator's near points carry no angle.
+only ever need distances, so the simulator's points carry no angle.
+``sample_ppp``, which draws angles too, samples a whole window.
 """
 
 from __future__ import annotations
@@ -62,23 +63,17 @@ def sample_ppp(
     window: Window,
     rng: np.random.Generator,
     tier: Tier | None = None,
-    inner_radius: float = 0.0,
 ) -> PointSet:
-    """Sample a homogeneous PPP of the given intensity on the window disc,
-    or on its annulus ``inner_radius <= r < window.radius``.
+    """Sample a homogeneous PPP of the given intensity on the window disc.
 
     The count is Poisson(intensity * area) and positions are i.i.d.
-    uniform on the disc or annulus (squared radius uniform). The count is
-    drawn first, then all radii, then all angles.
+    uniform on the disc (squared radius uniform). The count is drawn
+    first, then all radii, then all angles.
     """
     if not (intensity > 0 and math.isfinite(intensity)):
         raise InvalidParameterError(f"intensity must be positive, got {intensity}")
-    if not 0.0 <= inner_radius < window.radius:
-        raise InvalidParameterError(
-            f"inner radius must lie in [0, {window.radius}), got {inner_radius}"
-        )
-    n = int(rng.poisson(intensity * (window.area - math.pi * inner_radius**2)))
-    r = np.sqrt(inner_radius**2 + (window.radius**2 - inner_radius**2) * rng.random(n))
+    n = int(rng.poisson(intensity * window.area))
+    r = np.sqrt(window.radius**2 * rng.random(n))
     theta = rng.random(n)
     theta *= 2.0 * np.pi
     return PointSet(r=r, theta=theta, tier=tier)
@@ -92,22 +87,24 @@ def nearest_distance(intensity: float, levels: np.ndarray) -> np.ndarray:
 
 
 def sample_beyond(
-    intensity: float, closest: np.ndarray, radius: float, rng: np.random.Generator
+    intensity: float, closest: np.ndarray, radius: float | np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The other points inside ``radius`` of PPPs whose nearest points lie at
     ``closest``, as (counts, radii): sample ``k`` holds the ``counts[k]``
     radii that follow those of the samples before it.
 
     Beyond its nearest point a PPP is again a PPP, so they are a PPP on
-    ``closest[k] < r < radius``, empty where ``closest[k] >= radius``. All
-    counts are drawn first, then all radii; no angle is drawn.
+    ``closest[k] < r < radius[k]``, empty where ``closest[k] >= radius[k]``.
+    ``radius`` is one float for every sample or one per sample. All counts
+    are drawn first, then all radii; no angle is drawn.
     """
+    radius = np.asarray(radius, dtype=float)
     start = np.minimum(closest, radius) ** 2
-    counts = rng.poisson(intensity * math.pi * (radius**2 - start))
-    start = np.repeat(start, counts)
-    r = rng.random(start.size)
-    r *= radius**2 - start
-    r += start
+    width = radius**2 - start
+    counts = rng.poisson(intensity * math.pi * width)
+    r = rng.random(counts.sum())
+    r *= np.repeat(width, counts)
+    r += np.repeat(start, counts)
     return counts, np.sqrt(r, out=r)
 
 

@@ -17,19 +17,21 @@ replication's.
 
 Each tier's nearest distance is drawn first, from its exact law
 (``geometry.nearest_distance``), and kept apart from the tier's other
-points, which are interferers only. Beyond its nearest point a PPP is again
-a PPP, so those are drawn on ``r_t < |x| < min(NEAR_RADIUS_M,
-window.radius)``, the near disc (``geometry.sample_beyond``). The points
+points, which are interferers only. A replication falls back when
+``max_attempts > J_MAX``, when either serving tier's far moments would leave
+the checked domain of their closed form (``FAR_ALPHA_MIN``,
+``FAR_Z_MAX``), or when a tier has no point in the window. That reads only
+the nearest distances, so it is decided before any interferer is drawn.
+Beyond its nearest point a PPP is again a PPP, so each tier's interferers
+are one PPP on ``r_t < |x| < outer`` (``geometry.sample_beyond``), where
+``outer`` is the window's edge for a replication that falls back and
+otherwise ``min(NEAR_RADIUS_M, window.radius)``, the near disc. The points
 beyond the near disc, or beyond a nearest point outside it, are an
 independent PPP, so given the near points their interference is averaged
 out exactly through its probability generating functional
 (``far_log_moments``), tier ``t`` from ``max(near radius, r_t)``. The
-estimand stays the model on the whole window. A replication falls back
-when ``max_attempts > J_MAX``, when either serving tier's far moments
-would leave the checked domain of their closed form (``FAR_ALPHA_MIN``,
-``FAR_Z_MAX``), or when a tier has no point in the window: it samples its
-annulus, and every tier runs the same kernel on the union of both point
-sets. So a batch holds one geometry.
+estimand stays the model on the whole window, and every serving tier of a
+replication runs on the same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications run in batches of ``BATCH_SIZE`` through one vectorised
@@ -39,15 +41,14 @@ stratified per batch, a Latin hypercube over its replications: tier
 batch of ``B``, one random permutation per tier, so every one of the
 ``B`` equal-probability strata holds one level. Batch ``b`` (replications
 ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``, the last one possibly short)
-consumes the random stream derived from (master_seed, b), in this order:
-for each tier in turn (macro cells, small cells) the permutation, all
-``V_k``, all counts and then all radii of the near interferers; then, in
-replication order, the annulus points of each replication that falls
-back, two ``sample_ppp`` draws. No angle of a near point, no router and no
-request is drawn. Both serving tiers decide the fallback, whichever
-cells run, so the stream is read the same way whichever cells run
-together, and a cell's samples do not depend on which other cells are
-estimated alongside it.
+consumes the random stream derived from (master_seed, b) in exactly eight
+draws, in this order: for each tier in turn (macro cells, small cells) the
+permutation and all ``V_k``; then for each tier in turn all counts and all
+radii of its interferers. No draw depends on which replications fall back.
+No angle, no router and no request is drawn. Both serving tiers decide the
+fallback, whichever cells run, so the stream is read the same way
+whichever cells run together, and a cell's samples do not depend on which
+other cells are estimated alongside it.
 ``run_replication`` is a batch of one, whose permutation draws nothing
 and whose level is its ``V``.
 Cells that share a parameter set see the same geometry in each
@@ -70,23 +71,22 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
-# is_hit, nearest and sample_request are scalar forms of steps the kernel averages out or runs
-# over arrays; perfbench/tracer.py wraps them under these names
+# is_hit, nearest, sample_ppp and sample_request are scalar forms of steps the kernel averages out
+# or runs over arrays; perfbench/tracer.py wraps them under these names
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, is_hit, require_valid  # noqa: F401
 from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
-from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond, sample_ppp
-from .geometry import nearest  # noqa: F401
+from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond
+from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
 from .analytics import DelayParams, rho_k
 
 # replications per random stream, and strata of its Latin hypercube; fixed so that results
 # never depend on the worker count
 BATCH_SIZE = 64
-NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when the near field falls back
+NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when a replication falls back
 J_MAX = 12  # largest max_attempts whose far-field expansion stays accurate
 # far_log_moments' domain checked against quadrature: at large z = s r^-alpha, r^2 E_i(s r^-alpha)
 # nears one multiple of s^(2/alpha) at both radii, and that shared term cancels in their difference,
@@ -180,8 +180,8 @@ def far_log_moments(
     """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
 
     ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
-    independent PPPs of the given intensities on the annuli
-    ``inner_t <= r < outer``, tier ``t`` scaled by ``scales[t]``. By the PGFL,
+    independent PPPs of the given intensities, tier ``t`` on the annulus
+    ``inner_t <= r < outer`` and scaled by ``scales[t]``. By the PGFL,
     ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
     over the annulus, which is ``pi lambda_t [r^2 E_i(s_t r^-alpha)]`` from
     ``outer`` to ``inner_t`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
@@ -360,13 +360,6 @@ def downlink_delay(
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
-class _Ragged(NamedTuple):
-    """One tier's interferers of a batch of replications (see ``_offsets``)."""
-
-    r: np.ndarray
-    offsets: np.ndarray
-
-
 _TIER_NAMES = (Tier.MACRO, Tier.SMALL_CELL)
 
 
@@ -374,8 +367,10 @@ def _settled(closest: np.ndarray, starts: np.ndarray, params: DelayParams) -> np
     """Which replications the near points settle: for either serving tier,
     every tier's far moments stay in the checked domain of the closed form,
     ``z = s_t R_t^-alpha <= FAR_Z_MAX`` at the tier's inner radius ``R_t``
-    (``starts``). A replication with an empty tier is unsettled. Where a
-    replication is unsettled, every tier runs on all points of the window."""
+    (``starts``). A replication with an empty tier is unsettled. It reads
+    only the nearest distances, so it is decided before any interferer is
+    drawn; an unsettled replication draws every tier's interferers out to
+    the window's edge and averages nothing out."""
     radio = params.radio
     if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
         return np.zeros(closest.shape[1], dtype=bool)
@@ -385,20 +380,6 @@ def _settled(closest: np.ndarray, starts: np.ndarray, params: DelayParams) -> np
     weakest = np.minimum(*(_gains(r, power, alpha) for r, power in zip(closest, powers)))
     edge = np.maximum(*(_gains(r, power, alpha) for r, power in zip(starts, powers)))
     return radio.target_sir * edge <= FAR_Z_MAX * weakest
-
-
-def _union(near: list[_Ragged], annuli: list[list[np.ndarray]], fallback: np.ndarray) -> list[_Ragged]:
-    """The near interferers of every replication, each followed by its
-    annulus points if it falls back."""
-    out = []
-    for t, points in enumerate(near):
-        beyond = [annulus[t] for annulus in annuli]
-        sizes = [r.size for r in beyond]
-        at = np.repeat(points.offsets[fallback + 1], sizes)
-        counts = np.diff(points.offsets)
-        counts[fallback] += sizes
-        out.append(_Ragged(np.insert(points.r, at, np.concatenate(beyond)), _offsets(counts)))
-    return out
 
 
 def _simulate(
@@ -413,47 +394,37 @@ def _simulate(
     Returns rows (downlink, tail, attempts, outage, hit) per cell, one
     column per replication. The stream holds, per tier (macro cells, small
     cells), a permutation and the offsets of the stratified levels of the
-    nearest distances, then the counts and radii of the near interferers;
-    then, in replication order, the annulus of each replication that falls
-    back.
+    nearest distances; then, per tier, the counts and radii of its
+    interferers, out to the near disc or, where the replication falls back,
+    to the window's edge.
     """
     lambdas = (params.lambda_mc, params.lambda_sc)
-    inner = min(NEAR_RADIUS_M, window.radius)
-    closest, near = np.empty((2, size)), []
+    closest = np.empty((2, size))
     for t, lam in enumerate(lambdas):
         # a Latin hypercube over the batch: one level in each of its equal-probability strata
         levels = rng.permutation(size) + rng.random(size)
         levels /= size
         closest[t] = nearest_distance(lam, levels)
-        closest[t][closest[t] >= window.radius] = np.inf  # no point of the tier in the window
-        counts, r = sample_beyond(lam, closest[t], inner, rng)
-        near.append(_Ragged(r, _offsets(counts)))
+    closest[closest >= window.radius] = np.inf  # no point of the tier in the window
 
-    geometry, starts = near, None
-    if inner < window.radius:
+    outer = min(NEAR_RADIUS_M, window.radius)
+    starts = None
+    if outer < window.radius:
         # each tier's far field starts at the near disc's edge or, beyond it, at its nearest point
-        starts = np.clip(closest, inner, window.radius)
-        # both serving tiers decide, so which replications draw an annulus is the same for any cells
-        fallback = np.flatnonzero(~_settled(closest, starts, params))
-        if fallback.size:
-            annuli = [
-                [
-                    sample_ppp(lam, window, rng, tier, start).r if start < window.radius else np.empty(0)
-                    for lam, tier, start in zip(lambdas, _TIER_NAMES, starts[:, k].tolist())
-                ]
-                for k in fallback
-            ]
-            geometry = _union(near, annuli, fallback)
-        if fallback.size == size:
+        starts = np.clip(closest, outer, window.radius)
+        # both serving tiers decide, so which replications fall back is the same for any cells
+        fallback = ~_settled(closest, starts, params)
+        outer = np.where(fallback, window.radius, outer)
+        if fallback.all():
             starts = None  # no far field is left to average out
 
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
     closest_gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
-    interferers = [
-        (_gains(points.r, power, radio.pathloss_exponent), points.offsets)
-        for points, power in zip(geometry, powers)
-    ]
+    interferers = []
+    for lam, r_t, power in zip(lambdas, closest, powers):
+        counts, r = sample_beyond(lam, r_t, outer, rng)
+        interferers.append((_gains(r, power, radio.pathloss_exponent), _offsets(counts)))
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
     for own in set(owns):
@@ -507,10 +478,9 @@ def run_replication(
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): per tier (macro, then small cells) the level of the
-    nearest distance, which is one uniform draw, then the count and radii
-    of the near interferers; then the annulus, two ``sample_ppp`` draws, if
-    the replication falls back, and every cell then runs on the union of
-    near and annulus points.
+    nearest distance, which is one uniform draw; then per tier the count
+    and radii of its interferers, out to the window's edge if the
+    replication falls back and to the near disc otherwise.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 

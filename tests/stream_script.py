@@ -33,18 +33,12 @@ class Recorder:
 
 
 class Script:
-    """Serves queued (kind, intensity, size, values) draws; the annulus queue is shared."""
+    """Serves queued (kind, intensity, size, values) draws."""
 
-    def __init__(self, draws, annuli):
+    def __init__(self, draws):
         self.draws = list(draws)
-        self.annuli = annuli
-        self.fell_back = False
 
     def _next(self, kind, lam, size):
-        if not self.draws:
-            # this replication falls back: one tier's annulus comes next
-            self.draws = list(self.annuli.pop(0))
-            self.fell_back = True
         want_kind, want_lam, want_size, values = self.draws.pop(0)
         assert (kind, size) == (want_kind, want_size)
         assert np.array_equal(lam, want_lam)
@@ -60,31 +54,48 @@ class Script:
         return self._next("random", None, size)
 
 
+# the eight draws of a batch in stream order, as (kind, tier), tier 0 the macro cells and 1 the
+# small cells: each tier's permutation and level offsets V, then each tier's interferers
+DRAWS = (
+    ("permutation", 0), ("offsets", 0), ("permutation", 1), ("offsets", 1),
+    ("counts", 0), ("radii", 0), ("counts", 1), ("radii", 1),
+)
+
+
+def draw(log, kind, tier):
+    """The (kind, intensity, size, values) record of ``tier``'s draw of ``kind`` in ``log``."""
+    assert len(log) == len(DRAWS)  # no draw beyond the geometry
+    return log[DRAWS.index((kind, tier))]
+
+
+def levels(log, tier, size):
+    """``tier``'s stratified levels ``U_k`` in a batch of ``size`` that drew ``log``."""
+    level = draw(log, "permutation", tier)[3] + draw(log, "offsets", tier)[3]
+    level /= size
+    return level
+
+
 def replication_streams(log, size):
-    """One ``Script`` per replication of a batch of ``size`` that drew ``log``,
-    and the shared queue of annuli. Each of the macro and small-cell tiers
-    drew four times: the permutation and the offsets ``V`` of its levels,
-    then the counts and the radii of its near interferers. The annuli
-    follow, three draws (count, radii, angles) per ``sample_ppp`` call."""
-    near, rest = log[:8], log[8:]
-    assert len(rest) % 3 == 0  # no draw beyond the geometry
-    annuli = [rest[i : i + 3] for i in range(0, len(rest), 3)]
-    assert all(annulus[0][0] == "poisson" for annulus in annuli)
+    """One ``Script`` per replication of a batch of ``size`` that drew ``log``.
+    The batch drew eight times: for each of the macro and small-cell tiers
+    the permutation and the offsets ``V`` of its levels, then for each tier
+    the counts and the radii of its interferers."""
     scripts = []
     for k in range(size):
         draws = []
         for t in range(2):
-            perm, offsets, counts, radii = (values for _, _, _, values in near[4 * t : 4 * t + 4])
-            lam = near[4 * t + 2][1]
+            draws += [
+                ("permutation", None, 1, np.zeros(1, dtype=draw(log, "permutation", t)[3].dtype)),
+                ("random", None, 1, levels(log, t, size)[k : k + 1]),
+            ]
+        for t in range(2):
+            _, lam, _, counts = draw(log, "counts", t)
+            radii = draw(log, "radii", t)[3]
             lo = counts[:k].sum()
             hi = lo + counts[k]
-            level = perm[k : k + 1] + offsets[k : k + 1]
-            level /= size
             draws += [
-                ("permutation", None, 1, np.zeros(1, dtype=perm.dtype)),
-                ("random", None, 1, level),
                 ("poisson", lam[k : k + 1], None, counts[k : k + 1]),
                 ("random", None, counts[k], radii[lo:hi]),
             ]
-        scripts.append(Script(draws, annuli))
-    return scripts, annuli
+        scripts.append(Script(draws))
+    return scripts

@@ -3,19 +3,23 @@ run alone, as a batch of one, on the same draws.
 
 ``stream_script`` splits the draws of one batch into the share of each
 replication, so the replication can be rerun through ``run_replication``
-on exactly the nearest distances, near points and annulus it had inside the
-batch: its stratified level is served as a batch of one's uniform draw.
-The comparison is ``==``.
+on exactly the nearest distances and interferers it had inside the batch:
+its stratified level is served as a batch of one's uniform draw. The
+comparison is ``==``.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from hetsim.analytics import DelayParams
 from hetsim.caching import CacheConfig, CachePolicy
-from hetsim.geometry import Window
+from hetsim.geometry import Window, nearest_distance
 from hetsim.popularity import DistanceDependent, LoadDependent
 from hetsim.simulator import (
     BATCH_SIZE,
+    NEAR_RADIUS_M,
     Cell,
     DelaySample,
     DistanceMode,
@@ -25,7 +29,7 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
-from stream_script import Recorder, replication_streams
+from stream_script import Recorder, draw, levels, replication_streams
 from test_far_field import FALLBACKS, MIXPOP
 
 NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
@@ -55,18 +59,31 @@ SETTLED = ("fallback-router-beyond", "fallback-empty-serving-tier")
 
 def split_batch(cells, params, window, seed, size):
     """(batch result, per-replication results as batches of one, fallback
-    count, replications without a near macro cell)."""
+    count, settled replications without a near macro cell).
+
+    A replication fell back where a tier's recorded Poisson mean covers
+    ``(r_t, W)``, the whole window beyond its nearest point, and not only the
+    near disc ``(r_t, NEAR_RADIUS_M)``; the two are told apart only where
+    they differ."""
     recorder = Recorder(replication_rng(seed, 0))
     batch = _simulate(cells, params, window, recorder, size)
-    scripts, annuli = replication_streams(recorder.log, size)
     alone = []
-    for script in scripts:
+    for script in replication_streams(recorder.log, size):
         alone.append(run_replication(cells, params, window, script))
         assert not script.draws  # the replication read all of its share
-    assert not annuli  # and the same replications fell back
-    fallbacks = sum(script.fell_back for script in scripts)
-    _, macro_means, _, _ = recorder.log[2]
-    return batch, alone, fallbacks, int((macro_means == 0).sum())
+    fell_back = np.zeros(size, dtype=bool)
+    for t, lam in enumerate((params.lambda_mc, params.lambda_sc)):
+        closest = nearest_distance(lam, levels(recorder.log, t, size))
+        closest[closest >= window.radius] = np.inf
+        means = draw(recorder.log, "counts", t)[1]
+        near, whole = (
+            lam * math.pi * (radius**2 - np.minimum(closest, radius) ** 2)
+            for radius in (min(NEAR_RADIUS_M, window.radius), window.radius)
+        )
+        assert np.all((means == near) | (means == whole))
+        fell_back |= (means == whole) & (near != whole)
+    macro_means = draw(recorder.log, "counts", 0)[1]
+    return batch, alone, int(fell_back.sum()), int((macro_means == 0).sum())
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -3,9 +3,9 @@
 ``simulator.far_log_moments`` and ``simulator.far_z_moments`` are held to
 quadrature and to 50-digit arithmetic; ``downlink_delay`` fed with them is
 held to annuli sampled point by point; and every fallback of
-``run_replication`` is held, on a replayed stream, to the kernel run on the
-union of near and annulus points for every serving tier, whichever tier
-caused it. Routers are never sampled, so they cause no fallback.
+``run_replication`` is held, on a replayed stream, to the kernel run on
+each tier's nearest point and its interferers on the whole window, for
+every serving tier, whichever tier caused it. Routers are never sampled, so they cause no fallback.
 """
 
 import math
@@ -19,7 +19,7 @@ from hetsim.analytics import DelayParams
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
-from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest, sample_ppp
+from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest
 from hetsim.popularity import Fixed
 from hetsim import simulator
 from hetsim.simulator import (
@@ -42,7 +42,7 @@ from hetsim.simulator import (
     run_replication,
 )
 from model_helpers import point_set_from_xy
-from stream_script import Recorder
+from stream_script import Recorder, draw
 
 GAMMA_3DB = 10.0 ** 0.3
 
@@ -74,7 +74,7 @@ class TestLogMoments:
     def test_match_quadrature_up_to_a_server_at_the_near_edge(self, alpha, z):
         # z = s R^-alpha reaches target_sir * (P_macro / P_small) when the server sits near R,
         # and falls below 1e-10 when it sits within tens of metres of the user;
-        # beyond FAR_ALPHA_MIN and FAR_Z_MAX the replication samples the annulus instead
+        # beyond FAR_ALPHA_MIN and FAR_Z_MAX the replication samples the whole window instead
         s = z * NEAR_RADIUS_M**alpha
         lam = far_log_moments((s,), (1.0,), alpha, NEAR_RADIUS_M, DEFAULT_WINDOW_RADIUS_M, J_MAX)
         for i in (1, 2, 4, J_MAX):
@@ -233,23 +233,28 @@ class TestNearKernelAgainstMaterialisedAnnulus:
                 downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m, far)
 
 
-def replay_near(params, rng, inner, outer):
-    """Per tier (macro, then small cells), the nearest distance and near
-    interferers that a batch of one draws, the formulas written out: a
-    uniform level ``U``, ``r = sqrt(-log(1 - U) / (pi lambda))`` (infinite at
-    or beyond ``outer``, an empty tier), then a Poisson count of points on
-    ``r < |x| < inner`` with uniform squared radii."""
-    closest, near = [], []
+def replay_nearest(params, rng, outer):
+    """Per tier (macro, then small cells), the nearest distance that a batch
+    of one draws, the formula written out: a uniform level ``U``, then ``r =
+    sqrt(-log(1 - U) / (pi lambda))``, infinite at or beyond ``outer`` (an
+    empty tier)."""
+    closest = []
     for lam in (params.lambda_mc, params.lambda_sc):
         assert rng.permutation(1).tolist() == [0]  # a stratum of one: the level is the uniform draw
-        r = np.sqrt(-np.log1p(-rng.random(1)) / (math.pi * lam))
-        if r[0] >= outer:
-            r[:] = np.inf
-        start = np.minimum(r, inner) ** 2
-        count = rng.poisson(lam * math.pi * (inner**2 - start))
-        closest.append(float(r[0]))
-        near.append(np.sqrt(start + (inner**2 - start) * rng.random(int(count[0]))))
-    return closest, near
+        r = float(np.sqrt(-np.log1p(-rng.random(1)) / (math.pi * lam))[0])
+        closest.append(math.inf if r >= outer else r)
+    return closest
+
+
+def replay_interferers(params, rng, closest, outer):
+    """Per tier, the interferers that a batch of one draws next: a Poisson
+    count of points on ``r < |x| < outer`` with uniform squared radii."""
+    interferers = []
+    for lam, r in zip((params.lambda_mc, params.lambda_sc), closest):
+        start = np.minimum([r], outer) ** 2
+        count = rng.poisson(lam * math.pi * (outer**2 - start))
+        interferers.append(np.sqrt(start + (outer**2 - start) * rng.random(int(count[0]))))
+    return interferers
 
 
 def point_set(radii, tier):
@@ -333,38 +338,37 @@ SETTLED = ("router-beyond", "empty-serving-tier")
 
 @pytest.mark.parametrize("case", list(FALLBACKS))
 def test_fallback_replays_the_kernel_on_the_union(case):
-    """Every fallback runs the kernel on the union of the nearest points,
-    the near interferers and the annulus, for every serving tier; it equals
-    ``downlink_delay`` on those point sets, compared with ==."""
+    """Every fallback runs the kernel, for every serving tier, on the union
+    of each tier's nearest point and its interferers, one PPP on
+    ``(r_t, W)``; it equals ``downlink_delay`` on those point sets, compared
+    with ==. A replication that does not fall back draws its interferers on
+    ``(r_t, NEAR_RADIUS_M)`` instead, and both read the same draws."""
     params, scenarios = FALLBACKS[case]
     cache = CacheConfig()
     cells = [Cell(scenario, params, cache) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
-    lambdas = (params.lambda_mc, params.lambda_sc)
     tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
     reasons, mixed, beyond = [], 0, 0
     for rep in range(40):
         replay = replication_rng(71, rep)
-        closest, near = replay_near(params, replay, NEAR_RADIUS_M, window.radius)
+        closest = replay_nearest(params, replay, window.radius)
+        # either serving tier decides whether the whole window is drawn, whichever cells run
+        reason = {tier: fallback_reason(tier, closest, params, window.radius) for tier in tiers}
+        settled = set(reason.values()) == {None}
+        outer = NEAR_RADIUS_M if settled else window.radius
+        interferers = replay_interferers(params, replay, closest, outer)
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
-        # either serving tier decides whether the annulus is drawn, whichever cells run
-        reason = {tier: fallback_reason(tier, closest, params, window.radius) for tier in tiers}
+        assert g.bit_generator.state == replay.bit_generator.state, rep
         reasons.append(reason[serving_tiers[0]])
         mixed += list(reason.values()).count(None) == 1
         beyond += closest[0] > NEAR_RADIUS_M
-        if set(reason.values()) == {None}:
-            assert g.bit_generator.state == replay.bit_generator.state, rep  # no annulus drawn
+        if settled:
             continue
-        far = [
-            sample_ppp(lam, window, replay, tier, start).r if start < window.radius else np.empty(0)
-            for lam, tier, start in zip(lambdas, tiers, far_starts(closest, window.radius))
-        ]
-        assert g.bit_generator.state == replay.bit_generator.state, rep
-        union = [point_set(([r], n, f), tier) for r, n, f, tier in zip(closest, near, far, tiers)]
+        union = [point_set(([r], i), tier) for r, i, tier in zip(closest, interferers, tiers)]
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
-            # every tier runs on the union, also one that the near points settle
+            # every tier runs on the whole window, also one that the near points settle
             attempts, outage, downlink, backhaul = link(tier, *union, params)
             hit = 0.0
             if scenario == MIXPOP:
@@ -386,8 +390,8 @@ def test_fallback_replays_the_kernel_on_the_union(case):
 def test_far_field_from_a_nearest_point_beyond_the_near_disc_is_the_sampled_annulus_mean(monkeypatch):
     """Where the nearest macro cell lies beyond the near disc, the macro far
     field starts at it. Averaged out, it must equal on average the same
-    replications with their annulus sampled point by point: the nearest
-    distances and near points are drawn first, so both runs share them."""
+    replications with the whole window sampled point by point: the nearest
+    distances are drawn first, so both runs share them."""
     # the nearest macro cell lies beyond 5 km in 21% of replications, and sparse small cells
     # leave its downlink unsaturated
     params = DelayParams(lambda_mc=2e-8, lambda_sc=3e-8)
@@ -398,9 +402,9 @@ def test_far_field_from_a_nearest_point_beyond_the_near_disc_is_the_sampled_annu
     for batch in range(40):
         g = Recorder(replication_rng(83, batch))
         averaged.append(_simulate(cells, params, window, g, BATCH_SIZE)[:, 2])
-        beyond.append(g.log[2][1] == 0)  # no macro cell inside the near disc
+        beyond.append(draw(g.log, "counts", 0)[1] == 0)  # settled, no macro cell inside the near disc
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "FAR_Z_MAX", -1.0)  # every replication samples its annulus
+            patch.setattr(simulator, "FAR_Z_MAX", -1.0)  # every replication samples the whole window
             sampled.append(_simulate(cells, params, window, replication_rng(83, batch), BATCH_SIZE)[:, 2])
     beyond = np.concatenate(beyond)
     difference = (np.concatenate(averaged, axis=1) - np.concatenate(sampled, axis=1))[:, beyond]
@@ -413,10 +417,10 @@ def test_far_field_from_a_nearest_point_beyond_the_near_disc_is_the_sampled_annu
 def test_window_within_near_disc_keeps_the_full_window_estimates():
     """At a window no larger than the near disc no interference is averaged
     out: these are the estimates of the full-window sampler, compared with
-    ==. They were recorded on the batch streams, which hold only each tier's
-    stratified nearest distances and its other points; ``test_batch`` holds
-    every replication of such a batch to the same replication run alone on
-    its share of the stream. The intervals are batch means over five
+    ==. They were recorded on the batch streams, which hold both tiers'
+    stratified nearest distances and then each tier's other points;
+    ``test_batch`` holds every replication of such a batch to the same
+    replication run alone on its share of the stream. The intervals are batch means over five
     batches, the last of 44 replications. The MixPop hit is the integral
     closed form, its catalogue ending at 1 + f0."""
     params = DelayParams()
@@ -428,9 +432,9 @@ def test_window_within_near_disc_keeps_the_full_window_estimates():
     ]
     got = estimate(cells, Window(5000.0), 300, 2026, workers=1)
     recorded = [
-        (1.1282781734222973, 1.1201525156216166, 1.136403831222978, 0.5039331868215752, 0.0),
-        (1.4347721032557272, 1.4284430962538106, 1.4411011102576439, 0.777932473391859, 0.0),
-        (0.675324471465536, 0.6689954644636195, 0.6816534784674525, 0.777932473391859, 0.7053953719159934),
+        (1.1289422942945024, 1.1201924886676535, 1.1376920999213513, 0.5130407371108684, 0.0),
+        (1.432736715911848, 1.4291444762917083, 1.4363289555319878, 0.7747623188026522, 0.0),
+        (0.6732890841216568, 0.669696844501517, 0.6768813237417965, 0.7747623188026522, 0.7053953719159934),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (

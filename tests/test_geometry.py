@@ -14,6 +14,7 @@ from hetsim.geometry import (
     Window,
     mean_nearest_distance,
     nearest,
+    sample_beyond,
     sample_ppp,
 )
 from model_helpers import point_set_from_xy
@@ -91,22 +92,45 @@ class TestSamplePpp:
         assert angle_p > 0.01
         assert radial_p > 0.01
 
-    def test_annulus_count_and_radial_law(self):
-        # beyond inner radius 200: count mean lambda pi (300^2 - 200^2), r^2 uniform on [200^2, 300^2]
-        window, inner = Window(300.0), 200.0
-        g = rng(13)
-        sets = [sample_ppp(1e-2, window, g, inner_radius=inner) for _ in range(400)]
-        mu = 1e-2 * math.pi * (300.0**2 - inner**2)
-        counts = np.array([len(ps) for ps in sets])
-        assert abs(counts.mean() - mu) < 3 * math.sqrt(mu / counts.size)
-        r = np.concatenate([ps.r for ps in sets])
-        assert np.all((inner <= r) & (r < 300.0))
-        assert stats.kstest((r**2 - inner**2) / (300.0**2 - inner**2), "uniform").pvalue > 0.01
 
-    @pytest.mark.parametrize("inner", [-1.0, 100.0, 150.0, math.nan])
-    def test_rejects_inner_radius_outside_window(self, inner):
-        with pytest.raises(InvalidParameterError):
-            sample_ppp(1e-3, Window(100.0), rng(), inner_radius=inner)
+class TestSampleBeyond:
+    def test_count_and_radial_law_with_a_radius_per_sample(self):
+        # sample k: count mean lambda pi (radius_k^2 - closest_k^2), r^2 uniform on
+        # [closest_k^2, radius_k^2]; four (closest, radius) pairs, interleaved
+        pairs = np.array([(0.0, 300.0), (200.0, 300.0), (50.0, 120.0), (150.0, 400.0)])
+        closest, radius = np.tile(pairs, (500, 1)).T
+        counts, r = sample_beyond(1e-2, closest, radius, rng(13))
+        assert counts.shape == closest.shape and r.size == counts.sum()
+        owner = np.repeat(np.arange(closest.size), counts)
+        for c, (inner, outer) in enumerate(pairs):
+            group = np.arange(c, closest.size, len(pairs))
+            mu = 1e-2 * math.pi * (outer**2 - inner**2)
+            assert abs(counts[group].mean() - mu) < 3 * math.sqrt(mu / group.size), (inner, outer)
+            radii = r[np.isin(owner, group)]
+            assert np.all((inner <= radii) & (radii < outer))
+            assert stats.kstest((radii**2 - inner**2) / (outer**2 - inner**2), "uniform").pvalue > 0.01
+
+    def test_empty_at_or_beyond_the_radius(self):
+        closest = np.array([100.0, 300.0, 450.0, 0.0])
+        counts, r = sample_beyond(1e-2, closest, np.full(closest.size, 300.0), rng(5))
+        assert counts[1:3].tolist() == [0, 0]
+        assert counts[0] > 0 and counts[3] > 0 and r.size == counts.sum()
+
+    def test_empty_for_a_tier_with_no_point(self):
+        # the simulator marks a tier with no point in the window by an infinite nearest distance
+        closest = np.array([math.inf, 10.0, math.inf])
+        counts, r = sample_beyond(1e-2, closest, np.array([300.0, 300.0, 5000.0]), rng(5))
+        assert counts[[0, 2]].tolist() == [0, 0]
+        assert counts[1] > 0 and r.size == counts[1]
+        assert np.all((10.0 <= r) & (r < 300.0))
+
+    @pytest.mark.parametrize("radius", [200.0, 5000.0])
+    def test_float_radius_draws_what_the_broadcast_array_draws(self, radius):
+        closest = np.array([0.0, 40.0, 199.0, 250.0, math.inf])
+        one = sample_beyond(3e-4, closest, radius, rng(21))
+        each = sample_beyond(3e-4, closest, np.full(closest.size, radius), rng(21))
+        for a, b in zip(one, each):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 class TestNearest:

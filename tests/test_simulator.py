@@ -29,7 +29,8 @@ from hetsim.simulator import (
 from model_helpers import point_set_from_xy
 from single_cell import estimate_one, kernel, replicate_one
 from sir_reference import reference_downlink, success_probability, truncated_geometric
-from stream_script import Recorder
+from stream_script import DRAWS, Recorder, draw
+from stream_script import levels as stratified_levels
 
 GAMMA_3DB = 10.0 ** 0.3
 STDPOP = CacheConfig(total=10.0, popular=9.5, overhead=0.5, uniform=0.0)
@@ -234,21 +235,24 @@ class TestRunReplication:
     def test_draws_only_the_geometry(self, members):
         # the replication stream is exactly the macro and small-cell geometry, whether or not a
         # cell caches: per tier the permutation of one stratum (no draw) and the level of the
-        # nearest distance, then the count and radii of the other points, with no angle;
-        # no router and no request is drawn (the recorder offers no other kind of draw)
+        # nearest distance, then per tier the count and radii of the other points, with no
+        # angle; no router and no request is drawn (the recorder offers no other kind of draw)
         params = small_params()
         window = Window(5000.0)
         cells = [Cell(scenario, params, cache) for scenario, cache in members]
         for rep in range(5):
             g = Recorder(replication_rng(13, rep))
             run_replication(cells, params, window, g)
-            draws = [(kind, size) for kind, _, size, _ in g.log]
-            counts = [int(values[0]) for kind, _, _, values in g.log if kind == "poisson"]
-            expected = []
-            for count in counts:
-                expected += [("permutation", 1), ("random", 1), ("poisson", None), ("random", count)]
-            assert draws == expected, rep
-            assert [lam.shape for kind, lam, _, _ in g.log if kind == "poisson"] == [(1,), (1,)]
+            kinds = {"permutation": "permutation", "offsets": "random", "counts": "poisson", "radii": "random"}
+            for kind, tier in DRAWS:
+                recorded_kind, lam, size, _ = draw(g.log, kind, tier)
+                assert recorded_kind == kinds[kind], (rep, kind, tier)
+                if kind == "counts":
+                    assert (lam.shape, size) == ((1,), None)
+                elif kind == "radii":
+                    assert size == int(draw(g.log, "counts", tier)[3][0])
+                else:
+                    assert size == 1
 
     def test_tail_is_the_mean_given_geometry_and_request(self):
         """The router distance and the request are averaged out: the tail is
@@ -503,12 +507,12 @@ class TestHitIsTheIntegralClosedForm:
         g = Recorder(replication_rng(97, 0))
         hits = _simulate([Cell(scenario, params, cache)], params, window, g, BATCH_SIZE)[0, 4]
         # the small-cell tier's permutation and offsets give its stratified levels and nearest distances
-        (_, _, _, perm), (_, _, _, offsets) = g.log[4:6]
-        levels = (perm + offsets) / BATCH_SIZE
+        levels = stratified_levels(g.log, 1, BATCH_SIZE)
         assert sorted(np.floor(levels * BATCH_SIZE).tolist()) == list(range(BATCH_SIZE))  # one per stratum
+        # numpy's log1p, as the kernel's: math.log1p may differ from it in the last place
+        distances = np.sqrt(-np.log1p(-levels) / (math.pi * params.lambda_sc))
         expected = []
-        for level in levels.tolist():
-            distance = math.sqrt(-math.log1p(-level) / (math.pi * params.lambda_sc))
+        for distance in distances.tolist():
             eta = effective_eta(scenario.model, params.lambda_sc, params.lambda_ut, distance)
             expected.append(hit_probability(policy, cache, eta, B3Variant.INTEGRAL_CONSISTENT))
         assert hits.tolist() == expected
@@ -610,7 +614,7 @@ class TestMultiCell:
             assert together == alone
 
     # beyond the near disc: every replication falls back, or a sparse near
-    # macro tier often does, so the annulus is drawn beside caching cells;
+    # macro tier often does, so the whole window is drawn beside caching cells;
     # with both tiers sparse, each falls back in replications where the other does not
     FALLBACK_PARAMS = {
         "attempts-above-j-max": small_params(max_attempts=J_MAX + 1),
