@@ -30,7 +30,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError, InvalidSteepnessError
+from .errors import InvalidConfigError, InvalidSteepnessError, warn_once
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +40,6 @@ class CachePolicy(str, enum.Enum):
     STD_POP = "stdpop"
     UNI_RAND = "unirand"
     MIX_POP = "mixpop"
-
-
-_WARNED_ABOVE_ONE: set[tuple[str, str, float]] = set()
 
 
 class B3Variant(str, enum.Enum):
@@ -145,15 +142,8 @@ def hit_probability(
         config.uniform, config.popular, config.catalogue_bound, eta, variant
     )
     if total > 1.0:
-        key = (policy.value, variant.value, round(total, 9))
-        if key not in _WARNED_ABOVE_ONE:  # a sweep re-evaluates the same cell per row
-            _WARNED_ABOVE_ONE.add(key)
-            log.warning(
-                "%s hit probability %.4f exceeds 1 under the %s variant",
-                policy.value,
-                total,
-                variant.value,
-            )
+        message = "%s hit probability %.4f exceeds 1 under the %s variant"
+        warn_once(log, message, policy.value, total, variant.value, key=(policy, variant, round(total, 9)))
     return total
 
 

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types, and the deduplicated warning, shared across the package."""
+
+import logging
+
+_WARNED: set[tuple] = set()
+
+
+def warn_once(log: logging.Logger, message: str, *args, key: tuple = ()) -> None:
+    """Log ``message % args`` as a warning the first time ``(message, key)``
+    occurs in the process: a sweep re-evaluates the same cell per row, and a
+    per-user estimate the same clamp per replication."""
+    if (message, key) not in _WARNED:
+        _WARNED.add((message, key))
+        log.warning(message, *args)
 
 
 class InvalidParameterError(ValueError):

@@ -1,12 +1,13 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
 The typical user sits at the origin; the base-station tiers are independent
-PPPs inside a finite disc window, the model's extent. The simulator draws each
-tier's nearest distance first (``nearest_distance``), then the tier's other
-points once (``sample_beyond``): out to the near disc where the near points
-settle a replication (``simulator.far_log_moments`` averages out the rest),
-out to the window's edge where they do not. Routers, a PPP on the plane,
-enter only through ``mean_nearest_distance``.
+PPPs, and a finite disc window, the model's extent, bounds all of a tier's
+points but its nearest. The simulator draws each tier's nearest distance
+first, from its plane law wherever it falls (``nearest_distance``), then
+the tier's other points once (``sample_beyond``): out to the near disc where
+the near points settle a replication (``simulator.far_log_moments``
+averages out the rest), out to the window's edge where they do not.
+Routers, a PPP on the plane, enter only through ``mean_nearest_distance``.
 
 Points are stored in polar form: the origin-centric queries and the SIR
 only ever need distances, so the simulator's points carry no angle.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidSteepnessError
+from .errors import InvalidParameterError, InvalidSteepnessError, warn_once
 from .geometry import mean_nearest_distance
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ def effective_eta(
     in meters; without an override the tier-average 1/(2*sqrt(lambda_sc))
     is used, matching the closed-form delay expressions. A per-user
     override of <= 1 m is clamped just above 1 (such users are measure-
-    negligible at realistic intensities) with a warning.
+    negligible at realistic intensities) with one warning per process.
     """
     if isinstance(model, Fixed):
         return model.eta0
@@ -69,7 +69,7 @@ def effective_eta(
         else:
             eta = distance_override
             if eta <= 1.0:
-                log.warning("per-user distance %.3g m gives steepness <= 1; clamping", eta)
+                warn_once(log, "per-user distance %.3g m gives steepness <= 1; clamping it and later ones", eta)
                 eta = ETA_CLAMP
     elif isinstance(model, LoadDependent):
         eta = lambda_ut / lambda_sc

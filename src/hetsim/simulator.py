@@ -17,11 +17,12 @@ replication's.
 
 Each tier's nearest distance is drawn first, from its exact law
 (``geometry.nearest_distance``), and kept apart from the tier's other
-points, which are interferers only. A replication falls back when
-``max_attempts > J_MAX``, when either serving tier's far moments would leave
-the checked domain of their closed form (``FAR_ALPHA_MIN``,
-``FAR_Z_MAX``), or when a tier has no point in the window. That reads only
-the nearest distances, so it is decided before any interferer is drawn.
+points, which are interferers only. A tier's nearest point is always kept,
+even beyond the window, so no tier is ever empty; the window bounds the
+tier's other points. A replication falls back when ``max_attempts >
+J_MAX`` or when either serving tier's far moments would leave the checked
+domain of their closed form (``FAR_ALPHA_MIN``, ``FAR_Z_MAX``). That reads
+only the nearest distances, so it is decided before any interferer is drawn.
 Beyond its nearest point a PPP is again a PPP, so each tier's interferers
 are one PPP on ``r_t < |x| < outer`` (``geometry.sample_beyond``), where
 ``outer`` is the window's edge for a replication that falls back and
@@ -69,7 +70,7 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from operator import mul
 
 import numpy as np
@@ -77,7 +78,7 @@ import numpy as np
 # is_hit, nearest, sample_ppp and sample_request are scalar forms of steps the kernel averages out
 # or runs over arrays; perfbench/tracer.py wraps them under these names
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, is_hit, require_valid  # noqa: F401
-from .errors import EmptyTierError, InvalidConfigError, InvalidParameterError
+from .errors import InvalidConfigError, InvalidParameterError, NumericalError
 from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond
 from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
@@ -176,7 +177,7 @@ def far_log_moments(
     inner: float | Sequence[np.ndarray],
     outer: float,
     max_attempts: int,
-) -> list[float] | np.ndarray:
+) -> np.ndarray:
     """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
 
     ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
@@ -187,9 +188,9 @@ def far_log_moments(
     ``outer`` to ``inner_t`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
     2/alpha; -z) - 1``, summed as ``rho_k`` terms, all positive
     (``analytics.rho_k``). ``inner`` is one radius for every tier, or one
-    per tier and replication, at most ``outer``. Returns a list for float
-    scales; for scales that are arrays over replications, an array with one
-    row per replication.
+    per tier and replication, at most ``outer``. Returns one row of the M
+    log-moments for float scales, and one row per replication for scales
+    that are arrays over replications.
     """
     scales = np.asarray(scales, dtype=float)
     inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)  # (tier, [replication])
@@ -200,7 +201,7 @@ def far_log_moments(
     log_moments = 0.0
     for lam, (near, far) in zip(intensities, np.moveaxis(area, -2, 1)):
         log_moments = log_moments + math.pi * lam * (near - far)
-    return log_moments.tolist() if log_moments.ndim == 1 else log_moments
+    return log_moments
 
 
 @functools.cache
@@ -215,12 +216,12 @@ def _signed_binomials(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((-1) ** i * c for i, c in enumerate(row) if i) for row in _binomials(m)[1:])
 
 
-def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> list[float] | np.ndarray:
+def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> np.ndarray:
     """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, from ``Lambda_i = -log E[Q^i]``.
 
-    Takes one row of M log-moments (returns a list) or an array with one
-    row per replication (returns an array). ``E[Z^j] = sum_{i>=1} C(j, i)
-    (-1)^i (E[Q^i] - 1)``. Each ``E[Q^i] - 1`` enters as ``expm1(-Lambda_i)``
+    Takes one row of M log-moments or an array with one row per
+    replication, and returns the moments in the same shape. ``E[Z^j] =
+    sum_{i>=1} C(j, i) (-1)^i (E[Q^i] - 1)``. Each ``E[Q^i] - 1`` enters as ``expm1(-Lambda_i)``
     when ``Lambda_i <= log 2``, else as ``exp(-Lambda_i)`` with the ``-1``
     moved into an integer offset, so no float term exceeds 1/2 in
     magnitude. A Veltkamp split makes every product with a binomial exact,
@@ -244,8 +245,7 @@ def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> list[float] | np
                 error = error + ((total - (new - back)) + (part - back))
                 total = new
         rows.append(total + error)
-    out = np.stack(rows, axis=-1)
-    return out.tolist() if out.ndim == 1 else out
+    return np.stack(rows, axis=-1)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -253,13 +253,13 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
-def _segments(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray, empty: float) -> np.ndarray:
-    """``ufunc`` reduced over every segment of ``values``; ``empty`` for an empty segment."""
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` over every segment; 0 for an empty segment."""
     starts = offsets[:-1]
     full = offsets[1:] > starts
-    out = np.full(starts.size, empty)
+    out = np.zeros(starts.size)
     if full.any():
-        out[full] = ufunc.reduceat(values, starts[full])
+        out[full] = np.add.reduceat(values, starts[full])
     return out
 
 
@@ -274,8 +274,8 @@ def _downlink(
     """Expected attempts and outage probability of every replication of a batch.
 
     This is ``downlink_delay``'s model. ``signal[k]`` is the serving gain of
-    replication ``k`` and ``rival[k]`` one more interferer's gain (0 for
-    none). Each ``(gains, offsets)`` of ``interferers`` holds the other
+    replication ``k`` and ``rival[k]`` the other tier's nearest gain, which
+    enters first. Each ``(gains, offsets)`` of ``interferers`` holds the other
     interferers' gains of all replications, replication ``k`` owning the
     segment ``[offsets[k], offsets[k + 1])``. ``far``, if given, holds one
     row of far log-moments per replication.
@@ -285,7 +285,7 @@ def _downlink(
     for gains, offsets in interferers:
         terms = np.repeat(scale, np.diff(offsets))
         terms *= gains
-        minus_log_q += _segments(np.add, np.log1p(terms, out=terms), offsets, 0.0)
+        minus_log_q += _segment_sums(np.log1p(terms, out=terms), offsets)
     miss = -np.expm1(-minus_log_q)
     if far is not None:
         z = far_z_moments(far).T
@@ -360,17 +360,13 @@ def downlink_delay(
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
-_TIER_NAMES = (Tier.MACRO, Tier.SMALL_CELL)
-
-
 def _settled(closest: np.ndarray, starts: np.ndarray, params: DelayParams) -> np.ndarray:
     """Which replications the near points settle: for either serving tier,
     every tier's far moments stay in the checked domain of the closed form,
     ``z = s_t R_t^-alpha <= FAR_Z_MAX`` at the tier's inner radius ``R_t``
-    (``starts``). A replication with an empty tier is unsettled. It reads
-    only the nearest distances, so it is decided before any interferer is
-    drawn; an unsettled replication draws every tier's interferers out to
-    the window's edge and averages nothing out."""
+    (``starts``). It reads only the nearest distances, so it is decided
+    before any interferer is drawn; an unsettled replication draws every
+    tier's interferers out to the window's edge and averages nothing out."""
     radio = params.radio
     if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
         return np.zeros(closest.shape[1], dtype=bool)
@@ -405,7 +401,6 @@ def _simulate(
         levels = rng.permutation(size) + rng.random(size)
         levels /= size
         closest[t] = nearest_distance(lam, levels)
-    closest[closest >= window.radius] = np.inf  # no point of the tier in the window
 
     outer = min(NEAR_RADIUS_M, window.radius)
     starts = None
@@ -428,10 +423,6 @@ def _simulate(
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
     for own in set(owns):
-        if np.isinf(closest[own]).any():
-            raise EmptyTierError(
-                f"no {_TIER_NAMES[own].value} point in window; resample or enlarge the window"
-            )
         far = None
         if starts is not None:
             scale = radio.target_sir / closest_gains[own]
@@ -602,7 +593,8 @@ def estimate(
     arguments: the per-batch streams and the index-ordered reduction make
     the result independent of ``workers`` (default: HETSIM_THREADS, else
     the CPU count capped at 8) and of which other cells are estimated
-    alongside.
+    alongside. A cell whose estimate is not finite, as when its serving
+    gains underflow to 0, raises ``NumericalError``.
     """
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications}")
@@ -636,4 +628,8 @@ def estimate(
     samples = np.empty((len(cells), replications, 3))
     for (_, members, start, stop), batch in zip(keys, results):
         samples[members, start:stop] = batch
-    return [_summarize(samples[c]) for c in range(len(cells))]
+    estimates = [_summarize(rows) for rows in samples]
+    for cell, est in zip(cells, estimates):
+        if not all(map(math.isfinite, astuple(est))):
+            raise NumericalError(f"non-finite estimate {est} for {cell}")
+    return estimates

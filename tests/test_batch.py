@@ -74,7 +74,6 @@ def split_batch(cells, params, window, seed, size):
     fell_back = np.zeros(size, dtype=bool)
     for t, lam in enumerate((params.lambda_mc, params.lambda_sc)):
         closest = nearest_distance(lam, levels(recorder.log, t, size))
-        closest[closest >= window.radius] = np.inf
         means = draw(recorder.log, "counts", t)[1]
         near, whole = (
             lam * math.pi * (radius**2 - np.minimum(closest, radius) ** 2)

@@ -11,7 +11,7 @@ import hetsim
 import oracle_reference as oracle
 from hetsim.caching import B3Variant
 from hetsim import cli
-from hetsim.cli import EXIT_CONFIG, EXIT_OK, main, run_sweep
+from hetsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, run_sweep
 from hetsim.config import ExperimentConfig, load_config
 from hetsim.errors import InvalidSteepnessError
 
@@ -311,16 +311,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "master_seed" in err
 
-    def test_window_too_small_for_a_grid_value_is_config_error(self, tmp_path, capsys):
-        # 5 km holds the default intensities, not a macro tier at 1e-9 per m^2
+    def test_window_smaller_than_a_sparse_tier_keeps_its_nearest_point(self, tmp_path, capsys):
+        # 5 km holds a macro cell at 1e-9 per m^2 only 8% of the time; the nearest one is kept
+        # wherever it falls, so a macro user far from its server is almost always in outage
         config = write_config(
             tmp_path, sweep_variable="lambda_mc", sweep_grid=[1e-9, 2.8e-6], window_radius_m=5000.0
         )
-        code = main(["--config", str(config)])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err and "window_radius_m" in err and "lambda_mc=1e-09" in err
-        assert main(["--config", str(config), "--theory-only"]) == EXIT_OK
+        assert main(["--config", str(config)]) == EXIT_OK
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 2 * 2 and all(row[10] == "150" for row in rows)
+        macro_outage = [float(row[9]) for row in rows if row[1] == "1e-09" and row[2] == "macro"]
+        assert macro_outage[0] > 0.99
 
     def test_unirand_may_cache_the_whole_catalogue_and_no_more(self, tmp_path, capsys):
         # f0 = 500 units cover the catalogue [1, 501), so every catalogue request hits
@@ -343,12 +344,33 @@ class TestMain:
 
     def test_sparse_routers_do_not_trip_the_window_guard(self, tmp_path, capsys):
         # a 5 km window holds a router at 1e-9 per m^2 only 8% of the time, but routers are
-        # averaged out on the plane, not sampled, so only the base-station tiers count
+        # averaged out on the plane, not sampled
         config = tmp_path / "config.json"
         config.write_text('{"lambda_cr_per_m2": 1e-9, "window_radius_m": 5000, "replications": 50}')
         assert main(["--config", str(config)]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 4 * 5 and all(row.split(",")[10] == "50" for row in rows)
+
+    @pytest.mark.parametrize("window", [20_000.0, 1e101])
+    def test_non_finite_estimate_is_numerical_error(self, tmp_path, capsys, window):
+        # both tiers' nearest gains underflow to 0, so the kernel meets inf * 0: no row is written
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(
+            sweep_variable="target_sir",
+            replications=130,
+            lambda_mc_per_m2=1e-200,
+            lambda_sc_per_m2=2e-200,
+            lambda_cr_per_m2=1e-201,
+            lambda_ut_per_m2=1e-199,
+            window_radius_m=window,
+        )))
+        out = tmp_path / "out.csv"
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(config), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "non-finite estimate" in err and "MacroUser" in err
+        assert not out.exists()
 
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(

@@ -145,7 +145,7 @@ class TestZMoments:
             assert abs(value - float(exact)) < 1e-13, j
 
     def test_empty_annulus_has_no_moments(self):
-        assert far_z_moments([0.0] * J_MAX) == [0.0] * J_MAX
+        assert np.array_equal(far_z_moments([0.0] * J_MAX), np.zeros(J_MAX))
 
 
 # (serving tier, macro points, small points): the server is point 0 of its tier
@@ -233,16 +233,14 @@ class TestNearKernelAgainstMaterialisedAnnulus:
                 downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m, far)
 
 
-def replay_nearest(params, rng, outer):
+def replay_nearest(params, rng):
     """Per tier (macro, then small cells), the nearest distance that a batch
     of one draws, the formula written out: a uniform level ``U``, then ``r =
-    sqrt(-log(1 - U) / (pi lambda))``, infinite at or beyond ``outer`` (an
-    empty tier)."""
+    sqrt(-log(1 - U) / (pi lambda))``, kept even beyond the window."""
     closest = []
     for lam in (params.lambda_mc, params.lambda_sc):
         assert rng.permutation(1).tolist() == [0]  # a stratum of one: the level is the uniform draw
-        r = float(np.sqrt(-np.log1p(-rng.random(1)) / (math.pi * lam))[0])
-        closest.append(math.inf if r >= outer else r)
+        closest.append(float(np.sqrt(-np.log1p(-rng.random(1)) / (math.pi * lam))[0]))
     return closest
 
 
@@ -297,8 +295,6 @@ def fallback_reason(tier, closest, params, outer):
         return "attempts-above-j-max"
     if radio.pathloss_exponent < FAR_ALPHA_MIN:
         return "pathloss-near-two"
-    if math.inf in closest:
-        return "empty-tier"
     powers = (radio.power_macro, radio.power_small)
     own = 0 if tier is Tier.MACRO else 1
     for start, power in zip(far_starts(closest, outer), powers):
@@ -314,9 +310,9 @@ FALLBACKS = {
     # a near disc that often holds no macro cell: the nearest one, drawn first, starts the
     # macro far field beyond it, so no replication falls back
     "empty-serving-tier": (DelayParams(lambda_mc=2e-8), [MacroUser()]),
-    # so few macro cells that the whole window often holds none: small-cell users still run, on
-    # all points of the window
-    "empty-tier": (DelayParams(lambda_mc=1e-10), [MIXPOP]),
+    # so few macro cells that the whole window often holds none: the nearest one is kept beyond
+    # the window, and its far field is empty; the farthest ones leave the checked domain
+    "tier-beyond-window": (DelayParams(lambda_mc=1e-10), [MIXPOP]),
     # few routers and far-flung small cells: routers are averaged out on the plane, not sampled,
     # so however sparse they cause no fallback
     "router-beyond": (DelayParams(lambda_cr=5e-8, lambda_sc=1e-7), [MIXPOP]),
@@ -349,10 +345,10 @@ def test_fallback_replays_the_kernel_on_the_union(case):
     window = Window(DEFAULT_WINDOW_RADIUS_M)
     tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
-    reasons, mixed, beyond = [], 0, 0
+    reasons, mixed, beyond, outside = [], 0, 0, 0
     for rep in range(40):
         replay = replication_rng(71, rep)
-        closest = replay_nearest(params, replay, window.radius)
+        closest = replay_nearest(params, replay)
         # either serving tier decides whether the whole window is drawn, whichever cells run
         reason = {tier: fallback_reason(tier, closest, params, window.radius) for tier in tiers}
         settled = set(reason.values()) == {None}
@@ -364,6 +360,7 @@ def test_fallback_replays_the_kernel_on_the_union(case):
         reasons.append(reason[serving_tiers[0]])
         mixed += list(reason.values()).count(None) == 1
         beyond += closest[0] > NEAR_RADIUS_M
+        outside += closest[0] > window.radius
         if settled:
             continue
         union = [point_set(([r], i), tier) for r, i, tier in zip(closest, interferers, tiers)]
@@ -379,6 +376,9 @@ def test_fallback_replays_the_kernel_on_the_union(case):
         assert reasons.count(None) == 40 and mixed == 0  # no replication falls back
     elif case == "mixed":
         assert mixed >= 3
+    elif case == "tier-beyond-window":
+        # a macro server far beyond the window leaves the checked domain; the small cells' does not
+        assert outside >= 3 and mixed >= 3
     else:
         assert reasons.count(case) >= 3
     if case == "empty-serving-tier":

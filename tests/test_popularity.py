@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import oracle_reference as oracle
+from hetsim import errors
 from hetsim.errors import InvalidParameterError, InvalidSteepnessError
 from hetsim.popularity import (
     ETA_CLAMP,
@@ -37,7 +38,8 @@ class TestEffectiveEta:
     def test_distance_override_wins(self):
         assert effective_eta(DistanceDependent(), 3.6e-6, 7.2e-6, distance_override=42.0) == 42.0
 
-    def test_short_distance_clamps_with_warning(self, caplog):
+    def test_short_distance_clamps_with_warning(self, caplog, monkeypatch):
+        monkeypatch.setattr(errors, "_WARNED", set())  # the clamp is logged once per process
         with caplog.at_level("WARNING", logger="hetsim.popularity"):
             eta = effective_eta(DistanceDependent(), 3.6e-6, 7.2e-6, distance_override=0.5)
         assert eta == ETA_CLAMP

@@ -8,7 +8,8 @@ import oracle_reference as oracle
 from hetsim.analytics import DelayParams, mean_backhaul
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
-from hetsim.errors import EmptyTierError, InvalidParameterError
+from hetsim import errors
+from hetsim.errors import InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, effective_eta
 from hetsim.simulator import (
@@ -280,10 +281,16 @@ class TestRunReplication:
                 expected = p * params.cache_read_mean_ms + (1 - p) * backhaul_mean
                 assert sample.tail_ms == pytest.approx(expected, rel=1e-12)
 
-    def test_empty_tier_raises(self):
+    def test_nearest_point_beyond_the_window_serves(self):
+        """A tier's nearest point is kept wherever it falls; the window bounds only its other points."""
         params = small_params(lambda_mc=1e-12)
-        with pytest.raises(EmptyTierError):
-            replicate_one(MacroUser(), params, CacheConfig(), Window(100.0), replication_rng(1, 0))
+        g = Recorder(replication_rng(1, 0))
+        sample = replicate_one(MacroUser(), params, CacheConfig(), Window(100.0), g)
+        levels = stratified_levels(g.log, 0, 1)
+        assert np.sqrt(-np.log1p(-levels) / (math.pi * params.lambda_mc))[0] > 100.0
+        assert draw(g.log, "counts", 0)[1] == 0  # no other macro cell: beyond the window
+        assert all(math.isfinite(v) for v in (sample.downlink_ms, sample.attempts, sample.outage))
+        assert sample.outage == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEstimate:
@@ -548,6 +555,20 @@ class TestDistanceModes:
             params, CacheConfig(), window, 4000, 79,
         )
         assert per_user.hit_rate < averaged.hit_rate - 0.02
+
+    def test_per_user_clamp_is_logged_once(self, caplog, monkeypatch):
+        """Hundreds of replications of this estimate clamp their steepness; one line says so."""
+        monkeypatch.setattr(errors, "_WARNED", set())  # as in a fresh process
+        params = DelayParams(
+            lambda_cr=0.005, lambda_mc=0.01, lambda_sc=0.0625, lambda_ut=0.125, backhaul_beta=1e-3
+        )
+        scenario = SmallUser(
+            policy=CachePolicy.MIX_POP, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER
+        )
+        with caplog.at_level("WARNING", logger="hetsim.popularity"):
+            estimate_one(scenario, params, CacheConfig(), Window(60.0), 4000, 79, workers=1)
+        clamps = [r.getMessage() for r in caplog.records if r.name == "hetsim.popularity"]
+        assert len(clamps) == 1 and "clamping" in clamps[0]
 
     def test_per_user_mode_irrelevant_for_fixed_model(self):
         params = small_params()
