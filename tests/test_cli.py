@@ -16,6 +16,17 @@ from hetsim.config import ExperimentConfig, load_config
 from hetsim.errors import InvalidSteepnessError
 
 
+# both tiers' nearest gains underflow to 0, so the kernel meets inf * 0
+UNDERFLOW_CONFIG = dict(
+    sweep_variable="target_sir",
+    replications=130,
+    lambda_mc_per_m2=1e-200,
+    lambda_sc_per_m2=2e-200,
+    lambda_cr_per_m2=1e-201,
+    lambda_ut_per_m2=1e-199,
+)
+
+
 def by_scenario(rows, label):
     return [r for r in rows if r.scenario == label]
 
@@ -353,20 +364,10 @@ class TestMain:
 
     @pytest.mark.parametrize("window", [20_000.0, 1e101])
     def test_non_finite_estimate_is_numerical_error(self, tmp_path, capsys, window):
-        # both tiers' nearest gains underflow to 0, so the kernel meets inf * 0: no row is written
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(
-            sweep_variable="target_sir",
-            replications=130,
-            lambda_mc_per_m2=1e-200,
-            lambda_sc_per_m2=2e-200,
-            lambda_cr_per_m2=1e-201,
-            lambda_ut_per_m2=1e-199,
-            window_radius_m=window,
-        )))
+        config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, window_radius_m=window)))
         out = tmp_path / "out.csv"
-        with np.errstate(all="ignore"):
-            code = main(["--config", str(config), "--out", str(out)])
+        code = main(["--config", str(config), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure" in err and "non-finite estimate" in err and "MacroUser" in err
@@ -441,6 +442,33 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.splitlines()[0].startswith("sweep_var,")
     assert len(proc.stdout.splitlines()) == 1 + 4 * 5
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_non_finite_estimate_exits_3_without_numpy_warnings(tmp_path, threads):
+    """The inf * 0 of underflowing gains is expected, not a crash: the CLI
+    prints its exit-3 line, writes no row and prints no ``RuntimeWarning``,
+    in workers too."""
+    src = str(Path(hetsim.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        HETSIM_THREADS=threads,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, window_radius_m=20_000.0)))
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetsim", "--config", str(config), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "non-finite estimate" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_quadrature_or_optimizer():

@@ -1,11 +1,13 @@
 """The far field beyond the near disc, averaged out by its PGFL.
 
 ``simulator.far_log_moments`` and ``simulator.far_z_moments`` are held to
-quadrature and to 50-digit arithmetic; ``downlink_delay`` fed with them is
-held to annuli sampled point by point; and every fallback of
-``run_replication`` is held, on a replayed stream, to the kernel run on
-each tier's nearest point and its interferers on the whole window, for
-every serving tier, whichever tier caused it. Routers are never sampled, so they cause no fallback.
+quadrature and to 50-digit arithmetic, and ``far_z_moments`` to its
+row-by-row loop; the kernel's far path is held to the exact binomial
+expansion, and ``downlink_delay`` fed with them to annuli sampled point by
+point; and every fallback of ``run_replication`` is held, on a replayed
+stream, to the kernel run on each tier's nearest point and its interferers
+on the whole window, for every serving tier, whichever tier caused it.
+Routers are never sampled, so they cause no fallback.
 """
 
 import math
@@ -41,6 +43,7 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
+from far_reference import LOG_2, exact_far_downlink, z_moments_by_row
 from model_helpers import point_set_from_xy
 from stream_script import Recorder, draw
 
@@ -147,6 +150,22 @@ class TestZMoments:
     def test_empty_annulus_has_no_moments(self):
         assert np.array_equal(far_z_moments([0.0] * J_MAX), np.zeros(J_MAX))
 
+    @pytest.mark.parametrize("m", range(1, J_MAX + 2))
+    def test_equals_the_row_by_row_loop(self, m):
+        """All rows at once are the row-by-row compensated loop, bit for bit:
+        concave and linear rows, Lambda_1 from 1e-9 to 10, half of them
+        rescaled so that a middle Lambda_i sits near log 2."""
+        rng = np.random.default_rng(1000 + m)
+        concave = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 20_000.0, m)
+        shapes = np.where(rng.random((120, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
+        lam = shapes * 10.0 ** rng.uniform(-9.0, 1.0, (120, 1))
+        lam[::2] *= LOG_2 * rng.uniform(0.8, 1.25, (60, 1)) / lam[::2, m // 2 : m // 2 + 1]
+        if m > 1:
+            assert ((lam[:, 0] <= LOG_2) & (lam[:, -1] > LOG_2)).sum() > 10
+        assert np.array_equal(far_z_moments(lam), z_moments_by_row(lam))
+        for row in lam[:8]:
+            assert np.array_equal(far_z_moments(row), z_moments_by_row(row))
+
 
 # (serving tier, macro points, small points): the server is point 0 of its tier
 NEAR_GEOMETRIES = [
@@ -224,6 +243,25 @@ class TestNearKernelAgainstMaterialisedAnnulus:
         for m in (1, 4, J_MAX):
             plain = downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m)
             assert downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m, [0.0] * m) == plain
+
+    @pytest.mark.parametrize("m", range(1, J_MAX + 1))
+    def test_far_path_matches_the_exact_binomial_expansion(self, m):
+        """The recurrence is ``E[(1 - q Q)^k] = sum_j C(k, j) (1 - q)^(k-j) q^j
+        E[Z^j]`` to 1e-13 relative, for q from about 1e-14 to nearly 1. At unit
+        signal and target the rival alone sets ``-log q = log1p(rival)``."""
+        rng = np.random.default_rng(2000 + m)
+        n = 40
+        rival = np.expm1(np.geomspace(1e-12, 32.0, n))
+        concave = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 20_000.0, m)
+        shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
+        far = shapes * 10.0 ** rng.uniform(-8.0, 0.7, (n, 1))
+        attempts, outage = simulator._downlink(np.ones(n), rival, [], 1.0, m, far)
+        minus_log_q = np.log1p(rival)
+        miss, q, z = -np.expm1(-minus_log_q), np.exp(-minus_log_q), far_z_moments(far)
+        for k in range(n):
+            exact_attempts, exact_outage = exact_far_downlink(miss[k], q[k], z[k])
+            assert attempts[k] == pytest.approx(float(exact_attempts), rel=1e-13, abs=0.0), k
+            assert outage[k] == pytest.approx(float(exact_outage), rel=1e-13, abs=0.0), k
 
     def test_far_moments_need_one_per_attempt_up_to_j_max(self):
         macro = point_set_from_xy([(100.0, 0.0)], Tier.MACRO)
@@ -440,4 +478,30 @@ def test_window_within_near_disc_keeps_the_full_window_estimates():
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (
             mean, low, high, outage, hit
         )
+        assert est.replications == 300
+
+
+def test_far_field_estimates_at_20_km():
+    """The same cells in a 20 km window, where every replication averages
+    the annulus beyond the near disc out. Recorded on the binomial expansion
+    of ``E[(1 - q Q)^k]``; its recurrence rounds differently (the outages
+    move by an ulp), so mean, interval ends and outage are held to 1e-13
+    relative and the hit, which reads no geometry, with ==."""
+    params = DelayParams()
+    cache = CacheConfig()
+    cells = [
+        Cell(MacroUser(), params, cache),
+        Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
+        Cell(MIXPOP, params, cache),
+    ]
+    got = estimate(cells, Window(20_000.0), 300, 2026, workers=1)
+    recorded = [
+        (1.129145673746986, 1.1204193934205422, 1.13787195407343, 0.5139105173991223, 0.0),
+        (1.4328414302991814, 1.429244432080088, 1.436438428518275, 0.775200116944811, 0.0),
+        (0.6733937985089901, 0.6697968002898964, 0.6769907967280837, 0.775200116944811, 0.7053953719159934),
+    ]
+    for est, (mean, low, high, outage, hit) in zip(got, recorded):
+        got_values = (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate)
+        np.testing.assert_allclose(got_values, (mean, low, high, outage), rtol=1e-13)
+        assert est.hit_rate == hit
         assert est.replications == 300
