@@ -4,9 +4,11 @@ The typical user sits at the origin; the base-station tiers are independent
 PPPs, and a finite disc window, the model's extent, bounds all of a tier's
 points but its nearest. The simulator draws each tier's nearest distance
 first, from its plane law wherever it falls (``nearest_distance``), then
-the tier's other points once (``sample_beyond``): out to the near disc where
-the near points settle a replication (``simulator.far_log_moments``
-averages out the rest), out to the window's edge where they do not.
+the tier's other points once (``sample_beyond``), out to the tier's near
+radius in each replication (the rule is in ``simulator``'s docstring);
+``simulator.far_log_moments`` averages out the rest of the window. A config
+whose far field is not averaged out has the window's edge as every near
+radius.
 Routers, a PPP on the plane, enter only through ``mean_nearest_distance``.
 
 Points are stored in polar form: the origin-centric queries and the SIR

@@ -19,20 +19,23 @@ Each tier's nearest distance is drawn first, from its exact law
 (``geometry.nearest_distance``), and kept apart from the tier's other
 points, which are interferers only. A tier's nearest point is always kept,
 even beyond the window, so no tier is ever empty; the window bounds the
-tier's other points. A replication falls back when ``max_attempts >
-J_MAX`` or when either serving tier's far moments would leave the checked
-domain of their closed form (``FAR_ALPHA_MIN``, ``FAR_Z_MAX``). That reads
-only the nearest distances, so it is decided before any interferer is drawn.
-Beyond its nearest point a PPP is again a PPP, so each tier's interferers
-are one PPP on ``r_t < |x| < outer`` (``geometry.sample_beyond``), where
-``outer`` is the window's edge for a replication that falls back and
-otherwise ``min(NEAR_RADIUS_M, window.radius)``, the near disc. The points
-beyond the near disc, or beyond a nearest point outside it, are an
-independent PPP, so given the near points their interference is averaged
-out exactly through its probability generating functional
-(``far_log_moments``), tier ``t`` from ``max(near radius, r_t)``. The
-estimand stays the model on the whole window, and every serving tier of a
-replication runs on the same points.
+tier's other points. One rule splits those points: tier ``t`` samples them
+out to its near radius ``R_t`` and averages the rest out. ``R_t`` is
+``max(r_t, fence_t)`` clipped to ``[NEAR_RADIUS_M, W]`` for the window's
+radius ``W``, and the fence is the least radius at which the far moments
+stay in the checked domain of their closed form for either serving tier
+``s``: ``z_t = target_sir g_t(R_t) / g_s(r_s) <= FAR_Z_MAX``. It reads only
+the nearest distances, so it is set before any interferer is drawn. Beyond
+its nearest point a PPP is again a PPP, so each tier's interferers are one
+PPP on ``r_t < |x| < R_t`` (``geometry.sample_beyond``). The points beyond
+``R_t`` are an independent PPP, so given the near points their interference
+is averaged out exactly through its probability generating functional
+(``far_log_moments``), tier ``t`` from ``R_t`` to ``W``. A config samples
+the whole window, ``R_t = W`` with nothing averaged out, when ``W <=
+NEAR_RADIUS_M``, when ``max_attempts > J_MAX`` or when the pathloss
+exponent is below ``FAR_ALPHA_MIN``. The estimand stays the model on the
+whole window, and every serving tier of a replication runs on the same
+points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications run in batches of ``BATCH_SIZE`` through one vectorised
@@ -45,9 +48,9 @@ batch of ``B``, one random permutation per tier, so every one of the
 consumes the random stream derived from (master_seed, b) in exactly eight
 draws, in this order: for each tier in turn (macro cells, small cells) the
 permutation and all ``V_k``; then for each tier in turn all counts and all
-radii of its interferers. No draw depends on which replications fall back.
-No angle, no router and no request is drawn. Both serving tiers decide the
-fallback, whichever cells run, so the stream is read the same way
+radii of its interferers. No draw depends on where the near radii fall.
+No angle, no router and no request is drawn. Both serving tiers set the
+near radii, whichever cells run, so the stream is read the same way
 whichever cells run together, and a cell's samples do not depend on which
 other cells are estimated alongside it.
 ``run_replication`` is a batch of one, whose permutation draws nothing
@@ -86,7 +89,7 @@ from .analytics import DelayParams, rho_k
 # replications per random stream, and strata of its Latin hypercube; fixed so that results
 # never depend on the worker count
 BATCH_SIZE = 64
-NEAR_RADIUS_M = 5000.0  # points beyond it are sampled only when a replication falls back
+NEAR_RADIUS_M = 5000.0  # each tier's near radius is at least this, so its points inside are sampled
 # largest max_attempts with a far field: far_z_moments' error about doubles per moment
 # (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs)
 J_MAX = 12
@@ -94,7 +97,7 @@ J_MAX = 12
 # nears one multiple of s^(2/alpha) at both radii, and that shared term cancels in their difference,
 # the more as z grows and as alpha nears 2 (where the outer radius's z stays large too)
 FAR_ALPHA_MIN = 2.1
-FAR_Z_MAX = 1e4  # largest s_t R^-alpha at the inner radius R
+FAR_Z_MAX = 1e4  # largest s_t R^-alpha at the inner radius R; it sets each tier's near radius
 _LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -351,24 +354,6 @@ def downlink_delay(
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
-def _settled(closest: np.ndarray, starts: np.ndarray, params: DelayParams) -> np.ndarray:
-    """Which replications the near points settle: for either serving tier,
-    every tier's far moments stay in the checked domain of the closed form,
-    ``z = s_t R_t^-alpha <= FAR_Z_MAX`` at the tier's inner radius ``R_t``
-    (``starts``). It reads only the nearest distances, so it is decided
-    before any interferer is drawn; an unsettled replication draws every
-    tier's interferers out to the window's edge and averages nothing out."""
-    radio = params.radio
-    if params.max_attempts > J_MAX or radio.pathloss_exponent < FAR_ALPHA_MIN:
-        return np.zeros(closest.shape[1], dtype=bool)
-    powers = (radio.power_macro, radio.power_small)
-    alpha = radio.pathloss_exponent
-    # z_t = target_sir * g_t(R_t) / g_s(r_s): the largest over tiers t and serving tiers s
-    weakest = np.minimum(*(_gains(r, power, alpha) for r, power in zip(closest, powers)))
-    edge = np.maximum(*(_gains(r, power, alpha) for r, power in zip(starts, powers)))
-    return radio.target_sir * edge <= FAR_Z_MAX * weakest
-
-
 # gains that underflow to 0 meet inf * 0 here; estimate raises NumericalError on the non-finite result
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _simulate(
@@ -384,8 +369,7 @@ def _simulate(
     column per replication. The stream holds, per tier (macro cells, small
     cells), a permutation and the offsets of the stratified levels of the
     nearest distances; then, per tier, the counts and radii of its
-    interferers, out to the near disc or, where the replication falls back,
-    to the window's edge.
+    interferers, out to the tier's near radius.
     """
     lambdas = (params.lambda_mc, params.lambda_sc)
     closest = np.empty((2, size))
@@ -395,35 +379,31 @@ def _simulate(
         levels /= size
         closest[t] = nearest_distance(lam, levels)
 
-    outer = min(NEAR_RADIUS_M, window.radius)
-    starts = None
-    if outer < window.radius:
-        # each tier's far field starts at the near disc's edge or, beyond it, at its nearest point
-        starts = np.clip(closest, outer, window.radius)
-        # both serving tiers decide, so which replications fall back is the same for any cells
-        fallback = ~_settled(closest, starts, params)
-        outer = np.where(fallback, window.radius, outer)
-        if fallback.all():
-            starts = None  # no far field is left to average out
-
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
-    closest_gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
+    alpha = radio.pathloss_exponent
+    closest_gains = [_gains(r, power, alpha) for r, power in zip(closest, powers)]
+    # outside the checked domain of the far moments' closed form every point of the window is sampled
+    averaged = window.radius > NEAR_RADIUS_M and params.max_attempts <= J_MAX and alpha >= FAR_ALPHA_MIN
+    near = np.full_like(closest, window.radius)
+    if averaged:
+        # tier t's far field starts where z_t = target_sir * g_t(R_t) / g_s(r_s) is at most FAR_Z_MAX
+        # for either serving tier s, so which points are sampled is the same for any cells
+        weakest = np.minimum(*closest_gains)
+        fence = (radio.target_sir * np.array(powers)[:, None] / (FAR_Z_MAX * weakest)) ** (1.0 / alpha)
+        near = np.clip(np.maximum(closest, fence), NEAR_RADIUS_M, window.radius)
     interferers = []
-    for lam, r_t, power in zip(lambdas, closest, powers):
-        counts, r = sample_beyond(lam, r_t, outer, rng)
-        interferers.append((_gains(r, power, radio.pathloss_exponent), _offsets(counts)))
+    for lam, r_t, radius, power in zip(lambdas, closest, near, powers):
+        counts, r = sample_beyond(lam, r_t, radius, rng)
+        interferers.append((_gains(r, power, alpha), _offsets(counts)))
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
     for own in set(owns):
         far = None
-        if starts is not None:
+        if averaged:
             scale = radio.target_sir / closest_gains[own]
             scales = [scale * power for power in powers]
-            far = far_log_moments(
-                scales, lambdas, radio.pathloss_exponent, starts, window.radius, params.max_attempts
-            )
-            far[fallback] = 0.0  # all points of the window are sampled: Q = 1
+            far = far_log_moments(scales, lambdas, alpha, near, window.radius, params.max_attempts)
         links[own] = _downlink(
             closest_gains[own], closest_gains[1 - own], interferers, radio.target_sir, params.max_attempts, far
         )
@@ -463,8 +443,10 @@ def run_replication(
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): per tier (macro, then small cells) the level of the
     nearest distance, which is one uniform draw; then per tier the count
-    and radii of its interferers, out to the window's edge if the
-    replication falls back and to the near disc otherwise.
+    and radii of its interferers, out to the tier's near radius: the
+    window's edge if the config samples the whole window, and otherwise the
+    near disc's edge, the nearest point beyond it or the far field's fence,
+    whichever lies farthest.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 
@@ -502,7 +484,9 @@ def _resolve_workers(workers: int | None) -> int:
                     f"HETSIM_THREADS must be a positive integer worker count, got {env!r}"
                 ) from None
         else:
-            workers = min(os.cpu_count() or 1, 8)
+            # the CPUs this process may run on, where the platform exposes its affinity mask
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            workers = min(cpus or 1, 8)
     elif workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     return workers
@@ -585,7 +569,7 @@ def estimate(
     task, and one process pool runs them all. Pure function of its
     arguments: the per-batch streams and the index-ordered reduction make
     the result independent of ``workers`` (default: HETSIM_THREADS, else
-    the CPU count capped at 8) and of which other cells are estimated
+    the CPUs this process may run on, capped at 8) and of which other cells are estimated
     alongside. A cell whose estimate is not finite, as when its serving
     gains underflow to 0, raises ``NumericalError``.
     """

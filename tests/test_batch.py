@@ -19,7 +19,6 @@ from hetsim.geometry import Window, nearest_distance
 from hetsim.popularity import DistanceDependent, LoadDependent
 from hetsim.simulator import (
     BATCH_SIZE,
-    NEAR_RADIUS_M,
     Cell,
     DelaySample,
     DistanceMode,
@@ -30,7 +29,7 @@ from hetsim.simulator import (
     run_replication,
 )
 from stream_script import Recorder, draw, levels, replication_streams
-from test_far_field import FALLBACKS, MIXPOP
+from test_far_field import EDGE_CASES, MIXPOP, UNPUSHED, WHOLE_WINDOW, near_radii, pushed
 
 NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
 PER_USER = SmallUser(
@@ -44,61 +43,52 @@ CASES = {
     "20km-every-kind": (DelayParams(), 20_000.0, EVERY_KIND),
     "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
     "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
-    # each reason the near points can leave a serving tier unsettled, caching cells beside;
-    # sparse routers ("router-beyond") are averaged out, and a nearest macro cell beyond the
-    # near disc ("empty-serving-tier") starts its far field, so both leave every replication settled
+    # the edges of the near-radius rule, caching cells beside: configs that sample the whole
+    # window, fences pushed past the near disc in some replications of a batch, and sparse
+    # routers or a nearest macro cell beyond the near disc, which push no fence
     **{
-        f"fallback-{reason}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
-        for reason, (params, scenarios) in FALLBACKS.items()
+        f"edge-{case}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
+        for case, (params, scenarios) in EDGE_CASES.items()
     },
 }
 
 
-SETTLED = ("fallback-router-beyond", "fallback-empty-serving-tier")
-
-
 def split_batch(cells, params, window, seed, size):
-    """(batch result, per-replication results as batches of one, fallback
-    count, settled replications without a near macro cell).
+    """(batch result, per-replication results as batches of one, count of
+    replications whose fence pushes a near radius out, replications without
+    a near macro cell).
 
-    A replication fell back where a tier's recorded Poisson mean covers
-    ``(r_t, W)``, the whole window beyond its nearest point, and not only the
-    near disc ``(r_t, NEAR_RADIUS_M)``; the two are told apart only where
-    they differ."""
+    Each tier's recorded Poisson mean must cover exactly ``(r_t, R_t)``,
+    with ``R_t`` the tier's near radius by the kernel's rule."""
     recorder = Recorder(replication_rng(seed, 0))
     batch = _simulate(cells, params, window, recorder, size)
     alone = []
     for script in replication_streams(recorder.log, size):
         alone.append(run_replication(cells, params, window, script))
         assert not script.draws  # the replication read all of its share
-    fell_back = np.zeros(size, dtype=bool)
-    for t, lam in enumerate((params.lambda_mc, params.lambda_sc)):
-        closest = nearest_distance(lam, levels(recorder.log, t, size))
+    lambdas = (params.lambda_mc, params.lambda_sc)
+    closest = np.array([nearest_distance(lam, levels(recorder.log, t, size)) for t, lam in enumerate(lambdas)])
+    radii = near_radii(closest, params, window.radius)
+    for t, lam in enumerate(lambdas):
         means = draw(recorder.log, "counts", t)[1]
-        near, whole = (
-            lam * math.pi * (radius**2 - np.minimum(closest, radius) ** 2)
-            for radius in (min(NEAR_RADIUS_M, window.radius), window.radius)
-        )
-        assert np.all((means == near) | (means == whole))
-        fell_back |= (means == whole) & (near != whole)
+        assert np.array_equal(means, lam * math.pi * (radii[t] ** 2 - np.minimum(closest[t], radii[t]) ** 2))
+    moved = pushed(closest, radii, params, window.radius).any(axis=0)
     macro_means = draw(recorder.log, "counts", 0)[1]
-    return batch, alone, int(fell_back.sum()), int((macro_means == 0).sum())
+    return batch, alone, int(moved.sum()), int((macro_means == 0).sum())
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batch_equals_its_replications_run_alone(case):
     params, radius, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    batch, alone, fallbacks, beyond = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    batch, alone, moved, beyond = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
-    if case.startswith("fallback-") and case not in SETTLED:
-        assert fallbacks >= 3
-        if case not in ("fallback-attempts-above-j-max", "fallback-pathloss-near-two"):
-            assert fallbacks < BATCH_SIZE  # near-settled and fallback replications mix in one batch
+    if case.startswith("edge-") and case[5:] not in UNPUSHED + WHOLE_WINDOW:
+        assert 3 <= moved < BATCH_SIZE  # pushed and unpushed near radii mix in one batch
     else:
-        assert fallbacks == 0
-    if case == "fallback-empty-serving-tier":
+        assert moved == 0
+    if case == "edge-empty-serving-tier":
         assert beyond >= 3  # far fields that start at a nearest macro cell beyond the near disc
 
 

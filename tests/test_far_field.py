@@ -21,7 +21,7 @@ from hetsim.analytics import DelayParams
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
-from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest
+from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest, nearest_distance
 from hetsim.popularity import Fixed
 from hetsim import simulator
 from hetsim.simulator import (
@@ -45,7 +45,7 @@ from hetsim.simulator import (
 )
 from far_reference import LOG_2, exact_far_downlink, z_moments_by_row
 from model_helpers import point_set_from_xy
-from stream_script import Recorder, draw
+from stream_script import Recorder, levels
 
 GAMMA_3DB = 10.0 ** 0.3
 
@@ -282,14 +282,14 @@ def replay_nearest(params, rng):
     return closest
 
 
-def replay_interferers(params, rng, closest, outer):
+def replay_interferers(params, rng, closest, radii):
     """Per tier, the interferers that a batch of one draws next: a Poisson
-    count of points on ``r < |x| < outer`` with uniform squared radii."""
+    count of points on ``r_t < |x| < R_t`` with uniform squared radii."""
     interferers = []
-    for lam, r in zip((params.lambda_mc, params.lambda_sc), closest):
-        start = np.minimum([r], outer) ** 2
-        count = rng.poisson(lam * math.pi * (outer**2 - start))
-        interferers.append(np.sqrt(start + (outer**2 - start) * rng.random(int(count[0]))))
+    for lam, r, radius in zip((params.lambda_mc, params.lambda_sc), closest, radii):
+        start = np.minimum([r], radius) ** 2
+        count = rng.poisson(lam * math.pi * (radius**2 - start))
+        interferers.append(np.sqrt(start + (radius**2 - start) * rng.random(int(count[0]))))
     return interferers
 
 
@@ -299,10 +299,11 @@ def point_set(radii, tier):
     return PointSet(r, np.zeros_like(r), tier)
 
 
-def link(tier, macro, small, params):
+def link(tier, macro, small, params, far=None):
     """(attempts, outage, downlink, backhaul mean) of the kernel on one point set.
 
-    The backhaul mean takes the router distance's mean on the plane,
+    ``far``, if given, holds the far log-moments of the serving tier. The
+    backhaul mean takes the router distance's mean on the plane,
     ``1 / (2 sqrt(lambda_cr))``.
     """
     radio = params.radio
@@ -314,115 +315,188 @@ def link(tier, macro, small, params):
         _gains(small.r, radio.power_small, radio.pathloss_exponent),
     )
     attempts, outage, downlink = downlink_delay(
-        tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts
+        tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
     )
     router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
     backhaul = params.backhaul_beta * router_distance * (intensity / params.lambda_cr)
     return attempts, outage, downlink, backhaul
 
 
-def far_starts(closest, outer):
-    """Where each tier's far field starts: the near disc's edge, or its nearest point beyond it."""
-    return [min(max(r, NEAR_RADIUS_M), outer) for r in closest]
+def whole_window(params, radius):
+    """Whether a config samples every point of its window: nothing lies
+    beyond the near disc, or the far moments' closed form is not checked."""
+    alpha = params.radio.pathloss_exponent
+    return radius <= NEAR_RADIUS_M or params.max_attempts > J_MAX or alpha < FAR_ALPHA_MIN
 
 
-def fallback_reason(tier, closest, params, outer):
-    """Why the nearest distances leave ``tier`` unsettled (a FALLBACKS key), or None."""
+def near_radii(closest, params, radius):
+    """Each tier's near radius ``R_t``, one row per tier (macro, small cells):
+    the window's edge for a whole-window config, else ``max(r_t, fence_t)``
+    clipped to ``[NEAR_RADIUS_M, radius]``. The fence is the least radius
+    with ``z_t = target_sir g_t(R) / g_s(r_s) <= FAR_Z_MAX`` for both
+    serving tiers ``s``, so it is set by the weaker serving gain."""
+    closest = np.asarray(closest, dtype=float).reshape(2, -1)
+    if whole_window(params, radius):
+        return np.full_like(closest, radius)
     radio = params.radio
-    if params.max_attempts > J_MAX:
-        return "attempts-above-j-max"
-    if radio.pathloss_exponent < FAR_ALPHA_MIN:
-        return "pathloss-near-two"
+    powers = np.array([[radio.power_macro], [radio.power_small]])
+    weakest = _gains(closest, powers, radio.pathloss_exponent).min(axis=0)
+    fence = (radio.target_sir * powers / (FAR_Z_MAX * weakest)) ** (1.0 / radio.pathloss_exponent)
+    return np.clip(np.maximum(closest, fence), NEAR_RADIUS_M, radius)
+
+
+def pushed(closest, radii, params, radius):
+    """Per tier and replication, whether the fence pushes ``R_t`` past ``max(NEAR_RADIUS_M, r_t)``."""
+    if whole_window(params, radius):
+        return np.zeros(radii.shape, dtype=bool)
+    return radii > np.maximum(NEAR_RADIUS_M, np.reshape(closest, radii.shape))
+
+
+def far_row(closest, radii, own, params, radius):
+    """The far log-moments of serving tier ``own`` in a batch of one, as the
+    kernel computes them, or None for a whole-window config."""
+    if whole_window(params, radius):
+        return None
+    radio = params.radio
     powers = (radio.power_macro, radio.power_small)
-    own = 0 if tier is Tier.MACRO else 1
-    for start, power in zip(far_starts(closest, outer), powers):
-        # s_t R_t^-alpha, with s_t = target_sir * P_t / (P_own r_own^-alpha)
-        z = radio.target_sir * power / powers[own] * (closest[own] / start) ** radio.pathloss_exponent
-        if z > FAR_Z_MAX:
-            return "argument-above-z-max"
-    return None
+    scale = radio.target_sir / _gains(np.array(closest[own : own + 1]), powers[own], radio.pathloss_exponent)
+    lambdas = (params.lambda_mc, params.lambda_sc)
+    moments = far_log_moments(
+        [scale * power for power in powers], lambdas, radio.pathloss_exponent, radii, radius, params.max_attempts
+    )
+    return moments[0]
 
 
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
-FALLBACKS = {
+EDGE_CASES = {
     # a near disc that often holds no macro cell: the nearest one, drawn first, starts the
-    # macro far field beyond it, so no replication falls back
+    # macro far field beyond it, and the fence never reaches past it
     "empty-serving-tier": (DelayParams(lambda_mc=2e-8), [MacroUser()]),
     # so few macro cells that the whole window often holds none: the nearest one is kept beyond
-    # the window, and its far field is empty; the farthest ones leave the checked domain
+    # the window, and its far field is empty; the small cells' fence may then lie beyond the near disc
     "tier-beyond-window": (DelayParams(lambda_mc=1e-10), [MIXPOP]),
     # few routers and far-flung small cells: routers are averaged out on the plane, not sampled,
-    # so however sparse they cause no fallback
+    # so however sparse they move no near radius
     "router-beyond": (DelayParams(lambda_cr=5e-8, lambda_sc=1e-7), [MIXPOP]),
-    # too many attempts for the expansion: every replication falls back
+    # too many attempts for the expansion: every replication samples the whole window
     "attempts-above-j-max": (DelayParams(max_attempts=J_MAX + 1), [MacroUser(), MIXPOP]),
-    # a pathloss exponent below the checked domain of the closed form: every replication
+    # a pathloss exponent below the checked domain of the closed form: the whole window too
     "pathloss-near-two": (DelayParams(radio=RadioParams(pathloss_exponent=2.05)), [MacroUser()]),
-    # a huge SIR target puts s R^-alpha beyond FAR_Z_MAX once the server is a few hundred metres off
+    # a huge SIR target puts the fence beyond the near disc once the server is a few hundred metres off
     "argument-above-z-max": (DelayParams(radio=RadioParams(target_sir=1e8)), [MIXPOP]),
-    # sparse tiers at a high SIR target: the small-cell server is often far enough out for the
-    # macro far field to leave the checked domain while the macro server's stays inside it
+    # sparse tiers at a 40 dB SIR target: a far-off server often pushes a tier's fence past the near
+    # disc, while in other replications of the batch it stays inside
     "mixed": (
         DelayParams(lambda_mc=2e-8, lambda_sc=3e-8, radio=RadioParams(target_sir=1e4)),
         [MacroUser(), MIXPOP],
     ),
 }
-SETTLED = ("router-beyond", "empty-serving-tier")
+WHOLE_WINDOW = ("attempts-above-j-max", "pathloss-near-two")
+UNPUSHED = ("router-beyond", "empty-serving-tier")  # the fence pushes no near radius out
 
 
-@pytest.mark.parametrize("case", list(FALLBACKS))
-def test_fallback_replays_the_kernel_on_the_union(case):
-    """Every fallback runs the kernel, for every serving tier, on the union
-    of each tier's nearest point and its interferers, one PPP on
-    ``(r_t, W)``; it equals ``downlink_delay`` on those point sets, compared
-    with ==. A replication that does not fall back draws its interferers on
-    ``(r_t, NEAR_RADIUS_M)`` instead, and both read the same draws."""
-    params, scenarios = FALLBACKS[case]
+def replay(params, seed, rep, window):
+    """The nearest distances, near radii and interferers that replication
+    ``rep`` of a batch of one draws, and the generator it should leave."""
+    g = replication_rng(seed, rep)
+    closest = replay_nearest(params, g)
+    radii = near_radii(closest, params, window.radius)
+    return closest, radii, replay_interferers(params, g, closest, radii[:, 0]), g
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_replication_replays_the_kernel_on_its_near_radii(case):
+    """Every replication runs the kernel, for every serving tier, on each
+    tier's nearest point and its interferers, one PPP on ``(r_t, R_t)``,
+    with the far field from ``R_t`` to the window's edge averaged out; it
+    equals ``downlink_delay`` on those point sets and that far field,
+    compared with ==. A whole-window config has ``R_t = W`` and no far field."""
+    params, scenarios = EDGE_CASES[case]
     cache = CacheConfig()
     cells = [Cell(scenario, params, cache) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
     tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
-    reasons, mixed, beyond, outside = [], 0, 0, 0
+    moved, beyond, outside = [], 0, 0
     for rep in range(40):
-        replay = replication_rng(71, rep)
-        closest = replay_nearest(params, replay)
-        # either serving tier decides whether the whole window is drawn, whichever cells run
-        reason = {tier: fallback_reason(tier, closest, params, window.radius) for tier in tiers}
-        settled = set(reason.values()) == {None}
-        outer = NEAR_RADIUS_M if settled else window.radius
-        interferers = replay_interferers(params, replay, closest, outer)
+        closest, radii, interferers, replayed = replay(params, 71, rep, window)
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
-        assert g.bit_generator.state == replay.bit_generator.state, rep
-        reasons.append(reason[serving_tiers[0]])
-        mixed += list(reason.values()).count(None) == 1
+        assert g.bit_generator.state == replayed.bit_generator.state, rep
+        moved.append(pushed(closest, radii, params, window.radius)[:, 0].any())
         beyond += closest[0] > NEAR_RADIUS_M
         outside += closest[0] > window.radius
-        if settled:
-            continue
-        union = [point_set(([r], i), tier) for r, i, tier in zip(closest, interferers, tiers)]
+        near = [point_set(([r], i), tier) for r, i, tier in zip(closest, interferers, tiers)]
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
-            # every tier runs on the whole window, also one that the near points settle
-            attempts, outage, downlink, backhaul = link(tier, *union, params)
+            far = far_row(closest, radii, tiers.index(tier), params, window.radius)
+            attempts, outage, downlink, backhaul = link(tier, *near, params, far)
             hit = 0.0
             if scenario == MIXPOP:
                 hit = hit_probability(CachePolicy.MIX_POP, cache, 1.45, B3Variant.INTEGRAL_CONSISTENT)
             tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul
             assert sample == DelaySample(downlink, tail, attempts, outage, hit), rep
-    if case in SETTLED:
-        assert reasons.count(None) == 40 and mixed == 0  # no replication falls back
-    elif case == "mixed":
-        assert mixed >= 3
-    elif case == "tier-beyond-window":
-        # a macro server far beyond the window leaves the checked domain; the small cells' does not
-        assert outside >= 3 and mixed >= 3
+    if case in UNPUSHED or case in WHOLE_WINDOW:
+        assert not any(moved)
     else:
-        assert reasons.count(case) >= 3
+        assert 3 <= sum(moved) <= 37  # pushed and unpushed replications both occur
+    if case == "tier-beyond-window":
+        assert outside >= 3  # a macro server beyond the window: its far field is empty
     if case == "empty-serving-tier":
         assert beyond >= 3  # the macro far field starts at a nearest point beyond the near disc
-    if case not in ("attempts-above-j-max", "pathloss-near-two"):
-        assert reasons.count(None) >= 3
+
+
+@pytest.mark.parametrize("case", ["mixed", "argument-above-z-max"])
+def test_near_radii_keep_the_far_field_in_the_checked_domain(case):
+    """Each tier's far field starts where ``z_t = target_sir g_t(R_t) /
+    g_s(r_s)`` is at most ``FAR_Z_MAX`` for both serving tiers ``s``, and
+    equals it, to rounding, where the fence sets ``R_t``. A far field pushed
+    to the window's edge is empty and needs no bound. ``run_replication``
+    reads exactly the replayed draws."""
+    params, scenarios = EDGE_CASES[case]
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
+    window = Window(DEFAULT_WINDOW_RADIUS_M)
+    radio = params.radio
+    powers = (radio.power_macro, radio.power_small)
+    alpha = radio.pathloss_exponent
+    bound = 0
+    for rep in range(40):
+        closest, radii, _, replayed = replay(params, 71, rep, window)
+        g = replication_rng(71, rep)
+        run_replication(cells, params, window, g)
+        assert g.bit_generator.state == replayed.bit_generator.state, rep
+        moved = pushed(closest, radii, params, window.radius)[:, 0]
+        for t, (radius, power) in enumerate(zip(radii[:, 0], powers)):
+            if radius == window.radius:
+                continue
+            z = max(radio.target_sir * power * radius**-alpha / (p * r**-alpha) for p, r in zip(powers, closest))
+            assert z <= FAR_Z_MAX * (1.0 + 1e-12), (rep, t)
+            if moved[t]:
+                assert z == pytest.approx(FAR_Z_MAX, rel=1e-12), (rep, t)
+                bound += 1
+    assert bound >= 3
+
+
+def paired_attempts(cells, params, window, seed, batches, monkeypatch):
+    """Attempts of every cell and replication, averaged out and with the
+    whole window sampled (``J_MAX`` = 0) on the same nearest draws, and the
+    tiers' nearest distances."""
+    averaged, sampled, closest = [], [], []
+    for batch in range(batches):
+        g = Recorder(replication_rng(seed, batch))
+        averaged.append(_simulate(cells, params, window, g, BATCH_SIZE)[:, 2])
+        lambdas = (params.lambda_mc, params.lambda_sc)
+        closest.append([nearest_distance(lam, levels(g.log, t, BATCH_SIZE)) for t, lam in enumerate(lambdas)])
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "J_MAX", 0)  # every replication samples the whole window
+            sampled.append(_simulate(cells, params, window, replication_rng(seed, batch), BATCH_SIZE)[:, 2])
+    return np.concatenate(averaged, axis=1), np.concatenate(sampled, axis=1), np.concatenate(closest, axis=1)
+
+
+def assert_same_mean(averaged, sampled):
+    """The paired differences of every cell's attempts are within 4 SE of 0."""
+    for attempts in averaged - sampled:
+        se = attempts.std(ddof=1) / math.sqrt(attempts.size)
+        assert abs(attempts.mean()) < 4 * se, (attempts.mean(), se)
 
 
 def test_far_field_from_a_nearest_point_beyond_the_near_disc_is_the_sampled_annulus_mean(monkeypatch):
@@ -436,20 +510,27 @@ def test_far_field_from_a_nearest_point_beyond_the_near_disc_is_the_sampled_annu
     scenarios = (MacroUser(), SmallUser(policy=CachePolicy.NO_CACHE))
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
-    averaged, sampled, beyond = [], [], []
-    for batch in range(40):
-        g = Recorder(replication_rng(83, batch))
-        averaged.append(_simulate(cells, params, window, g, BATCH_SIZE)[:, 2])
-        beyond.append(draw(g.log, "counts", 0)[1] == 0)  # settled, no macro cell inside the near disc
-        with monkeypatch.context() as patch:
-            patch.setattr(simulator, "FAR_Z_MAX", -1.0)  # every replication samples the whole window
-            sampled.append(_simulate(cells, params, window, replication_rng(83, batch), BATCH_SIZE)[:, 2])
-    beyond = np.concatenate(beyond)
-    difference = (np.concatenate(averaged, axis=1) - np.concatenate(sampled, axis=1))[:, beyond]
+    averaged, sampled, closest = paired_attempts(cells, params, window, 83, 40, monkeypatch)
+    beyond = closest[0] > NEAR_RADIUS_M
     assert beyond.sum() > 300
-    for attempts in difference:
-        se = attempts.std(ddof=1) / math.sqrt(attempts.size)
-        assert abs(attempts.mean()) < 4 * se, (attempts.mean(), se)
+    assert_same_mean(averaged[:, beyond], sampled[:, beyond])
+
+
+def test_far_field_beyond_pushed_near_radii_is_the_sampled_window_mean(monkeypatch):
+    """At a 40 dB target over sparse tiers the fence pushes a near radius
+    past the near disc in almost half of the replications. Averaged out
+    from each tier's near radius, the estimates must equal on average the
+    whole window sampled point by point on the same nearest draws. Most
+    small-cell downlinks there are in outage, equal in both runs, so the
+    comparison runs over all replications."""
+    params, _ = EDGE_CASES["mixed"]
+    scenarios = (MacroUser(), SmallUser(policy=CachePolicy.NO_CACHE))
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
+    window = Window(DEFAULT_WINDOW_RADIUS_M)
+    averaged, sampled, closest = paired_attempts(cells, params, window, 89, 60, monkeypatch)
+    moved = pushed(closest, near_radii(closest, params, window.radius), params, window.radius).any(axis=0)
+    assert moved.sum() > 1000
+    assert_same_mean(averaged, sampled)
 
 
 def test_window_within_near_disc_keeps_the_full_window_estimates():

@@ -8,7 +8,7 @@ import oracle_reference as oracle
 from hetsim.analytics import DelayParams, mean_backhaul
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
-from hetsim import errors
+from hetsim import errors, simulator
 from hetsim.errors import InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, effective_eta
@@ -334,6 +334,22 @@ class TestEstimate:
         args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 30, 5)
         with pytest.raises(InvalidParameterError, match="workers"):
             estimate_one(*args, workers=workers)
+
+    def test_default_workers_follow_the_cpu_affinity(self, monkeypatch):
+        """Without HETSIM_THREADS the pool gets the CPUs this process may run
+        on, capped at 8, and the CPU count where the platform has no affinity call."""
+        monkeypatch.delenv("HETSIM_THREADS", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert simulator._resolve_workers(None) == 1
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(12)))
+        assert simulator._resolve_workers(None) == 8
+        monkeypatch.delattr(simulator.os, "sched_getaffinity")
+        assert simulator._resolve_workers(None) == 8
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+        assert simulator._resolve_workers(None) == 3
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
+        assert simulator._resolve_workers(None) == 1
 
     def test_batch_boundaries_do_not_depend_on_workers(self):
         """Two full batches and a short one, at 20 km: the pool splits them
