@@ -15,10 +15,19 @@ the standard stochastic-geometry forms are adopted here:
     A(a)      = Gamma(1 + 2/a) * Gamma(1 - 2/a) = (2*pi/a) / sin(2*pi/a)
 
 The hypergeometric form of rho is Andrews, Baccelli and Ganti (2011,
-arXiv:1009.0516). It is the k = 1 term of ``rho_k``, the one kernel of the
-PGFL excess that ``rho`` and ``simulator.far_log_moments`` (the averaged-out
-annulus) share. rho and A are validated against Monte Carlo coverage in
-the test suite.
+arXiv:1009.0516). It is the k = 1 term of ``rho_terms``, the one kernel of
+the PGFL excess that ``rho`` and ``simulator.far_log_moments`` (the
+averaged-out far field) share. rho and A are validated against Monte Carlo
+coverage in the test suite.
+
+With d = 2/a the terms are rho_k(z) = d z^d I_k for I_k = integral_0^z
+t^(-d) (1 + t)^(-k) dt. Integrating d[t^(1-d) (1 + t)^(-k)] over (0, z)
+gives z^(1-d) (1 + z)^(-k) = (1 - d - k) I_k + k I_(k+1), so
+
+    rho_(k+1) = ((k - 1 + d)/k) rho_k + d z (1 + z)^(-k) / k
+
+Every term is positive, so nothing cancels, and the k = 1 term is the only
+hypergeometric call.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.special import hyp2f1
 
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, require_valid
@@ -102,15 +112,23 @@ class ClosedFormDelay:
         return self.downlink_ms + self.backhaul_ms + self.cache_adjustment_ms
 
 
-def rho_k(z, alpha, k):
-    """``(2z/(a-2)) 2F1(k, 1-2/a; 2-2/a; -z)``, elementwise; a scalar call stays a scalar ufunc call.
+def rho_terms(z, alpha, m):
+    """``rho_k = (2z/(a-2)) 2F1(k, 1-2/a; 2-2/a; -z)`` for k = 1..m, on a trailing axis.
 
     ``sum_{k<=i} rho_k = 2F1(i, -2/a; 1-2/a; -z) - 1``, the PGFL excess of
     ``simulator.far_log_moments``, in positive terms: the "- 1" cancels at
-    small z. ``rho`` is the k = 1 term.
+    small z. ``rho`` is the k = 1 term, the one ``hyp2f1`` call; the others
+    follow by the positive recurrence in the module docstring.
     """
     delta = 2.0 / alpha
-    return 2.0 * z / (alpha - 2.0) * hyp2f1(k, 1.0 - delta, 2.0 - delta, -z)
+    first = 2.0 * z / (alpha - 2.0) * hyp2f1(1, 1.0 - delta, 2.0 - delta, -z)
+    terms = np.empty(first.shape + (m,))
+    terms[..., 0] = first
+    tail = delta * z  # delta z (1 + z)^-k, at k = 0
+    for k in range(1, m):
+        tail = tail / (1.0 + z)
+        terms[..., k] = ((k - 1 + delta) / k) * terms[..., k - 1] + tail / k
+    return terms
 
 
 @functools.lru_cache(maxsize=4096)
@@ -119,13 +137,13 @@ def rho(gamma: float, alpha: float) -> float:
 
     gamma^(2/a) * int_{gamma^(-2/a)}^inf du / (1 + u^(a/2))
     = (2 gamma/(a-2)) * 2F1(1, 1-2/a; 2-2/a; -gamma) (Andrews, Baccelli and
-    Ganti 2011), the k = 1 term of ``rho_k``.
+    Ganti 2011), the k = 1 term of ``rho_terms``.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise InvalidParameterError(f"target SIR must be positive and finite, got {gamma}")
     if not (alpha > 2 and math.isfinite(alpha)):
         raise InvalidParameterError(f"pathloss exponent must be finite and exceed 2, got {alpha}")
-    value = float(rho_k(gamma, alpha, 1))
+    value = float(rho_terms(gamma, alpha, 1)[0])
     if not math.isfinite(value):
         raise NumericalError(f"rho is not finite: gamma={gamma}, alpha={alpha}, value={value}")
     return value

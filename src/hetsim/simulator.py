@@ -20,22 +20,23 @@ Each tier's nearest distance is drawn first, from its exact law
 points, which are interferers only. A tier's nearest point is always kept,
 even beyond the window, so no tier is ever empty; the window bounds the
 tier's other points. One rule splits those points: tier ``t`` samples them
-out to its near radius ``R_t`` and averages the rest out. ``R_t`` is
-``max(r_t, fence_t)`` clipped to ``[NEAR_RADIUS_M, W]`` for the window's
-radius ``W``, and the fence is the least radius at which the far moments
-stay in the checked domain of their closed form for either serving tier
-``s``: ``z_t = target_sir g_t(R_t) / g_s(r_s) <= FAR_Z_MAX``. It reads only
-the nearest distances, so it is set before any interferer is drawn. Beyond
-its nearest point a PPP is again a PPP, so each tier's interferers are one
-PPP on ``r_t < |x| < R_t`` (``geometry.sample_beyond``). The points beyond
+out to its near radius ``R_t = min(max(r_t, fence_t), W)`` for the window's
+radius ``W`` and averages the rest out. The fence is the least radius at
+which the far moments stay in the checked domain of their closed form for
+either serving tier ``s``: ``z_t = target_sir g_t(R_t) / g_s(r_s) <=
+FAR_Z_MAX``. It reads only the nearest distances, so it is set before any
+interferer is drawn. At the default SIR target it lies inside ``r_t`` in
+most replications, which then sample no interferer at all. Beyond its
+nearest point a PPP is again a PPP, so each tier's interferers are one PPP
+on ``r_t < |x| < R_t`` (``geometry.sample_beyond``). The points beyond
 ``R_t`` are an independent PPP, so given the near points their interference
 is averaged out exactly through its probability generating functional
 (``far_log_moments``), tier ``t`` from ``R_t`` to ``W``. A config samples
-the whole window, ``R_t = W`` with nothing averaged out, when ``W <=
-NEAR_RADIUS_M``, when ``max_attempts > J_MAX`` or when the pathloss
+the whole window, ``R_t = W`` with nothing averaged out, only outside that
+closed form's domain: when ``max_attempts > J_MAX`` or when the pathloss
 exponent is below ``FAR_ALPHA_MIN``. The estimand stays the model on the
-whole window, and every serving tier of a replication runs on the same
-points.
+whole window, whatever its size, and every serving tier of a replication
+runs on the same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications run in batches of ``BATCH_SIZE`` through one vectorised
@@ -84,12 +85,11 @@ from .errors import InvalidConfigError, InvalidParameterError, NumericalError
 from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond
 from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
-from .analytics import DelayParams, rho_k
+from .analytics import DelayParams, rho_terms
 
 # replications per random stream, and strata of its Latin hypercube; fixed so that results
 # never depend on the worker count
 BATCH_SIZE = 64
-NEAR_RADIUS_M = 5000.0  # each tier's near radius is at least this, so its points inside are sampled
 # largest max_attempts with a far field: far_z_moments' error about doubles per moment
 # (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs)
 J_MAX = 12
@@ -190,17 +190,19 @@ def far_log_moments(
     ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
     over the annulus, which is ``pi lambda_t [r^2 E_i(s_t r^-alpha)]`` from
     ``outer`` to ``inner_t`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
-    2/alpha; -z) - 1``, summed as ``rho_k`` terms, all positive
-    (``analytics.rho_k``). ``inner`` is one radius for every tier, or one
-    per tier and replication, at most ``outer``. Returns one row of the M
-    log-moments for float scales, and one row per replication for scales
-    that are arrays over replications.
+    2/alpha; -z) - 1``, summed as ``rho_k`` terms, all positive, that one
+    ``hyp2f1`` call per radius gives (``analytics.rho_terms``). ``inner`` is
+    one radius for every tier, or one per tier and replication, at most
+    ``outer``: in the simulator, each tier's near radius, from metres to the
+    window's edge, where ``s_t inner^-alpha <= FAR_Z_MAX``. Returns one row
+    of the M log-moments for float scales, and one row per replication for
+    scales that are arrays over replications.
     """
     scales = np.asarray(scales, dtype=float)
     inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)  # (tier, [replication])
     radii = np.stack((inner, np.full_like(inner, outer)), axis=-1)  # (tier, [replication,] end)
     z = scales[..., None] * radii**-alpha
-    excess = np.cumsum(rho_k(z[..., None], alpha, np.arange(1, max_attempts + 1)), axis=-1)
+    excess = np.cumsum(rho_terms(z, alpha, max_attempts), axis=-1)
     area = radii[..., None] ** 2 * excess
     log_moments = 0.0
     for lam, (near, far) in zip(intensities, np.moveaxis(area, -2, 1)):
@@ -277,7 +279,7 @@ def _downlink(
     enters first. Each ``(gains, offsets)`` of ``interferers`` holds the other
     interferers' gains of all replications, replication ``k`` owning the
     segment ``[offsets[k], offsets[k + 1])``. ``far``, if given, holds one
-    row of far log-moments per replication.
+    row of far moments ``E[Z^j]`` (``far_z_moments``) per replication.
 
     Row j of the table ``t`` starts as ``q^j E[Z^j]``, 0 for j >= 1 without
     a far field, and each attempt maps it to ``(1 - q) t_j + t_(j+1)``, so
@@ -295,7 +297,7 @@ def _downlink(
     t[0] = 1.0
     if far is not None:
         q = np.broadcast_to(np.exp(-minus_log_q), (max_attempts, miss.size))
-        t[1:] = np.cumprod(q, axis=0) * far_z_moments(far).T
+        t[1:] = np.cumprod(q, axis=0) * far.T
     attempts = np.zeros_like(miss)
     for _ in range(max_attempts):
         attempts += t[0]
@@ -340,7 +342,7 @@ def downlink_delay(
     if far is not None:
         if not len(far) == max_attempts <= J_MAX:
             raise InvalidParameterError(f"far field needs {max_attempts} <= {J_MAX} moments")
-        far = np.array([far], dtype=float)
+        far = far_z_moments(np.array([far], dtype=float))
     signal = gains[own][serving_index : serving_index + 1]
     gains[own] = np.delete(gains[own], serving_index)
     # the other tier's strongest point enters first, as the kernel's nearest rival does
@@ -384,28 +386,31 @@ def _simulate(
     alpha = radio.pathloss_exponent
     closest_gains = [_gains(r, power, alpha) for r, power in zip(closest, powers)]
     # outside the checked domain of the far moments' closed form every point of the window is sampled
-    averaged = window.radius > NEAR_RADIUS_M and params.max_attempts <= J_MAX and alpha >= FAR_ALPHA_MIN
+    averaged = params.max_attempts <= J_MAX and alpha >= FAR_ALPHA_MIN
     near = np.full_like(closest, window.radius)
     if averaged:
         # tier t's far field starts where z_t = target_sir * g_t(R_t) / g_s(r_s) is at most FAR_Z_MAX
         # for either serving tier s, so which points are sampled is the same for any cells
         weakest = np.minimum(*closest_gains)
         fence = (radio.target_sir * np.array(powers)[:, None] / (FAR_Z_MAX * weakest)) ** (1.0 / alpha)
-        near = np.clip(np.maximum(closest, fence), NEAR_RADIUS_M, window.radius)
+        near = np.minimum(np.maximum(closest, fence), window.radius)
     interferers = []
     for lam, r_t, radius, power in zip(lambdas, closest, near, powers):
         counts, r = sample_beyond(lam, r_t, radius, rng)
         interferers.append((_gains(r, power, alpha), _offsets(counts)))
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
+    serving = sorted(set(owns))
+    far = dict.fromkeys(serving)
+    if averaged:
+        # every serving tier's far moments in one call, one row per (serving tier, replication)
+        scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
+        scales = [scale * power for power in powers]
+        log_moments = far_log_moments(scales, lambdas, alpha, near[:, None], window.radius, params.max_attempts)
+        far.update(zip(serving, far_z_moments(log_moments)))
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
-    for own in set(owns):
-        far = None
-        if averaged:
-            scale = radio.target_sir / closest_gains[own]
-            scales = [scale * power for power in powers]
-            far = far_log_moments(scales, lambdas, alpha, near, window.radius, params.max_attempts)
+    for own in serving:
         links[own] = _downlink(
-            closest_gains[own], closest_gains[1 - own], interferers, radio.target_sir, params.max_attempts, far
+            closest_gains[own], closest_gains[1 - own], interferers, radio.target_sir, params.max_attempts, far[own]
         )
 
     router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
@@ -445,8 +450,8 @@ def run_replication(
     nearest distance, which is one uniform draw; then per tier the count
     and radii of its interferers, out to the tier's near radius: the
     window's edge if the config samples the whole window, and otherwise the
-    near disc's edge, the nearest point beyond it or the far field's fence,
-    whichever lies farthest.
+    farther of the tier's nearest point and the far field's fence, within
+    the window.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 

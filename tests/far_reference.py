@@ -5,13 +5,16 @@ here sums one row at a time, with the same Veltkamp split and the same
 compensated (TwoSum) additions in the same order, so the two must agree bit
 for bit. ``simulator._downlink`` averages the far field out by a recurrence;
 ``exact_far_downlink`` evaluates the binomial expansion it replaces in exact
-rational arithmetic.
+rational arithmetic. ``analytics.rho_terms`` gets the terms of the PGFL
+excess from one hypergeometric call and a recurrence; ``rho_k`` makes one
+call per term.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import hyp2f1
 
 LOG_2 = math.log(2.0)
 
@@ -41,6 +44,12 @@ def z_moments_by_row(log_moments):
                 total = new
         rows.append(total + error)
     return np.stack(rows, axis=-1)
+
+
+def rho_k(z, alpha, k):
+    """``(2z/(a-2)) 2F1(k, 1-2/a; 2-2/a; -z)``, elementwise, one hypergeometric call per term."""
+    delta = 2.0 / alpha
+    return 2.0 * z / (alpha - 2.0) * hyp2f1(k, 1.0 - delta, 2.0 - delta, -z)
 
 
 def exact_far_downlink(miss, q, z):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import oracle_reference as oracle
+from far_reference import rho_k
 from hetsim.analytics import (
     ClosedFormDelay,
     DelayParams,
@@ -19,7 +20,7 @@ from hetsim.analytics import (
     big_a,
     mean_backhaul,
     rho,
-    rho_k,
+    rho_terms,
 )
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy
 from hetsim.channel import RadioParams
@@ -120,13 +121,21 @@ class TestRho:
 
 class TestRhoK:
     @pytest.mark.parametrize("alpha", [2.01, 2.1, 2.5, 3.0, 4.0, 8.0, 12.0])
-    @pytest.mark.parametrize("z", [1e-14, 1e-10, 1e-6, 1e-3, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("z", [1e-14, 1e-10, 1e-6, 1e-3, 1.0, 3.0, 100.0, 1e4, 1e8, 1e14])
     def test_partial_sums_match_50_digit_pgfl_excess(self, z, alpha):
-        sums = np.cumsum(rho_k(z, alpha, np.arange(1, 13)))
+        sums = np.cumsum(rho_terms(z, alpha, 12))
         assert rho(z, alpha) == float(rho_k(z, alpha, 1)) == sums[0]
         for j, got in enumerate(sums.tolist(), 1):
             want = pgfl_excess_mp(z, alpha, j)
             assert abs((got - want) / want) <= 1e-13, j
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_z=st.floats(-14.0, 14.0), alpha=st.floats(2.05, 12.0))
+    def test_recurrence_matches_one_hypergeometric_call_per_term(self, log_z, alpha):
+        z = 10.0**log_z
+        got = rho_terms(z, alpha, 12)
+        want = rho_k(z, alpha, np.arange(1, 13))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestBigA:

@@ -29,7 +29,7 @@ from hetsim.simulator import (
     run_replication,
 )
 from stream_script import Recorder, draw, levels, replication_streams
-from test_far_field import EDGE_CASES, MIXPOP, UNPUSHED, WHOLE_WINDOW, near_radii, pushed
+from test_far_field import ALL_PUSHED, EDGE_CASES, MIXPOP, WHOLE_WINDOW, near_radii, pushed
 
 NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
 PER_USER = SmallUser(
@@ -44,8 +44,8 @@ CASES = {
     "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
     "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
     # the edges of the near-radius rule, caching cells beside: configs that sample the whole
-    # window, fences pushed past the near disc in some replications of a batch, and sparse
-    # routers or a nearest macro cell beyond the near disc, which push no fence
+    # window, fences pushed past the nearest point in some replications of a batch or in all,
+    # sparse routers, which push no fence, and a nearest macro cell beyond the window
     **{
         f"edge-{case}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
         for case, (params, scenarios) in EDGE_CASES.items()
@@ -55,8 +55,7 @@ CASES = {
 
 def split_batch(cells, params, window, seed, size):
     """(batch result, per-replication results as batches of one, count of
-    replications whose fence pushes a near radius out, replications without
-    a near macro cell).
+    (tier, replication) pairs whose fence pushes the near radius out).
 
     Each tier's recorded Poisson mean must cover exactly ``(r_t, R_t)``,
     with ``R_t`` the tier's near radius by the kernel's rule."""
@@ -72,31 +71,29 @@ def split_batch(cells, params, window, seed, size):
     for t, lam in enumerate(lambdas):
         means = draw(recorder.log, "counts", t)[1]
         assert np.array_equal(means, lam * math.pi * (radii[t] ** 2 - np.minimum(closest[t], radii[t]) ** 2))
-    moved = pushed(closest, radii, params, window.radius).any(axis=0)
-    macro_means = draw(recorder.log, "counts", 0)[1]
-    return batch, alone, int(moved.sum()), int((macro_means == 0).sum())
+    return batch, alone, int(pushed(closest, radii, params).sum())
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batch_equals_its_replications_run_alone(case):
     params, radius, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    batch, alone, moved, beyond = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    batch, alone, moved = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
-    if case.startswith("edge-") and case[5:] not in UNPUSHED + WHOLE_WINDOW:
-        assert 3 <= moved < BATCH_SIZE  # pushed and unpushed near radii mix in one batch
-    else:
+    if case[5:] in WHOLE_WINDOW:
         assert moved == 0
-    if case == "edge-empty-serving-tier":
-        assert beyond >= 3  # far fields that start at a nearest macro cell beyond the near disc
+    elif case[5:] in ALL_PUSHED:
+        assert moved == 2 * BATCH_SIZE
+    else:
+        assert 3 <= moved <= 2 * BATCH_SIZE - 3  # pushed and unpushed near radii mix in one batch
 
 
 def test_a_short_batch_reads_a_prefix_of_the_same_pattern():
     """The last batch of an estimate may be short; it is split the same way."""
     params = DelayParams()
     cells = [Cell(scenario, params, CacheConfig()) for scenario in EVERY_KIND]
-    batch, alone, _, _ = split_batch(cells, params, Window(20_000.0), 5, 5)
+    batch, alone, _ = split_batch(cells, params, Window(20_000.0), 5, 5)
     assert batch.shape == (len(cells), 5, 5)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k

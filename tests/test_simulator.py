@@ -525,7 +525,7 @@ class TestHitIsTheIntegralClosedForm:
         # metre-scale cells (mean serving distance 2 m), so the steepness varies per replication
         params = small_params(lambda_cr=0.005, lambda_mc=0.01, lambda_sc=0.0625, lambda_ut=0.125)
         cache = CACHES[policy]
-        window = Window(60.0)  # inside the near disc: the stream holds the two tiers' points only
+        window = Window(60.0)  # metre-scale, like the cells: the stream holds the two tiers' draws only
         scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
         g = Recorder(replication_rng(97, 0))
         hits = _simulate([Cell(scenario, params, cache)], params, window, g, BATCH_SIZE)[0, 4]
@@ -650,9 +650,8 @@ class TestMultiCell:
             ]
             assert together == alone
 
-    # beyond the near disc: every replication falls back, or a sparse near
-    # macro tier often does, so the whole window is drawn beside caching cells;
-    # with both tiers sparse, each falls back in replications where the other does not
+    # a config that samples the whole window, and sparse tiers whose weak serving gain pushes the
+    # other tier's fence out in some replications, so points are drawn beside caching cells
     FALLBACK_PARAMS = {
         "attempts-above-j-max": small_params(max_attempts=J_MAX + 1),
         "sparse-macro": small_params(lambda_mc=2e-8),
