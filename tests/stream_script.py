@@ -4,13 +4,15 @@
 ``replication_streams`` then hands out, for each replication of the batch,
 a generator stand-in that serves exactly that replication's share of those
 draws, in the order a batch of one asks for them, and fails on any other
-request. A batch stratifies its nearest distances, so a replication's share
-of a tier's levels is its own level ``U_k = (perm(k) + V_k) / size``,
-served as the ``V`` of a batch of one under the permutation of one; for a
-batch of one, ``U = V`` exactly.
+request. A batch's nearest-distance levels are the points of one shifted
+lattice, so a replication's share of them is its own pair of levels
+``(U_mc, U_sc)``, served as the shift of a batch of one, a lattice of one
+point whose levels are its shift exactly.
 """
 
 import numpy as np
+
+from lattice_reference import lattice
 
 
 class Recorder:
@@ -21,9 +23,6 @@ class Recorder:
     def _record(self, kind, lam, size, out):
         self.log.append((kind, lam, size, np.copy(out)))  # the caller may work in place
         return out
-
-    def permutation(self, n):
-        return self._record("permutation", None, n, self.rng.permutation(n))
 
     def poisson(self, lam, size=None):
         return self._record("poisson", lam, size, self.rng.poisson(lam, size))
@@ -44,9 +43,6 @@ class Script:
         assert np.array_equal(lam, want_lam)
         return values.copy() if values.ndim else values.item()
 
-    def permutation(self, n):
-        return self._next("permutation", None, n)
-
     def poisson(self, lam, size=None):
         return self._next("poisson", lam, size)
 
@@ -54,12 +50,9 @@ class Script:
         return self._next("random", None, size)
 
 
-# the eight draws of a batch in stream order, as (kind, tier), tier 0 the macro cells and 1 the
-# small cells: each tier's permutation and level offsets V, then each tier's interferers
-DRAWS = (
-    ("permutation", 0), ("offsets", 0), ("permutation", 1), ("offsets", 1),
-    ("counts", 0), ("radii", 0), ("counts", 1), ("radii", 1),
-)
+# the five draws of a batch in stream order, as (kind, tier), tier 0 the macro cells and 1 the
+# small cells: the lattice's shift, one uniform per tier, then each tier's interferers
+DRAWS = (("shift", None), ("counts", 0), ("radii", 0), ("counts", 1), ("radii", 1))
 
 
 def draw(log, kind, tier):
@@ -69,25 +62,18 @@ def draw(log, kind, tier):
 
 
 def levels(log, tier, size):
-    """``tier``'s stratified levels ``U_k`` in a batch of ``size`` that drew ``log``."""
-    level = draw(log, "permutation", tier)[3] + draw(log, "offsets", tier)[3]
-    level /= size
-    return level
+    """``tier``'s levels ``U_k`` in a batch of ``size`` that drew ``log``."""
+    return lattice(draw(log, "shift", None)[3], size)[tier]
 
 
 def replication_streams(log, size):
     """One ``Script`` per replication of a batch of ``size`` that drew ``log``.
-    The batch drew eight times: for each of the macro and small-cell tiers
-    the permutation and the offsets ``V`` of its levels, then for each tier
-    the counts and the radii of its interferers."""
+    The batch drew five times: the shift of its lattice, then for each of the
+    macro and small-cell tiers the counts and the radii of its interferers."""
+    points = lattice(draw(log, "shift", None)[3], size)
     scripts = []
     for k in range(size):
-        draws = []
-        for t in range(2):
-            draws += [
-                ("permutation", None, 1, np.zeros(1, dtype=draw(log, "permutation", t)[3].dtype)),
-                ("random", None, 1, levels(log, t, size)[k : k + 1]),
-            ]
+        draws = [("random", None, 2, points[:, k])]
         for t in range(2):
             _, lam, _, counts = draw(log, "counts", t)
             radii = draw(log, "radii", t)[3]

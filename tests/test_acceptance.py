@@ -256,7 +256,7 @@ def test_criterion_6_simulation_matches_exact_theory_to_monte_carlo_noise():
 
 
 def test_batch_means_intervals_cover_the_exact_mean():
-    """The 95% interval is by batch means over stratified batches. Over 300
+    """The 95% interval is by batch means over batches of lattice points. Over 300
     independent seeds at the 20 km window, the intervals of the five
     criterion-6 cells (320 replications, five batches each) cover the exact
     mean at a rate within [0.91, 0.99] of the 1 500 intervals."""
@@ -274,6 +274,25 @@ def test_batch_means_intervals_cover_the_exact_mean():
     assert 0.91 <= rate <= 0.99, rate
     print(f"batch-means coverage {rate:.3f} over {len(seeds) * len(cases)} intervals; "
           f"{time.perf_counter() - started:.1f}s")
+
+
+def test_one_batch_intervals_cover_the_exact_mean():
+    """Below two batches the interval is the i.i.d. one, 1.96 per-replication
+    standard deviations over sqrt(n). Over the seeds of the batch-means test,
+    the intervals of the five criterion-6 cells at 40 replications, a short
+    lattice, and at 64, one full lattice, cover the exact mean at a rate of
+    at least 0.95 of the 3 000 intervals."""
+    params = DelayParams()
+    cache = CacheConfig()
+    cases = exact_cases()
+    cells = [Cell(scenario, params, cache) for _, scenario, _ in cases]
+    covered = total = 0
+    for replications in (40, 64):
+        for seed in range(1000, 1300):
+            for (_, _, exact), est in zip(cases, estimate(cells, WINDOW, replications, seed, workers=1)):
+                covered += est.ci_low_ms <= exact <= est.ci_high_ms
+                total += 1
+    assert covered / total >= 0.95, covered / total
 
 
 def test_criterion_7_trend_reproduction():

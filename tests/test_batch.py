@@ -4,7 +4,7 @@ run alone, as a batch of one, on the same draws.
 ``stream_script`` splits the draws of one batch into the share of each
 replication, so the replication can be rerun through ``run_replication``
 on exactly the nearest distances and interferers it had inside the batch:
-its stratified level is served as a batch of one's uniform draw. The
+its pair of lattice levels is served as the shift of a batch of one. The
 comparison is ``==``.
 """
 
@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from hetsim import simulator
 from hetsim.analytics import DelayParams
 from hetsim.caching import CacheConfig, CachePolicy
 from hetsim.geometry import Window, nearest_distance
@@ -24,10 +25,12 @@ from hetsim.simulator import (
     DistanceMode,
     MacroUser,
     SmallUser,
+    _lattice_generator,
     _simulate,
     replication_rng,
     run_replication,
 )
+from lattice_reference import korobov_generator, lattice
 from stream_script import Recorder, draw, levels, replication_streams
 from test_far_field import ALL_PUSHED, EDGE_CASES, MIXPOP, WHOLE_WINDOW, near_radii, pushed
 
@@ -97,3 +100,33 @@ def test_a_short_batch_reads_a_prefix_of_the_same_pattern():
     assert batch.shape == (len(cells), 5, 5)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
+
+
+def test_every_batch_size_has_the_korobov_generator():
+    """The kernel's generator for each batch size, 1 to 64, is the one the
+    brute-force reference finds by the unweighted Korobov figure of merit."""
+    assert [_lattice_generator(n) for n in range(1, BATCH_SIZE + 1)] == [
+        korobov_generator(n) for n in range(1, BATCH_SIZE + 1)
+    ]
+    assert (_lattice_generator(64), _lattice_generator(52)) == (19, 11)
+
+
+@pytest.mark.parametrize("size", [BATCH_SIZE, 44, 1])
+def test_a_batch_draws_its_levels_from_a_shifted_lattice(size, monkeypatch):
+    """The levels of the macro and small-cell nearest distances in a batch of
+    ``size`` are ``frac(k (1, a) / size + shift)`` for the batch's recorded
+    shift: a batch of one has the shift as its levels."""
+    seen = []
+
+    def spy(intensity, levels):
+        seen.append(levels.copy())
+        return nearest_distance(intensity, levels)
+
+    monkeypatch.setattr(simulator, "nearest_distance", spy)
+    params = DelayParams()
+    recorder = Recorder(replication_rng(31, 2))
+    _simulate([Cell(MacroUser(), params, CacheConfig())], params, Window(20_000.0), recorder, size)
+    shift = draw(recorder.log, "shift", None)[3]
+    assert np.array_equal(np.array(seen), lattice(shift, size))
+    if size == 1:
+        assert np.array_equal(np.array(seen)[:, 0], shift)

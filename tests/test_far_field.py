@@ -285,13 +285,14 @@ class TestNearKernelAgainstMaterialisedAnnulus:
 
 def replay_nearest(params, rng):
     """Per tier (macro, then small cells), the nearest distance that a batch
-    of one draws, the formula written out: a uniform level ``U``, then ``r =
-    sqrt(-log(1 - U) / (pi lambda))``, kept even beyond the window."""
-    closest = []
-    for lam in (params.lambda_mc, params.lambda_sc):
-        assert rng.permutation(1).tolist() == [0]  # a stratum of one: the level is the uniform draw
-        closest.append(float(np.sqrt(-np.log1p(-rng.random(1)) / (math.pi * lam))[0]))
-    return closest
+    of one draws, the formula written out: the lattice of one point has its
+    shift, two uniforms, as the levels ``U``, then ``r = sqrt(-log(1 - U) /
+    (pi lambda))``, kept even beyond the window."""
+    shift = rng.random(2)
+    return [
+        float(np.sqrt(-np.log1p(-shift[t : t + 1]) / (math.pi * lam))[0])
+        for t, lam in enumerate((params.lambda_mc, params.lambda_sc))
+    ]
 
 
 def replay_interferers(params, rng, closest, radii):
@@ -571,17 +572,18 @@ def pinned_cells():
 def test_far_field_estimates_at_5_km():
     """At a 5 km window every replication averages out each tier's points
     beyond its near radius, as at 20 km. These are its estimates, compared
-    with ==. They were recorded on the batch streams, which hold both tiers'
-    stratified nearest distances and then each tier's other points;
+    with ==. They were recorded on the batch streams, which hold the shift
+    of the lattice of both tiers' nearest distances and then each tier's
+    other points;
     ``test_batch`` holds every replication of such a batch to the same
     replication run alone on its share of the stream. The intervals are
     batch means over five batches, the last of 44 replications. The MixPop
     hit is the integral closed form, its catalogue ending at 1 + f0."""
     got = estimate(pinned_cells(), Window(5000.0), 300, 2026, workers=1)
     recorded = [
-        (1.1254757968613829, 1.1214168175774137, 1.129534776145352, 0.49659791398933295, 0.0),
-        (1.4340172128116033, 1.4306857821687073, 1.4373486434544993, 0.7792268844465576, 0.0),
-        (0.6745695810214121, 0.6712381503785159, 0.6779010116643083, 0.7792268844465576, 0.7053953719159934),
+        (1.128367838580539, 1.1244571798129959, 1.132278497348082, 0.5058200946388816, 0.0),
+        (1.4367907925147374, 1.4329205894837804, 1.4406609955456944, 0.7859436506504804, 0.0),
+        (0.6773431607245463, 0.6734729576935893, 0.6812133637555032, 0.7859436506504804, 0.7053953719159934),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (
@@ -595,9 +597,9 @@ def test_far_field_estimates_at_20_km():
     held to 1e-13 relative and the hit, which reads no geometry, with ==."""
     got = estimate(pinned_cells(), Window(20_000.0), 300, 2026, workers=1)
     recorded = [
-        (1.1256928326045659, 1.121615289898557, 1.1297703753105748, 0.49751299957132633, 0.0),
-        (1.434116282778883, 1.430772338333333, 1.4374602272244328, 0.7796518255969361, 0.0),
-        (0.6746686509886917, 0.6713247065431417, 0.6780125954342416, 0.7796518255969361, 0.7053953719159934),
+        (1.1285853347327153, 1.1246764518695278, 1.1324942175959027, 0.5067531214325638, 0.0),
+        (1.43689412797953, 1.4330281008121402, 1.4407601551469198, 0.7864038030259999, 0.0),
+        (0.6774464961893386, 0.6735804690219488, 0.6813125233567284, 0.7864038030259999, 0.7053953719159934),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         got_values = (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate)

@@ -235,7 +235,7 @@ class TestRunReplication:
     )
     def test_draws_only_the_geometry(self, members):
         # the replication stream is exactly the macro and small-cell geometry, whether or not a
-        # cell caches: per tier the permutation of one stratum (no draw) and the level of the
+        # cell caches: the shift of a lattice of one point, which is both tiers' levels of the
         # nearest distance, then per tier the count and radii of the other points, with no
         # angle; no router and no request is drawn (the recorder offers no other kind of draw)
         params = small_params()
@@ -244,7 +244,7 @@ class TestRunReplication:
         for rep in range(5):
             g = Recorder(replication_rng(13, rep))
             run_replication(cells, params, window, g)
-            kinds = {"permutation": "permutation", "offsets": "random", "counts": "poisson", "radii": "random"}
+            kinds = {"shift": "random", "counts": "poisson", "radii": "random"}
             for kind, tier in DRAWS:
                 recorded_kind, lam, size, _ = draw(g.log, kind, tier)
                 assert recorded_kind == kinds[kind], (rep, kind, tier)
@@ -253,7 +253,7 @@ class TestRunReplication:
                 elif kind == "radii":
                     assert size == int(draw(g.log, "counts", tier)[3][0])
                 else:
-                    assert size == 1
+                    assert size == 2
 
     def test_tail_is_the_mean_given_geometry_and_request(self):
         """The router distance and the request are averaged out: the tail is
@@ -529,7 +529,7 @@ class TestHitIsTheIntegralClosedForm:
         scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
         g = Recorder(replication_rng(97, 0))
         hits = _simulate([Cell(scenario, params, cache)], params, window, g, BATCH_SIZE)[0, 4]
-        # the small-cell tier's permutation and offsets give its stratified levels and nearest distances
+        # the lattice's shift gives the small-cell tier's levels and nearest distances
         levels = stratified_levels(g.log, 1, BATCH_SIZE)
         assert sorted(np.floor(levels * BATCH_SIZE).tolist()) == list(range(BATCH_SIZE))  # one per stratum
         # numpy's log1p, as the kernel's: math.log1p may differ from it in the last place
