@@ -4,13 +4,9 @@ The typical user sits at the origin; the base-station tiers are independent
 PPPs, and a finite disc window, the model's extent, bounds all of a tier's
 points but its nearest. The simulator draws each tier's nearest distance
 first, from its plane law wherever it falls (``nearest_distance``), then
-the tier's other points once (``sample_beyond``), out to the tier's near
-radius in each replication (the rule is in ``simulator``'s docstring);
-``simulator.far_log_moments`` averages out the rest of the window, on a
-window of any size. A near radius is the tier's nearest point itself
-unless the far field's fence pushes it out, and where it is,
-``sample_beyond`` draws no point for that tier. A config whose far field
-is not averaged out has the window's edge as every near radius.
+the tier's other points once, out to its near radius (``sample_beyond``):
+none where ``simulator.far_log_moments`` averages the window out beyond
+the nearest point, and all of the window's where it does not.
 Routers, a PPP on the plane, enter only through ``mean_nearest_distance``.
 
 Points are stored in polar form: the origin-centric queries and the SIR

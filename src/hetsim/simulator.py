@@ -18,25 +18,16 @@ replication's.
 Each tier's nearest distance is drawn first, from its exact law
 (``geometry.nearest_distance``), and kept apart from the tier's other
 points, which are interferers only. A tier's nearest point is always kept,
-even beyond the window, so no tier is ever empty; the window bounds the
-tier's other points. One rule splits those points: tier ``t`` samples them
-out to its near radius ``R_t = min(max(r_t, fence_t), W)`` for the window's
-radius ``W`` and averages the rest out. The fence is the least radius at
-which the far moments stay in the checked domain of their closed form for
-either serving tier ``s``: ``z_t = target_sir g_t(R_t) / g_s(r_s) <=
-FAR_Z_MAX``. It reads only the nearest distances, so it is set before any
-interferer is drawn. At the default SIR target it lies inside ``r_t`` in
-most replications, which then sample no interferer at all. Beyond its
-nearest point a PPP is again a PPP, so each tier's interferers are one PPP
-on ``r_t < |x| < R_t`` (``geometry.sample_beyond``). The points beyond
-``R_t`` are an independent PPP, so given the near points their interference
-is averaged out exactly through its probability generating functional
-(``far_log_moments``), tier ``t`` from ``R_t`` to ``W``. A config samples
-the whole window, ``R_t = W`` with nothing averaged out, only outside that
-closed form's domain: when ``max_attempts > J_MAX`` or when the pathloss
-exponent is below ``FAR_ALPHA_MIN``. The estimand stays the model on the
-whole window, whatever its size, and every serving tier of a replication
-runs on the same points.
+even beyond the window, so no tier is ever empty. Beyond it the tier is
+again a PPP, bounded by the window of radius ``W``: tier ``t`` samples it on
+``r_t < |x| < R_t`` (``geometry.sample_beyond``) and averages it out beyond
+its near radius ``R_t``, exactly, given the near points, through its
+probability generating functional (``far_log_moments``). ``R_t = min(r_t,
+W)``, so nothing is sampled, except outside that closed form's domain
+(``max_attempts > J_MAX`` or a pathloss exponent below ``FAR_ALPHA_MIN``),
+where ``R_t = W``. The estimand stays the model on the whole window,
+whatever its size, and every serving tier of a replication runs on the
+same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications run in batches of ``BATCH_SIZE`` through one vectorised
@@ -53,19 +44,15 @@ a lattice of its own size) consumes the random stream derived from
 (master_seed, b) in exactly five draws, in this order: the shift, two
 uniforms; then for each tier in turn (macro cells, small cells) all counts
 and all radii of its interferers. No draw depends on where the near radii
-fall. No angle, no router and no request is drawn. Both serving tiers set
-the near radii, whichever cells run, so the stream is read the same way
-whichever cells run together, and a cell's samples do not depend on which
-other cells are estimated alongside it. ``run_replication`` is a batch of
-one, a lattice of one point, whose levels are its shift.
+fall, and no angle, router or request is drawn. The near radii depend on no
+cell, so a cell's samples do not depend on which other cells are estimated
+alongside it. ``run_replication`` is a batch of one, a lattice of one
+point, whose levels are its shift.
 Cells that share a parameter set see the same geometry in each
 replication, so scenarios and storage values are paired (common random
-numbers).
-
-Batches are embarrassingly parallel. Partial results are placed by index,
-so an estimate is bit-identical regardless of worker count or execution
-order. One process pool, capped by HETSIM_THREADS, serves all cells of an
-``estimate`` call.
+numbers). Batches are independent, so one process pool runs them and
+their results are placed by index: an estimate is bit-identical whatever
+the worker count or execution order.
 """
 
 from __future__ import annotations
@@ -87,7 +74,7 @@ from .errors import InvalidConfigError, InvalidParameterError, NumericalError
 from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond
 from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
-from .analytics import DelayParams, rho_terms
+from .analytics import DelayParams, rho_terms, tail_terms
 
 # replications per random stream, and points of its lattice; fixed so that results never depend
 # on the worker count
@@ -95,11 +82,10 @@ BATCH_SIZE = 64
 # largest max_attempts with a far field: far_z_moments' error about doubles per moment
 # (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs)
 J_MAX = 12
-# far_log_moments' domain checked against quadrature: at large z = s r^-alpha, r^2 E_i(s r^-alpha)
-# nears one multiple of s^(2/alpha) at both radii, and that shared term cancels in their difference,
-# the more as z grows and as alpha nears 2 (where the outer radius's z stays large too)
+# smallest pathloss exponent with a far field: far_log_moments' head form loses digits in a thin
+# annulus, the more as alpha nears 2 (from 4 999 m to a 5 km window's edge, where z <= 1, at most
+# 2.0e-10 relative at 2.1, 7.4e-10 at 2.05 and 5.0e-9 at 2.01 against 40-digit quadrature)
 FAR_ALPHA_MIN = 2.1
-FAR_Z_MAX = 1e4  # largest s_t R^-alpha at the inner radius R; it sets each tier's near radius
 _LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -192,13 +178,15 @@ def far_log_moments(
     ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
     over the annulus, which is ``pi lambda_t [r^2 E_i(s_t r^-alpha)]`` from
     ``outer`` to ``inner_t`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
-    2/alpha; -z) - 1``, summed as ``rho_k`` terms, all positive, that one
-    ``hyp2f1`` call per radius gives (``analytics.rho_terms``). ``inner`` is
-    one radius for every tier, or one per tier and replication, at most
-    ``outer``: in the simulator, each tier's near radius, from metres to the
-    window's edge, where ``s_t inner^-alpha <= FAR_Z_MAX``. Returns one row
-    of the M log-moments for float scales, and one row per replication for
-    scales that are arrays over replications.
+    2/alpha; -z) - 1``, summed as positive ``rho_k`` terms
+    (``analytics.rho_terms``). Where ``z = s_t r^-alpha`` exceeds 1 at
+    ``outer`` too, both ends near one shared term, so those rows take it out
+    exactly: ``pi lambda_t d s_t^d sum_{k<=i} (J_k(z_out) - J_k(z_in))`` for
+    ``d = 2/alpha`` (``analytics.tail_terms``). ``inner`` is one radius for
+    every tier, or one per tier and replication (in the simulator, each
+    tier's nearest point), at most ``outer``. Returns one row of the M
+    log-moments for float scales, and one row per replication for scales
+    that are arrays over replications.
     """
     scales = np.asarray(scales, dtype=float)
     inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)  # (tier, [replication])
@@ -206,6 +194,10 @@ def far_log_moments(
     z = scales[..., None] * radii**-alpha
     excess = np.cumsum(rho_terms(z, alpha, max_attempts), axis=-1)
     area = radii[..., None] ** 2 * excess
+    tail = z[..., 1] > 1.0  # rows whose ends near a shared term: take it out, leaving -d s^d sum J_k
+    if tail.any():
+        terms = np.cumsum(tail_terms(z[tail], alpha, max_attempts), axis=-1)
+        area[tail] = -2.0 / alpha * scales[tail][:, None, None] ** (2.0 / alpha) * terms
     log_moments = 0.0
     for lam, (near, far) in zip(intensities, np.moveaxis(area, -2, 1)):
         log_moments = log_moments + math.pi * lam * (near - far)
@@ -386,14 +378,8 @@ def _simulate(
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """``size`` replications of every cell, read from one stream.
-
-    Returns rows (downlink, tail, attempts, outage, hit) per cell, one
-    column per replication. The stream holds the shift of the lattice whose
-    points are the levels of the two tiers' nearest distances, then, per
-    tier (macro cells, small cells), the counts and radii of its
-    interferers, out to the tier's near radius.
-    """
+    """``size`` replications of every cell, read from one stream as the module docstring sets out:
+    rows (downlink, tail, attempts, outage, hit) per cell, one column per replication."""
     lambdas = (params.lambda_mc, params.lambda_sc)
     # a randomly shifted rank-1 lattice: tier t's level in replication k is frac(k g_t / size + shift_t)
     shift = rng.random(2)
@@ -405,15 +391,10 @@ def _simulate(
     powers = (radio.power_macro, radio.power_small)
     alpha = radio.pathloss_exponent
     closest_gains = [_gains(r, power, alpha) for r, power in zip(closest, powers)]
-    # outside the checked domain of the far moments' closed form every point of the window is sampled
+    # each tier's far field starts at its nearest point, or, outside the checked domain of the far
+    # moments' closed form, every point of the window is sampled
     averaged = params.max_attempts <= J_MAX and alpha >= FAR_ALPHA_MIN
-    near = np.full_like(closest, window.radius)
-    if averaged:
-        # tier t's far field starts where z_t = target_sir * g_t(R_t) / g_s(r_s) is at most FAR_Z_MAX
-        # for either serving tier s, so which points are sampled is the same for any cells
-        weakest = np.minimum(*closest_gains)
-        fence = (radio.target_sir * np.array(powers)[:, None] / (FAR_Z_MAX * weakest)) ** (1.0 / alpha)
-        near = np.minimum(np.maximum(closest, fence), window.radius)
+    near = np.minimum(closest, window.radius) if averaged else np.full_like(closest, window.radius)
     interferers = []
     for lam, r_t, radius, power in zip(lambdas, closest, near, powers):
         counts, r = sample_beyond(lam, r_t, radius, rng)
@@ -467,11 +448,8 @@ def run_replication(
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): the lattice's shift, two uniforms that are the levels
-    of the macro and small-cell nearest distances; then per tier the count
-    and radii of its interferers, out to the tier's near radius: the
-    window's edge if the config samples the whole window, and otherwise the
-    farther of the tier's nearest point and the far field's fence, within
-    the window.
+    of the nearest distances; then per tier the count and radii of its
+    interferers, none unless the config samples the whole window.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 

@@ -32,7 +32,7 @@ from hetsim.simulator import (
 )
 from lattice_reference import korobov_generator, lattice
 from stream_script import Recorder, draw, levels, replication_streams
-from test_far_field import ALL_PUSHED, EDGE_CASES, MIXPOP, WHOLE_WINDOW, near_radii, pushed
+from test_far_field import EDGE_CASES, MIXED_FORMS, MIXPOP, near_radii, tail_rows
 
 NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
 PER_USER = SmallUser(
@@ -47,8 +47,8 @@ CASES = {
     "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
     "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
     # the edges of the near-radius rule, caching cells beside: configs that sample the whole
-    # window, fences pushed past the nearest point in some replications of a batch or in all,
-    # sparse routers, which push no fence, and a nearest macro cell beyond the window
+    # window, batches whose far field takes the tail form in some rows and the head form in the
+    # rest, sparse routers, which move no near radius, and a nearest macro cell beyond the window
     **{
         f"edge-{case}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
         for case, (params, scenarios) in EDGE_CASES.items()
@@ -57,8 +57,9 @@ CASES = {
 
 
 def split_batch(cells, params, window, seed, size):
-    """(batch result, per-replication results as batches of one, count of
-    (tier, replication) pairs whose fence pushes the near radius out).
+    """(batch result, per-replication results as batches of one, whether
+    each (tier, serving tier, replication) row of the far field takes the
+    tail form).
 
     Each tier's recorded Poisson mean must cover exactly ``(r_t, R_t)``,
     with ``R_t`` the tier's near radius by the kernel's rule."""
@@ -74,22 +75,19 @@ def split_batch(cells, params, window, seed, size):
     for t, lam in enumerate(lambdas):
         means = draw(recorder.log, "counts", t)[1]
         assert np.array_equal(means, lam * math.pi * (radii[t] ** 2 - np.minimum(closest[t], radii[t]) ** 2))
-    return batch, alone, int(pushed(closest, radii, params).sum())
+    serving = sorted({0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells})
+    return batch, alone, tail_rows(closest, params, window.radius, serving)
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batch_equals_its_replications_run_alone(case):
     params, radius, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    batch, alone, moved = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    batch, alone, tails = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
-    if case[5:] in WHOLE_WINDOW:
-        assert moved == 0
-    elif case[5:] in ALL_PUSHED:
-        assert moved == 2 * BATCH_SIZE
-    else:
-        assert 3 <= moved <= 2 * BATCH_SIZE - 3  # pushed and unpushed near radii mix in one batch
+    if case[5:] in MIXED_FORMS:
+        assert 3 <= tails.sum() <= tails.size - 3  # tail-form and head-form rows mix in one batch
 
 
 def test_a_short_batch_reads_a_prefix_of_the_same_pattern():

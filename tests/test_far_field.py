@@ -29,7 +29,6 @@ from hetsim import simulator
 from hetsim.simulator import (
     BATCH_SIZE,
     FAR_ALPHA_MIN,
-    FAR_Z_MAX,
     J_MAX,
     Cell,
     DelaySample,
@@ -67,32 +66,41 @@ def quad_log_moment(s, alpha, inner, outer, i):
     return 2 * math.pi * value
 
 
-# a tier's near radius is its nearest point, metres out or kilometres, unless the fence pushes it out
-INNER_RADII = [1.0, 10.0, 100.0, 2000.0, 5000.0]
+# a tier's near radius is its nearest point, metres out or kilometres, up to the edge of a 5 km window
+INNER_RADII = [1.0, 10.0, 100.0, 2000.0, 4900.0, 4999.0, 5000.0]
+WINDOWS = [5000.0, DEFAULT_WINDOW_RADIUS_M]
+
+
+def assert_match_quadrature(s, alpha, inner, outer):
+    lam = far_log_moments((s,), (1.0,), alpha, inner, outer, J_MAX)
+    for i in (1, 2, 4, J_MAX):
+        expected = quad_log_moment(s, alpha, inner, outer, i)
+        assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
 
 
 class TestLogMoments:
+    @pytest.mark.parametrize("outer", WINDOWS)
     @pytest.mark.parametrize("inner", INNER_RADII)
     @pytest.mark.parametrize("alpha", [4.0, 3.2])
     @pytest.mark.parametrize("s", np.geomspace(3e9, 1e12, 7).tolist())
-    def test_match_quadrature(self, alpha, s, inner):
-        lam = far_log_moments((s,), (1.0,), alpha, inner, DEFAULT_WINDOW_RADIUS_M, J_MAX)
-        for i in (1, 2, 4, J_MAX):
-            expected = quad_log_moment(s, alpha, inner, DEFAULT_WINDOW_RADIUS_M, i)
-            assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
+    def test_match_quadrature(self, alpha, s, inner, outer):
+        assert_match_quadrature(s, alpha, inner, outer)
 
+    @pytest.mark.parametrize("outer", WINDOWS)
     @pytest.mark.parametrize("inner", INNER_RADII)
     @pytest.mark.parametrize("alpha", [FAR_ALPHA_MIN, 2.5, 4.0, 5.0, 10.0])
-    @pytest.mark.parametrize("z", [1e-14, 1e-10, 1e-6, 1e-3, 0.1, 3.0, 100.0, FAR_Z_MAX])
-    def test_match_quadrature_up_to_a_server_at_the_near_edge(self, alpha, z, inner):
-        # z = s R^-alpha reaches target_sir * (P_macro / P_small) when the server sits near R,
-        # and falls below 1e-10 when it sits far inside R;
-        # beyond FAR_ALPHA_MIN and FAR_Z_MAX the replication samples the whole window instead
-        s = z * inner**alpha
-        lam = far_log_moments((s,), (1.0,), alpha, inner, DEFAULT_WINDOW_RADIUS_M, J_MAX)
-        for i in (1, 2, 4, J_MAX):
-            expected = quad_log_moment(s, alpha, inner, DEFAULT_WINDOW_RADIUS_M, i)
-            assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
+    @pytest.mark.parametrize(
+        ("z", "end"),
+        [(z, "inner") for z in (1e-14, 1e-10, 1e-6, 1e-3, 0.1, 3.0, 100.0, 1e4, 1e8, 1e14)]
+        + [(z, "outer") for z in (1.0001, 1.5, 10.0, 1e4, 1e8, 1e14)],
+    )
+    def test_match_quadrature_up_to_a_server_at_the_near_edge(self, alpha, z, end, inner, outer):
+        # z = s R^-alpha at the inner radius reaches target_sir * (P_macro / P_small) when the
+        # server sits near R, far more when R is a nearer interferer, and falls below 1e-10
+        # when the server sits far inside R; z above 1 at the window's edge, where far_log_moments
+        # takes its tail form, is a server near that edge at a high SIR target. Below
+        # FAR_ALPHA_MIN the whole window is sampled instead
+        assert_match_quadrature(z * (inner if end == "inner" else outer) ** alpha, alpha, inner, outer)
 
     @pytest.mark.parametrize("inner", INNER_RADII)
     @pytest.mark.parametrize("alpha", [FAR_ALPHA_MIN, 2.5, 4.0, 10.0])
@@ -100,13 +108,14 @@ class TestLogMoments:
         """One inner radius per tier and replication: each tier's far field
         starts at its own near radius, and at the window's edge it is empty.
         Each replication's row is held to quadrature, tier by tier, up to
-        FAR_Z_MAX at the inner radius."""
+        z = 1e14 at the inner radius, with rows whose z at the window's edge
+        is above 1 and rows where it is below in one call."""
         outer = DEFAULT_WINDOW_RADIUS_M
         weights = (1.0, 0.5)
         radii = np.array(
             [[1.2 * inner, 9000.0, 15_000.0, 19_500.0, outer], [inner, 12_000.0, 7000.0, outer, 8000.0]]
         )
-        z = np.array([[1e-6, 3.0, FAR_Z_MAX, 100.0, 1.0], [FAR_Z_MAX, 1e-3, 0.1, 5.0, 10.0]])
+        z = np.array([[1e-6, 3.0, 1e14, 100.0, 1.0], [1e8, 1e-3, 0.1, 5.0, 10.0]])
         scales = z * radii**alpha
         lam = far_log_moments(tuple(scales), weights, alpha, radii, outer, J_MAX)
         assert lam.shape == (radii.shape[1], J_MAX)
@@ -343,25 +352,21 @@ def whole_window(params):
 
 def near_radii(closest, params, radius):
     """Each tier's near radius ``R_t``, one row per tier (macro, small cells):
-    the window's edge for a whole-window config, else ``min(max(r_t,
-    fence_t), radius)``. The fence is the least radius with ``z_t =
-    target_sir g_t(R) / g_s(r_s) <= FAR_Z_MAX`` for both serving tiers
-    ``s``, so it is set by the weaker serving gain."""
+    the window's edge for a whole-window config, else ``min(r_t, radius)``."""
     closest = np.asarray(closest, dtype=float).reshape(2, -1)
-    if whole_window(params):
-        return np.full_like(closest, radius)
+    return np.full_like(closest, radius) if whole_window(params) else np.minimum(closest, radius)
+
+
+def tail_rows(closest, params, radius, serving=(0, 1)):
+    """Per (tier, serving tier, replication), whether ``far_log_moments``
+    takes its tail form: where ``z = target_sir g_t(radius) / g_s(r_s)``,
+    at the window's edge, exceeds 1."""
     radio = params.radio
-    powers = np.array([[radio.power_macro], [radio.power_small]])
-    weakest = _gains(closest, powers, radio.pathloss_exponent).min(axis=0)
-    fence = (radio.target_sir * powers / (FAR_Z_MAX * weakest)) ** (1.0 / radio.pathloss_exponent)
-    return np.minimum(np.maximum(closest, fence), radius)
-
-
-def pushed(closest, radii, params):
-    """Per tier and replication, whether the fence pushes ``R_t`` past ``r_t``, so that points are sampled."""
-    if whole_window(params):
-        return np.zeros(radii.shape, dtype=bool)
-    return radii > np.reshape(closest, radii.shape)
+    powers = np.array([radio.power_macro, radio.power_small])
+    closest = np.asarray(closest, dtype=float).reshape(2, -1)[list(serving)]
+    signal = _gains(closest, powers[list(serving), None], radio.pathloss_exponent)
+    edge = _gains(np.full(2, radius), powers, radio.pathloss_exponent)
+    return radio.target_sir * edge[:, None, None] / signal > 1.0
 
 
 def far_row(closest, radii, own, params, radius):
@@ -382,31 +387,30 @@ def far_row(closest, radii, own, params, radius):
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
 EDGE_CASES = {
     # sparse macro cells: the nearest one, drawn first, lies kilometres out and starts the macro
-    # far field; its weak gain pushes the small cells' fence past their nearest point at times
+    # far field
     "sparse-serving-tier": (DelayParams(lambda_mc=2e-8), [MacroUser()]),
     # so few macro cells that the whole window often holds none: the nearest one is kept beyond
-    # the window, and its far field is empty; its weak gain pushes the small cells' fence out
+    # the window, and its far field is empty
     "tier-beyond-window": (DelayParams(lambda_mc=1e-10), [MIXPOP]),
     # few routers and far-flung small cells: routers are averaged out on the plane, not sampled,
-    # so however sparse they move no near radius; the small cells' weak gain pushes the macro
-    # fence out at times
+    # so however sparse they move no near radius
     "router-beyond": (DelayParams(lambda_cr=5e-8, lambda_sc=1e-7), [MIXPOP]),
     # too many attempts for the expansion: every replication samples the whole window
     "attempts-above-j-max": (DelayParams(max_attempts=J_MAX + 1), [MacroUser(), MIXPOP]),
     # a pathloss exponent below the checked domain of the closed form: the whole window too
     "pathloss-near-two": (DelayParams(radio=RadioParams(pathloss_exponent=2.05)), [MacroUser()]),
-    # an 80 dB SIR target, above FAR_Z_MAX: the fence pushes both tiers' near radii out in every replication
-    "argument-above-z-max": (DelayParams(radio=RadioParams(target_sir=1e8)), [MIXPOP]),
-    # sparse tiers at a 40 dB SIR target, FAR_Z_MAX itself: the fence pushes the stronger serving
-    # tier's near radius out and leaves the weaker one's at its nearest point, and which tier is
-    # stronger varies from one replication of a batch to the next
+    # an 80 dB SIR target: the serving tier's far field starts at z = 1e8, and z at the window's
+    # edge exceeds 1 in most (tier, replication) rows, so far_log_moments mostly takes its tail form
+    "sir-target-80-db": (DelayParams(radio=RadioParams(target_sir=1e8)), [MIXPOP]),
+    # sparse tiers at a 40 dB SIR target: rows in the tail form and rows in the head form mix in
+    # every batch, and which serving tier is stronger varies from one replication to the next
     "mixed": (
         DelayParams(lambda_mc=2e-8, lambda_sc=3e-8, radio=RadioParams(target_sir=1e4)),
         [MacroUser(), MIXPOP],
     ),
 }
 WHOLE_WINDOW = ("attempts-above-j-max", "pathloss-near-two")
-ALL_PUSHED = ("argument-above-z-max",)  # the fence pushes every near radius out
+MIXED_FORMS = ("sir-target-80-db", "mixed")  # both forms of far_log_moments run in one batch
 
 
 def replay(params, seed, rep, window):
@@ -424,20 +428,24 @@ def test_replication_replays_the_kernel_on_its_near_radii(case):
     tier's nearest point and its interferers, one PPP on ``(r_t, R_t)``,
     with the far field from ``R_t`` to the window's edge averaged out; it
     equals ``downlink_delay`` on those point sets and that far field,
-    compared with ==. A whole-window config has ``R_t = W`` and no far field."""
+    compared with ==, and leaves the stream where the replay does. An
+    averaged config draws no interferer; a whole-window config has ``R_t =
+    W`` and no far field."""
     params, scenarios = EDGE_CASES[case]
     cache = CacheConfig()
     cells = [Cell(scenario, params, cache) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
     tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
-    moved, outside = [], 0
+    serving = sorted({tiers.index(tier) for tier in serving_tiers})
+    points, tails, outside = 0, [], 0
     for rep in range(40):
         closest, radii, interferers, replayed = replay(params, 71, rep, window)
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, window, g)
         assert g.bit_generator.state == replayed.bit_generator.state, rep
-        moved.append(pushed(closest, radii, params)[:, 0])
+        points += sum(i.size for i in interferers)
+        tails.append(tail_rows(closest, params, window.radius, serving))
         outside += closest[0] > window.radius
         near = [point_set(([r], i), tier) for r, i, tier in zip(closest, interferers, tiers)]
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
@@ -448,46 +456,12 @@ def test_replication_replays_the_kernel_on_its_near_radii(case):
                 hit = hit_probability(CachePolicy.MIX_POP, cache, 1.45, B3Variant.INTEGRAL_CONSISTENT)
             tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul
             assert sample == DelaySample(downlink, tail, attempts, outage, hit), rep
-    moved = np.array(moved)  # (replication, tier)
-    if case in WHOLE_WINDOW:
-        assert not moved.any()
-    elif case in ALL_PUSHED:
-        assert moved.all()
-    else:
-        assert 3 <= moved.sum() <= moved.size - 3  # pushed and unpushed near radii both occur
+    assert (points > 0) == (case in WHOLE_WINDOW)  # an averaged config samples no interferer
+    if case in MIXED_FORMS:
+        tails = np.array(tails)
+        assert 3 <= tails.sum() <= tails.size - 3  # tail-form and head-form rows both occur
     if case == "tier-beyond-window":
         assert outside >= 3  # a macro server beyond the window: its far field is empty
-
-
-@pytest.mark.parametrize("case", ["mixed", "argument-above-z-max"])
-def test_near_radii_keep_the_far_field_in_the_checked_domain(case):
-    """Each tier's far field starts where ``z_t = target_sir g_t(R_t) /
-    g_s(r_s)`` is at most ``FAR_Z_MAX`` for both serving tiers ``s``, and
-    equals it, to rounding, where the fence sets ``R_t``. A far field pushed
-    to the window's edge is empty and needs no bound. ``run_replication``
-    reads exactly the replayed draws."""
-    params, scenarios = EDGE_CASES[case]
-    cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    window = Window(DEFAULT_WINDOW_RADIUS_M)
-    radio = params.radio
-    powers = (radio.power_macro, radio.power_small)
-    alpha = radio.pathloss_exponent
-    bound = 0
-    for rep in range(40):
-        closest, radii, _, replayed = replay(params, 71, rep, window)
-        g = replication_rng(71, rep)
-        run_replication(cells, params, window, g)
-        assert g.bit_generator.state == replayed.bit_generator.state, rep
-        moved = pushed(closest, radii, params)[:, 0]
-        for t, (radius, power) in enumerate(zip(radii[:, 0], powers)):
-            if radius == window.radius:
-                continue
-            z = max(radio.target_sir * power * radius**-alpha / (p * r**-alpha) for p, r in zip(powers, closest))
-            assert z <= FAR_Z_MAX * (1.0 + 1e-12), (rep, t)
-            if moved[t]:
-                assert z == pytest.approx(FAR_Z_MAX, rel=1e-12), (rep, t)
-                bound += 1
-    assert bound >= 3
 
 
 def paired_attempts(cells, params, window, seed, batches, monkeypatch):
@@ -514,36 +488,31 @@ def assert_same_mean(averaged, sampled):
 
 
 def test_far_field_from_the_nearest_points_is_the_sampled_window_mean(monkeypatch):
-    """Where the fence moves no near radius, each tier's far field starts at
-    its nearest point and no other point is sampled. Averaged out, it must
-    equal on average the same replications with the whole window sampled
-    point by point: the nearest distances are drawn first, so both runs
-    share them."""
+    """Each tier's far field starts at its nearest point and no other point
+    is sampled. Averaged out, it must equal on average the same
+    replications with the whole window sampled point by point: the nearest
+    distances are drawn first, so both runs share them."""
     # sparse tiers: nearest points kilometres out, and downlinks far from saturation
     params = DelayParams(lambda_mc=2e-8, lambda_sc=3e-8)
     scenarios = (MacroUser(), SmallUser(policy=CachePolicy.NO_CACHE))
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
-    averaged, sampled, closest = paired_attempts(cells, params, window, 83, 40, monkeypatch)
-    unmoved = ~pushed(closest, near_radii(closest, params, window.radius), params).any(axis=0)
-    assert unmoved.sum() > 300
-    assert_same_mean(averaged[:, unmoved], sampled[:, unmoved])
+    averaged, sampled, _ = paired_attempts(cells, params, window, 83, 40, monkeypatch)
+    assert_same_mean(averaged, sampled)
 
 
-def test_far_field_beyond_pushed_near_radii_is_the_sampled_window_mean(monkeypatch):
-    """At a 40 dB target over sparse tiers the fence pushes the stronger
-    serving tier's near radius out in every replication. Averaged out from
-    each tier's near radius, the estimates must equal on average the whole
-    window sampled point by point on the same nearest draws. Most
-    small-cell downlinks there are in outage, equal in both runs, so the
-    comparison runs over all replications."""
-    params, _ = EDGE_CASES["mixed"]
+@pytest.mark.parametrize("case", MIXED_FORMS)
+def test_far_field_in_its_tail_form_is_the_sampled_window_mean(case, monkeypatch):
+    """At a 40 or 80 dB target, far_log_moments takes its tail form in many
+    (tier, replication) rows, the head form in the rest. Averaged out from
+    each tier's nearest point, the estimates must equal on average the
+    whole window sampled point by point on the same nearest draws."""
+    params, _ = EDGE_CASES[case]
     scenarios = (MacroUser(), SmallUser(policy=CachePolicy.NO_CACHE))
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
     window = Window(DEFAULT_WINDOW_RADIUS_M)
     averaged, sampled, closest = paired_attempts(cells, params, window, 89, 60, monkeypatch)
-    moved = pushed(closest, near_radii(closest, params, window.radius), params).any(axis=0)
-    assert moved.sum() > 1000
+    assert tail_rows(closest, params, window.radius).sum() > 1000
     assert_same_mean(averaged, sampled)
 
 
@@ -571,7 +540,7 @@ def pinned_cells():
 
 def test_far_field_estimates_at_5_km():
     """At a 5 km window every replication averages out each tier's points
-    beyond its near radius, as at 20 km. These are its estimates, compared
+    beyond its nearest point, as at 20 km. These are its estimates, compared
     with ==. They were recorded on the batch streams, which hold the shift
     of the lattice of both tiers' nearest distances and then each tier's
     other points;
@@ -581,9 +550,9 @@ def test_far_field_estimates_at_5_km():
     hit is the integral closed form, its catalogue ending at 1 + f0."""
     got = estimate(pinned_cells(), Window(5000.0), 300, 2026, workers=1)
     recorded = [
-        (1.128367838580539, 1.1244571798129959, 1.132278497348082, 0.5058200946388816, 0.0),
-        (1.4367907925147374, 1.4329205894837804, 1.4406609955456944, 0.7859436506504804, 0.0),
-        (0.6773431607245463, 0.6734729576935893, 0.6812133637555032, 0.7859436506504804, 0.7053953719159934),
+        (1.1280577083493448, 1.1248669449267004, 1.1312484717719893, 0.5055075936405922, 0.0),
+        (1.4367934019654542, 1.4329244200422444, 1.440662383888664, 0.7859452206549915, 0.0),
+        (0.6773457701752631, 0.6734767882520533, 0.6812147520984729, 0.7859452206549915, 0.7053953719159934),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         assert (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate) == (
@@ -597,9 +566,9 @@ def test_far_field_estimates_at_20_km():
     held to 1e-13 relative and the hit, which reads no geometry, with ==."""
     got = estimate(pinned_cells(), Window(20_000.0), 300, 2026, workers=1)
     recorded = [
-        (1.1285853347327153, 1.1246764518695278, 1.1324942175959027, 0.5067531214325638, 0.0),
-        (1.43689412797953, 1.4330281008121402, 1.4407601551469198, 0.7864038030259999, 0.0),
-        (0.6774464961893386, 0.6735804690219488, 0.6813125233567284, 0.7864038030259999, 0.7053953719159934),
+        (1.128275203047032, 1.1250854575343838, 1.1314649485596802, 0.506440621094653, 0.0),
+        (1.4368967374318167, 1.433031928922997, 1.4407615459406364, 0.7864053730366763, 0.0),
+        (0.6774491056416253, 0.6735842971328057, 0.681313914150445, 0.7864053730366763, 0.7053953719159934),
     ]
     for est, (mean, low, high, outage, hit) in zip(got, recorded):
         got_values = (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate)

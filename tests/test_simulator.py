@@ -650,8 +650,8 @@ class TestMultiCell:
             ]
             assert together == alone
 
-    # a config that samples the whole window, and sparse tiers whose weak serving gain pushes the
-    # other tier's fence out in some replications, so points are drawn beside caching cells
+    # a config that samples the whole window, so points are drawn beside caching cells, and sparse
+    # tiers whose far fields start kilometres out
     FALLBACK_PARAMS = {
         "attempts-above-j-max": small_params(max_attempts=J_MAX + 1),
         "sparse-macro": small_params(lambda_mc=2e-8),
