@@ -30,8 +30,8 @@ whatever its size, and every serving tier of a replication runs on the
 same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
-Replications run in batches of ``BATCH_SIZE`` through one vectorised
-kernel, interferers held as ragged arrays. The nearest distances of a batch
+Replications are drawn in batches of ``BATCH_SIZE``, each from its own
+stream and lattice (``_draw``). The nearest distances of a batch
 of ``n`` replications are the points of a randomly shifted rank-1 lattice
 (Cranley and Patterson 1976): tier ``t``'s level in replication ``k`` is
 ``frac(k g_t / n + shift_t)`` for the generator ``g = (1, a_n)``
@@ -48,11 +48,19 @@ fall, and no angle, router or request is drawn. The near radii depend on no
 cell, so a cell's samples do not depend on which other cells are estimated
 alongside it. ``run_replication`` is a batch of one, a lattice of one
 point, whose levels are its shift.
+One vectorised kernel call (``_kernel``) then runs consecutive batches
+together, interferers held as ragged arrays, until their replications and
+sampled interferers reach ``KERNEL_BUDGET``: averaged configs pay numpy's
+per-call cost once per many batches, and a call's working set stays
+bounded. Every step of the kernel works element by element, along the
+attempt axis, or over one replication's segment of interferers, so no
+number depends on which batches share a call.
 Cells that share a parameter set see the same geometry in each
 replication, so scenarios and storage values are paired (common random
-numbers). Batches are independent, so one process pool runs them and
-their results are placed by index: an estimate is bit-identical whatever
-the worker count or execution order.
+numbers). Batches are independent, so one process pool runs spans of them
+and their results are placed by index: an estimate is bit-identical
+whatever the worker count or execution order, though the worker count
+sets how batches group into kernel calls.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +88,11 @@ from .analytics import DelayParams, rho_terms, tail_terms
 # replications per random stream, and points of its lattice; fixed so that results never depend
 # on the worker count
 BATCH_SIZE = 64
+# replications plus sampled interferers that one kernel call gathers from consecutive batches
+# before it runs: averaged configs then pay numpy's per-call cost once per 32 batches, and a call
+# holds at most the budget plus one batch; a batch that alone exceeds it, as a whole-window batch
+# on a 20 km window does, runs alone
+KERNEL_BUDGET = 2048
 # largest max_attempts with a far field: far_z_moments' error about doubles per moment
 # (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs)
 J_MAX = 12
@@ -369,40 +383,76 @@ def _lattice_generator(n: int) -> int:
     return int(a[np.argmin(b[np.outer(a, k) % n] @ b)])
 
 
-# gains that underflow to 0 meet inf * 0 here; estimate raises NumericalError on the non-finite result
+def _averaged(params: DelayParams) -> bool:
+    """Whether each tier's far field is averaged out beyond its nearest point: only inside the
+    checked domain of the far moments' closed form. Otherwise every point of the window is sampled."""
+    return params.max_attempts <= J_MAX and params.radio.pathloss_exponent >= FAR_ALPHA_MIN
+
+
+class _Draw(NamedTuple):
+    """One batch's geometry: each tier's nearest distances, near radii and interferer counts, one
+    row per tier and one column per replication, and each tier's interferer gains, end to end."""
+
+    closest: np.ndarray
+    near: np.ndarray
+    counts: np.ndarray
+    gains: tuple[np.ndarray, np.ndarray]
+
+
+# as in the kernel; a window too large for its squared radius overflows here, then fails in
+# sample_beyond's Poisson draw
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _simulate(
-    cells: Sequence[Cell],
-    params: DelayParams,
-    window: Window,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """``size`` replications of every cell, read from one stream as the module docstring sets out:
-    rows (downlink, tail, attempts, outage, hit) per cell, one column per replication."""
+def _draw(params: DelayParams, window: Window, rng: np.random.Generator, size: int) -> _Draw:
+    """The geometry of one batch of ``size`` replications, read from its stream as the module
+    docstring sets out. Each interferer's radius gives way to its gain (``_gains``) as soon as the
+    tier is drawn, so no radius outlives its batch's draw."""
     lambdas = (params.lambda_mc, params.lambda_sc)
+    radio = params.radio
     # a randomly shifted rank-1 lattice: tier t's level in replication k is frac(k g_t / size + shift_t)
     shift = rng.random(2)
     steps = np.outer((1, _lattice_generator(size)), np.arange(size)) % size
     levels = (steps / size + shift[:, None]) % 1.0
     closest = np.array([nearest_distance(lam, u) for lam, u in zip(lambdas, levels)])
+    near = np.minimum(closest, window.radius) if _averaged(params) else np.full_like(closest, window.radius)
+    counts, gains = [], []
+    for lam, r_t, radius, power in zip(lambdas, closest, near, (radio.power_macro, radio.power_small)):
+        n, r = sample_beyond(lam, r_t, radius, rng)
+        counts.append(n)
+        gains.append(_gains(r, power, radio.pathloss_exponent))
+    return _Draw(closest, near, np.array(counts), tuple(gains))
 
+
+def _join(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """``parts`` end to end; a single part as it is, so one batch copies nothing."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+# gains that underflow to 0 meet inf * 0 here; estimate raises NumericalError on the non-finite result
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _kernel(
+    cells: Sequence[Cell],
+    params: DelayParams,
+    window: Window,
+    draws: Sequence[_Draw],
+) -> np.ndarray:
+    """Every cell's replications over the batches ``draws`` (``_draw``), end to end: rows (downlink,
+    tail, attempts, outage, hit) per cell, one column per replication.
+
+    Every step works element by element, along the M axis, or per replication's segment of
+    interferers, so a replication's numbers do not depend on which batches share the call.
+    """
+    closest, near, counts, gains = zip(*draws)
+    closest, near, counts = (_join(part, axis=1) for part in (closest, near, counts))
+    lambdas = (params.lambda_mc, params.lambda_sc)
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
     alpha = radio.pathloss_exponent
     closest_gains = [_gains(r, power, alpha) for r, power in zip(closest, powers)]
-    # each tier's far field starts at its nearest point, or, outside the checked domain of the far
-    # moments' closed form, every point of the window is sampled
-    averaged = params.max_attempts <= J_MAX and alpha >= FAR_ALPHA_MIN
-    near = np.minimum(closest, window.radius) if averaged else np.full_like(closest, window.radius)
-    interferers = []
-    for lam, r_t, radius, power in zip(lambdas, closest, near, powers):
-        counts, r = sample_beyond(lam, r_t, radius, rng)
-        interferers.append((_gains(r, power, alpha), _offsets(counts)))
+    interferers = [(_join(g), _offsets(n)) for g, n in zip(zip(*gains), counts)]
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
     serving = sorted(set(owns))
     far = dict.fromkeys(serving)
-    if averaged:
+    if _averaged(params):
         # every serving tier's far moments in one call, one row per (serving tier, replication)
         scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
         scales = [scale * power for power in powers]
@@ -415,7 +465,7 @@ def _simulate(
         )
 
     router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
-    out = np.empty((len(cells), 5, size))
+    out = np.empty((len(cells), 5, closest.shape[1]))
     for c, (cell, own) in enumerate(zip(cells, owns)):
         scenario = cell.scenario
         attempts, outage = links[own]
@@ -435,6 +485,18 @@ def _simulate(
         out[c, 1] = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul_mean
         out[c, 2], out[c, 3], out[c, 4] = attempts, outage, hit
     return out
+
+
+def _simulate(
+    cells: Sequence[Cell],
+    params: DelayParams,
+    window: Window,
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """``size`` replications of every cell, read from one stream as the module docstring sets out:
+    rows (downlink, tail, attempts, outage, hit) per cell, one column per replication."""
+    return _kernel(cells, params, window, [_draw(params, window, rng, size)])
 
 
 def run_replication(
@@ -463,14 +525,23 @@ def _run_batch(cells, params, window, master_seed, start, stop):
     """Replications [start, stop) of cells sharing ``params``: (total, outage, hit) per (cell, rep).
 
     ``start`` is a multiple of BATCH_SIZE; batch ``b`` covers replications
-    ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)`` and reads stream ``b``.
+    ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)`` and reads stream ``b``, as a
+    lattice of its own size. Each batch is drawn on its own (``_draw``); one
+    kernel call then runs consecutive batches together, at least one, until
+    their replications and sampled interferers reach ``KERNEL_BUDGET``.
+    Since the kernel works per replication, the grouping, and so the worker
+    count, changes no number.
     """
     out = np.empty((len(cells), stop - start, 3))
+    draws, held, done = [], 0, start
     for first in range(start, stop, BATCH_SIZE):
         last = min(first + BATCH_SIZE, stop)
-        rng = replication_rng(master_seed, first // BATCH_SIZE)
-        downlink, tail, _, outage, hit = _simulate(cells, params, window, rng, last - first).swapaxes(0, 1)
-        out[:, first - start : last - start] = np.stack((downlink + tail, outage, hit), axis=-1)
+        draws.append(_draw(params, window, replication_rng(master_seed, first // BATCH_SIZE), last - first))
+        held += last - first + int(draws[-1].counts.sum())
+        if held >= KERNEL_BUDGET or last == stop:
+            downlink, tail, _, outage, hit = _kernel(cells, params, window, draws).swapaxes(0, 1)
+            out[:, done - start : last - start] = np.stack((downlink + tail, outage, hit), axis=-1)
+            draws, held, done = [], 0, last
     return out
 
 
