@@ -32,11 +32,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def run_sweep(
-    config: ExperimentConfig,
-    theory_only: bool = False,
-    workers: int | None = None,
-) -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig, theory_only: bool = False) -> list[SweepRow]:
     """Evaluate every (grid value, scenario) cell of the configured sweep.
 
     The closed forms of all cells come first; then one ``estimate`` call
@@ -72,7 +68,7 @@ def run_sweep(
     if theory_only:
         sims = [None] * len(cases)
     else:
-        sims = estimate(cells, window, config.replications, config.master_seed, workers=workers)
+        sims = estimate(cells, window, config.replications, config.master_seed)
     return [
         SweepRow(
             sweep_var=config.sweep_variable,

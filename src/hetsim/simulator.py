@@ -49,18 +49,18 @@ cell, so a cell's samples do not depend on which other cells are estimated
 alongside it. ``run_replication`` is a batch of one, a lattice of one
 point, whose levels are its shift.
 One vectorised kernel call (``_kernel``) then runs consecutive batches
-together, interferers held as ragged arrays, until their replications and
-sampled interferers reach ``KERNEL_BUDGET``: averaged configs pay numpy's
-per-call cost once per many batches, and a call's working set stays
-bounded. Every step of the kernel works element by element, along the
-attempt axis, or over one replication's segment of interferers, so no
-number depends on which batches share a call.
+together, interferers kept as ragged arrays, as many as the config's
+replications and expected sampled interferers need to reach
+``KERNEL_BUDGET``: averaged configs pay numpy's per-call cost once per many
+batches, and a call's working set stays bounded. Every step of the kernel
+works element by element, along the attempt axis, or over one
+replication's segment of interferers.
 Cells that share a parameter set see the same geometry in each
 replication, so scenarios and storage values are paired (common random
-numbers). Batches are independent, so one process pool runs spans of them
-and their results are placed by index: an estimate is bit-identical
-whatever the worker count or execution order, though the worker count
-sets how batches group into kernel calls.
+numbers). Each kernel call is one task; a process pool only schedules the
+tasks, and starts only when there are more of them than workers. Results
+are placed by index, so an estimate is bit-identical whatever the worker
+count or execution order.
 """
 
 from __future__ import annotations
@@ -88,11 +88,14 @@ from .analytics import DelayParams, rho_terms, tail_terms
 # replications per random stream, and points of its lattice; fixed so that results never depend
 # on the worker count
 BATCH_SIZE = 64
-# replications plus sampled interferers that one kernel call gathers from consecutive batches
-# before it runs: averaged configs then pay numpy's per-call cost once per 32 batches, and a call
-# holds at most the budget plus one batch; a batch that alone exceeds it, as a whole-window batch
-# on a 20 km window does, runs alone
+# replications plus expected sampled points that one kernel call reaches in whole batches, so the
+# config alone sizes every call (estimate): an averaged one holds 32 batches, and a whole-window
+# batch that alone exceeds the budget, as one on a 20 km window does, runs alone
 KERNEL_BUDGET = 2048
+# most expected sampled points in one batch of a whole-window config: a point holds 16 bytes at
+# once (its gain, and its radius while drawn or its SIR term while run; peak RSS grew by 16.0 bytes
+# per point at 2 to 16 million points), so one batch's point arrays stay within 256 MiB
+MAX_BATCH_POINTS = 2**24
 # largest max_attempts with a far field: far_z_moments' error about doubles per moment
 # (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs)
 J_MAX = 12
@@ -526,23 +529,15 @@ def _run_batch(cells, params, window, master_seed, start, stop):
 
     ``start`` is a multiple of BATCH_SIZE; batch ``b`` covers replications
     ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)`` and reads stream ``b``, as a
-    lattice of its own size. Each batch is drawn on its own (``_draw``); one
-    kernel call then runs consecutive batches together, at least one, until
-    their replications and sampled interferers reach ``KERNEL_BUDGET``.
-    Since the kernel works per replication, the grouping, and so the worker
-    count, changes no number.
+    lattice of its own size. Each batch is drawn on its own (``_draw``), and
+    one kernel call runs them all.
     """
-    out = np.empty((len(cells), stop - start, 3))
-    draws, held, done = [], 0, start
-    for first in range(start, stop, BATCH_SIZE):
-        last = min(first + BATCH_SIZE, stop)
-        draws.append(_draw(params, window, replication_rng(master_seed, first // BATCH_SIZE), last - first))
-        held += last - first + int(draws[-1].counts.sum())
-        if held >= KERNEL_BUDGET or last == stop:
-            downlink, tail, _, outage, hit = _kernel(cells, params, window, draws).swapaxes(0, 1)
-            out[:, done - start : last - start] = np.stack((downlink + tail, outage, hit), axis=-1)
-            draws, held, done = [], 0, last
-    return out
+    draws = [
+        _draw(params, window, replication_rng(master_seed, first // BATCH_SIZE), min(first + BATCH_SIZE, stop) - first)
+        for first in range(start, stop, BATCH_SIZE)
+    ]
+    downlink, tail, _, outage, hit = _kernel(cells, params, window, draws).swapaxes(0, 1)
+    return np.stack((downlink + tail, outage, hit), axis=-1)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -641,14 +636,16 @@ def estimate(
     and a tier-1 test holds its coverage at 40 and 64 replications. One
     replication has a zero-width interval.
 
-    Cells that share a parameter set are simulated together (see
-    run_replication). Every (parameter set, run of batches) pair is one
-    task, and one process pool runs them all. Pure function of its
+    Cells that share a parameter set are simulated together. Each kernel
+    call, its batches fixed by the config, is one task; a process pool runs
+    the tasks when there are more of them than workers. Pure function of its
     arguments: the per-batch streams and the index-ordered reduction make
     the result independent of ``workers`` (default: HETSIM_THREADS, else
-    the CPUs this process may run on, capped at 8) and of which other cells are estimated
-    alongside. A cell whose estimate is not finite, as when its serving
-    gains underflow to 0, raises ``NumericalError``.
+    the CPUs this process may run on, capped at 8) and of which other cells
+    are estimated alongside. A whole-window config whose batches would
+    sample more than ``MAX_BATCH_POINTS`` points raises
+    ``InvalidConfigError`` before any draw; a cell whose estimate is not
+    finite, as when its serving gains underflow to 0, ``NumericalError``.
     """
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications}")
@@ -658,24 +655,27 @@ def estimate(
         groups.setdefault(cell.params, []).append(index)
 
     workers = _resolve_workers(workers)
-    # about four tasks per worker, each a run of whole batches: enough to balance the load,
-    # few enough that shipping cells and results stays cheap
-    batches = -(-replications // BATCH_SIZE) * len(groups)
-    step = BATCH_SIZE * max(1, -(-batches // (4 * workers)))
-    spans = [(start, min(start + step, replications)) for start in range(0, replications, step)]
-    keys = [
-        (params, members, start, stop)
-        for params, members in groups.items()
-        for start, stop in spans
-    ]
+    keys = []
+    for params, members in groups.items():
+        # expected sampled points per batch: none where each tier's far field is averaged out
+        intensity = params.lambda_mc + params.lambda_sc
+        points = 0.0 if _averaged(params) else BATCH_SIZE * math.pi * intensity * window.radius * window.radius
+        if points > MAX_BATCH_POINTS:
+            raise InvalidConfigError(
+                f"window_radius_m {window.radius:g} samples about {points:.3g} points per batch, "
+                f"above {MAX_BATCH_POINTS}: use a smaller window"
+            )
+        # one kernel call per task: whole batches until replications and expected points reach the budget
+        step = BATCH_SIZE * math.ceil(KERNEL_BUDGET / (BATCH_SIZE + points))
+        keys += [(params, members, start, min(start + step, replications)) for start in range(0, replications, step)]
     tasks = [
         ([cells[i] for i in members], params, window, master_seed, start, stop)
         for params, members, start, stop in keys
     ]
-    if workers == 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= workers:
         results = (_run_batch(*task) for task in tasks)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_batch, *task) for task in tasks]
             results = [f.result() for f in futures]
 

@@ -1,5 +1,7 @@
-"""Convenience forms of simulator calls for tests: one cell, or one downlink from point sets."""
+"""Convenience forms of simulator calls for tests: one cell, or one downlink from point sets;
+and a record of the process pools ``estimate`` enters."""
 
+from hetsim import simulator
 from hetsim.channel import RadioParams
 from hetsim.simulator import Cell, _gains, downlink_delay, estimate, run_replication
 
@@ -21,3 +23,16 @@ def kernel(serving_tier, serving_index, macro, small, radio=RadioParams(), max_a
     return downlink_delay(
         serving_tier, serving_index, macro_gains, small_gains, radio.target_sir, 0.1, max_attempts
     )
+
+
+def pool_entries(monkeypatch):
+    """Every real process pool that ``estimate`` enters from now on, in order."""
+    entered = []
+
+    class Pool(simulator.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", Pool)
+    return entered

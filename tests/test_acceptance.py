@@ -31,7 +31,7 @@ from hetsim.simulator import Cell, MacroUser, SmallUser, ci_quantile, estimate
 import oracle_reference as oracle
 from caching_reference import sample_hit
 from model_helpers import cdf, pdf
-from single_cell import estimate_one
+from single_cell import estimate_one, pool_entries
 
 WINDOW = Window(20_000.0)
 GAMMA_3DB = 10.0 ** 0.3
@@ -326,9 +326,10 @@ def test_criterion_7_trend_reproduction():
 
 def test_criterion_8_deterministic_csv(tmp_path, monkeypatch):
     """Identical config and seed give byte-identical CSV at any thread cap."""
+    # 8 300 replications of the one parameter set are five kernel calls, so four workers start a pool
     config_path = tmp_path / "config.json"
     config_path.write_text(
-        '{"sweep_variable": "storage_S", "replications": 150, '
+        '{"sweep_variable": "storage_S", "replications": 8300, '
         '"window_radius_m": 5000.0, "master_seed": 2024}'
     )
     out_one = tmp_path / "threads1.csv"
@@ -336,7 +337,9 @@ def test_criterion_8_deterministic_csv(tmp_path, monkeypatch):
     monkeypatch.setenv("HETSIM_THREADS", "1")
     assert main(["--config", str(config_path), "--out", str(out_one)]) == 0
     monkeypatch.setenv("HETSIM_THREADS", "4")
+    entered = pool_entries(monkeypatch)
     assert main(["--config", str(config_path), "--out", str(out_four)]) == 0
+    assert len(entered) == 1
     one, four = out_one.read_bytes(), out_four.read_bytes()
     assert one == four
     assert len(one.splitlines()) == 1 + 4 * 5

@@ -6,10 +6,12 @@ replication, so the replication can be rerun through ``run_replication``
 on exactly the nearest distances and interferers it had inside the batch:
 its pair of lattice levels is served as the shift of a batch of one. The
 comparison is ``==``. In turn, a run of batches that one kernel call takes
-together equals its batches run one at a time, each on its own stream.
+together equals its batches run one at a time, each on its own stream, and
+the config alone fixes which batches share a call.
 """
 
 import math
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -167,44 +169,9 @@ def test_a_span_equals_its_batches_run_one_at_a_time(case, monkeypatch):
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
     calls = spy_kernel(monkeypatch)
     span = _run_batch(cells, params, Window(radius), 43, START, STOP)
-    # an averaged config samples no interferer, so its whole span is one kernel call; a
-    # whole-window batch at 20 km alone holds more sampled points than the budget
-    assert len(calls) == (4 if case[5:] in WHOLE_WINDOW else 1)
+    assert [len(batches) for batches in calls] == [4]  # one kernel call, whatever its sampled points
     assert span.shape == (len(cells), STOP - START, 3)
     assert np.array_equal(span, batch_by_batch(cells, params, Window(radius), 43, START, STOP))
-
-
-@pytest.mark.parametrize("case", WHOLE_WINDOW)
-def test_a_budget_that_splits_a_whole_window_span_changes_no_number(case, monkeypatch):
-    """At a budget of about one and a half batches' sampled points, the
-    span runs as several kernel calls that each hold more than one batch."""
-    params, scenarios = EDGE_CASES[case]
-    cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    window = Window(20_000.0)
-    calls = spy_kernel(monkeypatch)
-    _run_batch(cells, params, window, 43, START, START + BATCH_SIZE)
-    monkeypatch.setattr(simulator, "KERNEL_BUDGET", 3 * sum(calls[0][0]) // 2)
-    calls.clear()
-    span = _run_batch(cells, params, window, 43, START, STOP)
-    assert [len(batches) for batches in calls] == [2, 2]
-    assert np.array_equal(span, batch_by_batch(cells, params, window, 43, START, STOP))
-
-
-@pytest.mark.parametrize("radius", [1000.0, 2000.0, 20_000.0])
-def test_whole_window_kernel_calls_hold_at_most_the_budget_and_one_batch(radius, monkeypatch):
-    """Every kernel call holds batches until their replications and sampled
-    interferers reach the budget, so all but its last batch stay below it.
-    On a 1 km window, where a batch samples about 1 150 points, calls take
-    several batches; from 2 km on, one batch alone exceeds the budget."""
-    params = DelayParams(max_attempts=J_MAX + 1)
-    cells = [Cell(scenario, params, CacheConfig()) for scenario in [MacroUser(), MIXPOP]]
-    calls = spy_kernel(monkeypatch)
-    _run_batch(cells, params, Window(radius), 7, 0, 40 * BATCH_SIZE)
-    assert sum(len(batches) for batches in calls) == 40
-    for batches in calls:
-        assert sum(reps + points for reps, points in batches[:-1]) < simulator.KERNEL_BUDGET
-        assert sum(points for _, points in batches) <= simulator.KERNEL_BUDGET + batches[-1][1]
-    assert (max(len(batches) for batches in calls) > 1) == (radius < 2000.0)
 
 
 def test_an_averaged_task_runs_as_one_kernel_call(monkeypatch):
@@ -215,3 +182,75 @@ def test_an_averaged_task_runs_as_one_kernel_call(monkeypatch):
     calls = spy_kernel(monkeypatch)
     _run_batch(cells, params, Window(20_000.0), 7, 0, 20 * BATCH_SIZE)
     assert calls == [[(BATCH_SIZE, 0)] * 20]
+
+
+def spy_spans(monkeypatch):
+    """Record the (parameter set, start, stop) of every task ``estimate`` hands ``_run_batch``."""
+    spans = []
+    run_batch = simulator._run_batch
+
+    def spy(cells, params, window, master_seed, start, stop):
+        spans.append((params, start, stop))
+        return run_batch(cells, params, window, master_seed, start, stop)
+
+    monkeypatch.setattr(simulator, "_run_batch", spy)
+    return spans
+
+
+class InProcessPool(Executor):
+    """Runs each task as it is submitted, in this process, so a spy sees the tasks a pool would get."""
+
+    started = []  # the max_workers of every pool, in order
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+# the call size each config fixes: 32 batches where nothing is sampled, else as many as bring a
+# call's replications and expected sampled points to the budget of 2 048; at the default
+# intensities the whole 20 km window holds about 8 000 points per replication, a 1 km window 20
+WHOLE = DelayParams(max_attempts=J_MAX + 1)
+CALL_SIZES = {
+    "averaged": (DelayParams(), 20_000.0, 32),
+    "whole-20km": (WHOLE, 20_000.0, 1),
+    "whole-1km": (WHOLE, 1000.0, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(CALL_SIZES))
+def test_a_kernel_call_holds_the_batches_its_config_fixes(case, monkeypatch):
+    params, radius, batches = CALL_SIZES[case]
+    spans = spy_spans(monkeypatch)
+    # no batch is drawn or run: each stands for its size
+    monkeypatch.setattr(simulator, "_draw", lambda params, window, rng, size: size)
+    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, window, sizes: np.zeros((1, 5, sum(sizes))))
+    step = batches * BATCH_SIZE
+    simulator.estimate([Cell(MacroUser(), params, CacheConfig())], Window(radius), 2 * step + 5, 3, workers=1)
+    assert spans == [(params, 0, step), (params, step, 2 * step), (params, 2 * step, 2 * step + 5)]
+
+
+def test_the_tasks_do_not_depend_on_the_worker_count(monkeypatch):
+    """Two parameter sets of three kernel calls each, the last of two batches:
+    every worker count hands ``_run_batch`` the same spans, and from two
+    workers on a pool schedules them."""
+    cells = [
+        Cell(scenario, params, CacheConfig())
+        for params in (DelayParams(), DelayParams(lambda_mc=2e-6))
+        for scenario in [MacroUser(), MIXPOP]
+    ]
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "started", [])
+    spans = spy_spans(monkeypatch)
+    seen, results = [], []
+    for workers in (1, 2, 3):
+        results.append(simulator.estimate(cells, Window(5000.0), 2 * simulator.KERNEL_BUDGET + 70, 13, workers))
+        seen.append(spans.copy())
+        spans.clear()
+    assert InProcessPool.started == [2, 3]
+    assert seen[0] == seen[1] == seen[2] and len(seen[0]) == 6
+    assert results[0] == results[1] == results[2]

@@ -10,10 +10,11 @@ import pytest
 import hetsim
 import oracle_reference as oracle
 from hetsim.caching import B3Variant
-from hetsim import cli
+from hetsim import cli, simulator
 from hetsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, run_sweep
 from hetsim.config import ExperimentConfig, load_config
 from hetsim.errors import InvalidSteepnessError
+from single_cell import pool_entries
 
 
 # both tiers' nearest gains underflow to 0, so the kernel meets inf * 0
@@ -373,6 +374,24 @@ class TestMain:
         assert "numerical failure" in err and "non-finite estimate" in err and "MacroUser" in err
         assert not out.exists()
 
+    def test_a_window_too_large_to_sample_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # above J_MAX attempts the whole window is sampled: about 1e397 points per batch at 1e200 m
+        config = tmp_path / "config.json"
+        config.write_text('{"window_radius_m": 1e200, "replications": 10, "max_attempts": 13}')
+
+        def no_draw(*args):
+            raise AssertionError("drew a batch")
+
+        monkeypatch.setattr(simulator, "_draw", no_draw)
+        assert main(["--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: window_radius_m 1e+200" in err
+        monkeypatch.undo()
+        # the averaged config samples no point, so the same window is no config error; it fails in the kernel
+        config.write_text('{"window_radius_m": 1e200, "replications": 10}')
+        assert main(["--config", str(config)]) == EXIT_NUMERICAL
+        assert "non-finite estimate" in capsys.readouterr().err
+
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -402,13 +421,16 @@ class TestMain:
         assert "config error" in err and "HETSIM_THREADS" in err and repr(value) in err
 
     def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path)
+        # four kernel calls, more than three workers, so the pool runs them
+        config = write_config(tmp_path, replications=3 * simulator.KERNEL_BUDGET + 1)
         out_one = tmp_path / "one.csv"
         out_two = tmp_path / "two.csv"
         monkeypatch.setenv("HETSIM_THREADS", "1")
         assert main(["--config", str(config), "--out", str(out_one)]) == EXIT_OK
         monkeypatch.setenv("HETSIM_THREADS", "3")
+        entered = pool_entries(monkeypatch)
         assert main(["--config", str(config), "--out", str(out_two)]) == EXIT_OK
+        assert len(entered) == 1
         assert out_one.read_bytes() == out_two.read_bytes()
 
     def test_saved_default_config_loads_identically(self, tmp_path):

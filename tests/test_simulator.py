@@ -28,7 +28,7 @@ from hetsim.simulator import (
     run_replication,
 )
 from model_helpers import point_set_from_xy
-from single_cell import estimate_one, kernel, replicate_one
+from single_cell import estimate_one, kernel, pool_entries, replicate_one
 from sir_reference import reference_downlink, success_probability, truncated_geometric
 from stream_script import DRAWS, Recorder, draw
 from stream_script import levels as stratified_levels
@@ -308,25 +308,32 @@ class TestEstimate:
         args = (MacroUser(), small_params(), CacheConfig(), Window(5000.0), 400, 17)
         assert estimate_one(*args) == estimate_one(*args)
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        # four kernel calls of up to 32 batches, more than the three workers, so the pool runs them
         args = (
             SmallUser(policy=CachePolicy.MIX_POP, model=LoadDependent()),
             small_params(),
             CacheConfig(),
             Window(5000.0),
-            600,
+            7000,
             23,
         )
         sequential = estimate_one(*args, workers=1)
+        entered = pool_entries(monkeypatch)
         pooled = estimate_one(*args, workers=3)
+        assert len(entered) == 1
         assert sequential == pooled
 
     def test_thread_env_var_respected(self, monkeypatch):
-        args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 300, 5)
+        # three kernel calls, more than two workers
+        args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 4200, 5)
+        entered = pool_entries(monkeypatch)
         monkeypatch.setenv("HETSIM_THREADS", "1")
         one = estimate_one(*args)
+        assert not entered
         monkeypatch.setenv("HETSIM_THREADS", "2")
         two = estimate_one(*args)
+        assert len(entered) == 1
         assert one == two
 
     @pytest.mark.parametrize("workers", [0, -4])
@@ -351,9 +358,10 @@ class TestEstimate:
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
         assert simulator._resolve_workers(None) == 1
 
-    def test_batch_boundaries_do_not_depend_on_workers(self):
-        """Two full batches and a short one, at 20 km: the pool splits them
-        into tasks, and each batch still reads its own stream."""
+    def test_batch_boundaries_do_not_depend_on_workers(self, monkeypatch):
+        """A full kernel call of 32 batches, then two full batches and a
+        short one, for each of two parameter sets at 20 km: the pool runs the
+        four calls, and each batch still reads its own stream."""
         params = small_params()
         cells = [
             Cell(MacroUser(), params, CacheConfig()),
@@ -364,9 +372,11 @@ class TestEstimate:
                 CacheConfig(),
             ),
         ]
-        replications = 2 * BATCH_SIZE + 5
+        replications = simulator.KERNEL_BUDGET + 2 * BATCH_SIZE + 5
         sequential = estimate(cells, Window(20_000.0), replications, 89, workers=1)
+        entered = pool_entries(monkeypatch)
         pooled = estimate(cells, Window(20_000.0), replications, 89, workers=3)
+        assert len(entered) == 1
         assert sequential == pooled
         assert all(est.replications == replications for est in pooled)
 
@@ -631,11 +641,14 @@ class TestMultiCell:
         ]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_estimate_matches_one_cell_estimates(self, workers):
+    def test_estimate_matches_one_cell_estimates(self, workers, monkeypatch):
+        # two kernel calls for each of the two parameter sets: at 3 workers the pool runs all four
         window = Window(5000.0)
         cells = self.mixed_cells()
-        together = estimate(cells, window, 600, 31, workers=workers)
-        alone = [estimate_one(c.scenario, c.params, c.cache, window, 600, 31, workers=1) for c in cells]
+        alone = [estimate_one(c.scenario, c.params, c.cache, window, 2100, 31, workers=1) for c in cells]
+        entered = pool_entries(monkeypatch)
+        together = estimate(cells, window, 2100, 31, workers=workers)
+        assert len(entered) == (workers > 1)
         assert together == alone
 
     def test_run_replication_matches_one_cell_runs(self):
@@ -678,8 +691,10 @@ class TestMultiCell:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("case", list(FALLBACK_PARAMS))
-    def test_fallback_estimates_match_one_cell_estimates(self, case, workers):
+    def test_fallback_estimates_match_one_cell_estimates(self, case, workers, monkeypatch):
         params = self.FALLBACK_PARAMS[case]
+        # four kernel calls, more than three workers: one batch each where the whole window is sampled
+        replications = 4 * BATCH_SIZE if params.max_attempts > J_MAX else 3 * simulator.KERNEL_BUDGET + 1
         window = Window(20_000.0)
         cache = CacheConfig()
         cells = [
@@ -687,8 +702,10 @@ class TestMultiCell:
             Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
             Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
         ]
-        together = estimate(cells, window, 150, 47, workers=workers)
-        alone = [estimate_one(c.scenario, c.params, c.cache, window, 150, 47, workers=1) for c in cells]
+        alone = [estimate_one(c.scenario, c.params, c.cache, window, replications, 47, workers=1) for c in cells]
+        entered = pool_entries(monkeypatch)
+        together = estimate(cells, window, replications, 47, workers=workers)
+        assert len(entered) == (workers > 1)
         assert together == alone
 
     def test_empty_cell_list_gives_no_estimates(self):
