@@ -28,17 +28,6 @@ gives z^(1-d) (1 + z)^(-k) = (1 - d - k) I_k + k I_(k+1), so
 
 Every term is positive, so nothing cancels, and the k = 1 term is the only
 hypergeometric call.
-
-At large z, I_k nears its limit at both ends of a far annulus, and their
-difference cancels. ``tail_terms`` gives J_k = integral_z^inf t^(-d) (1 +
-t)^(-k) dt instead: the same identity over (z, inf), where t^(1-d) (1 +
-t)^(-k) vanishes for k >= 1, gives, again in positive terms,
-
-    J_k = (k J_(k+1) + z^(1-d) (1 + z)^(-k)) / (k + d - 1)
-
-from J_M = z^(-c)/c * 2F1(M, c; c + 1; -1/z), c = M + d - 1 (t = 1/v). As
-r^2 rho_k(s r^-a) = d s^d I_k, an annulus's excess is d s^d (J_k(z_out) -
-J_k(z_in)), the shared limit gone.
 """
 
 from __future__ import annotations
@@ -139,19 +128,6 @@ def rho_terms(z, alpha, m):
     for k in range(1, m):
         tail = tail / (1.0 + z)
         terms[..., k] = ((k - 1 + delta) / k) * terms[..., k - 1] + tail / k
-    return terms
-
-
-def tail_terms(z, alpha, m):
-    """``J_k(z) = int_z^inf t^(-2/a) (1 + t)^(-k) dt`` for k = 1..m, on a trailing axis: one
-    ``hyp2f1`` call at k = m and the backward recurrence in the module docstring."""
-    delta = 2.0 / alpha
-    c = m - 1.0 + delta
-    edges = z[..., None] ** (1.0 - delta) * (1.0 + z[..., None]) ** -np.arange(1.0, m + 1)
-    terms = np.empty(edges.shape)
-    terms[..., -1] = z**-c / c * hyp2f1(m, c, c + 1.0, -1.0 / z)
-    for k in range(m - 1, 0, -1):
-        terms[..., k - 1] = (k * terms[..., k] + edges[..., k - 1]) / (k - 1.0 + delta)
     return terms
 
 

@@ -1,13 +1,13 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
 The typical user sits at the origin; the base-station tiers are independent
-PPPs, and a finite disc window, the model's extent, bounds all of a tier's
-points but its nearest. The simulator draws each tier's nearest distance
-first, from its plane law wherever it falls (``nearest_distance``), then
-the tier's other points once, out to its near radius (``sample_beyond``):
-none where ``simulator.far_log_moments`` averages the window out beyond
-the nearest point, and all of the window's where it does not.
-Routers, a PPP on the plane, enter only through ``mean_nearest_distance``.
+PPPs on the plane. The simulator draws each tier's nearest distance first,
+from its plane law (``nearest_distance``). ``simulator.far_log_moments``
+then averages the tier's other points out on the plane, except where its
+closed form is not checked: there a finite disc window bounds all of a
+tier's points but its nearest, and the simulator samples the others once,
+out to the window's edge (``sample_beyond``). Routers, a PPP on the plane,
+enter only through ``mean_nearest_distance``.
 
 Points are stored in polar form: the origin-centric queries and the SIR
 only ever need distances, so the simulator's points carry no angle.
@@ -88,18 +88,16 @@ def nearest_distance(intensity: float, levels: np.ndarray) -> np.ndarray:
 
 
 def sample_beyond(
-    intensity: float, closest: np.ndarray, radius: float | np.ndarray, rng: np.random.Generator
+    intensity: float, closest: np.ndarray, radius: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The other points inside ``radius`` of PPPs whose nearest points lie at
     ``closest``, as (counts, radii): sample ``k`` holds the ``counts[k]``
     radii that follow those of the samples before it.
 
     Beyond its nearest point a PPP is again a PPP, so they are a PPP on
-    ``closest[k] < r < radius[k]``, empty where ``closest[k] >= radius[k]``.
-    ``radius`` is one float for every sample or one per sample. All counts
-    are drawn first, then all radii; no angle is drawn.
+    ``closest[k] < r < radius``, empty where ``closest[k] >= radius``. All
+    counts are drawn first, then all radii; no angle is drawn.
     """
-    radius = np.asarray(radius, dtype=float)
     start = np.minimum(closest, radius) ** 2
     width = radius**2 - start
     counts = rng.poisson(intensity * math.pi * width)

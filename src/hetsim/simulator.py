@@ -17,17 +17,15 @@ replication's.
 
 Each tier's nearest distance is drawn first, from its exact law
 (``geometry.nearest_distance``), and kept apart from the tier's other
-points, which are interferers only. A tier's nearest point is always kept,
-even beyond the window, so no tier is ever empty. Beyond it the tier is
-again a PPP, bounded by the window of radius ``W``: tier ``t`` samples it on
-``r_t < |x| < R_t`` (``geometry.sample_beyond``) and averages it out beyond
-its near radius ``R_t``, exactly, given the near points, through its
-probability generating functional (``far_log_moments``). ``R_t = min(r_t,
-W)``, so nothing is sampled, except outside that closed form's domain
-(``max_attempts > J_MAX`` or a pathloss exponent below ``FAR_ALPHA_MIN``),
-where ``R_t = W``. The estimand stays the model on the whole window,
-whatever its size, and every serving tier of a replication runs on the
-same points.
+points, which are interferers only. Beyond it the tier is again a PPP on
+the plane, which is averaged out, exactly, given the nearest points,
+through its probability generating functional (``far_log_moments``), so no
+interferer is sampled and the window is not read. Only where that closed
+form's domain ends (``max_attempts > J_MAX``) does a config sample every
+point of the window of radius ``W`` instead, on ``r_t < |x| < W``
+(``geometry.sample_beyond``), with nothing averaged out; a tier's nearest
+point is kept even beyond the window, so no tier is ever empty. Every
+serving tier of a replication runs on the same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications are drawn in batches of ``BATCH_SIZE``, each from its own
@@ -41,13 +39,13 @@ as a Latin hypercube's do, and the lattice also spreads the pairs of levels
 over the unit square. Batch ``b`` (replications
 ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``, the last one possibly short and
 a lattice of its own size) consumes the random stream derived from
-(master_seed, b) in exactly five draws, in this order: the shift, two
-uniforms; then for each tier in turn (macro cells, small cells) all counts
-and all radii of its interferers. No draw depends on where the near radii
-fall, and no angle, router or request is drawn. The near radii depend on no
-cell, so a cell's samples do not depend on which other cells are estimated
-alongside it. ``run_replication`` is a batch of one, a lattice of one
-point, whose levels are its shift.
+(master_seed, b) in one draw, the shift, two uniforms; a whole-window
+config then makes four more, for each tier in turn (macro cells, small
+cells) all counts and all radii of its interferers. No draw depends on
+where the nearest points fall, and no angle, router or request is drawn.
+The draws depend on no cell, so a cell's samples do not depend on which
+other cells are estimated alongside it. ``run_replication`` is a batch of
+one, a lattice of one point, whose levels are its shift.
 One vectorised kernel call (``_kernel``) then runs consecutive batches
 together, interferers kept as ragged arrays, as many as the config's
 replications and expected sampled interferers need to reach
@@ -83,7 +81,7 @@ from .errors import InvalidConfigError, InvalidParameterError, NumericalError
 from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond
 from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
-from .analytics import DelayParams, rho_terms, tail_terms
+from .analytics import DelayParams, rho_terms
 
 # replications per random stream, and points of its lattice; fixed so that results never depend
 # on the worker count
@@ -97,12 +95,10 @@ KERNEL_BUDGET = 2048
 # per point at 2 to 16 million points), so one batch's point arrays stay within 256 MiB
 MAX_BATCH_POINTS = 2**24
 # largest max_attempts with a far field: far_z_moments' error about doubles per moment
-# (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs)
+# (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs). Up to J_MAX a config estimates the model
+# on the plane; above it, on the window alone, so a sweep over max_attempts jumps from 12 to 13
+# (about 0.6% of the macro downlink at lambda_mc = 2e-8 on the 20 km default), which is no physics
 J_MAX = 12
-# smallest pathloss exponent with a far field: far_log_moments' head form loses digits in a thin
-# annulus, the more as alpha nears 2 (from 4 999 m to a 5 km window's edge, where z <= 1, at most
-# 2.0e-10 relative at 2.1, 7.4e-10 at 2.05 and 5.0e-9 at 2.01 against 40-digit quadrature)
-FAR_ALPHA_MIN = 2.1
 _LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -184,41 +180,29 @@ def far_log_moments(
     intensities: Sequence[float],
     alpha: float,
     inner: float | Sequence[np.ndarray],
-    outer: float,
     max_attempts: int,
 ) -> np.ndarray:
     """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
 
     ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
-    independent PPPs of the given intensities, tier ``t`` on the annulus
-    ``inner_t <= r < outer`` and scaled by ``scales[t]``. By the PGFL,
-    ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + s_t r^-alpha)^-i) r dr``
-    over the annulus, which is ``pi lambda_t [r^2 E_i(s_t r^-alpha)]`` from
-    ``outer`` to ``inner_t`` with the excess ``E_i(z) = 2F1(i, -2/alpha; 1 -
-    2/alpha; -z) - 1``, summed as positive ``rho_k`` terms
-    (``analytics.rho_terms``). Where ``z = s_t r^-alpha`` exceeds 1 at
-    ``outer`` too, both ends near one shared term, so those rows take it out
-    exactly: ``pi lambda_t d s_t^d sum_{k<=i} (J_k(z_out) - J_k(z_in))`` for
-    ``d = 2/alpha`` (``analytics.tail_terms``). ``inner`` is one radius for
-    every tier, or one per tier and replication (in the simulator, each
-    tier's nearest point), at most ``outer``. Returns one row of the M
+    independent PPPs of the given intensities, tier ``t`` on the plane
+    beyond ``inner_t`` and scaled by ``scales[t]``. By the PGFL (Andrews,
+    Baccelli and Ganti 2011), ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 +
+    s_t r^-alpha)^-i) r dr`` from ``inner_t`` to infinity, which is ``pi
+    lambda_t r^2 E_i(s_t r^-alpha)`` at ``r = inner_t`` with the excess
+    ``E_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha; -z) - 1``, summed as positive
+    ``rho_k`` terms (``analytics.rho_terms``); for ``alpha > 2``, ``r^2
+    E_i(s r^-alpha)`` vanishes as ``r`` grows, so the far end adds nothing.
+    ``inner`` is one radius for every tier, or one per tier and replication
+    (in the simulator, each tier's nearest point). Returns one row of the M
     log-moments for float scales, and one row per replication for scales
     that are arrays over replications.
     """
     scales = np.asarray(scales, dtype=float)
     inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)  # (tier, [replication])
-    radii = np.stack((inner, np.full_like(inner, outer)), axis=-1)  # (tier, [replication,] end)
-    z = scales[..., None] * radii**-alpha
-    excess = np.cumsum(rho_terms(z, alpha, max_attempts), axis=-1)
-    area = radii[..., None] ** 2 * excess
-    tail = z[..., 1] > 1.0  # rows whose ends near a shared term: take it out, leaving -d s^d sum J_k
-    if tail.any():
-        terms = np.cumsum(tail_terms(z[tail], alpha, max_attempts), axis=-1)
-        area[tail] = -2.0 / alpha * scales[tail][:, None, None] ** (2.0 / alpha) * terms
-    log_moments = 0.0
-    for lam, (near, far) in zip(intensities, np.moveaxis(area, -2, 1)):
-        log_moments = log_moments + math.pi * lam * (near - far)
-    return log_moments
+    excess = np.cumsum(rho_terms(scales * inner**-alpha, alpha, max_attempts), axis=-1)
+    area = inner[..., None] ** 2 * excess
+    return sum(math.pi * lam * tier for lam, tier in zip(intensities, area))
 
 
 @functools.cache
@@ -341,7 +325,7 @@ def downlink_delay(
     same model over a batch of replications at once (``_downlink``).
 
     ``far``, if given, holds ``Lambda_i = -log E[Q^i]`` for i = 1..M
-    (``far_log_moments``) of an unsampled annulus whose factor ``Q``
+    (``far_log_moments``) of an unsampled far field whose factor ``Q``
     multiplies the sampled ``q``. Its powers are then averaged out exactly
     in ``Z = 1 - Q``, since ``1 - q Q = (1 - q) + q Z`` has non-negative
     terms: ``E[(1 - q Q)^k]`` follows from ``E[Z^j]`` (``far_z_moments``).
@@ -387,24 +371,22 @@ def _lattice_generator(n: int) -> int:
 
 
 def _averaged(params: DelayParams) -> bool:
-    """Whether each tier's far field is averaged out beyond its nearest point: only inside the
-    checked domain of the far moments' closed form. Otherwise every point of the window is sampled."""
-    return params.max_attempts <= J_MAX and params.radio.pathloss_exponent >= FAR_ALPHA_MIN
+    """Whether each tier's far field is averaged out on the plane beyond its nearest point: only
+    inside the checked domain of the far moments' closed form. Otherwise every point of the window
+    is sampled."""
+    return params.max_attempts <= J_MAX
 
 
 class _Draw(NamedTuple):
-    """One batch's geometry: each tier's nearest distances, near radii and interferer counts, one
-    row per tier and one column per replication, and each tier's interferer gains, end to end."""
+    """One batch's geometry: each tier's nearest distances and, in a whole-window config, its
+    interferer counts, one row per tier and one column per replication, and each tier's interferer
+    gains, end to end. An averaged config samples no interferer: no row of counts, no gains."""
 
     closest: np.ndarray
-    near: np.ndarray
     counts: np.ndarray
-    gains: tuple[np.ndarray, np.ndarray]
+    gains: tuple[np.ndarray, ...]
 
 
-# as in the kernel; a window too large for its squared radius overflows here, then fails in
-# sample_beyond's Poisson draw
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _draw(params: DelayParams, window: Window, rng: np.random.Generator, size: int) -> _Draw:
     """The geometry of one batch of ``size`` replications, read from its stream as the module
     docstring sets out. Each interferer's radius gives way to its gain (``_gains``) as soon as the
@@ -416,13 +398,13 @@ def _draw(params: DelayParams, window: Window, rng: np.random.Generator, size: i
     steps = np.outer((1, _lattice_generator(size)), np.arange(size)) % size
     levels = (steps / size + shift[:, None]) % 1.0
     closest = np.array([nearest_distance(lam, u) for lam, u in zip(lambdas, levels)])
-    near = np.minimum(closest, window.radius) if _averaged(params) else np.full_like(closest, window.radius)
     counts, gains = [], []
-    for lam, r_t, radius, power in zip(lambdas, closest, near, (radio.power_macro, radio.power_small)):
-        n, r = sample_beyond(lam, r_t, radius, rng)
-        counts.append(n)
-        gains.append(_gains(r, power, radio.pathloss_exponent))
-    return _Draw(closest, near, np.array(counts), tuple(gains))
+    if not _averaged(params):
+        for lam, r_t, power in zip(lambdas, closest, (radio.power_macro, radio.power_small)):
+            n, r = sample_beyond(lam, r_t, window.radius, rng)
+            counts.append(n)
+            gains.append(_gains(r, power, radio.pathloss_exponent))
+    return _Draw(closest, np.reshape(counts, (len(counts), size)), tuple(gains))
 
 
 def _join(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
@@ -432,20 +414,15 @@ def _join(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
 
 # gains that underflow to 0 meet inf * 0 here; estimate raises NumericalError on the non-finite result
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _kernel(
-    cells: Sequence[Cell],
-    params: DelayParams,
-    window: Window,
-    draws: Sequence[_Draw],
-) -> np.ndarray:
+def _kernel(cells: Sequence[Cell], params: DelayParams, draws: Sequence[_Draw]) -> np.ndarray:
     """Every cell's replications over the batches ``draws`` (``_draw``), end to end: rows (downlink,
     tail, attempts, outage, hit) per cell, one column per replication.
 
     Every step works element by element, along the M axis, or per replication's segment of
     interferers, so a replication's numbers do not depend on which batches share the call.
     """
-    closest, near, counts, gains = zip(*draws)
-    closest, near, counts = (_join(part, axis=1) for part in (closest, near, counts))
+    closest, counts, gains = zip(*draws)
+    closest, counts = (_join(part, axis=1) for part in (closest, counts))
     lambdas = (params.lambda_mc, params.lambda_sc)
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
@@ -459,7 +436,7 @@ def _kernel(
         # every serving tier's far moments in one call, one row per (serving tier, replication)
         scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
         scales = [scale * power for power in powers]
-        log_moments = far_log_moments(scales, lambdas, alpha, near[:, None], window.radius, params.max_attempts)
+        log_moments = far_log_moments(scales, lambdas, alpha, closest[:, None], params.max_attempts)
         far.update(zip(serving, far_z_moments(log_moments)))
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
     for own in serving:
@@ -499,7 +476,7 @@ def _simulate(
 ) -> np.ndarray:
     """``size`` replications of every cell, read from one stream as the module docstring sets out:
     rows (downlink, tail, attempts, outage, hit) per cell, one column per replication."""
-    return _kernel(cells, params, window, [_draw(params, window, rng, size)])
+    return _kernel(cells, params, [_draw(params, window, rng, size)])
 
 
 def run_replication(
@@ -513,8 +490,8 @@ def run_replication(
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): the lattice's shift, two uniforms that are the levels
-    of the nearest distances; then per tier the count and radii of its
-    interferers, none unless the config samples the whole window.
+    of the nearest distances; then, only if the config samples the whole
+    window, per tier the count and radii of its interferers.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
 
@@ -536,7 +513,7 @@ def _run_batch(cells, params, window, master_seed, start, stop):
         _draw(params, window, replication_rng(master_seed, first // BATCH_SIZE), min(first + BATCH_SIZE, stop) - first)
         for first in range(start, stop, BATCH_SIZE)
     ]
-    downlink, tail, _, outage, hit = _kernel(cells, params, window, draws).swapaxes(0, 1)
+    downlink, tail, _, outage, hit = _kernel(cells, params, draws).swapaxes(0, 1)
     return np.stack((downlink + tail, outage, hit), axis=-1)
 
 

@@ -7,7 +7,9 @@ draws, in the order a batch of one asks for them, and fails on any other
 request. A batch's nearest-distance levels are the points of one shifted
 lattice, so a replication's share of them is its own pair of levels
 ``(U_mc, U_sc)``, served as the shift of a batch of one, a lattice of one
-point whose levels are its shift exactly.
+point whose levels are its shift exactly. An averaged config draws nothing
+more; a whole-window config then draws each tier's interferers, and a
+replication's share of those is its own counts and radii.
 """
 
 import numpy as np
@@ -50,15 +52,21 @@ class Script:
         return self._next("random", None, size)
 
 
-# the five draws of a batch in stream order, as (kind, tier), tier 0 the macro cells and 1 the
-# small cells: the lattice's shift, one uniform per tier, then each tier's interferers
+# the draws of a whole-window batch in stream order, as (kind, tier), tier 0 the macro cells and
+# 1 the small cells: the lattice's shift, one uniform per tier, then each tier's interferers. An
+# averaged batch draws the shift alone
 DRAWS = (("shift", None), ("counts", 0), ("radii", 0), ("counts", 1), ("radii", 1))
+
+
+def layout(log):
+    """The (kind, tier) of each draw in ``log``: the shift alone, or all five draws."""
+    assert len(log) in (1, len(DRAWS))  # no draw beyond the geometry
+    return DRAWS[: len(log)]
 
 
 def draw(log, kind, tier):
     """The (kind, intensity, size, values) record of ``tier``'s draw of ``kind`` in ``log``."""
-    assert len(log) == len(DRAWS)  # no draw beyond the geometry
-    return log[DRAWS.index((kind, tier))]
+    return log[layout(log).index((kind, tier))]
 
 
 def levels(log, tier, size):
@@ -68,13 +76,15 @@ def levels(log, tier, size):
 
 def replication_streams(log, size):
     """One ``Script`` per replication of a batch of ``size`` that drew ``log``.
-    The batch drew five times: the shift of its lattice, then for each of the
-    macro and small-cell tiers the counts and the radii of its interferers."""
+    The batch drew the shift of its lattice, then, sampling the whole window,
+    for each of the macro and small-cell tiers the counts and the radii of
+    its interferers."""
     points = lattice(draw(log, "shift", None)[3], size)
+    tiers = range(2) if len(layout(log)) > 1 else ()
     scripts = []
     for k in range(size):
         draws = [("random", None, 2, points[:, k])]
-        for t in range(2):
+        for t in tiers:
             _, lam, _, counts = draw(log, "counts", t)
             radii = draw(log, "radii", t)[3]
             lo = counts[:k].sum()

@@ -255,6 +255,27 @@ def test_criterion_6_simulation_matches_exact_theory_to_monte_carlo_noise():
     report(6, f"exact theory within 4 SE: {'; '.join(scores)}; {time.perf_counter() - started:.1f}s")
 
 
+def test_sparse_tiers_match_exact_theory_on_the_plane():
+    """At sparse intensities (2e-8 macro and 3e-8 small cells per m^2) the
+    interferers beyond a 20 km window still matter, and the simulator
+    averages them out on the plane. With no backhaul and no cache read, the
+    macro and small-cell delays are the downlink alone, and each lies within
+    4 standard errors of ``exact_mean_downlink`` at 60 000 replications."""
+    params = DelayParams(lambda_mc=2e-8, lambda_sc=3e-8, lambda_cr=1e-8, backhaul_beta=0.0, cache_read_mean_ms=0.0)
+    radio = params.radio
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in (MacroUser(), SmallUser())]
+    downlink = (
+        (radio.power_small, radio.power_macro, params.lambda_sc, params.lambda_mc),
+        (radio.power_macro, radio.power_small, params.lambda_mc, params.lambda_sc),
+    )
+    for est, powers_and_lambdas in zip(estimate(cells, WINDOW, 60_000, master_seed=707), downlink):
+        exact = oracle.exact_mean_downlink(
+            params.slot_ms, params.max_attempts, radio.target_sir, radio.pathloss_exponent, *powers_and_lambdas
+        )
+        se = (est.ci_high_ms - est.mean_ms) / ci_quantile(est.replications)
+        assert abs(est.mean_ms - exact) <= 4 * se, (est.mean_ms, exact, (est.mean_ms - exact) / se)
+
+
 def test_batch_means_intervals_cover_the_exact_mean():
     """The 95% interval is by batch means over batches of lattice points. Over 300
     independent seeds at the 20 km window, the intervals of the five

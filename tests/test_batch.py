@@ -36,8 +36,8 @@ from hetsim.simulator import (
     run_replication,
 )
 from lattice_reference import korobov_generator, lattice
-from stream_script import Recorder, draw, levels, replication_streams
-from test_far_field import EDGE_CASES, MIXED_FORMS, MIXPOP, WHOLE_WINDOW, near_radii, tail_rows
+from stream_script import DRAWS, Recorder, draw, layout, levels, replication_streams
+from test_far_field import EDGE_CASES, MIXPOP, whole_window
 
 NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
 PER_USER = SmallUser(
@@ -51,9 +51,9 @@ CASES = {
     "20km-every-kind": (DelayParams(), 20_000.0, EVERY_KIND),
     "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
     "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
-    # the edges of the near-radius rule, caching cells beside: configs that sample the whole
-    # window, batches whose far field takes the tail form in some rows and the head form in the
-    # rest, sparse routers, which move no near radius, and a nearest macro cell beyond the window
+    # the edges of the far field, caching cells beside: configs that sample the whole window,
+    # batches whose far field starts at z spanning decades, sparse routers, which move no far
+    # field, and a nearest macro cell beyond the window
     **{
         f"edge-{case}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
         for case, (params, scenarios) in EDGE_CASES.items()
@@ -62,12 +62,10 @@ CASES = {
 
 
 def split_batch(cells, params, window, seed, size):
-    """(batch result, per-replication results as batches of one, whether
-    each (tier, serving tier, replication) row of the far field takes the
-    tail form).
+    """(batch result, per-replication results as batches of one).
 
-    Each tier's recorded Poisson mean must cover exactly ``(r_t, R_t)``,
-    with ``R_t`` the tier's near radius by the kernel's rule."""
+    A whole-window batch's recorded Poisson mean of each tier must cover
+    exactly ``(r_t, W)``; an averaged batch draws its lattice's shift alone."""
     recorder = Recorder(replication_rng(seed, 0))
     batch = _simulate(cells, params, window, recorder, size)
     alone = []
@@ -76,30 +74,29 @@ def split_batch(cells, params, window, seed, size):
         assert not script.draws  # the replication read all of its share
     lambdas = (params.lambda_mc, params.lambda_sc)
     closest = np.array([nearest_distance(lam, levels(recorder.log, t, size)) for t, lam in enumerate(lambdas)])
-    radii = near_radii(closest, params, window.radius)
-    for t, lam in enumerate(lambdas):
-        means = draw(recorder.log, "counts", t)[1]
-        assert np.array_equal(means, lam * math.pi * (radii[t] ** 2 - np.minimum(closest[t], radii[t]) ** 2))
-    serving = sorted({0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells})
-    return batch, alone, tail_rows(closest, params, window.radius, serving)
+    assert layout(recorder.log) == (DRAWS if whole_window(params) else DRAWS[:1])
+    if whole_window(params):
+        radius = window.radius
+        for t, lam in enumerate(lambdas):
+            means = draw(recorder.log, "counts", t)[1]
+            assert np.array_equal(means, lam * math.pi * (radius**2 - np.minimum(closest[t], radius) ** 2))
+    return batch, alone
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batch_equals_its_replications_run_alone(case):
     params, radius, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    batch, alone, tails = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    batch, alone = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
-    if case[5:] in MIXED_FORMS:
-        assert 3 <= tails.sum() <= tails.size - 3  # tail-form and head-form rows mix in one batch
 
 
 def test_a_short_batch_reads_a_prefix_of_the_same_pattern():
     """The last batch of an estimate may be short; it is split the same way."""
     params = DelayParams()
     cells = [Cell(scenario, params, CacheConfig()) for scenario in EVERY_KIND]
-    batch, alone, _ = split_batch(cells, params, Window(20_000.0), 5, 5)
+    batch, alone = split_batch(cells, params, Window(20_000.0), 5, 5)
     assert batch.shape == (len(cells), 5, 5)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
@@ -151,9 +148,9 @@ def spy_kernel(monkeypatch):
     calls = []
     kernel = simulator._kernel
 
-    def spy(cells, params, window, draws):
+    def spy(cells, params, draws):
         calls.append([(draw.closest.shape[1], int(draw.counts.sum())) for draw in draws])
-        return kernel(cells, params, window, draws)
+        return kernel(cells, params, draws)
 
     monkeypatch.setattr(simulator, "_kernel", spy)
     return calls
@@ -228,7 +225,7 @@ def test_a_kernel_call_holds_the_batches_its_config_fixes(case, monkeypatch):
     spans = spy_spans(monkeypatch)
     # no batch is drawn or run: each stands for its size
     monkeypatch.setattr(simulator, "_draw", lambda params, window, rng, size: size)
-    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, window, sizes: np.zeros((1, 5, sum(sizes))))
+    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, sizes: np.zeros((1, 5, sum(sizes))))
     step = batches * BATCH_SIZE
     simulator.estimate([Cell(MacroUser(), params, CacheConfig())], Window(radius), 2 * step + 5, 3, workers=1)
     assert spans == [(params, 0, step), (params, step, 2 * step), (params, 2 * step, 2 * step + 5)]

@@ -387,10 +387,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: window_radius_m 1e+200" in err
         monkeypatch.undo()
-        # the averaged config samples no point, so the same window is no config error; it fails in the kernel
-        config.write_text('{"window_radius_m": 1e200, "replications": 10}')
-        assert main(["--config", str(config)]) == EXIT_NUMERICAL
-        assert "non-finite estimate" in capsys.readouterr().err
+        # the averaged config runs on the plane and reads no window: the same window prints the
+        # default window's rows
+        rows = []
+        for window in ("1e200", "20000"):
+            config.write_text(f'{{"window_radius_m": {window}, "replications": 10}}')
+            assert main(["--config", str(config)]) == EXIT_OK
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
 
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(

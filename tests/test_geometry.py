@@ -94,43 +94,36 @@ class TestSamplePpp:
 
 
 class TestSampleBeyond:
-    def test_count_and_radial_law_with_a_radius_per_sample(self):
-        # sample k: count mean lambda pi (radius_k^2 - closest_k^2), r^2 uniform on
-        # [closest_k^2, radius_k^2]; four (closest, radius) pairs, interleaved
-        pairs = np.array([(0.0, 300.0), (200.0, 300.0), (50.0, 120.0), (150.0, 400.0)])
-        closest, radius = np.tile(pairs, (500, 1)).T
-        counts, r = sample_beyond(1e-2, closest, radius, rng(13))
+    def test_count_and_radial_law_with_a_nearest_point_per_sample(self):
+        # sample k: count mean lambda pi (radius^2 - closest_k^2), r^2 uniform on
+        # [closest_k^2, radius^2]; four nearest points, interleaved
+        outer = 300.0
+        nearest_points = [0.0, 200.0, 50.0, 150.0]
+        closest = np.tile(nearest_points, 500)
+        counts, r = sample_beyond(1e-2, closest, outer, rng(13))
         assert counts.shape == closest.shape and r.size == counts.sum()
         owner = np.repeat(np.arange(closest.size), counts)
-        for c, (inner, outer) in enumerate(pairs):
-            group = np.arange(c, closest.size, len(pairs))
+        for c, inner in enumerate(nearest_points):
+            group = np.arange(c, closest.size, len(nearest_points))
             mu = 1e-2 * math.pi * (outer**2 - inner**2)
-            assert abs(counts[group].mean() - mu) < 3 * math.sqrt(mu / group.size), (inner, outer)
+            assert abs(counts[group].mean() - mu) < 3 * math.sqrt(mu / group.size), inner
             radii = r[np.isin(owner, group)]
             assert np.all((inner <= radii) & (radii < outer))
             assert stats.kstest((radii**2 - inner**2) / (outer**2 - inner**2), "uniform").pvalue > 0.01
 
     def test_empty_at_or_beyond_the_radius(self):
         closest = np.array([100.0, 300.0, 450.0, 0.0])
-        counts, r = sample_beyond(1e-2, closest, np.full(closest.size, 300.0), rng(5))
+        counts, r = sample_beyond(1e-2, closest, 300.0, rng(5))
         assert counts[1:3].tolist() == [0, 0]
         assert counts[0] > 0 and counts[3] > 0 and r.size == counts.sum()
 
     def test_empty_for_a_tier_with_no_point(self):
         # the simulator marks a tier with no point in the window by an infinite nearest distance
         closest = np.array([math.inf, 10.0, math.inf])
-        counts, r = sample_beyond(1e-2, closest, np.array([300.0, 300.0, 5000.0]), rng(5))
+        counts, r = sample_beyond(1e-2, closest, 300.0, rng(5))
         assert counts[[0, 2]].tolist() == [0, 0]
         assert counts[1] > 0 and r.size == counts[1]
         assert np.all((10.0 <= r) & (r < 300.0))
-
-    @pytest.mark.parametrize("radius", [200.0, 5000.0])
-    def test_float_radius_draws_what_the_broadcast_array_draws(self, radius):
-        closest = np.array([0.0, 40.0, 199.0, 250.0, math.inf])
-        one = sample_beyond(3e-4, closest, radius, rng(21))
-        each = sample_beyond(3e-4, closest, np.full(closest.size, radius), rng(21))
-        for a, b in zip(one, each):
-            assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 class TestNearest:

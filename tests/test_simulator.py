@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from hetsim.simulator import (
 from model_helpers import point_set_from_xy
 from single_cell import estimate_one, kernel, pool_entries, replicate_one
 from sir_reference import reference_downlink, success_probability, truncated_geometric
-from stream_script import DRAWS, Recorder, draw
+from stream_script import DRAWS, Recorder, draw, layout
 from stream_script import levels as stratified_levels
 
 GAMMA_3DB = 10.0 ** 0.3
@@ -236,16 +237,18 @@ class TestRunReplication:
     def test_draws_only_the_geometry(self, members):
         # the replication stream is exactly the macro and small-cell geometry, whether or not a
         # cell caches: the shift of a lattice of one point, which is both tiers' levels of the
-        # nearest distance, then per tier the count and radii of the other points, with no
-        # angle; no router and no request is drawn (the recorder offers no other kind of draw)
-        params = small_params()
+        # nearest distance; then, only where the whole window is sampled, per tier the count and
+        # radii of the other points, with no angle; no router and no request is drawn (the
+        # recorder offers no other kind of draw)
         window = Window(5000.0)
-        cells = [Cell(scenario, params, cache) for scenario, cache in members]
-        for rep in range(5):
+        for rep, max_attempts in itertools.product(range(5), (4, J_MAX + 1)):
+            params = small_params(max_attempts=max_attempts)
+            cells = [Cell(scenario, params, cache) for scenario, cache in members]
             g = Recorder(replication_rng(13, rep))
             run_replication(cells, params, window, g)
+            assert layout(g.log) == (DRAWS if max_attempts > J_MAX else DRAWS[:1])
             kinds = {"shift": "random", "counts": "poisson", "radii": "random"}
-            for kind, tier in DRAWS:
+            for kind, tier in layout(g.log):
                 recorded_kind, lam, size, _ = draw(g.log, kind, tier)
                 assert recorded_kind == kinds[kind], (rep, kind, tier)
                 if kind == "counts":
@@ -282,8 +285,9 @@ class TestRunReplication:
                 assert sample.tail_ms == pytest.approx(expected, rel=1e-12)
 
     def test_nearest_point_beyond_the_window_serves(self):
-        """A tier's nearest point is kept wherever it falls; the window bounds only its other points."""
-        params = small_params(lambda_mc=1e-12)
+        """A tier's nearest point is kept wherever it falls; a whole-window config's window
+        bounds only its other points."""
+        params = small_params(lambda_mc=1e-12, max_attempts=J_MAX + 1)
         g = Recorder(replication_rng(1, 0))
         sample = replicate_one(MacroUser(), params, CacheConfig(), Window(100.0), g)
         levels = stratified_levels(g.log, 0, 1)
@@ -461,12 +465,12 @@ class TestEstimate:
         assert mixpop.mean_ms < nocache.mean_ms
 
     def test_doubling_the_window_leaves_the_mean_unchanged(self):
+        """An averaged config runs on the plane and reads no window: its estimates at 5 km,
+        doubled, at 20 km and at 1e200 m are one estimate, compared with ==."""
         params = small_params()
-        half = estimate_one(MacroUser(), params, CacheConfig(), Window(6000.0), 5000, 67)
-        full = estimate_one(MacroUser(), params, CacheConfig(), Window(12_000.0), 5000, 71)
-        se_half = (half.ci_high_ms - half.mean_ms) / ci_quantile(half.replications)
-        se_full = (full.ci_high_ms - full.mean_ms) / ci_quantile(full.replications)
-        assert abs(half.mean_ms - full.mean_ms) < 3.5 * math.hypot(se_half, se_full)
+        cells = [Cell(scenario, params, CacheConfig()) for scenario in (MacroUser(), SmallUser())]
+        runs = [estimate(cells, Window(radius), 700, 67, workers=1) for radius in (5000.0, 10_000.0, 20_000.0, 1e200)]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
 
     def test_doubling_beta_doubles_macro_tail(self):
         window = Window(6000.0)
@@ -535,7 +539,7 @@ class TestHitIsTheIntegralClosedForm:
         # metre-scale cells (mean serving distance 2 m), so the steepness varies per replication
         params = small_params(lambda_cr=0.005, lambda_mc=0.01, lambda_sc=0.0625, lambda_ut=0.125)
         cache = CACHES[policy]
-        window = Window(60.0)  # metre-scale, like the cells: the stream holds the two tiers' draws only
+        window = Window(60.0)  # not read: the stream holds the lattice's shift only
         scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
         g = Recorder(replication_rng(97, 0))
         hits = _simulate([Cell(scenario, params, cache)], params, window, g, BATCH_SIZE)[0, 4]
