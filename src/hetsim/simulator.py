@@ -94,12 +94,12 @@ KERNEL_BUDGET = 2048
 # once (its gain, and its radius while drawn or its SIR term while run; peak RSS grew by 16.0 bytes
 # per point at 2 to 16 million points), so one batch's point arrays stay within 256 MiB
 MAX_BATCH_POINTS = 2**24
-# largest max_attempts with a far field: far_z_moments' error about doubles per moment
-# (3.2e-14 at 12, 1.2e-13 at 14 on TestZMoments' inputs). Up to J_MAX a config estimates the model
+# largest max_attempts with a far field: far_z_moments' error grows with the moment (3.4e-15 at
+# 12, 2.4e-14 at 15, 2.9e-13 at 19 on TestZMoments' inputs), so J_MAX could rise; it stays 12 so
+# that every config keeps its side of the plane/window split. Up to J_MAX a config estimates the model
 # on the plane; above it, on the window alone, so a sweep over max_attempts jumps from 12 to 13
 # (about 0.6% of the macro downlink at lambda_mc = 2e-8 on the 20 km default), which is no physics
 J_MAX = 12
-_LOG_2 = math.log(2.0)
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -207,8 +207,8 @@ def far_log_moments(
 
 @functools.cache
 def _signed_binomials(m: int) -> np.ndarray:
-    """``C(j, i) (-1)^i`` at row j - 1, column i - 1 for i, j = 1..m: zero above the diagonal."""
-    signs = np.array([[(-1) ** i * math.comb(j, i) for i in range(1, m + 1)] for j in range(1, m + 1)])
+    """``C(j - 1, k) (-1)^k`` at row j - 1, column k for j = 1..m, k = 0..m-1: zero above the diagonal."""
+    signs = np.array([[(-1) ** k * math.comb(j - 1, k) for k in range(m)] for j in range(1, m + 1)])
     signs.flags.writeable = False  # one array serves every caller
     return signs
 
@@ -217,31 +217,22 @@ def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> np.ndarray:
     """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, from ``Lambda_i = -log E[Q^i]``.
 
     Takes one row of M log-moments or an array with one row per
-    replication, and returns the moments in the same shape. ``E[Z^j] =
-    sum_{i=1..j} C(j, i) (-1)^i (E[Q^i] - 1)``. Each ``E[Q^i] - 1`` enters as ``expm1(-Lambda_i)``
-    when ``Lambda_i <= log 2``, else as ``exp(-Lambda_i)`` with the ``-1``
-    moved into an integer offset, so no float term exceeds 1/2 in
-    magnitude. A Veltkamp split makes every product with a binomial exact,
-    and compensated summation (TwoSum) adds them, over all j at once, to
-    within about one rounding of the exact sum. The alternating sum cancels
-    more as j grows, which is what bounds ``max_attempts`` by ``J_MAX``.
+    replication, and returns the moments in the same shape. With the steps
+    ``d_i = E[Q^(i-1)] - E[Q^i] = exp(-Lambda_(i-1)) (-expm1(Lambda_(i-1) -
+    Lambda_i))``, ``Lambda_0 = 0``, each positive and within a few roundings,
+    ``E[Z^j] = E[(1 - Q)^(j-1) (1 - Q)] = sum_{k<j} C(j-1, k) (-1)^k d_(k+1)``.
+    The sum runs column by column, element by element, so a row's bits do not
+    depend on the rows beside it. It alternates, and cancels more as j grows,
+    which is what bounds ``max_attempts`` by ``J_MAX``. Since ``Z`` lies in
+    [0, 1], a moment that rounds below 0 is returned as 0.
     """
     lam = np.asarray(log_moments, dtype=float)
-    signs = _signed_binomials(lam.shape[-1])
-    above = lam > _LOG_2
-    x = np.where(above, np.exp(-lam), np.expm1(-lam))
-    t = x * 134217729.0  # 2^27 + 1: both halves carry at most 26 bits
-    hi = t - (t - x)
-    lo = x - hi
-    total = -np.dot(above, signs.T).astype(float)  # the integer offsets, one per j
-    error = np.zeros_like(total)
-    for i, column in enumerate(signs.T):  # a zero part, in rows j <= i, leaves the row as it is
-        for part in (column * hi[..., i, None], column * lo[..., i, None]):
-            new = total + part
-            back = new - total
-            error += (total - (new - back)) + (part - back)
-            total = new
-    return total + error
+    previous = np.concatenate((np.zeros_like(lam[..., :1]), lam[..., :-1]), axis=-1)
+    steps = np.exp(-previous) * -np.expm1(previous - lam)
+    total = np.zeros_like(steps)
+    for k, column in enumerate(_signed_binomials(lam.shape[-1]).T):  # zero in rows j <= k
+        total += column * steps[..., k, None]
+    return np.maximum(total, 0.0)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """References for the far-field step of the downlink kernel.
 
 ``simulator.far_z_moments`` sums every row of ``E[Z^j]`` at once; the loop
-here sums one row at a time, with the same Veltkamp split and the same
-compensated (TwoSum) additions in the same order, so the two must agree bit
-for bit. ``simulator._downlink`` averages the far field out by a recurrence;
+here sums one row j at a time, with the same steps and the same additions
+in the same order, so the two must agree bit for bit.
+``simulator._downlink`` averages the far field out by a recurrence;
 ``exact_far_downlink`` evaluates the binomial expansion it replaces in exact
 rational arithmetic. ``analytics.rho_terms`` gets the terms of the PGFL
 excess from one hypergeometric call and a recurrence; ``rho_k`` makes one
@@ -16,33 +16,22 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import hyp2f1
 
-LOG_2 = math.log(2.0)
-
 
 def z_moments_by_row(log_moments):
     """``E[Z^j]`` for j = 1..M from ``Lambda_i = -log E[Q^i]``, one row j at a time.
 
-    ``E[Z^j] = sum_{i=1..j} C(j, i) (-1)^i (E[Q^i] - 1)``, each ``E[Q^i] - 1``
-    split into an integer offset and a float of magnitude at most 1/2.
+    ``E[Z^j] = sum_{k<j} C(j-1, k) (-1)^k d_(k+1)`` over the positive steps
+    ``d_i = E[Q^(i-1)] - E[Q^i]``, ``Lambda_0 = 0``, clamped at 0.
     """
     lam = np.asarray(log_moments, dtype=float)
-    above = lam > LOG_2
-    x = np.where(above, np.exp(-lam), np.expm1(-lam))
-    t = x * 134217729.0  # 2^27 + 1
-    hi = t - (t - x)
-    lo = x - hi
+    previous = np.concatenate((np.zeros_like(lam[..., :1]), lam[..., :-1]), axis=-1)
+    steps = np.exp(-previous) * -np.expm1(previous - lam)
     rows = []
     for j in range(1, lam.shape[-1] + 1):
-        row = [(-1) ** i * math.comb(j, i) for i in range(1, j + 1)]
-        total = -np.dot(above[..., :j], row).astype(float)
-        error = 0.0
-        for i, c in enumerate(row):
-            for part in (c * hi[..., i], c * lo[..., i]):
-                new = total + part
-                back = new - total
-                error = error + ((total - (new - back)) + (part - back))
-                total = new
-        rows.append(total + error)
+        total = np.zeros_like(steps[..., 0])
+        for k in range(j):
+            total = total + (-1) ** k * math.comb(j - 1, k) * steps[..., k]
+        rows.append(np.maximum(total, 0.0))
     return np.stack(rows, axis=-1)
 
 

@@ -143,23 +143,26 @@ def b3_integral_by_quadrature(s_u, s_p, f0, eta):
 #   E[q^j] = 1 / (1 + G_own(j) + (lam_x/lam_y) (gamma P_x/P_y)^{2/a} G_cross(j))
 #
 # with G_own(j)   = int_1^inf  (1 - (1 + gamma v^{-a/2})^{-j}) dv
+#                = 2F1(j, -delta; 1 - delta; -gamma) - 1
 #      G_cross(j) = int_0^inf  (1 - (1 + w^{-a/2})^{-j}) dw
+#                = Gamma(1 - delta) Gamma(j + delta) / Gamma(j),   delta = 2/a
 #
 # (G_own(1) equals the rho functional, G_cross(1) equals A(alpha)).  The
-# expected number of attempts truncated at M follows by the hockey-stick
-# rearrangement; this is the exact value the alternating-binomial closed
-# form approximates by linearising the moments.
+# integrands decay like v^{-a/2}, too slowly for quadrature to infinity
+# near a = 2, so the closed forms are used.  The expected number of
+# attempts truncated at M follows by the hockey-stick rearrangement; this
+# is the exact value the alternating-binomial closed form approximates by
+# linearising the moments.
 
 
 def g_own(j, gamma, alpha):
-    g = mp.mpf(gamma)
-    a = mp.mpf(alpha)
-    return mp.quad(lambda v: 1 - (1 + g * v ** (-a / 2)) ** (-j), [1, mp.inf])
+    delta = 2 / mp.mpf(alpha)
+    return mp.hyp2f1(j, -delta, 1 - delta, -mp.mpf(gamma)) - 1
 
 
 def g_cross(j, alpha):
-    a = mp.mpf(alpha)
-    return mp.quad(lambda w: 1 - (1 + w ** (-a / 2)) ** (-j), [0, 1, mp.inf])
+    delta = 2 / mp.mpf(alpha)
+    return mp.gamma(1 - delta) * mp.gamma(j + delta) / mp.gamma(j)
 
 
 def exact_moment(j, gamma, alpha, p_other, p_serving, lam_other, lam_serving):

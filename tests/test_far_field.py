@@ -43,7 +43,7 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
-from far_reference import LOG_2, exact_far_downlink, z_moments_by_row
+from far_reference import exact_far_downlink, z_moments_by_row
 from model_helpers import point_set_from_xy
 from stream_script import Recorder, levels
 
@@ -184,21 +184,29 @@ class TestLogMoments:
 
 
 def mp_z_moments(lam):
-    mpmath.mp.dps = 50
-    return [
-        sum(
-            mpmath.binomial(j, i) * (-1) ** i * mpmath.expm1(-mpmath.mpf(lam[i - 1]))
-            for i in range(1, j + 1)
-        )
-        for j in range(1, len(lam) + 1)
-    ]
+    """The alternating sum in 50-digit arithmetic at the float ``Lambda_i``, clamped at 0: the
+    rounding of ``Lambda_i`` alone can take the sum below 0, where no ``Z`` in [0, 1] has a moment."""
+    with mpmath.workdps(50):
+        excess = [mpmath.expm1(-mpmath.mpf(v)) for v in lam]  # E[Q^i] - 1
+        return [
+            max(0.0, float(sum((-1) ** i * math.comb(j, i) * excess[i - 1] for i in range(1, j + 1))))
+            for j in range(1, len(lam) + 1)
+        ]
+
+
+def concave_and_linear_rows(rng, n, m):
+    """``n`` rows of M = ``m`` log-moments, each concave (a plane far field from 5 km) or linear
+    (a fixed Q) at random, ``Lambda_1`` log-uniform from 1e-9 to 10."""
+    concave = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, m)
+    shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
+    return shapes * 10.0 ** rng.uniform(-9.0, 1.0, (n, 1))
 
 
 class TestZMoments:
     @pytest.mark.parametrize("shape", ["deterministic", "pgfl"])
     @pytest.mark.parametrize("scale", np.geomspace(1e-8, 5.0, 12).tolist())
     def test_match_50_digit_arithmetic(self, shape, scale):
-        """Lambda_i of a fixed Q (linear in i) and of a PPP annulus (concave),
+        """Lambda_i of a fixed Q (linear in i) and of a plane far field (concave),
         scaled so that Lambda_1 runs from 1e-8 to 5."""
         if shape == "deterministic":
             lam = [scale * i for i in range(1, J_MAX + 1)]
@@ -207,23 +215,31 @@ class TestZMoments:
             lam = [scale * v / unit[0] for v in unit]
         got = far_z_moments(lam)
         for j, (value, exact) in enumerate(zip(got, mp_z_moments(lam)), 1):
-            assert abs(value - float(exact)) < 1e-13, j
+            assert abs(value - exact) < 1e-14, j
+
+    def test_random_rows_match_50_digit_arithmetic(self):
+        lam = concave_and_linear_rows(np.random.default_rng(7), 600, J_MAX)
+        got = far_z_moments(lam)
+        for row, values in zip(lam, got):
+            assert np.abs(values - mp_z_moments(row)).max() < 2.5e-14, row[0]
 
     def test_empty_annulus_has_no_moments(self):
         assert np.array_equal(far_z_moments([0.0] * J_MAX), np.zeros(J_MAX))
 
+    def test_moments_are_never_negative(self):
+        """On a plane far field at Lambda_1 = 1.06e-3 the alternating sum of E[Z^6] and E[Z^7]
+        rounds to about -5e-18, and with it the outage at unit signal and no rival."""
+        unit = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 7)
+        z = far_z_moments(1.06e-3 * unit / unit[0])
+        assert (z >= 0.0).all(), z
+        attempts, outage = simulator._downlink(np.ones(1), np.zeros(1), [], 1.0, 7, z[None])
+        assert 0.0 <= outage[0] <= 1.0 and 1.0 <= attempts[0] <= 7.0
+
     @pytest.mark.parametrize("m", range(1, J_MAX + 2))
     def test_equals_the_row_by_row_loop(self, m):
-        """All rows at once are the row-by-row compensated loop, bit for bit:
-        concave and linear rows, Lambda_1 from 1e-9 to 10, half of them
-        rescaled so that a middle Lambda_i sits near log 2."""
-        rng = np.random.default_rng(1000 + m)
-        concave = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, m)
-        shapes = np.where(rng.random((120, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
-        lam = shapes * 10.0 ** rng.uniform(-9.0, 1.0, (120, 1))
-        lam[::2] *= LOG_2 * rng.uniform(0.8, 1.25, (60, 1)) / lam[::2, m // 2 : m // 2 + 1]
-        if m > 1:
-            assert ((lam[:, 0] <= LOG_2) & (lam[:, -1] > LOG_2)).sum() > 10
+        """All rows at once are the row-by-row loop, bit for bit: concave and
+        linear rows, Lambda_1 from 1e-9 to 10."""
+        lam = concave_and_linear_rows(np.random.default_rng(1000 + m), 120, m)
         assert np.array_equal(far_z_moments(lam), z_moments_by_row(lam))
         for row in lam[:8]:
             assert np.array_equal(far_z_moments(row), z_moments_by_row(row))
