@@ -41,7 +41,6 @@ def run_sweep(config: ExperimentConfig, theory_only: bool = False) -> list[Sweep
     reaches the user intensity) aborts the whole sweep, naming the
     offending value, before any simulation starts.
     """
-    window = config.window()
     cases = []  # (value, label, theory_ms, hit_rate_theory), in row order
     cells: list[Cell] = []
     for value in config.sweep_grid:
@@ -68,7 +67,7 @@ def run_sweep(config: ExperimentConfig, theory_only: bool = False) -> list[Sweep
     if theory_only:
         sims = [None] * len(cases)
     else:
-        sims = estimate(cells, window, config.replications, config.master_seed)
+        sims = estimate(cells, config.replications, config.master_seed)
     return [
         SweepRow(
             sweep_var=config.sweep_variable,

@@ -18,7 +18,6 @@ from .analytics import DelayParams
 from .caching import B3Variant, CacheConfig, CachePolicy
 from .channel import RadioParams
 from .errors import InvalidConfigError
-from .geometry import Window
 from .popularity import DistanceDependent, Fixed, LoadDependent, PopularityModel
 from .simulator import DistanceMode, MacroUser, Scenario, SmallUser
 
@@ -90,6 +89,9 @@ class ExperimentConfig:
             raise InvalidConfigError(f"replications must be >= 1, got {self.replications}")
         if self.master_seed < 0:
             raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        # read by nothing: every config averages the interferers out on the plane
+        if not (self.window_radius_m > 0 and math.isfinite(self.window_radius_m)):
+            raise InvalidConfigError(f"window_radius_m must be positive and finite, got {self.window_radius_m}")
         # surfaces invalid physical parameters right at load time
         self.delay_params()
 
@@ -162,9 +164,6 @@ class ExperimentConfig:
             uniform=total - popular - overhead,
             catalogue_bound=self.f0_units,
         )
-
-    def window(self) -> Window:
-        return Window(radius=self.window_radius_m)
 
 
 def parse_scenario(label: str, config: ExperimentConfig) -> Scenario:

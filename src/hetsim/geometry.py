@@ -1,17 +1,14 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
 The typical user sits at the origin; the base-station tiers are independent
-PPPs on the plane. The simulator draws each tier's nearest distance first,
-from its plane law (``nearest_distance``). ``simulator.far_log_moments``
-then averages the tier's other points out on the plane, except where its
-closed form is not checked: there a finite disc window bounds all of a
-tier's points but its nearest, and the simulator samples the others once,
-out to the window's edge (``sample_beyond``). Routers, a PPP on the plane,
-enter only through ``mean_nearest_distance``.
+PPPs on the plane. The simulator draws each tier's nearest distance from
+its plane law (``nearest_distance``) and averages the tier's other points
+out on the plane; routers, a PPP on the plane, enter only through
+``mean_nearest_distance``. No simulated point is sampled on a window.
 
 Points are stored in polar form: the origin-centric queries and the SIR
-only ever need distances, so the simulator's points carry no angle.
-``sample_ppp``, which draws angles too, samples a whole window.
+only ever need distances. ``sample_ppp``, which draws angles too, samples
+a whole disc window; the tests check the plane laws against it.
 """
 
 from __future__ import annotations
@@ -85,26 +82,6 @@ def nearest_distance(intensity: float, levels: np.ndarray) -> np.ndarray:
     given probability levels: the inverse of ``P(R <= r) = 1 - exp(-pi
     intensity r^2)`` (Andrews, Baccelli and Ganti 2011, section III)."""
     return np.sqrt(-np.log1p(-levels) / (math.pi * intensity))
-
-
-def sample_beyond(
-    intensity: float, closest: np.ndarray, radius: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The other points inside ``radius`` of PPPs whose nearest points lie at
-    ``closest``, as (counts, radii): sample ``k`` holds the ``counts[k]``
-    radii that follow those of the samples before it.
-
-    Beyond its nearest point a PPP is again a PPP, so they are a PPP on
-    ``closest[k] < r < radius``, empty where ``closest[k] >= radius``. All
-    counts are drawn first, then all radii; no angle is drawn.
-    """
-    start = np.minimum(closest, radius) ** 2
-    width = radius**2 - start
-    counts = rng.poisson(intensity * math.pi * width)
-    r = rng.random(counts.sum())
-    r *= np.repeat(width, counts)
-    r += np.repeat(start, counts)
-    return counts, np.sqrt(r, out=r)
 
 
 def nearest(point_set: PointSet) -> tuple[int, float]:

@@ -19,13 +19,12 @@ Each tier's nearest distance is drawn first, from its exact law
 (``geometry.nearest_distance``), and kept apart from the tier's other
 points, which are interferers only. Beyond it the tier is again a PPP on
 the plane, which is averaged out, exactly, given the nearest points,
-through its probability generating functional (``far_log_moments``), so no
-interferer is sampled and the window is not read. Only where that closed
-form's domain ends (``max_attempts > J_MAX``) does a config sample every
-point of the window of radius ``W`` instead, on ``r_t < |x| < W``
-(``geometry.sample_beyond``), with nothing averaged out; a tier's nearest
-point is kept even beyond the window, so no tier is ever empty. Every
-serving tier of a replication runs on the same points.
+through its probability generating functional, so no interferer is sampled
+and no window is read. The far field enters through the moments ``E[Z^j]``
+of ``Z = 1 - Q``: up to ``J_MAX`` attempts from the PGFL's log-moments
+(``far_log_moments``, ``far_z_moments``), above it from a coverage chain
+(``far_chain_moments``). Every serving tier of a replication runs on the
+same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications are drawn in batches of ``BATCH_SIZE``, each from its own
@@ -39,20 +38,16 @@ as a Latin hypercube's do, and the lattice also spreads the pairs of levels
 over the unit square. Batch ``b`` (replications
 ``[b * BATCH_SIZE, (b + 1) * BATCH_SIZE)``, the last one possibly short and
 a lattice of its own size) consumes the random stream derived from
-(master_seed, b) in one draw, the shift, two uniforms; a whole-window
-config then makes four more, for each tier in turn (macro cells, small
-cells) all counts and all radii of its interferers. No draw depends on
-where the nearest points fall, and no angle, router or request is drawn.
-The draws depend on no cell, so a cell's samples do not depend on which
-other cells are estimated alongside it. ``run_replication`` is a batch of
-one, a lattice of one point, whose levels are its shift.
-One vectorised kernel call (``_kernel``) then runs consecutive batches
-together, interferers kept as ragged arrays, as many as the config's
-replications and expected sampled interferers need to reach
-``KERNEL_BUDGET``: averaged configs pay numpy's per-call cost once per many
-batches, and a call's working set stays bounded. Every step of the kernel
-works element by element, along the attempt axis, or over one
-replication's segment of interferers.
+(master_seed, b) in one draw, the shift, two uniforms. No draw depends on
+where the nearest points fall, and no interferer, angle, router or request
+is drawn. The draws depend on no cell, so a cell's samples do not depend on
+which other cells are estimated alongside it. ``run_replication`` is a
+batch of one, a lattice of one point, whose levels are its shift.
+One vectorised kernel call (``_kernel``) then runs up to ``KERNEL_BUDGET``
+consecutive replications, in whole batches, together, so numpy's per-call
+cost is paid once per many batches. Every step of the kernel works element
+by element, along the attempt axis, or on one replication's own matrices,
+so a replication's numbers do not depend on which batches share its call.
 Cells that share a parameter set see the same geometry in each
 replication, so scenarios and storage values are paired (common random
 numbers). Each kernel call is one task; a process pool only schedules the
@@ -70,15 +65,15 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
-from typing import NamedTuple
 
 import numpy as np
+from scipy.special import beta, betaincc, hyp2f1
 
 # is_hit, nearest, sample_ppp and sample_request are scalar forms of steps the kernel averages out
 # or runs over arrays; perfbench/tracer.py wraps them under these names
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, is_hit, require_valid  # noqa: F401
 from .errors import InvalidConfigError, InvalidParameterError, NumericalError
-from .geometry import Tier, Window, mean_nearest_distance, nearest_distance, sample_beyond
+from .geometry import Tier, mean_nearest_distance, nearest_distance
 from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
 from .analytics import DelayParams, rho_terms
@@ -86,19 +81,14 @@ from .analytics import DelayParams, rho_terms
 # replications per random stream, and points of its lattice; fixed so that results never depend
 # on the worker count
 BATCH_SIZE = 64
-# replications plus expected sampled points that one kernel call reaches in whole batches, so the
-# config alone sizes every call (estimate): an averaged one holds 32 batches, and a whole-window
-# batch that alone exceeds the budget, as one on a 20 km window does, runs alone
+# replications one kernel call holds, 32 whole batches, so the config alone sizes every call
+# (estimate); a call's chain matrices are built one batch at a time (far_chain_moments)
 KERNEL_BUDGET = 2048
-# most expected sampled points in one batch of a whole-window config: a point holds 16 bytes at
-# once (its gain, and its radius while drawn or its SIR term while run; peak RSS grew by 16.0 bytes
-# per point at 2 to 16 million points), so one batch's point arrays stay within 256 MiB
-MAX_BATCH_POINTS = 2**24
-# largest max_attempts with a far field: far_z_moments' error grows with the moment (3.4e-15 at
-# 12, 2.4e-14 at 15, 2.9e-13 at 19 on TestZMoments' inputs), so J_MAX could rise; it stays 12 so
-# that every config keeps its side of the plane/window split. Up to J_MAX a config estimates the model
-# on the plane; above it, on the window alone, so a sweep over max_attempts jumps from 12 to 13
-# (about 0.6% of the macro downlink at lambda_mc = 2e-8 on the 20 km default), which is no physics
+# largest max_attempts whose far moments come from the alternating sum (far_z_moments): its error
+# grows with the moment (3.4e-15 at 12, 2.4e-14 at 15, 2.9e-13 at 19 on TestZMoments' inputs; 9.4e-14
+# at 12 on a kernel batch at the defaults).
+# Above it the coverage chain (far_chain_moments) gives them to about 1e-15 at any max_attempts, but
+# 8 to 11 times slower; both estimate the model on the plane
 J_MAX = 12
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -170,7 +160,7 @@ def _gains(radius: np.ndarray, power: float, alpha: float) -> np.ndarray:
     """Received-power coefficients power * r^(-alpha) for unit fading."""
     if alpha == 4.0:  # dominant case; avoids a large pow() bill
         r4 = radius * radius
-        r4 *= r4  # in place: a batch's temporaries set the peak memory
+        r4 *= r4  # (r^2)^2, not r**4: every recorded estimate rests on this rounding
         return np.divide(power, r4, out=r4)
     return power * radius**-alpha
 
@@ -223,8 +213,8 @@ def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> np.ndarray:
     ``E[Z^j] = E[(1 - Q)^(j-1) (1 - Q)] = sum_{k<j} C(j-1, k) (-1)^k d_(k+1)``.
     The sum runs column by column, element by element, so a row's bits do not
     depend on the rows beside it. It alternates, and cancels more as j grows,
-    which is what bounds ``max_attempts`` by ``J_MAX``. Since ``Z`` lies in
-    [0, 1], a moment that rounds below 0 is returned as 0.
+    so above ``J_MAX`` moments ``far_chain_moments`` takes over. Since ``Z``
+    lies in [0, 1], a moment that rounds below 0 is returned as 0.
     """
     lam = np.asarray(log_moments, dtype=float)
     previous = np.concatenate((np.zeros_like(lam[..., :1]), lam[..., :-1]), axis=-1)
@@ -235,49 +225,133 @@ def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.maximum(total, 0.0)
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Segment bounds of ragged points: segment ``k`` is ``[offsets[k], offsets[k + 1])``."""
-    return np.concatenate(([0], np.cumsum(counts)))
+@functools.cache
+def _chain_layout(m: int) -> tuple[np.ndarray, ...]:
+    """The coverage chain over ``m`` coordinates: the unhit count ``u``, hits ``d`` and ``C(u, d)`` of
+    every jump ``u -> u - d``, 1 <= d <= u <= m; and ``C(m - u, j) / C(m, j)`` at row u, column j - 1."""
+    u, d = np.array([(u, d) for u in range(1, m + 1) for d in range(1, u + 1)]).T
+    ways = np.array([math.comb(a, b) for a, b in zip(u.tolist(), d.tolist())], dtype=float)
+    hit = np.array([[math.comb(m - u, j) / math.comb(m, j) for j in range(1, m + 1)] for u in range(m + 1)])
+    for array in (u, d, ways, hit):
+        array.flags.writeable = False  # one layout serves every caller
+    return u, d, ways, hit
 
 
-def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The sum of ``values`` over every segment; 0 for an empty segment."""
-    starts = offsets[:-1]
-    full = offsets[1:] > starts
-    out = np.zeros(starts.size)
-    if full.any():
-        out[full] = np.add.reduceat(values, starts[full])
-    return out
+def _chain_rates(z: np.ndarray, weights: np.ndarray, delta: float, m: int) -> np.ndarray:
+    """``I(d, l) = sum_t w_t z_t^delta B_x(d - delta, l + delta)`` at ``[row, d, l]`` for d >= 1 and
+    d + l <= m, 0 elsewhere: ``z`` and ``weights`` hold one row per tier and a column per row of rates.
+
+    ``B_x`` is the incomplete beta function at ``x = z / (1 + z)``. The top term ``z^delta
+    B_x(m - delta, delta)`` is ``x^m 2F1(m, 1; m + 1 - delta; x) / (m - delta)`` up to the
+    integrand's peak, ``z = (m + 1 - delta) / (1 + delta)``, and its complement beyond, both from
+    ``z``, so ``1 - x`` is never rounded. The rest follow by two downward recurrences of positive
+    terms: along ``l = 0``, ``B(a, b) = ((a + b) B(a + 1, b) + x^a (1 - x)^b) / a``, and along each
+    anti-diagonal ``d + l``, ``B(a, b) = ((b - 1) B(a + 1, b - 1) + x^a (1 - x)^(b - 1)) / a``; the
+    factor ``z^delta`` turns each ``x^a (1 - x)^b`` into ``x^d (1 - x)^l``.
+    """
+    x, y = z / (1.0 + z), 1.0 / (1.0 + z)  # y = 1 - x
+    powers_x = x[..., None] ** np.arange(m + 1)
+    powers_y = y[..., None] ** np.arange(m)
+    a = m - delta
+    below = z <= (a + 1.0) / (1.0 + delta)
+    table = np.zeros(z.shape + (m + 1, m))  # (tier, row, d, l)
+    top = table[..., m, 0]
+    top[below] = powers_x[below, m] / a * hyp2f1(m, 1.0, a + 1.0, x[below])
+    top[~below] = z[~below] ** delta * beta(a, delta) * betaincc(delta, a, y[~below])
+    for d in range(m - 1, 0, -1):
+        table[..., d, 0] = (d * table[..., d + 1, 0] + powers_x[..., d]) / (d - delta)
+    for l in range(1, m):
+        d = np.arange(1, m - l + 1)
+        source = powers_x[..., d] * powers_y[..., l - 1, None]
+        table[..., d, l] = ((l - 1 + delta) * table[..., d + 1, l - 1] + source) / (d - delta)
+    return sum(w[:, None, None] * tier for w, tier in zip(weights, table))
+
+
+def _unhit_law(z: np.ndarray, weights: np.ndarray, delta: float, m: int) -> np.ndarray:
+    """The law of the number of coordinates that no far point hits, ``p_u`` for u = 0..m, one row
+    per column of ``z`` (``far_chain_moments``).
+
+    The chain starts at ``m`` unhit coordinates and jumps ``u -> u - d`` at rate ``C(u, d) I(d, u -
+    d)`` (``_chain_rates``) for unit time. Its generator ``G`` has the diagonal ``-Lambda_u``, so
+    ``A = G + Lambda_m I`` has no negative entry: its diagonal ``Lambda_m - Lambda_u = sum_{k>=u}
+    I(1, k)`` is a sum of rates too. ``p = e_m e^G`` is taken by scaling and squaring ``A``: each
+    row's ``s`` squarings bring ``Lambda_m 2^-s`` below 1/16, where the Taylor series of degree 8
+    drops less than 5e-17; each power is then rescaled to unit row sums, which ``e^(G 2^-s)`` has
+    and which keeps the rounding from compounding. Every step works on non-negative numbers, and
+    ``s`` and each matrix product depend on the row alone, so no row's bits depend on its call.
+    """
+    rates = _chain_rates(z, weights, delta, m)
+    u, d, ways, _ = _chain_layout(m)
+    a = np.zeros((rates.shape[0], m + 1, m + 1))
+    a[:, u, u - d] = ways * rates[:, d, u - d]
+    diagonal = np.arange(m)
+    a[:, diagonal, diagonal] = np.cumsum(rates[:, 1, ::-1], axis=-1)[:, ::-1]
+    squarings = np.maximum(np.frexp(16.0 * a[:, 0, 0])[1], 0)  # A[0, 0] = Lambda_m
+    a *= np.ldexp(1.0, -squarings)[:, None, None]
+    eye = np.eye(m + 1)
+    power = eye + a / 8.0
+    for k in range(7, 0, -1):
+        power = eye + (a / k) @ power
+    power /= power.sum(axis=-1, keepdims=True)
+    for k in range(squarings.max(initial=0)):
+        rows = squarings > k
+        square = power[rows] @ power[rows]
+        power[rows] = square / square.sum(axis=-1, keepdims=True)
+    return power[:, m].copy()  # not a view, which would keep every batch's matrices alive
+
+
+def far_chain_moments(
+    scales: Sequence[float] | Sequence[np.ndarray],
+    intensities: Sequence[float],
+    alpha: float,
+    inner: float | Sequence[np.ndarray],
+    max_attempts: int,
+) -> np.ndarray:
+    """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, in positive terms at any M.
+
+    Takes ``far_log_moments``' arguments and returns ``far_z_moments``'
+    result. Treat the M attempts as M coordinates: each far point hits each
+    coordinate on its own with probability ``h = s r^-alpha / (1 + s
+    r^-alpha)``, so ``Q = prod (1 - h)`` and ``Z^j`` is the probability that
+    j given coordinates are all hit. By Poisson colouring, the points that
+    hit exactly ``d`` of ``u`` unhit coordinates form a PPP of mean ``I(d, u
+    - d)``, with ``I(d, l) = int h^d (1 - h)^l dmu = sum_t pi lambda_t r_t^2
+    delta z_t^delta B_x(d - delta, l + delta)`` over each tier's plane beyond
+    ``inner_t``, ``z_t = s_t inner_t^-alpha`` and ``delta = 2 / alpha``. So
+    the unhit count is a chain (``_unhit_law``), and by symmetry ``E[Z^j] =
+    sum_u p_u C(M - u, j) / C(M, j)``. The chain's matrices are built one
+    ``BATCH_SIZE`` of rows at a time. Since ``Z`` lies in [0, 1], a moment
+    that rounds above 1 is returned as 1.
+    """
+    scales = np.asarray(scales, dtype=float)
+    inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)
+    delta = 2.0 / alpha
+    z = (scales * inner**-alpha).reshape(len(scales), -1)  # (tier, row)
+    weights = np.array([math.pi * lam * delta * r**2 for lam, r in zip(intensities, inner)]).reshape(z.shape)
+    batches = [slice(k, k + BATCH_SIZE) for k in range(0, z.shape[1], BATCH_SIZE)]
+    law = np.concatenate([_unhit_law(z[:, b], weights[:, b], delta, max_attempts) for b in batches])
+    *_, hits = _chain_layout(max_attempts)
+    moments = np.zeros((law.shape[0], max_attempts))
+    for u, hit in enumerate(hits):  # C(M - u, j) / C(M, j): j given coordinates all among M - u hit
+        moments += law[:, u, None] * hit
+    return np.minimum(moments, 1.0).reshape(scales.shape[1:] + (max_attempts,))
 
 
 def _downlink(
-    signal: np.ndarray,
-    rival: np.ndarray,
-    interferers: Sequence[tuple[np.ndarray, np.ndarray]],
-    target_sir: float,
-    max_attempts: int,
-    far: np.ndarray | None = None,
+    minus_log_q: np.ndarray, max_attempts: int, far: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected attempts and outage probability of every replication of a batch.
 
-    This is ``downlink_delay``'s model. ``signal[k]`` is the serving gain of
-    replication ``k`` and ``rival[k]`` the other tier's nearest gain, which
-    enters first. Each ``(gains, offsets)`` of ``interferers`` holds the other
-    interferers' gains of all replications, replication ``k`` owning the
-    segment ``[offsets[k], offsets[k + 1])``. ``far``, if given, holds one
-    row of far moments ``E[Z^j]`` (``far_z_moments``) per replication.
+    This is ``downlink_delay``'s model. ``minus_log_q[k]`` is ``-log q`` of
+    replication ``k``'s sampled points. ``far``, if given, holds one row of
+    far moments ``E[Z^j]`` (``far_z_moments``, ``far_chain_moments``) per
+    replication.
 
     Row j of the table ``t`` starts as ``q^j E[Z^j]``, 0 for j >= 1 without
     a far field, and each attempt maps it to ``(1 - q) t_j + t_(j+1)``, so
     row 0 after k attempts is ``E[((1 - q) + q Z)^k] = E[(1 - q Q)^k]``.
     Every term is non-negative: q -> 0 and q -> 1 need no division and no branch.
     """
-    scale = target_sir / signal
-    minus_log_q = np.log1p(scale * rival)
-    for gains, offsets in interferers:
-        terms = np.repeat(scale, np.diff(offsets))
-        terms *= gains
-        minus_log_q += _segment_sums(np.log1p(terms, out=terms), offsets)
     miss = -np.expm1(-minus_log_q)
     t = np.zeros((max_attempts + 1, miss.size))
     t[0] = 1.0
@@ -329,7 +403,7 @@ def downlink_delay(
         if not len(far) == max_attempts <= J_MAX:
             raise InvalidParameterError(f"far field needs {max_attempts} <= {J_MAX} moments")
         far = far_z_moments(np.array([far], dtype=float))
-    signal = gains[own][serving_index : serving_index + 1]
+    scale = target_sir / gains[own][serving_index : serving_index + 1]
     gains[own] = np.delete(gains[own], serving_index)
     # the other tier's strongest point enters first, as the kernel's nearest rival does
     rival = np.zeros(1)
@@ -337,8 +411,8 @@ def downlink_delay(
         strongest = int(np.argmax(gains[1 - own]))
         rival = gains[1 - own][strongest : strongest + 1]
         gains[1 - own] = np.delete(gains[1 - own], strongest)
-    interferers = [(g, np.array([0, g.size])) for g in gains]
-    attempts, outage = _downlink(signal, rival, interferers, target_sir, max_attempts, far)
+    minus_log_q = np.log1p(scale * rival) + sum(np.log1p(scale * g).sum() for g in gains)
+    attempts, outage = _downlink(minus_log_q, max_attempts, far)
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
@@ -361,79 +435,44 @@ def _lattice_generator(n: int) -> int:
     return int(a[np.argmin(b[np.outer(a, k) % n] @ b)])
 
 
-def _averaged(params: DelayParams) -> bool:
-    """Whether each tier's far field is averaged out on the plane beyond its nearest point: only
-    inside the checked domain of the far moments' closed form. Otherwise every point of the window
-    is sampled."""
-    return params.max_attempts <= J_MAX
-
-
-class _Draw(NamedTuple):
-    """One batch's geometry: each tier's nearest distances and, in a whole-window config, its
-    interferer counts, one row per tier and one column per replication, and each tier's interferer
-    gains, end to end. An averaged config samples no interferer: no row of counts, no gains."""
-
-    closest: np.ndarray
-    counts: np.ndarray
-    gains: tuple[np.ndarray, ...]
-
-
-def _draw(params: DelayParams, window: Window, rng: np.random.Generator, size: int) -> _Draw:
-    """The geometry of one batch of ``size`` replications, read from its stream as the module
-    docstring sets out. Each interferer's radius gives way to its gain (``_gains``) as soon as the
-    tier is drawn, so no radius outlives its batch's draw."""
-    lambdas = (params.lambda_mc, params.lambda_sc)
-    radio = params.radio
+def _draw(params: DelayParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Each tier's nearest distances in one batch of ``size`` replications, one row per tier and one
+    column per replication, read from its stream as the module docstring sets out."""
     # a randomly shifted rank-1 lattice: tier t's level in replication k is frac(k g_t / size + shift_t)
     shift = rng.random(2)
     steps = np.outer((1, _lattice_generator(size)), np.arange(size)) % size
     levels = (steps / size + shift[:, None]) % 1.0
-    closest = np.array([nearest_distance(lam, u) for lam, u in zip(lambdas, levels)])
-    counts, gains = [], []
-    if not _averaged(params):
-        for lam, r_t, power in zip(lambdas, closest, (radio.power_macro, radio.power_small)):
-            n, r = sample_beyond(lam, r_t, window.radius, rng)
-            counts.append(n)
-            gains.append(_gains(r, power, radio.pathloss_exponent))
-    return _Draw(closest, np.reshape(counts, (len(counts), size)), tuple(gains))
-
-
-def _join(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
-    """``parts`` end to end; a single part as it is, so one batch copies nothing."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+    return np.array([nearest_distance(lam, u) for lam, u in zip((params.lambda_mc, params.lambda_sc), levels)])
 
 
 # gains that underflow to 0 meet inf * 0 here; estimate raises NumericalError on the non-finite result
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _kernel(cells: Sequence[Cell], params: DelayParams, draws: Sequence[_Draw]) -> np.ndarray:
-    """Every cell's replications over the batches ``draws`` (``_draw``), end to end: rows (downlink,
-    tail, attempts, outage, hit) per cell, one column per replication.
+def _kernel(cells: Sequence[Cell], params: DelayParams, closest: np.ndarray) -> np.ndarray:
+    """Every cell's replications on each tier's nearest distances ``closest`` (``_draw``'s rows, its
+    batches end to end): rows (downlink, tail, attempts, outage, hit) per cell, one column per
+    replication.
 
-    Every step works element by element, along the M axis, or per replication's segment of
-    interferers, so a replication's numbers do not depend on which batches share the call.
+    Every step works element by element, along the M axis, or on one replication's own matrices, so a
+    replication's numbers do not depend on which batches share the call.
     """
-    closest, counts, gains = zip(*draws)
-    closest, counts = (_join(part, axis=1) for part in (closest, counts))
     lambdas = (params.lambda_mc, params.lambda_sc)
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
     alpha = radio.pathloss_exponent
     closest_gains = [_gains(r, power, alpha) for r, power in zip(closest, powers)]
-    interferers = [(_join(g), _offsets(n)) for g, n in zip(zip(*gains), counts)]
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
     serving = sorted(set(owns))
-    far = dict.fromkeys(serving)
-    if _averaged(params):
-        # every serving tier's far moments in one call, one row per (serving tier, replication)
-        scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
-        scales = [scale * power for power in powers]
-        log_moments = far_log_moments(scales, lambdas, alpha, closest[:, None], params.max_attempts)
-        far.update(zip(serving, far_z_moments(log_moments)))
+    # every serving tier's far moments in one call, one row per (serving tier, replication)
+    scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
+    args = ([scale * power for power in powers], lambdas, alpha, closest[:, None], params.max_attempts)
+    if params.max_attempts <= J_MAX:
+        moments = far_z_moments(far_log_moments(*args))
+    else:
+        moments = far_chain_moments(*args)
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
-    for own in serving:
-        links[own] = _downlink(
-            closest_gains[own], closest_gains[1 - own], interferers, radio.target_sir, params.max_attempts, far[own]
-        )
+    for own, own_scale, own_moments in zip(serving, scale, moments):
+        minus_log_q = np.log1p(own_scale * closest_gains[1 - own])  # the other tier's nearest point
+        links[own] = _downlink(minus_log_q, params.max_attempts, own_moments)
 
     router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
     out = np.empty((len(cells), 5, closest.shape[1]))
@@ -458,33 +497,21 @@ def _kernel(cells: Sequence[Cell], params: DelayParams, draws: Sequence[_Draw]) 
     return out
 
 
-def _simulate(
-    cells: Sequence[Cell],
-    params: DelayParams,
-    window: Window,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
+def _simulate(cells: Sequence[Cell], params: DelayParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` replications of every cell, read from one stream as the module docstring sets out:
     rows (downlink, tail, attempts, outage, hit) per cell, one column per replication."""
-    return _kernel(cells, params, [_draw(params, window, rng, size)])
+    return _kernel(cells, params, _draw(params, rng, size))
 
 
-def run_replication(
-    cells: Sequence[Cell],
-    params: DelayParams,
-    window: Window,
-    rng: np.random.Generator,
-) -> list[DelaySample]:
+def run_replication(cells: Sequence[Cell], params: DelayParams, rng: np.random.Generator) -> list[DelaySample]:
     """Sample one end-to-end delay of the typical user for every cell.
 
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): the lattice's shift, two uniforms that are the levels
-    of the nearest distances; then, only if the config samples the whole
-    window, per tier the count and radii of its interferers.
+    of the nearest distances, and nothing more.
     """
-    return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, window, rng, 1)]
+    return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, rng, 1)]
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -492,7 +519,7 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def _run_batch(cells, params, window, master_seed, start, stop):
+def _run_batch(cells, params, master_seed, start, stop):
     """Replications [start, stop) of cells sharing ``params``: (total, outage, hit) per (cell, rep).
 
     ``start`` is a multiple of BATCH_SIZE; batch ``b`` covers replications
@@ -500,11 +527,11 @@ def _run_batch(cells, params, window, master_seed, start, stop):
     lattice of its own size. Each batch is drawn on its own (``_draw``), and
     one kernel call runs them all.
     """
-    draws = [
-        _draw(params, window, replication_rng(master_seed, first // BATCH_SIZE), min(first + BATCH_SIZE, stop) - first)
+    closest = [
+        _draw(params, replication_rng(master_seed, first // BATCH_SIZE), min(first + BATCH_SIZE, stop) - first)
         for first in range(start, stop, BATCH_SIZE)
     ]
-    downlink, tail, _, outage, hit = _kernel(cells, params, draws).swapaxes(0, 1)
+    downlink, tail, _, outage, hit = _kernel(cells, params, np.concatenate(closest, axis=1)).swapaxes(0, 1)
     return np.stack((downlink + tail, outage, hit), axis=-1)
 
 
@@ -583,7 +610,6 @@ def _summarize(samples: np.ndarray) -> DelayEstimate:
 
 def estimate(
     cells: Sequence[Cell],
-    window: Window,
     replications: int,
     master_seed: int,
     workers: int | None = None,
@@ -605,15 +631,14 @@ def estimate(
     replication has a zero-width interval.
 
     Cells that share a parameter set are simulated together. Each kernel
-    call, its batches fixed by the config, is one task; a process pool runs
-    the tasks when there are more of them than workers. Pure function of its
-    arguments: the per-batch streams and the index-ordered reduction make
-    the result independent of ``workers`` (default: HETSIM_THREADS, else
-    the CPUs this process may run on, capped at 8) and of which other cells
-    are estimated alongside. A whole-window config whose batches would
-    sample more than ``MAX_BATCH_POINTS`` points raises
-    ``InvalidConfigError`` before any draw; a cell whose estimate is not
-    finite, as when its serving gains underflow to 0, ``NumericalError``.
+    call, ``KERNEL_BUDGET`` replications of a parameter set, is one task; a
+    process pool runs the tasks when there are more of them than workers.
+    Pure function of its arguments: the per-batch streams and the
+    index-ordered reduction make the result independent of ``workers``
+    (default: HETSIM_THREADS, else the CPUs this process may run on, capped
+    at 8) and of which other cells are estimated alongside. A cell whose
+    estimate is not finite, as when its serving gains underflow to 0, raises
+    ``NumericalError``.
     """
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications}")
@@ -623,23 +648,13 @@ def estimate(
         groups.setdefault(cell.params, []).append(index)
 
     workers = _resolve_workers(workers)
-    keys = []
-    for params, members in groups.items():
-        # expected sampled points per batch: none where each tier's far field is averaged out
-        intensity = params.lambda_mc + params.lambda_sc
-        points = 0.0 if _averaged(params) else BATCH_SIZE * math.pi * intensity * window.radius * window.radius
-        if points > MAX_BATCH_POINTS:
-            raise InvalidConfigError(
-                f"window_radius_m {window.radius:g} samples about {points:.3g} points per batch, "
-                f"above {MAX_BATCH_POINTS}: use a smaller window"
-            )
-        # one kernel call per task: whole batches until replications and expected points reach the budget
-        step = BATCH_SIZE * math.ceil(KERNEL_BUDGET / (BATCH_SIZE + points))
-        keys += [(params, members, start, min(start + step, replications)) for start in range(0, replications, step)]
-    tasks = [
-        ([cells[i] for i in members], params, window, master_seed, start, stop)
-        for params, members, start, stop in keys
+    # one kernel call per task: KERNEL_BUDGET replications, in whole batches
+    keys = [
+        (params, members, start, min(start + KERNEL_BUDGET, replications))
+        for params, members in groups.items()
+        for start in range(0, replications, KERNEL_BUDGET)
     ]
+    tasks = [([cells[i] for i in members], params, master_seed, start, stop) for params, members, start, stop in keys]
     if workers == 1 or len(tasks) <= workers:
         results = (_run_batch(*task) for task in tasks)
     else:

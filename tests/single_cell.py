@@ -6,14 +6,14 @@ from hetsim.channel import RadioParams
 from hetsim.simulator import Cell, _gains, downlink_delay, estimate, run_replication
 
 
-def estimate_one(scenario, params, cache, window, replications, master_seed, workers=None):
+def estimate_one(scenario, params, cache, replications, master_seed, workers=None):
     """The estimate of one (scenario, params, cache) cell."""
-    return estimate([Cell(scenario, params, cache)], window, replications, master_seed, workers)[0]
+    return estimate([Cell(scenario, params, cache)], replications, master_seed, workers)[0]
 
 
-def replicate_one(scenario, params, cache, window, rng):
+def replicate_one(scenario, params, cache, rng):
     """One replication of one (scenario, params, cache) cell."""
-    return run_replication([Cell(scenario, params, cache)], params, window, rng)[0]
+    return run_replication([Cell(scenario, params, cache)], params, rng)[0]
 
 
 def kernel(serving_tier, serving_index, macro, small, radio=RadioParams(), max_attempts=4):

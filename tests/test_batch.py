@@ -1,16 +1,15 @@
 """The batch kernel: every replication of a batch equals that replication
 run alone, as a batch of one, on the same draws.
 
-``stream_script`` splits the draws of one batch into the share of each
+``stream_script`` splits the one draw of a batch into the share of each
 replication, so the replication can be rerun through ``run_replication``
-on exactly the nearest distances and interferers it had inside the batch:
-its pair of lattice levels is served as the shift of a batch of one. The
-comparison is ``==``. In turn, a run of batches that one kernel call takes
+on exactly the nearest distances it had inside the batch: its pair of
+lattice levels is served as the shift of a batch of one. The comparison is
+``==``. In turn, a run of batches that one kernel call takes
 together equals its batches run one at a time, each on its own stream, and
 the config alone fixes which batches share a call.
 """
 
-import math
 from concurrent.futures import Executor, Future
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from hetsim import simulator
 from hetsim.analytics import DelayParams
 from hetsim.caching import CacheConfig, CachePolicy
-from hetsim.geometry import Window, nearest_distance
+from hetsim.geometry import nearest_distance
 from hetsim.popularity import DistanceDependent, LoadDependent
 from hetsim.simulator import (
     BATCH_SIZE,
@@ -36,8 +35,8 @@ from hetsim.simulator import (
     run_replication,
 )
 from lattice_reference import korobov_generator, lattice
-from stream_script import DRAWS, Recorder, draw, layout, levels, replication_streams
-from test_far_field import EDGE_CASES, MIXPOP, whole_window
+from stream_script import Recorder, replication_streams, shift
+from test_far_field import EDGE_CASES, MIXPOP
 
 NOCACHE = SmallUser(policy=CachePolicy.NO_CACHE)
 PER_USER = SmallUser(
@@ -47,47 +46,33 @@ LOAD = SmallUser(policy=CachePolicy.MIX_POP, model=LoadDependent())
 EVERY_KIND = [MacroUser(), NOCACHE, MIXPOP, PER_USER, LOAD]
 
 CASES = {
-    "5km-every-kind": (DelayParams(), 5000.0, EVERY_KIND),
-    "20km-every-kind": (DelayParams(), 20_000.0, EVERY_KIND),
-    "5km-no-cache": (DelayParams(), 5000.0, [MacroUser(), NOCACHE]),
-    "20km-macro-only": (DelayParams(), 20_000.0, [MacroUser()]),
-    # the edges of the far field, caching cells beside: configs that sample the whole window,
+    "every-kind": (DelayParams(), EVERY_KIND),
+    "no-cache": (DelayParams(), [MacroUser(), NOCACHE]),
+    "macro-only": (DelayParams(), [MacroUser()]),
+    # the edges of the far field, caching cells beside: far moments from the coverage chain,
     # batches whose far field starts at z spanning decades, sparse routers, which move no far
-    # field, and a nearest macro cell beyond the window
-    **{
-        f"edge-{case}": (params, 20_000.0, [*scenarios, NOCACHE, PER_USER])
-        for case, (params, scenarios) in EDGE_CASES.items()
-    },
+    # field, and a nearest macro cell kilometres out
+    **{f"edge-{case}": (params, [*scenarios, NOCACHE, PER_USER]) for case, (params, scenarios) in EDGE_CASES.items()},
 }
 
 
-def split_batch(cells, params, window, seed, size):
-    """(batch result, per-replication results as batches of one).
-
-    A whole-window batch's recorded Poisson mean of each tier must cover
-    exactly ``(r_t, W)``; an averaged batch draws its lattice's shift alone."""
+def split_batch(cells, params, seed, size):
+    """(batch result, per-replication results as batches of one); every batch draws its lattice's
+    shift alone."""
     recorder = Recorder(replication_rng(seed, 0))
-    batch = _simulate(cells, params, window, recorder, size)
+    batch = _simulate(cells, params, recorder, size)
     alone = []
     for script in replication_streams(recorder.log, size):
-        alone.append(run_replication(cells, params, window, script))
+        alone.append(run_replication(cells, params, script))
         assert not script.draws  # the replication read all of its share
-    lambdas = (params.lambda_mc, params.lambda_sc)
-    closest = np.array([nearest_distance(lam, levels(recorder.log, t, size)) for t, lam in enumerate(lambdas)])
-    assert layout(recorder.log) == (DRAWS if whole_window(params) else DRAWS[:1])
-    if whole_window(params):
-        radius = window.radius
-        for t, lam in enumerate(lambdas):
-            means = draw(recorder.log, "counts", t)[1]
-            assert np.array_equal(means, lam * math.pi * (radius**2 - np.minimum(closest[t], radius) ** 2))
     return batch, alone
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batch_equals_its_replications_run_alone(case):
-    params, radius, scenarios = CASES[case]
+    params, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
-    batch, alone = split_batch(cells, params, Window(radius), 97, BATCH_SIZE)
+    batch, alone = split_batch(cells, params, 97, BATCH_SIZE)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
 
@@ -96,7 +81,7 @@ def test_a_short_batch_reads_a_prefix_of_the_same_pattern():
     """The last batch of an estimate may be short; it is split the same way."""
     params = DelayParams()
     cells = [Cell(scenario, params, CacheConfig()) for scenario in EVERY_KIND]
-    batch, alone = split_batch(cells, params, Window(20_000.0), 5, 5)
+    batch, alone = split_batch(cells, params, 5, 5)
     assert batch.shape == (len(cells), 5, 5)
     for k, samples in enumerate(alone):
         assert samples == [DelaySample(*batch[c, :, k].tolist()) for c in range(len(cells))], k
@@ -125,32 +110,31 @@ def test_a_batch_draws_its_levels_from_a_shifted_lattice(size, monkeypatch):
     monkeypatch.setattr(simulator, "nearest_distance", spy)
     params = DelayParams()
     recorder = Recorder(replication_rng(31, 2))
-    _simulate([Cell(MacroUser(), params, CacheConfig())], params, Window(20_000.0), recorder, size)
-    shift = draw(recorder.log, "shift", None)[3]
-    assert np.array_equal(np.array(seen), lattice(shift, size))
+    _simulate([Cell(MacroUser(), params, CacheConfig())], params, recorder, size)
+    assert np.array_equal(np.array(seen), lattice(shift(recorder.log), size))
     if size == 1:
-        assert np.array_equal(np.array(seen)[:, 0], shift)
+        assert np.array_equal(np.array(seen)[:, 0], shift(recorder.log))
 
 
-def batch_by_batch(cells, params, window, seed, start, stop):
+def batch_by_batch(cells, params, seed, start, stop):
     """``_run_batch``'s rows from one ``_simulate`` per batch, each on its own stream."""
     rows = []
     for first in range(start, stop, BATCH_SIZE):
         rng = replication_rng(seed, first // BATCH_SIZE)
         size = min(first + BATCH_SIZE, stop) - first
-        downlink, tail, _, outage, hit = _simulate(cells, params, window, rng, size).swapaxes(0, 1)
+        downlink, tail, _, outage, hit = _simulate(cells, params, rng, size).swapaxes(0, 1)
         rows.append(np.stack((downlink + tail, outage, hit), axis=-1))
     return np.concatenate(rows, axis=1)
 
 
 def spy_kernel(monkeypatch):
-    """Record, for every kernel call, the (replications, sampled interferers) of each of its batches."""
+    """Record the replications of every kernel call."""
     calls = []
     kernel = simulator._kernel
 
-    def spy(cells, params, draws):
-        calls.append([(draw.closest.shape[1], int(draw.counts.sum())) for draw in draws])
-        return kernel(cells, params, draws)
+    def spy(cells, params, closest):
+        calls.append(closest.shape[1])
+        return kernel(cells, params, closest)
 
     monkeypatch.setattr(simulator, "_kernel", spy)
     return calls
@@ -162,23 +146,36 @@ START, STOP = BATCH_SIZE, 4 * BATCH_SIZE + 23
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_a_span_equals_its_batches_run_one_at_a_time(case, monkeypatch):
-    params, radius, scenarios = CASES[case]
+    params, scenarios = CASES[case]
     cells = [Cell(scenario, params, CacheConfig()) for scenario in scenarios]
     calls = spy_kernel(monkeypatch)
-    span = _run_batch(cells, params, Window(radius), 43, START, STOP)
-    assert [len(batches) for batches in calls] == [4]  # one kernel call, whatever its sampled points
+    span = _run_batch(cells, params, 43, START, STOP)
+    assert calls == [STOP - START]  # one kernel call
     assert span.shape == (len(cells), STOP - START, 3)
-    assert np.array_equal(span, batch_by_batch(cells, params, Window(radius), 43, START, STOP))
+    assert np.array_equal(span, batch_by_batch(cells, params, 43, START, STOP))
 
 
-def test_an_averaged_task_runs_as_one_kernel_call(monkeypatch):
-    """An averaged config samples no interferer, so a task of 20 batches,
-    1 280 replications within the budget, is one kernel call."""
-    params = DelayParams()
+@pytest.mark.parametrize("max_attempts", [4, J_MAX + 1])
+def test_a_task_draws_each_batch_once_and_runs_one_kernel_call(max_attempts, monkeypatch):
+    """No config samples an interferer, so a task of 20 batches, 1 280
+    replications within the budget, reads one draw from each batch's stream,
+    the shift of its lattice, and is one kernel call, whichever side of
+    ``J_MAX`` its far moments come from."""
+    params = DelayParams(max_attempts=max_attempts)
     cells = [Cell(scenario, params, CacheConfig()) for scenario in EVERY_KIND]
     calls = spy_kernel(monkeypatch)
-    _run_batch(cells, params, Window(20_000.0), 7, 0, 20 * BATCH_SIZE)
-    assert calls == [[(BATCH_SIZE, 0)] * 20]
+    streams = []
+
+    def recorded_stream(master_seed, index):
+        streams.append(Recorder(replication_rng(master_seed, index)))
+        return streams[-1]
+
+    monkeypatch.setattr(simulator, "replication_rng", recorded_stream)
+    _run_batch(cells, params, 7, 0, 20 * BATCH_SIZE)
+    assert calls == [20 * BATCH_SIZE]
+    assert len(streams) == 20
+    for stream in streams:
+        shift(stream.log)  # the shift alone
 
 
 def spy_spans(monkeypatch):
@@ -186,9 +183,9 @@ def spy_spans(monkeypatch):
     spans = []
     run_batch = simulator._run_batch
 
-    def spy(cells, params, window, master_seed, start, stop):
+    def spy(cells, params, master_seed, start, stop):
         spans.append((params, start, stop))
-        return run_batch(cells, params, window, master_seed, start, stop)
+        return run_batch(cells, params, master_seed, start, stop)
 
     monkeypatch.setattr(simulator, "_run_batch", spy)
     return spans
@@ -208,26 +205,19 @@ class InProcessPool(Executor):
         return future
 
 
-# the call size each config fixes: 32 batches where nothing is sampled, else as many as bring a
-# call's replications and expected sampled points to the budget of 2 048; at the default
-# intensities the whole 20 km window holds about 8 000 points per replication, a 1 km window 20
-WHOLE = DelayParams(max_attempts=J_MAX + 1)
-CALL_SIZES = {
-    "averaged": (DelayParams(), 20_000.0, 32),
-    "whole-20km": (WHOLE, 20_000.0, 1),
-    "whole-1km": (WHOLE, 1000.0, 2),
-}
-
-
-@pytest.mark.parametrize("case", list(CALL_SIZES))
-def test_a_kernel_call_holds_the_batches_its_config_fixes(case, monkeypatch):
-    params, radius, batches = CALL_SIZES[case]
+@pytest.mark.parametrize("max_attempts", [4, J_MAX, J_MAX + 1, 60])
+def test_a_kernel_call_holds_the_budget_at_every_max_attempts(max_attempts, monkeypatch):
+    """Every config's kernel calls hold ``KERNEL_BUDGET`` replications, 32 batches, and the last
+    call the rest: the chain builds its matrices one batch at a time, so no config needs smaller
+    calls."""
+    params = DelayParams(max_attempts=max_attempts)
     spans = spy_spans(monkeypatch)
     # no batch is drawn or run: each stands for its size
-    monkeypatch.setattr(simulator, "_draw", lambda params, window, rng, size: size)
-    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, sizes: np.zeros((1, 5, sum(sizes))))
-    step = batches * BATCH_SIZE
-    simulator.estimate([Cell(MacroUser(), params, CacheConfig())], Window(radius), 2 * step + 5, 3, workers=1)
+    monkeypatch.setattr(simulator, "_draw", lambda params, rng, size: np.zeros((2, size)))
+    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, closest: np.zeros((1, 5, closest.shape[1])))
+    step = simulator.KERNEL_BUDGET
+    assert step == 32 * BATCH_SIZE
+    simulator.estimate([Cell(MacroUser(), params, CacheConfig())], 2 * step + 5, 3, workers=1)
     assert spans == [(params, 0, step), (params, step, 2 * step), (params, 2 * step, 2 * step + 5)]
 
 
@@ -245,7 +235,7 @@ def test_the_tasks_do_not_depend_on_the_worker_count(monkeypatch):
     spans = spy_spans(monkeypatch)
     seen, results = [], []
     for workers in (1, 2, 3):
-        results.append(simulator.estimate(cells, Window(5000.0), 2 * simulator.KERNEL_BUDGET + 70, 13, workers))
+        results.append(simulator.estimate(cells, 2 * simulator.KERNEL_BUDGET + 70, 13, workers))
         seen.append(spans.copy())
         spans.clear()
     assert InProcessPool.started == [2, 3]

@@ -363,10 +363,11 @@ class TestMain:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 4 * 5 and all(row.split(",")[10] == "50" for row in rows)
 
-    @pytest.mark.parametrize("window", [20_000.0, 1e101])
-    def test_non_finite_estimate_is_numerical_error(self, tmp_path, capsys, window):
+    @pytest.mark.parametrize("max_attempts", [4, 13])
+    def test_non_finite_estimate_is_numerical_error(self, tmp_path, capsys, max_attempts):
+        # on either side of J_MAX: the alternating sum's far moments, and the coverage chain's
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, window_radius_m=window)))
+        config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, max_attempts=max_attempts)))
         out = tmp_path / "out.csv"
         code = main(["--config", str(config), "--out", str(out)])
         assert code == EXIT_NUMERICAL
@@ -374,27 +375,25 @@ class TestMain:
         assert "numerical failure" in err and "non-finite estimate" in err and "MacroUser" in err
         assert not out.exists()
 
-    def test_a_window_too_large_to_sample_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # above J_MAX attempts the whole window is sampled: about 1e397 points per batch at 1e200 m
+    @pytest.mark.parametrize("max_attempts", [4, 13])
+    def test_the_window_is_read_by_nothing(self, tmp_path, capsys, max_attempts):
+        # every config averages the interferers out on the plane, on either side of J_MAX: a window
+        # of 5 km or of 1e200 m, which no config could sample, prints the default window's rows
         config = tmp_path / "config.json"
-        config.write_text('{"window_radius_m": 1e200, "replications": 10, "max_attempts": 13}')
-
-        def no_draw(*args):
-            raise AssertionError("drew a batch")
-
-        monkeypatch.setattr(simulator, "_draw", no_draw)
-        assert main(["--config", str(config)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error: window_radius_m 1e+200" in err
-        monkeypatch.undo()
-        # the averaged config runs on the plane and reads no window: the same window prints the
-        # default window's rows
         rows = []
-        for window in ("1e200", "20000"):
-            config.write_text(f'{{"window_radius_m": {window}, "replications": 10}}')
+        for window in ("20000", "5000", "1e200"):
+            config.write_text(f'{{"window_radius_m": {window}, "replications": 70, "max_attempts": {max_attempts}}}')
             assert main(["--config", str(config)]) == EXIT_OK
             rows.append(capsys.readouterr().out)
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("window", ["-5", "0", "0.0"])
+    def test_a_window_that_is_not_positive_is_config_error_naming_the_field(self, tmp_path, capsys, window):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"window_radius_m": {window}}}')
+        assert main(["--config", str(config), "--theory-only"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "window_radius_m" in err and "Traceback" not in err
 
     def test_aborted_sweep_is_config_error(self, tmp_path, capsys):
         config = write_config(

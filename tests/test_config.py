@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -72,6 +73,13 @@ class TestDefaults:
     def test_physical_validation_happens_at_load(self):
         with pytest.raises(Exception):
             ExperimentConfig(t0_ms=-1.0)
+
+    @pytest.mark.parametrize("radius", [-5.0, 0.0, math.inf, math.nan])
+    def test_window_must_be_positive_and_finite(self, radius):
+        """The window is read by nothing, but a bad one is still an error that names its field."""
+        with pytest.raises(InvalidConfigError, match="window_radius_m"):
+            ExperimentConfig(window_radius_m=radius)
+        assert ExperimentConfig(window_radius_m=1e200).window_radius_m == 1e200
 
 
 class TestScenarioLabels:

@@ -1,16 +1,17 @@
 """The far field beyond each tier's nearest point, averaged out on the plane by its PGFL.
 
 ``simulator.far_log_moments`` is held to quadrature and to 40-digit
-hypergeometric values, and ``simulator.far_z_moments`` to 50-digit
-arithmetic and to its row-by-row loop; the kernel's far path is held to the
-exact binomial expansion, and ``downlink_delay`` fed with them to annuli
-sampled point by point with the plane beyond averaged out; every
-replication of ``run_replication`` is held, on a replayed stream, to the
-kernel run on each tier's nearest point with the plane beyond averaged out,
-for every serving tier, or, in a whole-window config, on the window's
-points; and the averaged-out estimates are held to the window sampled point
-by point on the same nearest draws, the plane beyond it averaged out.
-Routers are never sampled, so they move no far field.
+hypergeometric values, ``simulator.far_z_moments`` to 50-digit arithmetic
+and to its row-by-row loop, and ``simulator.far_chain_moments``, the far
+moments above ``J_MAX``, to 50-digit arithmetic and to ``far_z_moments``
+where both apply; the kernel's far path is held to the exact binomial
+expansion, and ``downlink_delay`` fed with them to annuli sampled point by
+point with the plane beyond averaged out; every replication of
+``run_replication`` is held, on a replayed stream, to the kernel run on each
+tier's nearest point with the plane beyond averaged out, for every serving
+tier; and the averaged-out estimates are held to a window sampled point by
+point on the same nearest draws, the plane beyond it averaged out. Routers
+are never sampled, so they move no far field.
 """
 
 import math
@@ -36,8 +37,10 @@ from hetsim.simulator import (
     SmallUser,
     _gains,
     _simulate,
+    _unhit_law,
     downlink_delay,
     estimate,
+    far_chain_moments,
     far_log_moments,
     far_z_moments,
     replication_rng,
@@ -232,7 +235,7 @@ class TestZMoments:
         unit = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 7)
         z = far_z_moments(1.06e-3 * unit / unit[0])
         assert (z >= 0.0).all(), z
-        attempts, outage = simulator._downlink(np.ones(1), np.zeros(1), [], 1.0, 7, z[None])
+        attempts, outage = simulator._downlink(np.zeros(1), 7, z[None])
         assert 0.0 <= outage[0] <= 1.0 and 1.0 <= attempts[0] <= 7.0
 
     @pytest.mark.parametrize("m", range(1, J_MAX + 2))
@@ -243,6 +246,113 @@ class TestZMoments:
         assert np.array_equal(far_z_moments(lam), z_moments_by_row(lam))
         for row in lam[:8]:
             assert np.array_equal(far_z_moments(row), z_moments_by_row(row))
+
+
+def mp_far_z_moments(scales, intensities, alpha, inner, m):
+    """``E[Z^j]`` for j = 1..m in 50-digit arithmetic on the exact values of the float arguments,
+    by the PGFL route, not the chain's: ``E[Q^i] = exp(-Lambda_i)``, each tier's excess summed from
+    ``rho_1`` by the recurrence of ``analytics.rho_terms``, and ``E[Z^j] = sum_i C(j, i) (-1)^i
+    E[Q^i]``, whose cancellation (up to ``C(60, 30)``, 1e17) leaves 33 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        d = 2 / a
+        lam = [mpmath.mpf(0)] * m
+        for s, intensity, r in zip(scales, intensities, inner):
+            r = mpmath.mpf(r)
+            z = mpmath.mpf(s) * r**-a
+            rho_k = 2 * z / (a - 2) * mpmath.hyp2f1(1, 1 - d, 2 - d, -z)
+            excess = mpmath.mpf(0)
+            for k in range(1, m + 1):
+                excess += rho_k
+                lam[k - 1] += mpmath.pi * mpmath.mpf(intensity) * r**2 * excess
+                rho_k = ((k - 1 + d) / k) * rho_k + d * z * (1 + z) ** -k / k
+        q = [mpmath.mpf(1)] + [mpmath.exp(-v) for v in lam]
+        return [float(sum((-1) ** i * math.comb(j, i) * q[i] for i in range(j + 1))) for j in range(1, m + 1)]
+
+
+# the own tier's z at its nearest point, from a nearest point far weaker than the server to one far stronger
+CHAIN_Z = [1e-14, 1e-8, 1e-3, 0.1, 1.0, 3.0, 30.0, 1e3, 1e6, 1e10, 1e14]
+
+
+def chain_rows(alpha, mean_points):
+    """(scales, intensities, inner) of one row per ``CHAIN_Z``: two tiers with nearest points at 300
+    and 500 m, ``mean_points`` and 0.7 times it expected within them, the other tier's z 3.7 times
+    the own tier's."""
+    inner = np.array([[300.0], [500.0]]) * np.ones(len(CHAIN_Z))
+    intensities = (mean_points / (math.pi * 300.0**2), 0.7 * mean_points / (math.pi * 500.0**2))
+    scales = np.array([CHAIN_Z, np.multiply(CHAIN_Z, 3.7)]) * inner**alpha
+    return scales, intensities, inner
+
+
+def kernel_rows(params, size, seed):
+    """The far field's arguments of one kernel batch: one row per (serving tier, replication) on the
+    nearest distances that batch ``seed`` draws, as ``_kernel`` builds them."""
+    closest = simulator._draw(params, replication_rng(seed, 0), size)
+    radio = params.radio
+    powers = (radio.power_macro, radio.power_small)
+    gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
+    scale = radio.target_sir / np.array(gains)
+    return [scale * power for power in powers], (params.lambda_mc, params.lambda_sc), closest[:, None]
+
+
+class TestChainMoments:
+    @pytest.mark.parametrize("mean_points", [1.0, 30.0])
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("m", [13, 20, 30, 60])
+    def test_match_50_digit_arithmetic(self, m, alpha, mean_points):
+        """Every moment to 1e-12 absolute, for z from 1e-14 to 1e14 at the
+        nearest points and pathloss exponents down to 2.05, where the far
+        field's mean number of hitting points ``Lambda_M`` reaches 1e19."""
+        scales, intensities, inner = chain_rows(alpha, mean_points)
+        got = far_chain_moments(scales, intensities, alpha, inner, m)
+        assert got.shape == (len(CHAIN_Z), m) and not np.isnan(got).any()
+        for k, z in enumerate(CHAIN_Z):
+            exact = mp_far_z_moments(scales[:, k], intensities, alpha, inner[:, k], m)
+            assert np.abs(got[k] - exact).max() < 1e-12, z
+
+    @pytest.mark.parametrize("alpha", [2.05, 4.0])
+    @pytest.mark.parametrize("m", [1, 13, 60])
+    def test_moments_form_a_law(self, m, alpha):
+        """The unhit count's law sums to 1, and the moments lie in [0, 1] and never rise with j."""
+        scales, intensities, inner = chain_rows(alpha, 30.0)
+        z = scales * inner**-alpha
+        weights = np.array([math.pi * lam * (2.0 / alpha) * r**2 for lam, r in zip(intensities, inner)])
+        law = _unhit_law(z, weights, 2.0 / alpha, m)
+        assert (law >= 0.0).all()
+        np.testing.assert_allclose(law.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
+        got = far_chain_moments(scales, intensities, alpha, inner, m)
+        assert (got >= 0.0).all() and (got <= 1.0).all()
+        assert (np.diff(got, axis=-1) <= 0.0).all()
+
+    @pytest.mark.parametrize("case", ["defaults", "sparse-40-db", "pathloss-near-two"])
+    @pytest.mark.parametrize("m", [4, J_MAX])
+    def test_equal_the_alternating_sum_on_a_kernel_batch(self, m, case):
+        """Where both apply, the chain and ``far_z_moments(far_log_moments(...))`` agree to 1e-12 on
+        the rows of a kernel batch: the two routes to the far moments meet at ``J_MAX``."""
+        params = {
+            "defaults": DelayParams(max_attempts=m),
+            "sparse-40-db": DelayParams(
+                max_attempts=m, lambda_mc=2e-8, lambda_sc=3e-8, radio=RadioParams(target_sir=1e4)
+            ),
+            "pathloss-near-two": DelayParams(max_attempts=m, radio=RadioParams(pathloss_exponent=2.05)),
+        }[case]
+        args = (*kernel_rows(params, BATCH_SIZE, 5), m)
+        alpha = params.radio.pathloss_exponent
+        chain = far_chain_moments(args[0], args[1], alpha, args[2], m)
+        alternating = far_z_moments(far_log_moments(args[0], args[1], alpha, args[2], m))
+        assert chain.shape == alternating.shape == (2, BATCH_SIZE, m)
+        assert np.abs(chain - alternating).max() < 1e-12
+
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self):
+        """Each row's bits are the same in a call of 130 rows, three chunks, as alone."""
+        params = DelayParams(max_attempts=J_MAX + 3, lambda_mc=2e-8, lambda_sc=3e-8)
+        scales, intensities, inner = kernel_rows(params, 65, 9)
+        alpha, m = params.radio.pathloss_exponent, params.max_attempts
+        together = far_chain_moments(scales, intensities, alpha, inner, m)
+        for t in range(2):
+            for k in range(65):
+                alone = far_chain_moments([s[t, k] for s in scales], intensities, alpha, inner[:, 0, k], m)
+                assert np.array_equal(together[t, k], alone), (t, k)
 
 
 # (serving tier, macro points, small points): the server is point 0 of its tier
@@ -300,12 +410,10 @@ class TestNearKernelAgainstMaterialisedAnnulus:
         far_minus_log_q = materialised_annuli(
             serving_gain, params, inner, outer, annuli, np.random.default_rng(500 + geometry)
         )
-        # the annulus sampled, the plane beyond it averaged out: at unit signal and target the rival
-        # alone sets -log q
+        # the annulus sampled, the plane beyond it averaged out
         beyond = far_z_moments(far_log_moments(scales, lambdas, alpha, outer, m))
-        rival = np.expm1(near_minus_log_q + far_minus_log_q)
         sampled_attempts, sampled_outage = simulator._downlink(
-            np.ones(annuli), rival, [], 1.0, m, np.tile(beyond, (annuli, 1))
+            near_minus_log_q + far_minus_log_q, m, np.tile(beyond, (annuli, 1))
         )
         # the annulus must matter: its mean -log Q is a visible share of the total
         assert far_minus_log_q.mean() > 0.02 * near_minus_log_q
@@ -325,10 +433,9 @@ class TestNearKernelAgainstMaterialisedAnnulus:
     @pytest.mark.parametrize("m", range(1, J_MAX + 1))
     def test_far_path_matches_the_exact_binomial_expansion(self, m):
         """The recurrence is ``E[(1 - q Q)^k] = sum_j C(k, j) (1 - q)^(k-j) q^j
-        E[Z^j]`` to 1e-13 relative, for q from about 1e-14 to nearly 1. At unit
-        signal and target the rival alone sets ``-log q = log1p(rival)``. The
-        concave rows are the log-moments of the 5-20 km annulus: the plane
-        from 5 km less the plane from 20 km."""
+        E[Z^j]`` to 1e-13 relative, for q from about 1e-14 to nearly 1, with
+        ``-log q = log1p(rival)``. The concave rows are the log-moments of the
+        5-20 km annulus: the plane from 5 km less the plane from 20 km."""
         rng = np.random.default_rng(2000 + m)
         n = 40
         rival = np.expm1(np.geomspace(1e-12, 32.0, n))
@@ -339,8 +446,8 @@ class TestNearKernelAgainstMaterialisedAnnulus:
         shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
         far = shapes * 10.0 ** rng.uniform(-8.0, 0.7, (n, 1))
         z = far_z_moments(far)
-        attempts, outage = simulator._downlink(np.ones(n), rival, [], 1.0, m, z)
         minus_log_q = np.log1p(rival)
+        attempts, outage = simulator._downlink(minus_log_q, m, z)
         miss, q = -np.expm1(-minus_log_q), np.exp(-minus_log_q)
         for k in range(n):
             exact_attempts, exact_outage = exact_far_downlink(miss[k], q[k], z[k])
@@ -367,72 +474,56 @@ def replay_nearest(params, rng):
     ]
 
 
-def replay_interferers(params, rng, closest, radius):
-    """Per tier, the interferers that a whole-window batch of one draws next:
-    a Poisson count of points on ``r_t < |x| < radius`` with uniform squared
-    radii."""
-    interferers = []
-    for lam, r in zip((params.lambda_mc, params.lambda_sc), closest):
-        start = np.minimum([r], radius) ** 2
-        count = rng.poisson(lam * math.pi * (radius**2 - start))
-        interferers.append(np.sqrt(start + (radius**2 - start) * rng.random(int(count[0]))))
-    return interferers
-
-
-def point_set(radii, tier):
+def point_set(r, tier):
     """A tier's points at the given distances; the SIR reads no angle."""
-    r = np.concatenate(radii)
+    r = np.asarray(r, dtype=float)
     return PointSet(r, np.zeros_like(r), tier)
 
 
-def link(tier, macro, small, params, far=None):
-    """(attempts, outage, downlink, backhaul mean) of the kernel on one point set.
+def link(tier, closest, params):
+    """(attempts, outage, downlink, backhaul mean) of the kernel's model on each
+    tier's nearest point ``closest``, the plane beyond each averaged out.
 
-    ``far``, if given, holds the far log-moments of the serving tier. The
-    backhaul mean takes the router distance's mean on the plane,
-    ``1 / (2 sqrt(lambda_cr))``.
+    Up to ``J_MAX`` attempts ``downlink_delay`` takes the far log-moments;
+    above it ``_downlink`` takes the coverage chain's moments, on the ``-log
+    q`` of the other tier's nearest point. The backhaul mean takes the router
+    distance's mean on the plane, ``1 / (2 sqrt(lambda_cr))``.
     """
     radio = params.radio
-    serving = macro if tier is Tier.MACRO else small
-    intensity = params.lambda_mc if tier is Tier.MACRO else params.lambda_sc
-    index, _ = nearest(serving)
+    own = 0 if tier is Tier.MACRO else 1
+    intensity = (params.lambda_mc, params.lambda_sc)[own]
+    macro, small = (point_set([r], t) for r, t in zip(closest, (Tier.MACRO, Tier.SMALL_CELL)))
     gains = (
         _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
         _gains(small.r, radio.power_small, radio.pathloss_exponent),
     )
-    attempts, outage, downlink = downlink_delay(
-        tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
-    )
+    column = np.reshape(closest, (2, 1))
+    if params.max_attempts <= J_MAX:
+        index, _ = nearest(macro if own == 0 else small)
+        far = far_moments(column, column, own, params, params.max_attempts)[0]
+        attempts, outage, downlink = downlink_delay(
+            tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
+        )
+    else:
+        minus_log_q = np.log1p(radio.target_sir / gains[own] * gains[1 - own])
+        far = far_moments(column, column, own, params, params.max_attempts, far_chain_moments)
+        attempts, outage = (float(v[0]) for v in simulator._downlink(minus_log_q, params.max_attempts, far))
+        downlink = params.slot_ms * attempts
     router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
     backhaul = params.backhaul_beta * router_distance * (intensity / params.lambda_cr)
     return attempts, outage, downlink, backhaul
 
 
-def whole_window(params):
-    """Whether a config samples every point of its window: the far moments'
-    closed form is not checked for its ``max_attempts``."""
-    return params.max_attempts > J_MAX
-
-
-def far_moments(closest, inner, own, params, m):
-    """The far log-moments of serving tier ``own``, one row per replication:
-    ``closest`` holds each tier's nearest distances, one row per tier, and
-    ``inner`` where each tier's averaged-out field starts."""
+def far_moments(closest, inner, own, params, m, moments=far_log_moments):
+    """The far log-moments of serving tier ``own``, or the far field's other
+    ``moments`` from the same arguments, one row per replication: ``closest``
+    holds each tier's nearest distances, one row per tier, and ``inner``
+    where each tier's averaged-out field starts."""
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
     scale = radio.target_sir / _gains(closest[own], powers[own], radio.pathloss_exponent)
     lambdas = (params.lambda_mc, params.lambda_sc)
-    return far_log_moments([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
-
-
-def far_row(closest, own, params):
-    """The far log-moments of serving tier ``own`` in a batch of one, the
-    plane beyond each tier's nearest point, as the kernel computes them, or
-    None for a whole-window config."""
-    if whole_window(params):
-        return None
-    column = np.reshape(closest, (2, 1))
-    return far_moments(column, column, own, params, params.max_attempts)[0]
+    return moments([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
 
 
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
@@ -440,13 +531,12 @@ EDGE_CASES = {
     # sparse macro cells: the nearest one, drawn first, lies kilometres out and starts the macro
     # far field
     "sparse-serving-tier": (DelayParams(lambda_mc=2e-8), [MacroUser()]),
-    # so few macro cells that the nearest one mostly lies beyond a 20 km window, which an averaged
-    # config does not read: its far field starts there all the same
+    # so few macro cells that the nearest one mostly lies beyond 20 km: its far field starts there
     "tier-beyond-window": (DelayParams(lambda_mc=1e-10), [MIXPOP]),
     # few routers and far-flung small cells: routers are averaged out on the plane, not sampled,
     # so however sparse they move no far field
     "router-beyond": (DelayParams(lambda_cr=5e-8, lambda_sc=1e-7), [MIXPOP]),
-    # too many attempts for the expansion: every replication samples the whole window
+    # too many attempts for the alternating sum: the far moments come from the coverage chain
     "attempts-above-j-max": (DelayParams(max_attempts=J_MAX + 1), [MacroUser(), MIXPOP]),
     # a pathloss exponent near 2: the far field's excess decays slowest, and nothing cancels
     "pathloss-near-two": (DelayParams(radio=RadioParams(pathloss_exponent=2.05)), [MacroUser()]),
@@ -459,55 +549,34 @@ EDGE_CASES = {
         [MacroUser(), MIXPOP],
     ),
 }
-WHOLE_WINDOW = ("attempts-above-j-max",)
-
-
-def replay(params, seed, rep, window):
-    """The nearest distances and interferers that replication ``rep`` of a
-    batch of one draws, and the generator it should leave: interferers only
-    in a whole-window config."""
-    g = replication_rng(seed, rep)
-    closest = replay_nearest(params, g)
-    interferers = [np.empty(0), np.empty(0)]
-    if whole_window(params):
-        interferers = replay_interferers(params, g, closest, window.radius)
-    return closest, interferers, g
-
-
 @pytest.mark.parametrize("case", list(EDGE_CASES))
 def test_replication_replays_the_kernel_on_its_nearest_points(case):
     """Every replication runs the kernel, for every serving tier, on each
     tier's nearest point with the plane beyond it averaged out; it equals
-    ``downlink_delay`` on those points and that far field, compared with ==,
-    and leaves the stream where the replay does. An averaged config draws no
-    interferer; a whole-window config draws the window's and has no far
-    field."""
+    the model on those points and that far field (``link``), compared with
+    ==, and leaves the stream where the replay does: no config draws an
+    interferer."""
     params, scenarios = EDGE_CASES[case]
     cache = CacheConfig()
     cells = [Cell(scenario, params, cache) for scenario in scenarios]
-    window = Window(DEFAULT_WINDOW_RADIUS_M)
-    tiers = (Tier.MACRO, Tier.SMALL_CELL)
     serving_tiers = [Tier.MACRO if isinstance(s, MacroUser) else Tier.SMALL_CELL for s in scenarios]
-    points, outside = 0, 0
+    outside = 0
     for rep in range(40):
-        closest, interferers, replayed = replay(params, 71, rep, window)
+        replayed = replication_rng(71, rep)
+        closest = replay_nearest(params, replayed)
         g = replication_rng(71, rep)
-        samples = run_replication(cells, params, window, g)
+        samples = run_replication(cells, params, g)
         assert g.bit_generator.state == replayed.bit_generator.state, rep
-        points += sum(i.size for i in interferers)
-        outside += closest[0] > window.radius
-        near = [point_set(([r], i), tier) for r, i, tier in zip(closest, interferers, tiers)]
+        outside += closest[0] > DEFAULT_WINDOW_RADIUS_M
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
-            far = far_row(closest, tiers.index(tier), params)
-            attempts, outage, downlink, backhaul = link(tier, *near, params, far)
+            attempts, outage, downlink, backhaul = link(tier, closest, params)
             hit = 0.0
             if scenario == MIXPOP:
                 hit = hit_probability(CachePolicy.MIX_POP, cache, 1.45, B3Variant.INTEGRAL_CONSISTENT)
             tail = hit * params.cache_read_mean_ms + (1.0 - hit) * backhaul
             assert sample == DelaySample(downlink, tail, attempts, outage, hit), rep
-    assert (points > 0) == (case in WHOLE_WINDOW)  # an averaged config samples no interferer
     if case == "tier-beyond-window":
-        assert outside >= 3  # a macro server beyond the window
+        assert outside >= 3  # a macro server beyond 20 km
 
 
 def window_attempts(params, window, closest, own, rng, draws):
@@ -531,8 +600,7 @@ def window_attempts(params, window, closest, own, rng, draws):
         terms = np.log1p(radio.target_sir * power * radii**-alpha / gains[own][owner])
         minus_log_q += np.bincount(owner, weights=terms, minlength=rows.size)
     far = far_z_moments(far_moments(closest, np.maximum(closest, window.radius), own, params, m))
-    # at unit signal and target the rival alone sets -log q
-    attempts, _ = simulator._downlink(np.ones(rows.size), np.expm1(minus_log_q), [], 1.0, m, far[rows])
+    attempts, _ = simulator._downlink(minus_log_q, m, far[rows])
     return attempts.reshape(-1, draws).mean(axis=1)
 
 
@@ -552,7 +620,8 @@ def attempts_variance_bound(closest, own, params):
     z = far_z_moments(far_moments(closest, closest, own, params, 2 * m - 2))
     moments = [np.ones(closest.shape[1])]  # E[X^j], j = 0 .. 2M - 2
     for j in range(1, 2 * m - 1):
-        moments.append(simulator._downlink(gains[own], gains[1 - own], [], radio.target_sir, j, z[:, :j])[1])
+        minus_log_q = np.log1p(radio.target_sir / gains[own] * gains[1 - own])
+        moments.append(simulator._downlink(minus_log_q, j, z[:, :j])[1])
     second = sum((min(j, 2 * m - 2 - j) + 1) * x for j, x in enumerate(moments))
     return second - sum(moments[:m]) ** 2
 
@@ -568,7 +637,7 @@ def paired_attempts(params, window, seed, batches, draws):
     rng = np.random.default_rng(seed)
     for batch in range(batches):
         g = Recorder(replication_rng(seed, batch))
-        averaged.append(_simulate(cells, params, window, g, BATCH_SIZE)[:, 2])
+        averaged.append(_simulate(cells, params, g, BATCH_SIZE)[:, 2])
         closest = np.array([nearest_distance(lam, levels(g.log, t, BATCH_SIZE)) for t, lam in enumerate(lambdas)])
         sampled.append([window_attempts(params, window, closest, own, rng, draws) for own in (0, 1)])
         bounds.append([attempts_variance_bound(closest, own, params) / draws for own in (0, 1)])
@@ -619,17 +688,17 @@ def pinned_cells():
     ]
 
 
-@pytest.mark.parametrize("radius", [5000.0, DEFAULT_WINDOW_RADIUS_M, 1e200])
-def test_far_field_estimates(radius):
+def test_far_field_estimates():
     """Every replication averages out each tier's points on the plane beyond
-    its nearest point, so no window is read. These are the estimates at any
-    window, compared with ==. They were recorded on the batch streams, which
+    its nearest point, so no window is read. These are the estimates,
+    compared with ==, recorded when they ran at windows of 5 km, 20 km and
+    1e200 m alike. They were recorded on the batch streams, which
     hold the shift of the lattice of both tiers' nearest distances;
     ``test_batch`` holds every replication of such a batch to the same
     replication run alone on its share of the stream. The intervals are
     batch means over five batches, the last of 44 replications. The MixPop
     hit is the integral closed form, its catalogue ending at 1 + f0."""
-    got = estimate(pinned_cells(), Window(radius), 300, 2026, workers=1)
+    got = estimate(pinned_cells(), 300, 2026, workers=1)
     recorded = [
         (1.1282896200017778, 1.1250999404382043, 1.1314792995653513, 0.5065024665015652, 0.0),
         (1.436903583513356, 1.4330390567523452, 1.4407681102743666, 0.7864358563042091, 0.0),

@@ -14,7 +14,6 @@ from hetsim.geometry import (
     Window,
     mean_nearest_distance,
     nearest,
-    sample_beyond,
     sample_ppp,
 )
 from model_helpers import point_set_from_xy
@@ -91,39 +90,6 @@ class TestSamplePpp:
         radial_p = stats.kstest(ps.r**2 / 300.0**2, "uniform").pvalue
         assert angle_p > 0.01
         assert radial_p > 0.01
-
-
-class TestSampleBeyond:
-    def test_count_and_radial_law_with_a_nearest_point_per_sample(self):
-        # sample k: count mean lambda pi (radius^2 - closest_k^2), r^2 uniform on
-        # [closest_k^2, radius^2]; four nearest points, interleaved
-        outer = 300.0
-        nearest_points = [0.0, 200.0, 50.0, 150.0]
-        closest = np.tile(nearest_points, 500)
-        counts, r = sample_beyond(1e-2, closest, outer, rng(13))
-        assert counts.shape == closest.shape and r.size == counts.sum()
-        owner = np.repeat(np.arange(closest.size), counts)
-        for c, inner in enumerate(nearest_points):
-            group = np.arange(c, closest.size, len(nearest_points))
-            mu = 1e-2 * math.pi * (outer**2 - inner**2)
-            assert abs(counts[group].mean() - mu) < 3 * math.sqrt(mu / group.size), inner
-            radii = r[np.isin(owner, group)]
-            assert np.all((inner <= radii) & (radii < outer))
-            assert stats.kstest((radii**2 - inner**2) / (outer**2 - inner**2), "uniform").pvalue > 0.01
-
-    def test_empty_at_or_beyond_the_radius(self):
-        closest = np.array([100.0, 300.0, 450.0, 0.0])
-        counts, r = sample_beyond(1e-2, closest, 300.0, rng(5))
-        assert counts[1:3].tolist() == [0, 0]
-        assert counts[0] > 0 and counts[3] > 0 and r.size == counts.sum()
-
-    def test_empty_for_a_tier_with_no_point(self):
-        # the simulator marks a tier with no point in the window by an infinite nearest distance
-        closest = np.array([math.inf, 10.0, math.inf])
-        counts, r = sample_beyond(1e-2, closest, 300.0, rng(5))
-        assert counts[[0, 2]].tolist() == [0, 0]
-        assert counts[1] > 0 and r.size == counts[1]
-        assert np.all((10.0 <= r) & (r < 300.0))
 
 
 class TestNearest:

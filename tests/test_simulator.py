@@ -11,7 +11,7 @@ from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
 from hetsim import errors, simulator
 from hetsim.errors import InvalidParameterError
-from hetsim.geometry import PointSet, Tier, Window
+from hetsim.geometry import PointSet, Tier
 from hetsim.popularity import DistanceDependent, Fixed, LoadDependent, effective_eta
 from hetsim.simulator import (
     BATCH_SIZE,
@@ -31,7 +31,7 @@ from hetsim.simulator import (
 from model_helpers import point_set_from_xy
 from single_cell import estimate_one, kernel, pool_entries, replicate_one
 from sir_reference import reference_downlink, success_probability, truncated_geometric
-from stream_script import DRAWS, Recorder, draw, layout
+from stream_script import Recorder, shift
 from stream_script import levels as stratified_levels
 
 GAMMA_3DB = 10.0 ** 0.3
@@ -158,10 +158,9 @@ class TestDownlinkDelay:
 class TestRunReplication:
     def test_sample_invariants(self):
         params = small_params()
-        window = Window(6000.0)
         scenario = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
         for rep in range(200):
-            s = replicate_one(scenario, params, CacheConfig(), window, replication_rng(5, rep))
+            s = replicate_one(scenario, params, CacheConfig(), replication_rng(5, rep))
             assert 1 <= s.attempts <= params.max_attempts
             assert 0 <= s.outage <= 1
             assert s.downlink_ms == pytest.approx(params.slot_ms * s.attempts)
@@ -170,10 +169,9 @@ class TestRunReplication:
 
     def test_nocache_never_hits(self):
         params = small_params()
-        window = Window(6000.0)
         scenario = SmallUser(policy=CachePolicy.NO_CACHE, model=Fixed(1.45))
         samples = [
-            replicate_one(scenario, params, CacheConfig(), window, replication_rng(6, rep))
+            replicate_one(scenario, params, CacheConfig(), replication_rng(6, rep))
             for rep in range(100)
         ]
         assert not any(s.hit for s in samples)
@@ -181,18 +179,17 @@ class TestRunReplication:
     def test_macro_never_hits(self):
         params = small_params()
         samples = [
-            replicate_one(MacroUser(), params, CacheConfig(), Window(6000.0), replication_rng(7, rep))
+            replicate_one(MacroUser(), params, CacheConfig(), replication_rng(7, rep))
             for rep in range(50)
         ]
         assert not any(s.hit for s in samples)
 
     def test_hit_with_free_cache_read_has_zero_tail(self):
         params = small_params(cache_read_mean_ms=0.0)
-        window = Window(6000.0)
         # steepness 200 makes every request land in the popular head
         scenario = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(200.0))
         samples = [
-            replicate_one(scenario, params, CacheConfig(), window, replication_rng(8, rep))
+            replicate_one(scenario, params, CacheConfig(), replication_rng(8, rep))
             for rep in range(60)
         ]
         assert all(s.hit for s in samples)
@@ -202,10 +199,9 @@ class TestRunReplication:
         """The router distance is averaged out, so every replication's tail
         is the closed-form mean backhaul delay."""
         params = small_params()
-        window = Window(8000.0)
         expected = mean_backhaul(params.lambda_mc, params.lambda_cr, params.backhaul_beta)
         for rep in range(BATCH_SIZE):
-            sample = replicate_one(MacroUser(), params, CacheConfig(), window, replication_rng(9, rep))
+            sample = replicate_one(MacroUser(), params, CacheConfig(), replication_rng(9, rep))
             assert sample.tail_ms == pytest.approx(expected, rel=1e-12, abs=0.0), rep
 
     @pytest.mark.parametrize(
@@ -236,27 +232,15 @@ class TestRunReplication:
     )
     def test_draws_only_the_geometry(self, members):
         # the replication stream is exactly the macro and small-cell geometry, whether or not a
-        # cell caches: the shift of a lattice of one point, which is both tiers' levels of the
-        # nearest distance; then, only where the whole window is sampled, per tier the count and
-        # radii of the other points, with no angle; no router and no request is drawn (the
-        # recorder offers no other kind of draw)
-        window = Window(5000.0)
+        # cell caches and on either side of J_MAX: the shift of a lattice of one point, which is
+        # both tiers' levels of the nearest distance, and nothing more; no interferer, router or
+        # request is drawn (the recorder offers no other kind of draw)
         for rep, max_attempts in itertools.product(range(5), (4, J_MAX + 1)):
             params = small_params(max_attempts=max_attempts)
             cells = [Cell(scenario, params, cache) for scenario, cache in members]
             g = Recorder(replication_rng(13, rep))
-            run_replication(cells, params, window, g)
-            assert layout(g.log) == (DRAWS if max_attempts > J_MAX else DRAWS[:1])
-            kinds = {"shift": "random", "counts": "poisson", "radii": "random"}
-            for kind, tier in layout(g.log):
-                recorded_kind, lam, size, _ = draw(g.log, kind, tier)
-                assert recorded_kind == kinds[kind], (rep, kind, tier)
-                if kind == "counts":
-                    assert (lam.shape, size) == ((1,), None)
-                elif kind == "radii":
-                    assert size == int(draw(g.log, "counts", tier)[3][0])
-                else:
-                    assert size == 2
+            run_replication(cells, params, g)
+            assert shift(g.log).shape == (2,)
 
     def test_tail_is_the_mean_given_geometry_and_request(self):
         """The router distance and the request are averaged out: the tail is
@@ -265,7 +249,6 @@ class TestRunReplication:
         and p is the MixPop hit probability averaged over the popularity
         law, its cache edges at 1 + S_p = 10.5 and 1 + f0 = 501."""
         params = small_params()
-        window = Window(5000.0)
         cache = CacheConfig()
         cells = [
             Cell(MacroUser(), params, cache),
@@ -275,7 +258,7 @@ class TestRunReplication:
         router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
         mixpop = (1.0 - 10.5**-0.45) + 90.0 / 490.5 * (10.5**-0.45 - 501.0**-0.45)
         for rep in range(20):
-            samples = run_replication(cells, params, window, replication_rng(19, rep))
+            samples = run_replication(cells, params, replication_rng(19, rep))
             for cell, sample in zip(cells, samples):
                 intensity = params.lambda_mc if isinstance(cell.scenario, MacroUser) else params.lambda_sc
                 backhaul_mean = params.backhaul_beta * router_distance * intensity / params.lambda_cr
@@ -284,15 +267,15 @@ class TestRunReplication:
                 expected = p * params.cache_read_mean_ms + (1 - p) * backhaul_mean
                 assert sample.tail_ms == pytest.approx(expected, rel=1e-12)
 
-    def test_nearest_point_beyond_the_window_serves(self):
-        """A tier's nearest point is kept wherever it falls; a whole-window config's window
-        bounds only its other points."""
-        params = small_params(lambda_mc=1e-12, max_attempts=J_MAX + 1)
+    @pytest.mark.parametrize("max_attempts", [4, J_MAX + 1])
+    def test_a_nearest_point_far_out_serves(self, max_attempts):
+        """A tier's nearest point is kept wherever it falls, here hundreds of kilometres out, and the
+        plane beyond it is averaged out on either side of ``J_MAX``."""
+        params = small_params(lambda_mc=1e-12, max_attempts=max_attempts)
         g = Recorder(replication_rng(1, 0))
-        sample = replicate_one(MacroUser(), params, CacheConfig(), Window(100.0), g)
+        sample = replicate_one(MacroUser(), params, CacheConfig(), g)
         levels = stratified_levels(g.log, 0, 1)
-        assert np.sqrt(-np.log1p(-levels) / (math.pi * params.lambda_mc))[0] > 100.0
-        assert draw(g.log, "counts", 0)[1] == 0  # no other macro cell: beyond the window
+        assert np.sqrt(-np.log1p(-levels) / (math.pi * params.lambda_mc))[0] > 100_000.0
         assert all(math.isfinite(v) for v in (sample.downlink_ms, sample.attempts, sample.outage))
         assert sample.outage == pytest.approx(1.0, abs=1e-9)
 
@@ -300,16 +283,16 @@ class TestRunReplication:
 class TestEstimate:
     def test_single_replication_degenerate_interval(self):
         # below two batches the interval takes the per-replication standard deviation, 0 for one
-        est = estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 1, 3)
+        est = estimate_one(MacroUser(), small_params(), CacheConfig(), 1, 3)
         assert est.ci_low_ms == est.mean_ms == est.ci_high_ms
         assert est.replications == 1
 
     def test_replications_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
-            estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 0, 3)
+            estimate_one(MacroUser(), small_params(), CacheConfig(), 0, 3)
 
     def test_same_seed_same_result(self):
-        args = (MacroUser(), small_params(), CacheConfig(), Window(5000.0), 400, 17)
+        args = (MacroUser(), small_params(), CacheConfig(), 400, 17)
         assert estimate_one(*args) == estimate_one(*args)
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
@@ -318,7 +301,6 @@ class TestEstimate:
             SmallUser(policy=CachePolicy.MIX_POP, model=LoadDependent()),
             small_params(),
             CacheConfig(),
-            Window(5000.0),
             7000,
             23,
         )
@@ -330,7 +312,7 @@ class TestEstimate:
 
     def test_thread_env_var_respected(self, monkeypatch):
         # three kernel calls, more than two workers
-        args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 4200, 5)
+        args = (MacroUser(), small_params(), CacheConfig(), 4200, 5)
         entered = pool_entries(monkeypatch)
         monkeypatch.setenv("HETSIM_THREADS", "1")
         one = estimate_one(*args)
@@ -342,7 +324,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_explicit_nonpositive_workers_rejected(self, workers):
-        args = (MacroUser(), small_params(), CacheConfig(), Window(4000.0), 30, 5)
+        args = (MacroUser(), small_params(), CacheConfig(), 30, 5)
         with pytest.raises(InvalidParameterError, match="workers"):
             estimate_one(*args, workers=workers)
 
@@ -364,7 +346,7 @@ class TestEstimate:
 
     def test_batch_boundaries_do_not_depend_on_workers(self, monkeypatch):
         """A full kernel call of 32 batches, then two full batches and a
-        short one, for each of two parameter sets at 20 km: the pool runs the
+        short one, for each of two parameter sets: the pool runs the
         four calls, and each batch still reads its own stream."""
         params = small_params()
         cells = [
@@ -377,9 +359,9 @@ class TestEstimate:
             ),
         ]
         replications = simulator.KERNEL_BUDGET + 2 * BATCH_SIZE + 5
-        sequential = estimate(cells, Window(20_000.0), replications, 89, workers=1)
+        sequential = estimate(cells, replications, 89, workers=1)
         entered = pool_entries(monkeypatch)
-        pooled = estimate(cells, Window(20_000.0), replications, 89, workers=3)
+        pooled = estimate(cells, replications, 89, workers=3)
         assert len(entered) == 1
         assert sequential == pooled
         assert all(est.replications == replications for est in pooled)
@@ -394,7 +376,7 @@ class TestEstimate:
         assert len({tuple(d) for d in first_draws}) == len(first_draws)
 
     def test_ci_brackets_mean(self):
-        est = estimate_one(MacroUser(), small_params(), CacheConfig(), Window(5000.0), 500, 29)
+        est = estimate_one(MacroUser(), small_params(), CacheConfig(), 500, 29)
         assert est.ci_low_ms <= est.mean_ms <= est.ci_high_ms
         assert 0.0 <= est.outage_rate <= 1.0
         assert est.hit_rate == 0.0
@@ -408,7 +390,6 @@ class TestEstimate:
                 SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
                 small_params(),
                 bad,
-                Window(5000.0),
                 10,
                 1,
             )
@@ -417,7 +398,7 @@ class TestEstimate:
         """beta = mu_ca = 0 isolates the downlink; its mean must sit on the
         exact conditional-moment value, which the closed form undershoots."""
         params = small_params(backhaul_beta=0.0, cache_read_mean_ms=0.0)
-        est = estimate_one(MacroUser(), params, CacheConfig(), Window(10_000.0), 12_000, 41)
+        est = estimate_one(MacroUser(), params, CacheConfig(), 12_000, 41)
         se = (est.ci_high_ms - est.mean_ms) / ci_quantile(est.replications)
         exact = oracle.FROZEN["exact_downlink_macro_ms"]
         assert abs(est.mean_ms - exact) < 3.5 * se
@@ -426,7 +407,7 @@ class TestEstimate:
 
     def test_outage_rate_consistent_with_coverage_at_single_attempt(self):
         params = small_params(max_attempts=1)
-        est = estimate_one(MacroUser(), params, CacheConfig(), Window(8000.0), 8000, 47)
+        est = estimate_one(MacroUser(), params, CacheConfig(), 8000, 47)
         expected = oracle.FROZEN["coverage_macro"]
         se = math.sqrt(expected * (1 - expected) / est.replications)
         assert abs((1.0 - est.outage_rate) - expected) < 3.5 * se
@@ -441,7 +422,7 @@ class TestEstimate:
     )
     def test_hit_rate_matches_integral_closed_form(self, scenario, expected_key):
         params = small_params()
-        est = estimate_one(scenario, params, CacheConfig(), Window(5000.0), 4000, 53)
+        est = estimate_one(scenario, params, CacheConfig(), 4000, 53)
         if expected_key:
             expected = oracle.FROZEN[expected_key]
         else:
@@ -453,30 +434,20 @@ class TestEstimate:
 
     def test_paired_seed_caching_reduces_delay(self):
         params = small_params()
-        window = Window(6000.0)
         nocache = estimate_one(
             SmallUser(policy=CachePolicy.NO_CACHE, model=Fixed(1.45)),
-            params, CacheConfig(), window, 2500, 61,
+            params, CacheConfig(), 2500, 61,
         )
         mixpop = estimate_one(
             SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
-            params, CacheConfig(), window, 2500, 61,
+            params, CacheConfig(), 2500, 61,
         )
         assert mixpop.mean_ms < nocache.mean_ms
 
-    def test_doubling_the_window_leaves_the_mean_unchanged(self):
-        """An averaged config runs on the plane and reads no window: its estimates at 5 km,
-        doubled, at 20 km and at 1e200 m are one estimate, compared with ==."""
-        params = small_params()
-        cells = [Cell(scenario, params, CacheConfig()) for scenario in (MacroUser(), SmallUser())]
-        runs = [estimate(cells, Window(radius), 700, 67, workers=1) for radius in (5000.0, 10_000.0, 20_000.0, 1e200)]
-        assert runs[0] == runs[1] == runs[2] == runs[3]
-
     def test_doubling_beta_doubles_macro_tail(self):
-        window = Window(6000.0)
-        base = estimate_one(MacroUser(), small_params(), CacheConfig(), window, 4000, 73)
+        base = estimate_one(MacroUser(), small_params(), CacheConfig(), 4000, 73)
         doubled = estimate_one(
-            MacroUser(), small_params(backhaul_beta=2e-3), CacheConfig(), window, 4000, 73
+            MacroUser(), small_params(backhaul_beta=2e-3), CacheConfig(), 4000, 73
         )
         # identical streams: downlink part is shared, tails scale by 2
         base_tail = base.mean_ms - oracle.FROZEN["exact_downlink_macro_ms"]
@@ -504,10 +475,9 @@ class TestConfidenceInterval:
     @pytest.mark.parametrize("replications", [2, 17, BATCH_SIZE])
     def test_below_two_batches_the_replications_standard_deviation(self, replications):
         params = small_params()
-        window = Window(5000.0)
         cell = Cell(MacroUser(), params, CacheConfig())
-        est = estimate([cell], window, replications, 3, workers=1)[0]
-        downlink, tail = _simulate([cell], params, window, replication_rng(3, 0), replications)[0, :2]
+        est = estimate([cell], replications, 3, workers=1)[0]
+        downlink, tail = _simulate([cell], params, replication_rng(3, 0), replications)[0, :2]
         totals = downlink + tail
         half = CI_Z * totals.std(ddof=1) / math.sqrt(replications)
         assert ci_quantile(replications) == CI_Z
@@ -531,7 +501,7 @@ class TestHitIsTheIntegralClosedForm:
         eta = effective_eta(model, params.lambda_sc, params.lambda_ut)
         expected = hit_probability(policy, cache, eta, B3Variant.INTEGRAL_CONSISTENT)
         cells = [Cell(SmallUser(policy=policy, model=model), params, cache)]
-        hits = _simulate(cells, params, Window(20_000.0), replication_rng(89, 0), BATCH_SIZE)[0, 4]
+        hits = _simulate(cells, params, replication_rng(89, 0), BATCH_SIZE)[0, 4]
         assert hits.tolist() == [expected] * BATCH_SIZE
 
     @pytest.mark.parametrize("policy", list(CACHES), ids=lambda policy: policy.value)
@@ -539,10 +509,9 @@ class TestHitIsTheIntegralClosedForm:
         # metre-scale cells (mean serving distance 2 m), so the steepness varies per replication
         params = small_params(lambda_cr=0.005, lambda_mc=0.01, lambda_sc=0.0625, lambda_ut=0.125)
         cache = CACHES[policy]
-        window = Window(60.0)  # not read: the stream holds the lattice's shift only
         scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
         g = Recorder(replication_rng(97, 0))
-        hits = _simulate([Cell(scenario, params, cache)], params, window, g, BATCH_SIZE)[0, 4]
+        hits = _simulate([Cell(scenario, params, cache)], params, g, BATCH_SIZE)[0, 4]
         # the lattice's shift gives the small-cell tier's levels and nearest distances
         levels = stratified_levels(g.log, 1, BATCH_SIZE)
         assert sorted(np.floor(levels * BATCH_SIZE).tolist()) == list(range(BATCH_SIZE))  # one per stratum
@@ -567,14 +536,13 @@ class TestDistanceModes:
             lambda_ut=0.125,
             backhaul_beta=1e-3,
         )
-        window = Window(60.0)
         averaged = estimate_one(
             SmallUser(
                 policy=CachePolicy.MIX_POP,
                 model=DistanceDependent(),
                 distance_mode=DistanceMode.AVERAGED,
             ),
-            params, CacheConfig(), window, 4000, 79,
+            params, CacheConfig(), 4000, 79,
         )
         per_user = estimate_one(
             SmallUser(
@@ -582,7 +550,7 @@ class TestDistanceModes:
                 model=DistanceDependent(),
                 distance_mode=DistanceMode.PER_USER,
             ),
-            params, CacheConfig(), window, 4000, 79,
+            params, CacheConfig(), 4000, 79,
         )
         assert per_user.hit_rate < averaged.hit_rate - 0.02
 
@@ -596,22 +564,21 @@ class TestDistanceModes:
             policy=CachePolicy.MIX_POP, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER
         )
         with caplog.at_level("WARNING", logger="hetsim.popularity"):
-            estimate_one(scenario, params, CacheConfig(), Window(60.0), 4000, 79, workers=1)
+            estimate_one(scenario, params, CacheConfig(), 4000, 79, workers=1)
         clamps = [r.getMessage() for r in caplog.records if r.name == "hetsim.popularity"]
         assert len(clamps) == 1 and "clamping" in clamps[0]
 
     def test_per_user_mode_irrelevant_for_fixed_model(self):
         params = small_params()
-        window = Window(5000.0)
         base = estimate_one(
             SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)),
-            params, CacheConfig(), window, 500, 83,
+            params, CacheConfig(), 500, 83,
         )
         per_user = estimate_one(
             SmallUser(
                 policy=CachePolicy.MIX_POP, model=Fixed(1.45), distance_mode=DistanceMode.PER_USER
             ),
-            params, CacheConfig(), window, 500, 83,
+            params, CacheConfig(), 500, 83,
         )
         assert base.mean_ms == per_user.mean_ms
 
@@ -647,27 +614,25 @@ class TestMultiCell:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_estimate_matches_one_cell_estimates(self, workers, monkeypatch):
         # two kernel calls for each of the two parameter sets: at 3 workers the pool runs all four
-        window = Window(5000.0)
         cells = self.mixed_cells()
-        alone = [estimate_one(c.scenario, c.params, c.cache, window, 2100, 31, workers=1) for c in cells]
+        alone = [estimate_one(c.scenario, c.params, c.cache, 2100, 31, workers=1) for c in cells]
         entered = pool_entries(monkeypatch)
-        together = estimate(cells, window, 2100, 31, workers=workers)
+        together = estimate(cells, 2100, 31, workers=workers)
         assert len(entered) == (workers > 1)
         assert together == alone
 
     def test_run_replication_matches_one_cell_runs(self):
-        window = Window(5000.0)
         cells = [c for c in self.mixed_cells() if c.params == small_params()]
         params = cells[0].params
         for rep in range(40):
-            together = run_replication(cells, params, window, replication_rng(37, rep))
+            together = run_replication(cells, params, replication_rng(37, rep))
             alone = [
-                replicate_one(c.scenario, params, c.cache, window, replication_rng(37, rep))
+                replicate_one(c.scenario, params, c.cache, replication_rng(37, rep))
                 for c in cells
             ]
             assert together == alone
 
-    # a config that samples the whole window, so points are drawn beside caching cells, and sparse
+    # far moments from the coverage chain beside caching cells, and sparse
     # tiers whose far fields start kilometres out
     FALLBACK_PARAMS = {
         "attempts-above-j-max": small_params(max_attempts=J_MAX + 1),
@@ -678,7 +643,6 @@ class TestMultiCell:
     @pytest.mark.parametrize("case", list(FALLBACK_PARAMS))
     def test_fallback_replications_match_one_cell_runs(self, case):
         params = self.FALLBACK_PARAMS[case]
-        window = Window(20_000.0)
         cache = CacheConfig()
         cells = [
             Cell(MacroUser(), params, cache),
@@ -686,9 +650,9 @@ class TestMultiCell:
             Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
         ]
         for rep in range(12):
-            together = run_replication(cells, params, window, replication_rng(43, rep))
+            together = run_replication(cells, params, replication_rng(43, rep))
             alone = [
-                replicate_one(c.scenario, params, c.cache, window, replication_rng(43, rep))
+                replicate_one(c.scenario, params, c.cache, replication_rng(43, rep))
                 for c in cells
             ]
             assert together == alone, rep
@@ -697,20 +661,19 @@ class TestMultiCell:
     @pytest.mark.parametrize("case", list(FALLBACK_PARAMS))
     def test_fallback_estimates_match_one_cell_estimates(self, case, workers, monkeypatch):
         params = self.FALLBACK_PARAMS[case]
-        # four kernel calls, more than three workers: one batch each where the whole window is sampled
-        replications = 4 * BATCH_SIZE if params.max_attempts > J_MAX else 3 * simulator.KERNEL_BUDGET + 1
-        window = Window(20_000.0)
+        # four kernel calls, more than three workers
+        replications = 3 * simulator.KERNEL_BUDGET + 1
         cache = CacheConfig()
         cells = [
             Cell(MacroUser(), params, cache),
             Cell(SmallUser(policy=CachePolicy.NO_CACHE), params, cache),
             Cell(SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45)), params, cache),
         ]
-        alone = [estimate_one(c.scenario, c.params, c.cache, window, replications, 47, workers=1) for c in cells]
+        alone = [estimate_one(c.scenario, c.params, c.cache, replications, 47, workers=1) for c in cells]
         entered = pool_entries(monkeypatch)
-        together = estimate(cells, window, replications, 47, workers=workers)
+        together = estimate(cells, replications, 47, workers=workers)
         assert len(entered) == (workers > 1)
         assert together == alone
 
     def test_empty_cell_list_gives_no_estimates(self):
-        assert estimate([], Window(5000.0), 10, 1) == []
+        assert estimate([], 10, 1) == []
