@@ -67,9 +67,9 @@ class DelayParams:
     def __post_init__(self):
         if not self.slot_ms > 0:
             raise InvalidParameterError(f"slot must be positive, got {self.slot_ms}")
-        if not (isinstance(self.max_attempts, int) and self.max_attempts >= 1):
+        if not (isinstance(self.max_attempts, int) and 1 <= self.max_attempts <= MAX_ATTEMPTS_LIMIT):
             raise InvalidParameterError(
-                f"max attempts must be a positive integer, got {self.max_attempts}"
+                f"max_attempts must be an integer in [1, {MAX_ATTEMPTS_LIMIT}], got {self.max_attempts}"
             )
         if self.backhaul_beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {self.backhaul_beta}")

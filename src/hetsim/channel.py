@@ -1,7 +1,9 @@
 """Radio parameters of the two tiers: transmit powers, pathloss and the SIR target.
 
-The SIR model that uses them is ``simulator.downlink_delay``;
-the closed forms in ``analytics`` read the same parameters.
+The simulator's SIR model uses them: its kernel on each tier's nearest
+points with the plane beyond averaged out, and ``simulator.downlink_delay``
+on one fixed geometry; the closed forms in ``analytics`` read the same
+parameters.
 """
 
 from __future__ import annotations

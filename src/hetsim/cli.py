@@ -43,12 +43,12 @@ def run_sweep(config: ExperimentConfig, theory_only: bool = False) -> list[Sweep
     """
     cases = []  # (value, label, theory_ms, hit_rate_theory), in row order
     cells: list[Cell] = []
+    scenarios = [(label, parse_scenario(label, config)) for label in config.scenarios]  # no label reads the value
     for value in config.sweep_grid:
         try:
             params = config.delay_params(value)
             cache = config.cache_config(value)
-            for label in config.scenarios:
-                scenario = parse_scenario(label, config)
+            for label, scenario in scenarios:
                 if isinstance(scenario, MacroUser):
                     theory = avg_delay_macro(params)
                 else:

@@ -21,10 +21,9 @@ points, which are interferers only. Beyond it the tier is again a PPP on
 the plane, which is averaged out, exactly, given the nearest points,
 through its probability generating functional, so no interferer is sampled
 and no window is read. The far field enters through the moments ``E[Z^j]``
-of ``Z = 1 - Q``: up to ``J_MAX`` attempts from the PGFL's log-moments
-(``far_log_moments``, ``far_z_moments``), above it from a coverage chain
-(``far_chain_moments``). Every serving tier of a replication runs on the
-same points.
+of ``Z = 1 - Q`` (``far_moments``): at few attempts from the PGFL's
+log-moments (``far_log_moments``, ``far_z_moments``), at many from a
+coverage chain. Every serving tier of a replication runs on the same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications are drawn in batches of ``BATCH_SIZE``, each from its own
@@ -82,12 +81,12 @@ from .analytics import DelayParams, rho_terms
 # on the worker count
 BATCH_SIZE = 64
 # replications one kernel call holds, 32 whole batches, so the config alone sizes every call
-# (estimate); a call's chain matrices are built one batch at a time (far_chain_moments)
+# (estimate); a call's chain matrices are built one batch at a time (far_moments)
 KERNEL_BUDGET = 2048
 # largest max_attempts whose far moments come from the alternating sum (far_z_moments): its error
 # grows with the moment (3.4e-15 at 12, 2.4e-14 at 15, 2.9e-13 at 19 on TestZMoments' inputs; 9.4e-14
 # at 12 on a kernel batch at the defaults).
-# Above it the coverage chain (far_chain_moments) gives them to about 1e-15 at any max_attempts, but
+# Above it far_moments takes them from the coverage chain, to about 1e-15 at any max_attempts, but
 # 8 to 11 times slower; both estimate the model on the plane
 J_MAX = 12
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
@@ -213,8 +212,8 @@ def far_z_moments(log_moments: Sequence[float] | np.ndarray) -> np.ndarray:
     ``E[Z^j] = E[(1 - Q)^(j-1) (1 - Q)] = sum_{k<j} C(j-1, k) (-1)^k d_(k+1)``.
     The sum runs column by column, element by element, so a row's bits do not
     depend on the rows beside it. It alternates, and cancels more as j grows,
-    so above ``J_MAX`` moments ``far_chain_moments`` takes over. Since ``Z``
-    lies in [0, 1], a moment that rounds below 0 is returned as 0.
+    so at many moments ``far_moments`` takes them from a chain instead. Since
+    ``Z`` lies in [0, 1], a moment that rounds below 0 is returned as 0.
     """
     lam = np.asarray(log_moments, dtype=float)
     previous = np.concatenate((np.zeros_like(lam[..., :1]), lam[..., :-1]), axis=-1)
@@ -269,7 +268,7 @@ def _chain_rates(z: np.ndarray, weights: np.ndarray, delta: float, m: int) -> np
 
 def _unhit_law(z: np.ndarray, weights: np.ndarray, delta: float, m: int) -> np.ndarray:
     """The law of the number of coordinates that no far point hits, ``p_u`` for u = 0..m, one row
-    per column of ``z`` (``far_chain_moments``).
+    per column of ``z`` (``far_moments``).
 
     The chain starts at ``m`` unhit coordinates and jumps ``u -> u - d`` at rate ``C(u, d) I(d, u -
     d)`` (``_chain_rates``) for unit time. Its generator ``G`` has the diagonal ``-Lambda_u``, so
@@ -300,29 +299,33 @@ def _unhit_law(z: np.ndarray, weights: np.ndarray, delta: float, m: int) -> np.n
     return power[:, m].copy()  # not a view, which would keep every batch's matrices alive
 
 
-def far_chain_moments(
+def far_moments(
     scales: Sequence[float] | Sequence[np.ndarray],
     intensities: Sequence[float],
     alpha: float,
     inner: float | Sequence[np.ndarray],
     max_attempts: int,
 ) -> np.ndarray:
-    """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, in positive terms at any M.
+    """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, at any M: the far field's moments for ``_downlink``.
 
     Takes ``far_log_moments``' arguments and returns ``far_z_moments``'
-    result. Treat the M attempts as M coordinates: each far point hits each
-    coordinate on its own with probability ``h = s r^-alpha / (1 + s
-    r^-alpha)``, so ``Q = prod (1 - h)`` and ``Z^j`` is the probability that
-    j given coordinates are all hit. By Poisson colouring, the points that
-    hit exactly ``d`` of ``u`` unhit coordinates form a PPP of mean ``I(d, u
-    - d)``, with ``I(d, l) = int h^d (1 - h)^l dmu = sum_t pi lambda_t r_t^2
-    delta z_t^delta B_x(d - delta, l + delta)`` over each tier's plane beyond
-    ``inner_t``, ``z_t = s_t inner_t^-alpha`` and ``delta = 2 / alpha``. So
-    the unhit count is a chain (``_unhit_law``), and by symmetry ``E[Z^j] =
-    sum_u p_u C(M - u, j) / C(M, j)``. The chain's matrices are built one
-    ``BATCH_SIZE`` of rows at a time. Since ``Z`` lies in [0, 1], a moment
-    that rounds above 1 is returned as 1.
+    result: up to ``J_MAX`` attempts, ``far_z_moments(far_log_moments(...))``.
+    Above it that alternating sum cancels too much, and the moments come in
+    positive terms instead. Treat the M attempts as M coordinates: each far
+    point hits each coordinate on its own with probability ``h = s r^-alpha
+    / (1 + s r^-alpha)``, so ``Q = prod (1 - h)`` and ``Z^j`` is the
+    probability that j given coordinates are all hit. By Poisson colouring,
+    the points that hit exactly ``d`` of ``u`` unhit coordinates form a PPP
+    of mean ``I(d, u - d)``, with ``I(d, l) = int h^d (1 - h)^l dmu = sum_t
+    pi lambda_t r_t^2 delta z_t^delta B_x(d - delta, l + delta)`` over each
+    tier's plane beyond ``inner_t``, ``z_t = s_t inner_t^-alpha`` and
+    ``delta = 2 / alpha``. So the unhit count is a chain (``_unhit_law``),
+    and by symmetry ``E[Z^j] = sum_u p_u C(M - u, j) / C(M, j)``. The
+    chain's matrices are built one ``BATCH_SIZE`` of rows at a time. Since
+    ``Z`` lies in [0, 1], a moment that rounds above 1 is returned as 1.
     """
+    if max_attempts <= J_MAX:
+        return far_z_moments(far_log_moments(scales, intensities, alpha, inner, max_attempts))
     scales = np.asarray(scales, dtype=float)
     inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)
     delta = 2.0 / alpha
@@ -344,8 +347,7 @@ def _downlink(
 
     This is ``downlink_delay``'s model. ``minus_log_q[k]`` is ``-log q`` of
     replication ``k``'s sampled points. ``far``, if given, holds one row of
-    far moments ``E[Z^j]`` (``far_z_moments``, ``far_chain_moments``) per
-    replication.
+    far moments ``E[Z^j]`` (``far_moments``) per replication.
 
     Row j of the table ``t`` starts as ``q^j E[Z^j]``, 0 for j >= 1 without
     a far field, and each attempt maps it to ``(1 - q) t_j + t_(j+1)``, so
@@ -373,36 +375,27 @@ def downlink_delay(
     target_sir: float,
     slot_ms: float,
     max_attempts: int,
-    far: Sequence[float] | None = None,
 ) -> tuple[float, float, float]:
     """The retransmission protocol over one fixed geometry, fading averaged out exactly.
 
-    This is the package's SIR model of the typical user at the origin. The
-    gain arrays hold each point's received power under unit fading
-    (``_gains``). The network is interference-limited: an attempt succeeds
-    when the serving power over the summed power of every other point of
-    both tiers clears ``target_sir``. Fading powers are i.i.d. Exp(1) per
-    point and attempt, so given the geometry every attempt succeeds with
+    This is the SIR model of the typical user at the origin, every point
+    sampled and none averaged out. The gain arrays hold each point's
+    received power under unit fading (``_gains``). The network is
+    interference-limited: an attempt succeeds when the serving power over
+    the summed power of every other point of both tiers clears
+    ``target_sir``. Fading powers are i.i.d. Exp(1) per point and attempt,
+    so given the geometry every attempt succeeds with
     ``q = prod_{j != serving} 1 / (1 + target_sir * g_j / g_serving)``.
     Returns (expected attempts ``sum_{k<M} (1-q)^k``, outage probability
     ``(1-q)^M``, ``slot_ms * attempts``) for M = ``max_attempts``; every
     attempt costs a slot. Draws no random number. The simulator runs the
-    same model over a batch of replications at once (``_downlink``).
-
-    ``far``, if given, holds ``Lambda_i = -log E[Q^i]`` for i = 1..M
-    (``far_log_moments``) of an unsampled far field whose factor ``Q``
-    multiplies the sampled ``q``. Its powers are then averaged out exactly
-    in ``Z = 1 - Q``, since ``1 - q Q = (1 - q) + q Z`` has non-negative
-    terms: ``E[(1 - q Q)^k]`` follows from ``E[Z^j]`` (``far_z_moments``).
+    same model over a batch of replications at once (``_downlink``), with
+    every point beyond each tier's nearest one averaged out (``far_moments``).
     """
     own = 0 if serving_tier is Tier.MACRO else 1
     gains = [macro_gains, small_gains]
     if not 0 <= serving_index < gains[own].size:
         raise InvalidParameterError(f"serving index {serving_index} outside its tier")
-    if far is not None:
-        if not len(far) == max_attempts <= J_MAX:
-            raise InvalidParameterError(f"far field needs {max_attempts} <= {J_MAX} moments")
-        far = far_z_moments(np.array([far], dtype=float))
     scale = target_sir / gains[own][serving_index : serving_index + 1]
     gains[own] = np.delete(gains[own], serving_index)
     # the other tier's strongest point enters first, as the kernel's nearest rival does
@@ -412,7 +405,7 @@ def downlink_delay(
         rival = gains[1 - own][strongest : strongest + 1]
         gains[1 - own] = np.delete(gains[1 - own], strongest)
     minus_log_q = np.log1p(scale * rival) + sum(np.log1p(scale * g).sum() for g in gains)
-    attempts, outage = _downlink(minus_log_q, max_attempts, far)
+    attempts, outage = _downlink(minus_log_q, max_attempts)
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
@@ -464,11 +457,7 @@ def _kernel(cells: Sequence[Cell], params: DelayParams, closest: np.ndarray) -> 
     serving = sorted(set(owns))
     # every serving tier's far moments in one call, one row per (serving tier, replication)
     scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
-    args = ([scale * power for power in powers], lambdas, alpha, closest[:, None], params.max_attempts)
-    if params.max_attempts <= J_MAX:
-        moments = far_z_moments(far_log_moments(*args))
-    else:
-        moments = far_chain_moments(*args)
+    moments = far_moments([scale * power for power in powers], lambdas, alpha, closest[:, None], params.max_attempts)
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
     for own, own_scale, own_moments in zip(serving, scale, moments):
         minus_log_q = np.log1p(own_scale * closest_gains[1 - own])  # the other tier's nearest point

@@ -1,8 +1,10 @@
 """Explicit SIR references that the tests hold the production kernel to.
 
-``simulator.downlink_delay`` is the package's only SIR code: it averages
-the Rayleigh fading out of the retransmission protocol, summing
-``log1p`` terms over a gain vector per tier. The helpers here recompute
+``simulator.downlink_delay`` is the package's SIR model on one fixed
+geometry, every point sampled: it averages the Rayleigh fading out of the
+retransmission protocol, summing ``log1p`` terms over a gain vector per
+tier, and runs ``simulator._downlink``, the recurrence the kernel runs with
+the far field averaged out. The helpers here recompute
 the model from its definition, one point at a time in scalar Python, from
 Cartesian coordinates rather than the stored radii: the per-attempt SIR,
 the protocol itself with fading drawn on every attempt, and the exact

@@ -291,6 +291,7 @@ class TestDelayParams:
             {"slot_ms": 0.0},
             {"max_attempts": 0},
             {"max_attempts": 2.5},
+            {"max_attempts": 61},
             {"backhaul_beta": -1.0},
             {"cache_read_mean_ms": -0.1},
             {"lambda_cr": 0.0},

@@ -317,6 +317,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
 
+    def test_attempts_beyond_the_limit_are_a_config_error_naming_them(self, tmp_path, capsys):
+        # the parameter set rejects them on load, before any sweep value is read
+        path = tmp_path / "attempts.json"
+        path.write_text(json.dumps({"max_attempts": 61}))
+        code = main(["--config", str(path), "--theory-only"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "max_attempts" in err and "sweep" not in err
+
     def test_negative_seed_flag_is_config_error(self, capsys):
         code = main(["--theory-only", "--seed", "-1"])
         assert code == EXIT_CONFIG

@@ -2,11 +2,12 @@
 
 ``simulator.far_log_moments`` is held to quadrature and to 40-digit
 hypergeometric values, ``simulator.far_z_moments`` to 50-digit arithmetic
-and to its row-by-row loop, and ``simulator.far_chain_moments``, the far
-moments above ``J_MAX``, to 50-digit arithmetic and to ``far_z_moments``
-where both apply; the kernel's far path is held to the exact binomial
-expansion, and ``downlink_delay`` fed with them to annuli sampled point by
-point with the plane beyond averaged out; every replication of
+and to its row-by-row loop, and ``simulator.far_moments``' coverage chain,
+the far moments above ``J_MAX``, to 50-digit arithmetic and to
+``far_z_moments`` where both apply; the kernel's far path is held to the
+exact binomial expansion, and ``_downlink`` fed with ``far_moments`` to
+annuli sampled point by point with the plane beyond averaged out, on either
+side of ``J_MAX``; every replication of
 ``run_replication`` is held, on a replayed stream, to the kernel run on each
 tier's nearest point with the plane beyond averaged out, for every serving
 tier; and the averaged-out estimates are held to a window sampled point by
@@ -24,8 +25,7 @@ from scipy import integrate
 from hetsim.analytics import DelayParams
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
-from hetsim.errors import InvalidParameterError
-from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, PointSet, Tier, Window, nearest, nearest_distance
+from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, Tier, Window, nearest_distance
 from hetsim.popularity import Fixed
 from hetsim import simulator
 from hetsim.simulator import (
@@ -38,10 +38,9 @@ from hetsim.simulator import (
     _gains,
     _simulate,
     _unhit_law,
-    downlink_delay,
     estimate,
-    far_chain_moments,
     far_log_moments,
+    far_moments,
     far_z_moments,
     replication_rng,
     run_replication,
@@ -304,7 +303,7 @@ class TestChainMoments:
         nearest points and pathloss exponents down to 2.05, where the far
         field's mean number of hitting points ``Lambda_M`` reaches 1e19."""
         scales, intensities, inner = chain_rows(alpha, mean_points)
-        got = far_chain_moments(scales, intensities, alpha, inner, m)
+        got = far_moments(scales, intensities, alpha, inner, m)
         assert got.shape == (len(CHAIN_Z), m) and not np.isnan(got).any()
         for k, z in enumerate(CHAIN_Z):
             exact = mp_far_z_moments(scales[:, k], intensities, alpha, inner[:, k], m)
@@ -312,23 +311,26 @@ class TestChainMoments:
 
     @pytest.mark.parametrize("alpha", [2.05, 4.0])
     @pytest.mark.parametrize("m", [1, 13, 60])
-    def test_moments_form_a_law(self, m, alpha):
-        """The unhit count's law sums to 1, and the moments lie in [0, 1] and never rise with j."""
+    def test_moments_form_a_law(self, m, alpha, monkeypatch):
+        """The unhit count's law sums to 1, and the chain's moments lie in [0, 1] and never rise with
+        j; ``J_MAX`` at 0 sends every M, 1 too, to the chain."""
+        monkeypatch.setattr(simulator, "J_MAX", 0)
         scales, intensities, inner = chain_rows(alpha, 30.0)
         z = scales * inner**-alpha
         weights = np.array([math.pi * lam * (2.0 / alpha) * r**2 for lam, r in zip(intensities, inner)])
         law = _unhit_law(z, weights, 2.0 / alpha, m)
         assert (law >= 0.0).all()
         np.testing.assert_allclose(law.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
-        got = far_chain_moments(scales, intensities, alpha, inner, m)
+        got = far_moments(scales, intensities, alpha, inner, m)
         assert (got >= 0.0).all() and (got <= 1.0).all()
         assert (np.diff(got, axis=-1) <= 0.0).all()
 
     @pytest.mark.parametrize("case", ["defaults", "sparse-40-db", "pathloss-near-two"])
     @pytest.mark.parametrize("m", [4, J_MAX])
-    def test_equal_the_alternating_sum_on_a_kernel_batch(self, m, case):
+    def test_equal_the_alternating_sum_on_a_kernel_batch(self, m, case, monkeypatch):
         """Where both apply, the chain and ``far_z_moments(far_log_moments(...))`` agree to 1e-12 on
-        the rows of a kernel batch: the two routes to the far moments meet at ``J_MAX``."""
+        the rows of a kernel batch: the two routes to the far moments meet at ``J_MAX``. ``J_MAX`` at
+        0 sends ``far_moments`` to the chain."""
         params = {
             "defaults": DelayParams(max_attempts=m),
             "sparse-40-db": DelayParams(
@@ -338,8 +340,9 @@ class TestChainMoments:
         }[case]
         args = (*kernel_rows(params, BATCH_SIZE, 5), m)
         alpha = params.radio.pathloss_exponent
-        chain = far_chain_moments(args[0], args[1], alpha, args[2], m)
         alternating = far_z_moments(far_log_moments(args[0], args[1], alpha, args[2], m))
+        monkeypatch.setattr(simulator, "J_MAX", 0)
+        chain = far_moments(args[0], args[1], alpha, args[2], m)
         assert chain.shape == alternating.shape == (2, BATCH_SIZE, m)
         assert np.abs(chain - alternating).max() < 1e-12
 
@@ -348,10 +351,10 @@ class TestChainMoments:
         params = DelayParams(max_attempts=J_MAX + 3, lambda_mc=2e-8, lambda_sc=3e-8)
         scales, intensities, inner = kernel_rows(params, 65, 9)
         alpha, m = params.radio.pathloss_exponent, params.max_attempts
-        together = far_chain_moments(scales, intensities, alpha, inner, m)
+        together = far_moments(scales, intensities, alpha, inner, m)
         for t in range(2):
             for k in range(65):
-                alone = far_chain_moments([s[t, k] for s in scales], intensities, alpha, inner[:, 0, k], m)
+                alone = far_moments([s[t, k] for s in scales], intensities, alpha, inner[:, 0, k], m)
                 assert np.array_equal(together[t, k], alone), (t, k)
 
 
@@ -380,11 +383,16 @@ def materialised_annuli(serving_gain, params, inner, outer, annuli, rng, chunk=2
 
 
 class TestNearKernelAgainstMaterialisedAnnulus:
+    @pytest.mark.parametrize("max_attempts", [4, 13, 30])
     @pytest.mark.parametrize("alpha", [4.0, 3.5])
     @pytest.mark.parametrize("geometry", range(len(NEAR_GEOMETRIES)))
-    def test_mean_attempts_and_outage(self, alpha, geometry):
+    def test_mean_attempts_and_outage(self, alpha, geometry, max_attempts):
+        """The points nearer than ``inner`` with the plane beyond averaged out (``far_moments``)
+        equal on average the same points with the annulus out to ``outer`` sampled point by point and
+        the plane beyond that averaged out, on either side of ``J_MAX``: at 13 and 30 attempts both
+        sides take the coverage chain's moments."""
         serving_tier, macro_xy, small_xy = NEAR_GEOMETRIES[geometry]
-        params = DelayParams(radio=RadioParams(pathloss_exponent=alpha))
+        params = DelayParams(max_attempts=max_attempts, radio=RadioParams(pathloss_exponent=alpha))
         radio = params.radio
         inner, outer, annuli = 350.0, 1000.0, 100_000
         macro = point_set_from_xy(macro_xy, Tier.MACRO)
@@ -397,38 +405,37 @@ class TestNearKernelAgainstMaterialisedAnnulus:
         scales = (scale * radio.power_macro, scale * radio.power_small)
         lambdas = (params.lambda_mc, params.lambda_sc)
         m = params.max_attempts
-        far = far_log_moments(scales, lambdas, alpha, inner, m)  # the plane beyond the inner radius
-        attempts, outage, _ = downlink_delay(
-            serving_tier, 0, macro_gains, small_gains, radio.target_sir, 0.1, m, far
-        )
-
         near_minus_log_q = sum(
             math.log1p(radio.target_sir * g / serving_gain)
             for g in [*macro_gains, *small_gains]
             if g != serving_gain
         )
+        # the plane beyond the inner radius averaged out
+        far = far_moments(scales, lambdas, alpha, inner, m)
+        attempts, outage = simulator._downlink(np.array([near_minus_log_q]), m, far[None])
+
         far_minus_log_q = materialised_annuli(
             serving_gain, params, inner, outer, annuli, np.random.default_rng(500 + geometry)
         )
         # the annulus sampled, the plane beyond it averaged out
-        beyond = far_z_moments(far_log_moments(scales, lambdas, alpha, outer, m))
+        beyond = far_moments(scales, lambdas, alpha, outer, m)
         sampled_attempts, sampled_outage = simulator._downlink(
             near_minus_log_q + far_minus_log_q, m, np.tile(beyond, (annuli, 1))
         )
         # the annulus must matter: its mean -log Q is a visible share of the total
         assert far_minus_log_q.mean() > 0.02 * near_minus_log_q
-        for exact, sampled in ((attempts, sampled_attempts), (outage, sampled_outage)):
+        for exact, sampled in ((attempts[0], sampled_attempts), (outage[0], sampled_outage)):
             se = sampled.std(ddof=1) / math.sqrt(annuli)
             assert abs(sampled.mean() - exact) < 4 * se, (exact, sampled.mean(), se)
 
     def test_empty_annulus_reproduces_the_near_kernel(self):
-        """Lambda = 0 means Q = 1: the expansion collapses to the plain kernel, bit for bit."""
-        macro = point_set_from_xy([(100.0, 0.0), (0.0, 140.0)], Tier.MACRO)
-        small = point_set_from_xy([(60.0, 90.0)], Tier.SMALL_CELL)
-        gains = (_gains(macro.r, 20.0, 4.0), _gains(small.r, 2.0, 4.0))
-        for m in (1, 4, J_MAX):
-            plain = downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m)
-            assert downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m, [0.0] * m) == plain
+        """E[Z^j] = 0 means Q = 1: the expansion collapses to the plain kernel, bit for bit, for q
+        from nearly 1 to about 1e-3."""
+        minus_log_q = np.log1p(GAMMA_3DB * np.geomspace(1e-12, 300.0, 9))
+        for m in (1, 4, J_MAX, J_MAX + 1):
+            plain = simulator._downlink(minus_log_q, m)
+            empty = simulator._downlink(minus_log_q, m, np.zeros((minus_log_q.size, m)))
+            assert all(np.array_equal(a, b) for a, b in zip(empty, plain)), m
 
     @pytest.mark.parametrize("m", range(1, J_MAX + 1))
     def test_far_path_matches_the_exact_binomial_expansion(self, m):
@@ -454,13 +461,6 @@ class TestNearKernelAgainstMaterialisedAnnulus:
             assert attempts[k] == pytest.approx(float(exact_attempts), rel=1e-13, abs=0.0), k
             assert outage[k] == pytest.approx(float(exact_outage), rel=1e-13, abs=0.0), k
 
-    def test_far_moments_need_one_per_attempt_up_to_j_max(self):
-        macro = point_set_from_xy([(100.0, 0.0)], Tier.MACRO)
-        gains = (_gains(macro.r, 20.0, 4.0), np.empty(0))
-        for m, far in ((4, [0.0] * 3), (J_MAX + 1, [0.0] * (J_MAX + 1))):
-            with pytest.raises(InvalidParameterError):
-                downlink_delay(Tier.MACRO, 0, *gains, GAMMA_3DB, 0.1, m, far)
-
 
 def replay_nearest(params, rng):
     """Per tier (macro, then small cells), the nearest distance that a batch
@@ -474,56 +474,39 @@ def replay_nearest(params, rng):
     ]
 
 
-def point_set(r, tier):
-    """A tier's points at the given distances; the SIR reads no angle."""
-    r = np.asarray(r, dtype=float)
-    return PointSet(r, np.zeros_like(r), tier)
-
-
 def link(tier, closest, params):
     """(attempts, outage, downlink, backhaul mean) of the kernel's model on each
     tier's nearest point ``closest``, the plane beyond each averaged out.
 
-    Up to ``J_MAX`` attempts ``downlink_delay`` takes the far log-moments;
-    above it ``_downlink`` takes the coverage chain's moments, on the ``-log
-    q`` of the other tier's nearest point. The backhaul mean takes the router
+    ``_downlink`` takes the far moments (``far_moments``) on the ``-log q``
+    of the other tier's nearest point. The backhaul mean takes the router
     distance's mean on the plane, ``1 / (2 sqrt(lambda_cr))``.
     """
     radio = params.radio
     own = 0 if tier is Tier.MACRO else 1
     intensity = (params.lambda_mc, params.lambda_sc)[own]
-    macro, small = (point_set([r], t) for r, t in zip(closest, (Tier.MACRO, Tier.SMALL_CELL)))
-    gains = (
-        _gains(macro.r, radio.power_macro, radio.pathloss_exponent),
-        _gains(small.r, radio.power_small, radio.pathloss_exponent),
-    )
+    powers = (radio.power_macro, radio.power_small)
+    gains = [_gains(np.array([r]), power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
     column = np.reshape(closest, (2, 1))
-    if params.max_attempts <= J_MAX:
-        index, _ = nearest(macro if own == 0 else small)
-        far = far_moments(column, column, own, params, params.max_attempts)[0]
-        attempts, outage, downlink = downlink_delay(
-            tier, index, *gains, radio.target_sir, params.slot_ms, params.max_attempts, far
-        )
-    else:
-        minus_log_q = np.log1p(radio.target_sir / gains[own] * gains[1 - own])
-        far = far_moments(column, column, own, params, params.max_attempts, far_chain_moments)
-        attempts, outage = (float(v[0]) for v in simulator._downlink(minus_log_q, params.max_attempts, far))
-        downlink = params.slot_ms * attempts
+    minus_log_q = np.log1p(radio.target_sir / gains[own] * gains[1 - own])
+    far = serving_far_moments(column, column, own, params, params.max_attempts)
+    attempts, outage = (float(v[0]) for v in simulator._downlink(minus_log_q, params.max_attempts, far))
+    downlink = params.slot_ms * attempts
     router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
     backhaul = params.backhaul_beta * router_distance * (intensity / params.lambda_cr)
     return attempts, outage, downlink, backhaul
 
 
-def far_moments(closest, inner, own, params, m, moments=far_log_moments):
-    """The far log-moments of serving tier ``own``, or the far field's other
-    ``moments`` from the same arguments, one row per replication: ``closest``
-    holds each tier's nearest distances, one row per tier, and ``inner``
-    where each tier's averaged-out field starts."""
+def serving_far_moments(closest, inner, own, params, m):
+    """The far moments ``E[Z^j]`` (``far_moments``) of serving tier ``own``,
+    one row per replication: ``closest`` holds each tier's nearest
+    distances, one row per tier, and ``inner`` where each tier's
+    averaged-out field starts."""
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
     scale = radio.target_sir / _gains(closest[own], powers[own], radio.pathloss_exponent)
     lambdas = (params.lambda_mc, params.lambda_sc)
-    return moments([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
+    return far_moments([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
 
 
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
@@ -582,7 +565,7 @@ def test_replication_replays_the_kernel_on_its_nearest_points(case):
 def window_attempts(params, window, closest, own, rng, draws):
     """Per replication, the expected attempts of serving tier ``own`` with
     each tier's points on ``(r_t, W)`` sampled point by point and the plane
-    beyond averaged out, fed as the far log-moments of each tier beyond
+    beyond averaged out, fed as the far moments of each tier beyond
     ``max(r_t, W)``: the mean over ``draws`` independent samples of those
     points, all on the replication's nearest points ``closest``."""
     radio = params.radio
@@ -599,7 +582,7 @@ def window_attempts(params, window, closest, own, rng, draws):
         radii = np.sqrt(start[owner] + width[owner] * rng.random(owner.size))
         terms = np.log1p(radio.target_sir * power * radii**-alpha / gains[own][owner])
         minus_log_q += np.bincount(owner, weights=terms, minlength=rows.size)
-    far = far_z_moments(far_moments(closest, np.maximum(closest, window.radius), own, params, m))
+    far = serving_far_moments(closest, np.maximum(closest, window.radius), own, params, m)
     attempts, _ = simulator._downlink(minus_log_q, m, far[rows])
     return attempts.reshape(-1, draws).mean(axis=1)
 
@@ -617,7 +600,7 @@ def attempts_variance_bound(closest, own, params):
     m = params.max_attempts
     powers = (radio.power_macro, radio.power_small)
     gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
-    z = far_z_moments(far_moments(closest, closest, own, params, 2 * m - 2))
+    z = serving_far_moments(closest, closest, own, params, 2 * m - 2)
     moments = [np.ones(closest.shape[1])]  # E[X^j], j = 0 .. 2M - 2
     for j in range(1, 2 * m - 1):
         minus_log_q = np.log1p(radio.target_sir / gains[own] * gains[1 - own])
