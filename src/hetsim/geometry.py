@@ -1,9 +1,10 @@
 """Homogeneous Poisson point processes on a disc and nearest-point queries.
 
 The typical user sits at the origin; the base-station tiers are independent
-PPPs on the plane. The simulator draws each tier's nearest distance from
-its plane law (``nearest_distance``) and averages the tier's other points
-out on the plane; routers, a PPP on the plane, enter only through
+PPPs on the plane. The simulator draws each tier's nearest point as the
+mean number of the tier's points nearer than it, ``pi lambda r^2``, which
+is Exp(1) at any intensity, and averages the tier's other points out on the
+plane; routers, a PPP on the plane, enter only through
 ``mean_nearest_distance``. No simulated point is sampled on a window.
 
 Points are stored in polar form: the origin-centric queries and the SIR
@@ -75,13 +76,6 @@ def sample_ppp(
     theta = rng.random(n)
     theta *= 2.0 * np.pi
     return PointSet(r=r, theta=theta, tier=tier)
-
-
-def nearest_distance(intensity: float, levels: np.ndarray) -> np.ndarray:
-    """Distance from the origin to the nearest point of a plane PPP, at the
-    given probability levels: the inverse of ``P(R <= r) = 1 - exp(-pi
-    intensity r^2)`` (Andrews, Baccelli and Ganti 2011, section III)."""
-    return np.sqrt(-np.log1p(-levels) / (math.pi * intensity))
 
 
 def nearest(point_set: PointSet) -> tuple[int, float]:

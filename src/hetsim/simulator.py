@@ -15,21 +15,25 @@ over the popularity law to ``caching.hit_probability`` in its integral
 variant, at the cell's steepness or, in per-user distance mode, at the
 replication's.
 
-Each tier's nearest distance is drawn first, from its exact law
-(``geometry.nearest_distance``), and kept apart from the tier's other
-points, which are interferers only. Beyond it the tier is again a PPP on
-the plane, which is averaged out, exactly, given the nearest points,
-through its probability generating functional, so no interferer is sampled
-and no window is read. The far field enters through the moments ``E[Z^j]``
-of ``Z = 1 - Q`` (``far_moments``): at few attempts from the PGFL's
-log-moments (``far_log_moments``, ``far_z_moments``), at many from a
-coverage chain. Every serving tier of a replication runs on the same points.
+Each tier's nearest point is drawn first, as the mean number of the
+tier's points nearer than it, ``a_t = pi lambda_t r_t^2``, Exp(1) at any
+intensity (``_draw``), and kept apart from the tier's other points, which
+are interferers only. Beyond it the tier is again a PPP on the plane, which
+is averaged out, exactly, given the nearest points, through its probability
+generating functional, so no interferer is sampled and no window is read.
+The SIR depends on the intensities only through their ratio, so no
+distance or gain enters the downlink. The far field enters through the
+moments ``E[Z^j]`` of ``Z = 1 - Q`` (``far_moments``): at few attempts
+from the PGFL's log-moments (``far_log_moments``, ``far_z_moments``), at
+many from a coverage chain. Every serving tier of a replication runs on the
+same points.
 
 A cell is one (scenario, cache config) pair at one parameter set.
 Replications are drawn in batches of ``BATCH_SIZE``, each from its own
-stream and lattice (``_draw``). The nearest distances of a batch
-of ``n`` replications are the points of a randomly shifted rank-1 lattice
-(Cranley and Patterson 1976): tier ``t``'s level in replication ``k`` is
+stream and lattice (``_draw``). A tier's count is ``-log(1 - U)`` at a
+level ``U``, and the levels of a batch of ``n`` replications are the
+points of a randomly shifted rank-1 lattice (Cranley and Patterson 1976):
+tier ``t``'s level in replication ``k`` is
 ``frac(k g_t / n + shift_t)`` for the generator ``g = (1, a_n)``
 (``_lattice_generator``) and one uniform shift per tier and batch. Each
 tier's levels hold one point in each of the ``n`` equal-probability strata,
@@ -63,7 +67,7 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta, betaincc, hyp2f1
@@ -72,7 +76,7 @@ from scipy.special import beta, betaincc, hyp2f1
 # or runs over arrays; perfbench/tracer.py wraps them under these names
 from .caching import B3Variant, CacheConfig, CachePolicy, hit_probability, is_hit, require_valid  # noqa: F401
 from .errors import InvalidConfigError, InvalidParameterError, NumericalError
-from .geometry import Tier, mean_nearest_distance, nearest_distance
+from .geometry import Tier, mean_nearest_distance
 from .geometry import nearest, sample_ppp  # noqa: F401
 from .popularity import DistanceDependent, Fixed, PopularityModel, effective_eta, sample_request  # noqa: F401
 from .analytics import DelayParams, rho_terms
@@ -155,43 +159,28 @@ class DelayEstimate:
     hit_rate: float
 
 
-def _gains(radius: np.ndarray, power: float, alpha: float) -> np.ndarray:
-    """Received-power coefficients power * r^(-alpha) for unit fading."""
-    if alpha == 4.0:  # dominant case; avoids a large pow() bill
-        r4 = radius * radius
-        r4 *= r4  # (r^2)^2, not r**4: every recorded estimate rests on this rounding
-        return np.divide(power, r4, out=r4)
-    return power * radius**-alpha
-
-
 def far_log_moments(
-    scales: Sequence[float] | Sequence[np.ndarray],
-    intensities: Sequence[float],
+    z: Sequence[float] | Sequence[np.ndarray],
+    mean_points: Sequence[float] | Sequence[np.ndarray],
     alpha: float,
-    inner: float | Sequence[np.ndarray],
     max_attempts: int,
 ) -> np.ndarray:
     """``Lambda_i = -log E[Q^i]`` for i = 1..max_attempts, exactly.
 
-    ``Q = prod_j 1 / (1 + s_t r_j^-alpha)`` runs over the points of
-    independent PPPs of the given intensities, tier ``t`` on the plane
-    beyond ``inner_t`` and scaled by ``scales[t]``. By the PGFL (Andrews,
-    Baccelli and Ganti 2011), ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 +
-    s_t r^-alpha)^-i) r dr`` from ``inner_t`` to infinity, which is ``pi
-    lambda_t r^2 E_i(s_t r^-alpha)`` at ``r = inner_t`` with the excess
-    ``E_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha; -z) - 1``, summed as positive
-    ``rho_k`` terms (``analytics.rho_terms``); for ``alpha > 2``, ``r^2
-    E_i(s r^-alpha)`` vanishes as ``r`` grows, so the far end adds nothing.
-    ``inner`` is one radius for every tier, or one per tier and replication
-    (in the simulator, each tier's nearest point). Returns one row of the M
-    log-moments for float scales, and one row per replication for scales
-    that are arrays over replications.
+    ``Q = prod_j 1 / (1 + h_j)`` runs over the points of independent PPPs
+    on the plane beyond a disc each, tier ``t``'s points with ``h = z_t (r /
+    r_t)^-alpha`` beyond ``r_t``, a disc that holds ``mean_points[t] = pi
+    lambda_t r_t^2`` of them on average. By the PGFL (Andrews, Baccelli and
+    Ganti 2011), ``Lambda_i = sum_t 2 pi lambda_t int (1 - (1 + h)^-i) r dr``
+    from ``r_t`` to infinity, which is ``a_t E_i(z_t)`` with ``a_t =
+    mean_points[t]`` and the excess ``E_i(z) = 2F1(i, -2/alpha; 1 - 2/alpha;
+    -z) - 1``, summed as positive ``rho_k`` terms (``analytics.rho_terms``);
+    for ``alpha > 2`` the far end adds nothing. Each ``z_t`` and ``a_t`` is
+    a float or an array over replications; returns one row of the M
+    log-moments for floats, and one row per replication otherwise.
     """
-    scales = np.asarray(scales, dtype=float)
-    inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)  # (tier, [replication])
-    excess = np.cumsum(rho_terms(scales * inner**-alpha, alpha, max_attempts), axis=-1)
-    area = inner[..., None] ** 2 * excess
-    return sum(math.pi * lam * tier for lam, tier in zip(intensities, area))
+    excess = (np.cumsum(rho_terms(t, alpha, max_attempts), axis=-1) for t in z)
+    return sum(np.asarray(a, dtype=float)[..., None] * e for a, e in zip(mean_points, excess))
 
 
 @functools.cache
@@ -300,10 +289,9 @@ def _unhit_law(z: np.ndarray, weights: np.ndarray, delta: float, m: int) -> np.n
 
 
 def far_moments(
-    scales: Sequence[float] | Sequence[np.ndarray],
-    intensities: Sequence[float],
+    z: Sequence[float] | Sequence[np.ndarray],
+    mean_points: Sequence[float] | Sequence[np.ndarray],
     alpha: float,
-    inner: float | Sequence[np.ndarray],
     max_attempts: int,
 ) -> np.ndarray:
     """``E[Z^j]`` for ``Z = 1 - Q`` and j = 1..M, at any M: the far field's moments for ``_downlink``.
@@ -312,32 +300,32 @@ def far_moments(
     result: up to ``J_MAX`` attempts, ``far_z_moments(far_log_moments(...))``.
     Above it that alternating sum cancels too much, and the moments come in
     positive terms instead. Treat the M attempts as M coordinates: each far
-    point hits each coordinate on its own with probability ``h = s r^-alpha
-    / (1 + s r^-alpha)``, so ``Q = prod (1 - h)`` and ``Z^j`` is the
-    probability that j given coordinates are all hit. By Poisson colouring,
-    the points that hit exactly ``d`` of ``u`` unhit coordinates form a PPP
-    of mean ``I(d, u - d)``, with ``I(d, l) = int h^d (1 - h)^l dmu = sum_t
-    pi lambda_t r_t^2 delta z_t^delta B_x(d - delta, l + delta)`` over each
-    tier's plane beyond ``inner_t``, ``z_t = s_t inner_t^-alpha`` and
-    ``delta = 2 / alpha``. So the unhit count is a chain (``_unhit_law``),
-    and by symmetry ``E[Z^j] = sum_u p_u C(M - u, j) / C(M, j)``. The
-    chain's matrices are built one ``BATCH_SIZE`` of rows at a time. Since
-    ``Z`` lies in [0, 1], a moment that rounds above 1 is returned as 1.
+    point hits each coordinate on its own with probability ``h / (1 + h)``,
+    so ``Q = prod (1 - h / (1 + h))`` and ``Z^j`` is the probability that j
+    given coordinates are all hit. By Poisson colouring, the points that hit
+    exactly ``d`` of ``u`` unhit coordinates form a PPP of mean ``I(d, u -
+    d)``, with ``I(d, l) = int (h / (1 + h))^d (1 / (1 + h))^l dmu = sum_t
+    a_t delta z_t^delta B_x(d - delta, l + delta)`` (``_chain_rates``) over
+    each tier's plane beyond its disc of ``a_t`` mean points, and ``delta =
+    2 / alpha``. So the unhit count is a chain (``_unhit_law``), and by
+    symmetry ``E[Z^j] = sum_u p_u C(M - u, j) / C(M, j)``. The chain's
+    matrices are built one ``BATCH_SIZE`` of rows at a time. Since ``Z``
+    lies in [0, 1], a moment that rounds above 1 is returned as 1.
     """
     if max_attempts <= J_MAX:
-        return far_z_moments(far_log_moments(scales, intensities, alpha, inner, max_attempts))
-    scales = np.asarray(scales, dtype=float)
-    inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)
+        return far_z_moments(far_log_moments(z, mean_points, alpha, max_attempts))
     delta = 2.0 / alpha
-    z = (scales * inner**-alpha).reshape(len(scales), -1)  # (tier, row)
-    weights = np.array([math.pi * lam * delta * r**2 for lam, r in zip(intensities, inner)]).reshape(z.shape)
-    batches = [slice(k, k + BATCH_SIZE) for k in range(0, z.shape[1], BATCH_SIZE)]
+    shape = np.broadcast_shapes(*map(np.shape, z), *map(np.shape, mean_points))
+    rows = math.prod(shape)
+    z = np.array([np.broadcast_to(t, shape).reshape(rows) for t in z])  # (tier, row)
+    weights = delta * np.array([np.broadcast_to(a, shape).reshape(rows) for a in mean_points], dtype=float)
+    batches = [slice(k, k + BATCH_SIZE) for k in range(0, rows, BATCH_SIZE)]
     law = np.concatenate([_unhit_law(z[:, b], weights[:, b], delta, max_attempts) for b in batches])
     *_, hits = _chain_layout(max_attempts)
-    moments = np.zeros((law.shape[0], max_attempts))
+    moments = np.zeros((rows, max_attempts))
     for u, hit in enumerate(hits):  # C(M - u, j) / C(M, j): j given coordinates all among M - u hit
         moments += law[:, u, None] * hit
-    return np.minimum(moments, 1.0).reshape(scales.shape[1:] + (max_attempts,))
+    return np.minimum(moments, 1.0).reshape(shape + (max_attempts,))
 
 
 def _downlink(
@@ -370,8 +358,8 @@ def _downlink(
 def downlink_delay(
     serving_tier: Tier,
     serving_index: int,
-    macro_gains: np.ndarray,
-    small_gains: np.ndarray,
+    macro: np.ndarray,
+    small: np.ndarray,
     target_sir: float,
     slot_ms: float,
     max_attempts: int,
@@ -379,8 +367,8 @@ def downlink_delay(
     """The retransmission protocol over one fixed geometry, fading averaged out exactly.
 
     This is the SIR model of the typical user at the origin, every point
-    sampled and none averaged out. The gain arrays hold each point's
-    received power under unit fading (``_gains``). The network is
+    sampled and none averaged out. ``macro`` and ``small`` hold each point's
+    received power under unit fading, ``power * r^-alpha``. The network is
     interference-limited: an attempt succeeds when the serving power over
     the summed power of every other point of both tiers clears
     ``target_sir``. Fading powers are i.i.d. Exp(1) per point and attempt,
@@ -393,7 +381,7 @@ def downlink_delay(
     every point beyond each tier's nearest one averaged out (``far_moments``).
     """
     own = 0 if serving_tier is Tier.MACRO else 1
-    gains = [macro_gains, small_gains]
+    gains = [macro, small]
     if not 0 <= serving_index < gains[own].size:
         raise InvalidParameterError(f"serving index {serving_index} outside its tier")
     scale = target_sir / gains[own][serving_index : serving_index + 1]
@@ -428,43 +416,48 @@ def _lattice_generator(n: int) -> int:
     return int(a[np.argmin(b[np.outer(a, k) % n] @ b)])
 
 
-def _draw(params: DelayParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Each tier's nearest distances in one batch of ``size`` replications, one row per tier and one
-    column per replication, read from its stream as the module docstring sets out."""
+def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Each tier's mean point count ``a = pi lambda r^2`` within its nearest point in a batch of
+    ``size`` replications, one row per tier (macro, small cells) and one column per replication, read
+    from its stream as the module docstring sets out: ``P(a > x) = e^-x``, the chance that a disc of
+    ``x`` mean points holds none (Andrews, Baccelli and Ganti 2011), so ``a = -log(1 - U)``."""
     # a randomly shifted rank-1 lattice: tier t's level in replication k is frac(k g_t / size + shift_t)
     shift = rng.random(2)
     steps = np.outer((1, _lattice_generator(size)), np.arange(size)) % size
-    levels = (steps / size + shift[:, None]) % 1.0
-    return np.array([nearest_distance(lam, u) for lam, u in zip((params.lambda_mc, params.lambda_sc), levels)])
+    return -np.log1p(-((steps / size + shift[:, None]) % 1.0))
 
 
-# gains that underflow to 0 meet inf * 0 here; estimate raises NumericalError on the non-finite result
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _kernel(cells: Sequence[Cell], params: DelayParams, closest: np.ndarray) -> np.ndarray:
-    """Every cell's replications on each tier's nearest distances ``closest`` (``_draw``'s rows, its
-    batches end to end): rows (downlink, tail, attempts, outage, hit) per cell, one column per
-    replication.
+def _kernel(cells: Sequence[Cell], params: DelayParams, counts: np.ndarray) -> np.ndarray:
+    """Every cell's replications on each tier's mean point count ``counts`` within its nearest point
+    (``_draw``'s rows, its batches end to end): rows (downlink, tail, attempts, outage, hit) per cell,
+    one column per replication.
 
-    Every step works element by element, along the M axis, or on one replication's own matrices, so a
+    Serving tier ``o`` meets its rival ``r``'s nearest point, where the rival's far field starts, at
+    ``z = gamma (P_r / P_o) (r_o / r_r)^alpha`` with ``(r_o / r_r)^2 = lambda_r a_o / (lambda_o
+    a_r)``; its own far field starts at the server, at ``z = gamma`` in every replication. Every step
+    works element by element, along the M axis, or on one replication's own matrices, so a
     replication's numbers do not depend on which batches share the call.
     """
     lambdas = (params.lambda_mc, params.lambda_sc)
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
-    alpha = radio.pathloss_exponent
-    closest_gains = [_gains(r, power, alpha) for r, power in zip(closest, powers)]
+    gamma, alpha, m = radio.target_sir, radio.pathloss_exponent, params.max_attempts
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
-    serving = sorted(set(owns))
-    # every serving tier's far moments in one call, one row per (serving tier, replication)
-    scale = radio.target_sir / np.array([closest_gains[own] for own in serving])
-    moments = far_moments([scale * power for power in powers], lambdas, alpha, closest[:, None], params.max_attempts)
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
-    for own, own_scale, own_moments in zip(serving, scale, moments):
-        minus_log_q = np.log1p(own_scale * closest_gains[1 - own])  # the other tier's nearest point
-        links[own] = _downlink(minus_log_q, params.max_attempts, own_moments)
+    # the one non-finite source: a rival far nearer than the server, whose (r_o / r_r)^alpha overflows
+    # to z = inf and meets inf * 0 in the far field; estimate raises NumericalError on the result
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for own in sorted(set(owns)):
+            rival = 1 - own
+            # both intensities over one power of 2, exactly, so no product of one with a count underflows
+            own_lambda, exponent = math.frexp(lambdas[own])
+            ratio = math.ldexp(lambdas[rival], -exponent) * counts[own] / (own_lambda * counts[rival])
+            z = gamma * (powers[rival] / powers[own]) * ratio ** (alpha / 2.0)
+            far = far_moments((gamma, z), (counts[own], counts[rival]), alpha, m)
+            links[own] = _downlink(np.log1p(z), m, far)
 
     router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
-    out = np.empty((len(cells), 5, closest.shape[1]))
+    out = np.empty((len(cells), 5, counts.shape[1]))
     for c, (cell, own) in enumerate(zip(cells, owns)):
         scenario = cell.scenario
         attempts, outage = links[own]
@@ -474,7 +467,8 @@ def _kernel(cells: Sequence[Cell], params: DelayParams, closest: np.ndarray) -> 
         if _caches(scenario):
             steepness = functools.partial(effective_eta, scenario.model, params.lambda_sc, params.lambda_ut)
             if scenario.distance_mode is DistanceMode.PER_USER and isinstance(scenario.model, DistanceDependent):
-                etas = [steepness(d) for d in closest[own].tolist()]
+                # the server's distance, the one place metres enter
+                etas = [steepness(d) for d in np.sqrt(counts[own] / (math.pi * lambda_tier)).tolist()]
             else:
                 etas = [steepness()]
             # the integral variant is exactly is_hit's mean over the popularity law
@@ -489,7 +483,7 @@ def _kernel(cells: Sequence[Cell], params: DelayParams, closest: np.ndarray) -> 
 def _simulate(cells: Sequence[Cell], params: DelayParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` replications of every cell, read from one stream as the module docstring sets out:
     rows (downlink, tail, attempts, outage, hit) per cell, one column per replication."""
-    return _kernel(cells, params, _draw(params, rng, size))
+    return _kernel(cells, params, _draw(rng, size))
 
 
 def run_replication(cells: Sequence[Cell], params: DelayParams, rng: np.random.Generator) -> list[DelaySample]:
@@ -498,7 +492,7 @@ def run_replication(cells: Sequence[Cell], params: DelayParams, rng: np.random.G
     All cells must carry ``params``. This is a batch of one of the
     simulator's kernel, so it reads ``rng`` as one batch does (see the
     module docstring): the lattice's shift, two uniforms that are the levels
-    of the nearest distances, and nothing more.
+    of the nearest points' counts, and nothing more.
     """
     return [DelaySample(*column[:, 0].tolist()) for column in _simulate(cells, params, rng, 1)]
 
@@ -516,11 +510,11 @@ def _run_batch(cells, params, master_seed, start, stop):
     lattice of its own size. Each batch is drawn on its own (``_draw``), and
     one kernel call runs them all.
     """
-    closest = [
-        _draw(params, replication_rng(master_seed, first // BATCH_SIZE), min(first + BATCH_SIZE, stop) - first)
+    counts = [
+        _draw(replication_rng(master_seed, first // BATCH_SIZE), min(first + BATCH_SIZE, stop) - first)
         for first in range(start, stop, BATCH_SIZE)
     ]
-    downlink, tail, _, outage, hit = _kernel(cells, params, np.concatenate(closest, axis=1)).swapaxes(0, 1)
+    downlink, tail, _, outage, hit = _kernel(cells, params, np.concatenate(counts, axis=1)).swapaxes(0, 1)
     return np.stack((downlink + tail, outage, hit), axis=-1)
 
 
@@ -606,7 +600,7 @@ def estimate(
     """Mean delay of every cell with a 95% confidence interval.
 
     The interval is by batch means. Replications within a batch are not
-    independent, since its nearest distances are the points of one shifted
+    independent, since its nearest points' levels are the points of one shifted
     lattice, but batches are. A batch mean ``m_b`` of ``n_b`` replications,
     the last batch possibly short, is weighted by ``n_b``: the half-width is
     ``ci_quantile(n) * sqrt(sum_b n_b (m_b - mean)^2 / ((batches - 1) n))``,
@@ -626,8 +620,8 @@ def estimate(
     index-ordered reduction make the result independent of ``workers``
     (default: HETSIM_THREADS, else the CPUs this process may run on, capped
     at 8) and of which other cells are estimated alongside. A cell whose
-    estimate is not finite, as when its serving gains underflow to 0, raises
-    ``NumericalError``.
+    estimate is not finite, as when the intensities' ratio is so extreme that
+    a rival's ``(r_o / r_r)^alpha`` overflows, raises ``NumericalError``.
     """
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications}")
@@ -656,6 +650,6 @@ def estimate(
         samples[members, start:stop] = batch
     estimates = [_summarize(rows) for rows in samples]
     for cell, est in zip(cells, estimates):
-        if not all(map(math.isfinite, astuple(est))):
+        if not all(map(math.isfinite, (est.mean_ms, est.ci_low_ms, est.ci_high_ms, est.outage_rate, est.hit_rate))):
             raise NumericalError(f"non-finite estimate {est} for {cell}")
     return estimates

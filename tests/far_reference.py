@@ -7,7 +7,9 @@ in the same order, so the two must agree bit for bit.
 ``exact_far_downlink`` evaluates the binomial expansion it replaces in exact
 rational arithmetic. ``analytics.rho_terms`` gets the terms of the PGFL
 excess from one hypergeometric call and a recurrence; ``rho_k`` makes one
-call per term.
+call per term. The far field's functions take each tier's ``z`` and mean
+point count; ``plane_args`` converts a far field stated in metres and
+watts, as the tests state their geometries, into them.
 """
 
 import math
@@ -33,6 +35,16 @@ def z_moments_by_row(log_moments):
             total = total + (-1) ** k * math.comb(j - 1, k) * steps[..., k]
         rows.append(np.maximum(total, 0.0))
     return np.stack(rows, axis=-1)
+
+
+def plane_args(scales, intensities, alpha, inner):
+    """``(z, mean_points)`` of ``simulator.far_moments`` for the plane beyond ``inner``, tier ``t``'s
+    points of intensity ``intensities[t]`` scaled by ``scales[t]``: ``z_t = s_t inner_t^-alpha`` and
+    ``a_t = pi lambda_t inner_t^2``. ``inner`` is one radius for every tier, or one per tier and
+    replication; a tier's scale is a float or an array over replications."""
+    scales = np.asarray(scales, dtype=float)
+    inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)
+    return tuple(scales * inner**-alpha), tuple(math.pi * lam * r**2 for lam, r in zip(intensities, inner))
 
 
 def rho_k(z, alpha, k):

@@ -1,5 +1,7 @@
 """Model helpers that only the tests use: labels, point sets from
-Cartesian coordinates, and the popularity density and CDF."""
+Cartesian coordinates, nearest distances, and the popularity density and CDF."""
+
+import math
 
 import numpy as np
 
@@ -29,6 +31,13 @@ def point_set_from_xy(xy, tier=None):
         theta=np.arctan2(xy[:, 1], xy[:, 0]),
         tier=tier,
     )
+
+
+def nearest_distance(intensity, levels):
+    """Distance from the origin to the nearest point of a plane PPP, at the
+    given probability levels: the inverse of ``P(R <= r) = 1 - exp(-pi
+    intensity r^2)`` (Andrews, Baccelli and Ganti 2011, section III)."""
+    return np.sqrt(-np.log1p(-levels) / (math.pi * intensity))
 
 
 def pdf(f, eta):

@@ -1,9 +1,12 @@
 """Convenience forms of simulator calls for tests: one cell, or one downlink from point sets;
 and a record of the process pools ``estimate`` enters."""
 
+import numpy as np
+
 from hetsim import simulator
 from hetsim.channel import RadioParams
-from hetsim.simulator import Cell, _gains, downlink_delay, estimate, run_replication
+from hetsim.simulator import Cell, downlink_delay, estimate, run_replication
+from sir_reference import unit_fading_gains
 
 
 def estimate_one(scenario, params, cache, replications, master_seed, workers=None):
@@ -18,10 +21,9 @@ def replicate_one(scenario, params, cache, rng):
 
 def kernel(serving_tier, serving_index, macro, small, radio=RadioParams(), max_attempts=4):
     """(expected attempts, outage probability, delay) of ``downlink_delay``, 0.1 ms slots."""
-    macro_gains = _gains(macro.r, radio.power_macro, radio.pathloss_exponent)
-    small_gains = _gains(small.r, radio.power_small, radio.pathloss_exponent)
+    gains = np.array(unit_fading_gains(macro, small, radio))
     return downlink_delay(
-        serving_tier, serving_index, macro_gains, small_gains, radio.target_sir, 0.1, max_attempts
+        serving_tier, serving_index, gains[: len(macro)], gains[len(macro) :], radio.target_sir, 0.1, max_attempts
     )
 
 

@@ -8,7 +8,8 @@ the far field averaged out. The helpers here recompute
 the model from its definition, one point at a time in scalar Python, from
 Cartesian coordinates rather than the stored radii: the per-attempt SIR,
 the protocol itself with fading drawn on every attempt, and the exact
-per-attempt success probability given the geometry.
+per-attempt success probability given the geometry. ``unit_fading_gains``
+also builds ``downlink_delay``'s gain arrays (``single_cell.kernel``).
 """
 
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 from hetsim.geometry import Tier
 
 
-def _gains(macro, small, radio):
+def unit_fading_gains(macro, small, radio):
     """Received power of every point under unit fading, macro block first."""
     alpha = radio.pathloss_exponent
     gains = []
@@ -34,7 +35,7 @@ def _flat(serving_tier, serving_index, macro):
 
 def sir_brute_force(serving_tier, serving_index, macro, small, fading, radio):
     """Direct re-computation from the definition, scalar Python throughout."""
-    terms = [g * h for g, h in zip(_gains(macro, small, radio), fading)]
+    terms = [g * h for g, h in zip(unit_fading_gains(macro, small, radio), fading)]
     flat = _flat(serving_tier, serving_index, macro)
     signal = terms[flat]
     interference = sum(terms[:flat]) + sum(terms[flat + 1 :])
@@ -64,7 +65,7 @@ def success_probability(serving_tier, serving_index, macro, small, radio):
     rational arithmetic on the float gains, so ``1 - q`` and its powers
     carry no cancellation error even when q is within an ulp of 1.
     """
-    gains = [Fraction(g) for g in _gains(macro, small, radio)]
+    gains = [Fraction(g) for g in unit_fading_gains(macro, small, radio)]
     flat = _flat(serving_tier, serving_index, macro)
     gamma = Fraction(radio.target_sir)
     q = Fraction(1)

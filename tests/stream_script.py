@@ -5,7 +5,7 @@
 a generator stand-in that serves exactly that replication's share of those
 draws, in the order a batch of one asks for them, and fails on any other
 request. A batch draws once: the shift of one lattice, whose points are the
-levels of its nearest distances. So a replication's share is its own pair of
+levels of its nearest points. So a replication's share is its own pair of
 levels ``(U_mc, U_sc)``, served as the shift of a batch of one, a lattice of
 one point whose levels are its shift exactly.
 """

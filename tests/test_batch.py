@@ -3,7 +3,7 @@ run alone, as a batch of one, on the same draws.
 
 ``stream_script`` splits the one draw of a batch into the share of each
 replication, so the replication can be rerun through ``run_replication``
-on exactly the nearest distances it had inside the batch: its pair of
+on exactly the nearest points it had inside the batch: its pair of
 lattice levels is served as the shift of a batch of one. The comparison is
 ``==``. In turn, a run of batches that one kernel call takes
 together equals its batches run one at a time, each on its own stream, and
@@ -18,7 +18,6 @@ import pytest
 from hetsim import simulator
 from hetsim.analytics import DelayParams
 from hetsim.caching import CacheConfig, CachePolicy
-from hetsim.geometry import nearest_distance
 from hetsim.popularity import DistanceDependent, LoadDependent
 from hetsim.simulator import (
     BATCH_SIZE,
@@ -98,22 +97,24 @@ def test_every_batch_size_has_the_korobov_generator():
 
 @pytest.mark.parametrize("size", [BATCH_SIZE, 44, 1])
 def test_a_batch_draws_its_levels_from_a_shifted_lattice(size, monkeypatch):
-    """The levels of the macro and small-cell nearest distances in a batch of
-    ``size`` are ``frac(k (1, a) / size + shift)`` for the batch's recorded
-    shift: a batch of one has the shift as its levels."""
+    """The levels ``U`` of the macro and small-cell nearest points in a batch
+    of ``size`` are ``frac(k (1, a) / size + shift)`` for the batch's recorded
+    shift, and the kernel runs on the counts ``-log(1 - U)``: a batch of one
+    has the shift as its levels."""
     seen = []
+    kernel = simulator._kernel
 
-    def spy(intensity, levels):
-        seen.append(levels.copy())
-        return nearest_distance(intensity, levels)
+    def spy(cells, params, counts):
+        seen.append(counts.copy())
+        return kernel(cells, params, counts)
 
-    monkeypatch.setattr(simulator, "nearest_distance", spy)
+    monkeypatch.setattr(simulator, "_kernel", spy)
     params = DelayParams()
     recorder = Recorder(replication_rng(31, 2))
     _simulate([Cell(MacroUser(), params, CacheConfig())], params, recorder, size)
-    assert np.array_equal(np.array(seen), lattice(shift(recorder.log), size))
+    assert np.array_equal(seen[0], -np.log1p(-lattice(shift(recorder.log), size)))
     if size == 1:
-        assert np.array_equal(np.array(seen)[:, 0], shift(recorder.log))
+        assert np.array_equal(seen[0][:, 0], -np.log1p(-shift(recorder.log)))
 
 
 def batch_by_batch(cells, params, seed, start, stop):
@@ -132,9 +133,9 @@ def spy_kernel(monkeypatch):
     calls = []
     kernel = simulator._kernel
 
-    def spy(cells, params, closest):
-        calls.append(closest.shape[1])
-        return kernel(cells, params, closest)
+    def spy(cells, params, counts):
+        calls.append(counts.shape[1])
+        return kernel(cells, params, counts)
 
     monkeypatch.setattr(simulator, "_kernel", spy)
     return calls
@@ -178,6 +179,24 @@ def test_a_task_draws_each_batch_once_and_runs_one_kernel_call(max_attempts, mon
         shift(stream.log)  # the shift alone
 
 
+def test_a_kernel_call_takes_the_serving_tiers_terms_once(monkeypatch):
+    """A call of ``KERNEL_BUDGET`` replications of a macro and a small-cell cell takes ``rho_terms``
+    at 2 x (2 048 + 1) values of ``z``: per serving tier, the rival's nearest point in every
+    replication and the SIR target, where the serving tier's own far field starts in all of them."""
+    seen = []
+    rho_terms = simulator.rho_terms
+
+    def spy(z, alpha, m):
+        seen.append(np.size(z))
+        return rho_terms(z, alpha, m)
+
+    monkeypatch.setattr(simulator, "rho_terms", spy)
+    params = DelayParams()
+    cells = [Cell(scenario, params, CacheConfig()) for scenario in (MacroUser(), NOCACHE)]
+    _run_batch(cells, params, 3, 0, simulator.KERNEL_BUDGET)
+    assert sorted(seen) == [1, 1, simulator.KERNEL_BUDGET, simulator.KERNEL_BUDGET]
+
+
 def spy_spans(monkeypatch):
     """Record the (parameter set, start, stop) of every task ``estimate`` hands ``_run_batch``."""
     spans = []
@@ -213,8 +232,8 @@ def test_a_kernel_call_holds_the_budget_at_every_max_attempts(max_attempts, monk
     params = DelayParams(max_attempts=max_attempts)
     spans = spy_spans(monkeypatch)
     # no batch is drawn or run: each stands for its size
-    monkeypatch.setattr(simulator, "_draw", lambda params, rng, size: np.zeros((2, size)))
-    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, closest: np.zeros((1, 5, closest.shape[1])))
+    monkeypatch.setattr(simulator, "_draw", lambda rng, size: np.zeros((2, size)))
+    monkeypatch.setattr(simulator, "_kernel", lambda cells, params, counts: np.zeros((1, 5, counts.shape[1])))
     step = simulator.KERNEL_BUDGET
     assert step == 32 * BATCH_SIZE
     simulator.estimate([Cell(MacroUser(), params, CacheConfig())], 2 * step + 5, 3, workers=1)

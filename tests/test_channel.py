@@ -8,7 +8,6 @@ from hetsim.analytics import attempt_kernel
 from hetsim.channel import RadioParams
 from hetsim.errors import InvalidParameterError
 from hetsim.geometry import PointSet, Tier, Window, nearest, sample_ppp
-from hetsim.simulator import _gains
 from model_helpers import point_set_from_xy
 from single_cell import kernel
 from sir_reference import success_probability, truncated_geometric
@@ -55,19 +54,6 @@ class TestRadioParams:
         with caplog.at_level("WARNING", logger="hetsim.channel"):
             RadioParams(power_macro=2.0, power_small=20.0)
         assert "ordering" in caplog.text
-
-
-class TestPathloss:
-    """The kernel's received-power gain power * r**(-alpha), at unit power."""
-
-    def test_unit_distance(self):
-        assert _gains(np.array([1.0]), 1.0, 4.0)[0] == 1.0
-
-    def test_two_meters_alpha_four(self):
-        assert _gains(np.array([2.0]), 1.0, 4.0)[0] == pytest.approx(0.0625)
-
-    def test_ten_meters_alpha_three(self):
-        assert _gains(np.array([10.0]), 1.0, 3.0)[0] == pytest.approx(1e-3)
 
 
 class TestSirAtOrigin:

@@ -17,7 +17,8 @@ from hetsim.errors import InvalidSteepnessError
 from single_cell import pool_entries
 
 
-# both tiers' nearest gains underflow to 0, so the kernel meets inf * 0
+# every nearest point lies some 1e100 m out, where a gain underflows to 0; the kernel reads only the
+# intensities' ratios, so the rows are finite
 UNDERFLOW_CONFIG = dict(
     sweep_variable="target_sir",
     replications=130,
@@ -25,6 +26,16 @@ UNDERFLOW_CONFIG = dict(
     lambda_sc_per_m2=2e-200,
     lambda_cr_per_m2=1e-201,
     lambda_ut_per_m2=1e-199,
+)
+# small cells 1e198 times denser than macro cells: a macro user's (r_o / r_r)^alpha overflows, so its
+# rival's z is inf and its rows are not finite
+OVERFLOW_CONFIG = dict(
+    sweep_variable="target_sir",
+    replications=130,
+    lambda_mc_per_m2=1e-200,
+    lambda_sc_per_m2=1e-2,
+    lambda_cr_per_m2=1e-3,
+    lambda_ut_per_m2=1.0,
 )
 
 
@@ -376,13 +387,25 @@ class TestMain:
     def test_non_finite_estimate_is_numerical_error(self, tmp_path, capsys, max_attempts):
         # on either side of J_MAX: the alternating sum's far moments, and the coverage chain's
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, max_attempts=max_attempts)))
+        config.write_text(json.dumps(dict(OVERFLOW_CONFIG, max_attempts=max_attempts)))
         out = tmp_path / "out.csv"
         code = main(["--config", str(config), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure" in err and "non-finite estimate" in err and "MacroUser" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("max_attempts", [4, 13])
+    def test_intensities_near_1e_200_give_finite_rows(self, tmp_path, capsys, max_attempts):
+        # gains at 1e100 m underflow, but the kernel reads only the intensities' ratios: the macro
+        # rows' tail is some 1.6e98 ms, the backhaul over routers about 1.6e100 m out
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, max_attempts=max_attempts)))
+        assert main(["--config", str(config)]) == EXIT_OK
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4 * 5 and all(np.isfinite(float(row[4])) for row in rows)
+        macro = [float(row[4]) for row in rows if row[2] == "macro"]
+        assert macro and all(1e98 < value < 1e99 for value in macro)
 
     @pytest.mark.parametrize("max_attempts", [4, 13])
     def test_the_window_is_read_by_nothing(self, tmp_path, capsys, max_attempts):
@@ -480,9 +503,10 @@ def test_python_dash_m_runs_the_cli():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_non_finite_estimate_exits_3_without_numpy_warnings(tmp_path, threads):
-    """The inf * 0 of underflowing gains is expected, not a crash: the CLI
-    prints its exit-3 line, writes no row and prints no ``RuntimeWarning``,
-    in workers too."""
+    """The inf * 0 of a rival's overflowing z is expected, not a crash: on
+    either side of ``J_MAX`` the CLI prints its exit-3 line naming the
+    macro cell, writes no row and prints no ``RuntimeWarning``, in workers
+    too."""
     src = str(Path(hetsim.__file__).resolve().parent.parent)
     env = dict(
         os.environ,
@@ -490,19 +514,20 @@ def test_non_finite_estimate_exits_3_without_numpy_warnings(tmp_path, threads):
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(UNDERFLOW_CONFIG, window_radius_m=20_000.0)))
     out = tmp_path / "out.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hetsim", "--config", str(config), "--out", str(out)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
-    assert "non-finite estimate" in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr, proc.stderr
-    assert not out.exists()
+    for max_attempts in (4, 13):
+        config.write_text(json.dumps(dict(OVERFLOW_CONFIG, window_radius_m=20_000.0, max_attempts=max_attempts)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetsim", "--config", str(config), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert "non-finite estimate" in proc.stderr and "MacroUser" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_quadrature_or_optimizer():

@@ -25,7 +25,7 @@ from scipy import integrate
 from hetsim.analytics import DelayParams
 from hetsim.caching import B3Variant, CacheConfig, CachePolicy, hit_probability
 from hetsim.channel import RadioParams
-from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, Tier, Window, nearest_distance
+from hetsim.geometry import DEFAULT_WINDOW_RADIUS_M, Tier, Window
 from hetsim.popularity import Fixed
 from hetsim import simulator
 from hetsim.simulator import (
@@ -35,7 +35,6 @@ from hetsim.simulator import (
     DelaySample,
     MacroUser,
     SmallUser,
-    _gains,
     _simulate,
     _unhit_law,
     estimate,
@@ -45,14 +44,25 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
-from far_reference import exact_far_downlink, z_moments_by_row
-from model_helpers import point_set_from_xy
+from far_reference import exact_far_downlink, plane_args, z_moments_by_row
+from model_helpers import nearest_distance, point_set_from_xy
+from sir_reference import unit_fading_gains
 from stream_script import Recorder, levels
 
 GAMMA_3DB = 10.0 ** 0.3
 
 
 X_CUT = 1e-7
+
+
+def log_moments_in_metres(scales, intensities, alpha, inner, m):
+    """``far_log_moments`` of a far field stated in metres and watts (``plane_args``)."""
+    return far_log_moments(*plane_args(scales, intensities, alpha, inner), alpha, m)
+
+
+def moments_in_metres(scales, intensities, alpha, inner, m):
+    """``far_moments`` of a far field stated in metres and watts (``plane_args``)."""
+    return far_moments(*plane_args(scales, intensities, alpha, inner), alpha, m)
 
 
 def quad_annulus_moment(s, alpha, inner, outer, i):
@@ -104,7 +114,7 @@ class TestLogMoments:
     @pytest.mark.parametrize("alpha", [4.0, 3.2])
     @pytest.mark.parametrize("s", np.geomspace(3e9, 1e12, 7).tolist())
     def test_match_quadrature(self, alpha, s, inner):
-        lam = far_log_moments((s,), (1.0,), alpha, inner, J_MAX)
+        lam = log_moments_in_metres((s,), (1.0,), alpha, inner, J_MAX)
         for i in (1, 2, 4, J_MAX):
             expected = quad_log_moment(s, alpha, inner, i)
             assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
@@ -128,8 +138,8 @@ class TestLogMoments:
         server near that edge at a high SIR target, where the plane beyond
         starts in the server's saturated zone."""
         s = z * (inner if end == "inner" else outer) ** alpha
-        plane = far_log_moments((s,), (1.0,), alpha, inner, J_MAX)
-        beyond = far_log_moments((s,), (1.0,), alpha, outer, J_MAX)
+        plane = log_moments_in_metres((s,), (1.0,), alpha, inner, J_MAX)
+        beyond = log_moments_in_metres((s,), (1.0,), alpha, outer, J_MAX)
         for i in (1, 2, 4, J_MAX):
             assert beyond[i - 1] == pytest.approx(quad_log_moment(s, alpha, outer, i), rel=1e-9, abs=0.0), i
             annulus = quad_annulus_moment(s, alpha, inner, outer, i)
@@ -146,7 +156,7 @@ class TestLogMoments:
         nearer interferer, and falls below 1e-10 when the server sits far
         inside it."""
         s = z * inner**alpha
-        lam = far_log_moments((s,), (1.0,), alpha, inner, J_MAX)
+        lam = log_moments_in_metres((s,), (1.0,), alpha, inner, J_MAX)
         expected = [mp_log_moment(s, alpha, inner, i) for i in range(1, J_MAX + 1)]
         np.testing.assert_allclose(lam, expected, rtol=1e-14, atol=0.0)
 
@@ -162,7 +172,7 @@ class TestLogMoments:
         )
         z = np.array([[1e-6, 3.0, 1e14, 100.0, 1.0], [1e8, 1e-3, 0.1, 5.0, 10.0]])
         scales = z * radii**alpha
-        lam = far_log_moments(tuple(scales), weights, alpha, radii, J_MAX)
+        lam = log_moments_in_metres(tuple(scales), weights, alpha, radii, J_MAX)
         assert lam.shape == (radii.shape[1], J_MAX)
         for k in range(radii.shape[1]):
             expected = [
@@ -172,15 +182,15 @@ class TestLogMoments:
             np.testing.assert_allclose(lam[k], expected, rtol=1e-14, atol=0.0, err_msg=str(k))
 
     def test_tiers_add(self):
-        both = far_log_moments((1e10, 1e9), (2.8e-6, 3.6e-6), 4.0, 5000.0, 4)
-        macro = far_log_moments((1e10,), (2.8e-6,), 4.0, 5000.0, 4)
-        small = far_log_moments((1e9,), (3.6e-6,), 4.0, 5000.0, 4)
+        both = log_moments_in_metres((1e10, 1e9), (2.8e-6, 3.6e-6), 4.0, 5000.0, 4)
+        macro = log_moments_in_metres((1e10,), (2.8e-6,), 4.0, 5000.0, 4)
+        small = log_moments_in_metres((1e9,), (3.6e-6,), 4.0, 5000.0, 4)
         np.testing.assert_allclose(both, np.add(macro, small), rtol=1e-14)
 
     def test_alpha_4_first_moment_has_arctan_form(self):
         # at alpha = 4, i = 1 the integral to infinity is pi sqrt(s) (pi/2 - atan(R^2 / sqrt(s)))
         s, inner = 4e10, 5000.0
-        lam = far_log_moments((s,), (1.0,), 4.0, inner, 1)
+        lam = log_moments_in_metres((s,), (1.0,), 4.0, inner, 1)
         expected = math.pi * math.sqrt(s) * (math.pi / 2 - math.atan(inner * inner / math.sqrt(s)))
         assert lam[0] == pytest.approx(expected, rel=1e-14)
 
@@ -199,7 +209,7 @@ def mp_z_moments(lam):
 def concave_and_linear_rows(rng, n, m):
     """``n`` rows of M = ``m`` log-moments, each concave (a plane far field from 5 km) or linear
     (a fixed Q) at random, ``Lambda_1`` log-uniform from 1e-9 to 10."""
-    concave = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, m)
+    concave = log_moments_in_metres((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, m)
     shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
     return shapes * 10.0 ** rng.uniform(-9.0, 1.0, (n, 1))
 
@@ -213,7 +223,7 @@ class TestZMoments:
         if shape == "deterministic":
             lam = [scale * i for i in range(1, J_MAX + 1)]
         else:
-            unit = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, J_MAX)
+            unit = log_moments_in_metres((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, J_MAX)
             lam = [scale * v / unit[0] for v in unit]
         got = far_z_moments(lam)
         for j, (value, exact) in enumerate(zip(got, mp_z_moments(lam)), 1):
@@ -231,7 +241,7 @@ class TestZMoments:
     def test_moments_are_never_negative(self):
         """On a plane far field at Lambda_1 = 1.06e-3 the alternating sum of E[Z^6] and E[Z^7]
         rounds to about -5e-18, and with it the outage at unit signal and no rival."""
-        unit = far_log_moments((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 7)
+        unit = log_moments_in_metres((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 7)
         z = far_z_moments(1.06e-3 * unit / unit[0])
         assert (z >= 0.0).all(), z
         attempts, outage = simulator._downlink(np.zeros(1), 7, z[None])
@@ -283,15 +293,27 @@ def chain_rows(alpha, mean_points):
     return scales, intensities, inner
 
 
-def kernel_rows(params, size, seed):
-    """The far field's arguments of one kernel batch: one row per (serving tier, replication) on the
-    nearest distances that batch ``seed`` draws, as ``_kernel`` builds them."""
-    closest = simulator._draw(params, replication_rng(seed, 0), size)
+def serving_args(counts, own, params):
+    """``far_moments``' ``(z, mean_points)`` for serving tier ``own`` on each tier's mean point counts
+    ``counts`` within its nearest point, one row per tier, as ``_kernel`` builds them, the formula
+    written out: the serving tier's far field starts at ``z = target_sir``, and the rival's nearest
+    point, where its far field starts, at ``z = target_sir (P_r / P_o) (lambda_r a_o / (lambda_o
+    a_r))^(alpha / 2)``."""
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
-    gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
-    scale = radio.target_sir / np.array(gains)
-    return [scale * power for power in powers], (params.lambda_mc, params.lambda_sc), closest[:, None]
+    lambdas = (params.lambda_mc, params.lambda_sc)
+    rival = 1 - own
+    own_lambda, exponent = math.frexp(lambdas[own])
+    ratio = math.ldexp(lambdas[rival], -exponent) * counts[own] / (own_lambda * counts[rival])
+    z = radio.target_sir * (powers[rival] / powers[own]) * ratio ** (radio.pathloss_exponent / 2.0)
+    return (radio.target_sir, z), (counts[own], counts[rival])
+
+
+def kernel_rows(params, size, seed):
+    """The far field's arguments of one kernel batch, one ``(z, mean_points)`` per serving tier (macro,
+    small cells), on the counts that batch ``seed`` draws, as ``_kernel`` builds them."""
+    counts = simulator._draw(replication_rng(seed, 0), size)
+    return [serving_args(counts, own, params) for own in (0, 1)]
 
 
 class TestChainMoments:
@@ -303,7 +325,7 @@ class TestChainMoments:
         nearest points and pathloss exponents down to 2.05, where the far
         field's mean number of hitting points ``Lambda_M`` reaches 1e19."""
         scales, intensities, inner = chain_rows(alpha, mean_points)
-        got = far_moments(scales, intensities, alpha, inner, m)
+        got = moments_in_metres(scales, intensities, alpha, inner, m)
         assert got.shape == (len(CHAIN_Z), m) and not np.isnan(got).any()
         for k, z in enumerate(CHAIN_Z):
             exact = mp_far_z_moments(scales[:, k], intensities, alpha, inner[:, k], m)
@@ -316,12 +338,12 @@ class TestChainMoments:
         j; ``J_MAX`` at 0 sends every M, 1 too, to the chain."""
         monkeypatch.setattr(simulator, "J_MAX", 0)
         scales, intensities, inner = chain_rows(alpha, 30.0)
-        z = scales * inner**-alpha
-        weights = np.array([math.pi * lam * (2.0 / alpha) * r**2 for lam, r in zip(intensities, inner)])
-        law = _unhit_law(z, weights, 2.0 / alpha, m)
+        delta = 2.0 / alpha
+        z, mean_points = plane_args(scales, intensities, alpha, inner)
+        law = _unhit_law(np.array(z), delta * np.array(mean_points), delta, m)
         assert (law >= 0.0).all()
         np.testing.assert_allclose(law.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
-        got = far_moments(scales, intensities, alpha, inner, m)
+        got = moments_in_metres(scales, intensities, alpha, inner, m)
         assert (got >= 0.0).all() and (got <= 1.0).all()
         assert (np.diff(got, axis=-1) <= 0.0).all()
 
@@ -329,8 +351,8 @@ class TestChainMoments:
     @pytest.mark.parametrize("m", [4, J_MAX])
     def test_equal_the_alternating_sum_on_a_kernel_batch(self, m, case, monkeypatch):
         """Where both apply, the chain and ``far_z_moments(far_log_moments(...))`` agree to 1e-12 on
-        the rows of a kernel batch: the two routes to the far moments meet at ``J_MAX``. ``J_MAX`` at
-        0 sends ``far_moments`` to the chain."""
+        the rows of a kernel batch, for either serving tier: the two routes to the far moments meet
+        at ``J_MAX``. ``J_MAX`` at 0 sends ``far_moments`` to the chain."""
         params = {
             "defaults": DelayParams(max_attempts=m),
             "sparse-40-db": DelayParams(
@@ -338,24 +360,38 @@ class TestChainMoments:
             ),
             "pathloss-near-two": DelayParams(max_attempts=m, radio=RadioParams(pathloss_exponent=2.05)),
         }[case]
-        args = (*kernel_rows(params, BATCH_SIZE, 5), m)
+        rows = kernel_rows(params, BATCH_SIZE, 5)
         alpha = params.radio.pathloss_exponent
-        alternating = far_z_moments(far_log_moments(args[0], args[1], alpha, args[2], m))
+        alternating = [far_z_moments(far_log_moments(z, mean_points, alpha, m)) for z, mean_points in rows]
         monkeypatch.setattr(simulator, "J_MAX", 0)
-        chain = far_moments(args[0], args[1], alpha, args[2], m)
-        assert chain.shape == alternating.shape == (2, BATCH_SIZE, m)
-        assert np.abs(chain - alternating).max() < 1e-12
+        for (z, mean_points), expected in zip(rows, alternating):
+            chain = far_moments(z, mean_points, alpha, m)
+            assert chain.shape == expected.shape == (BATCH_SIZE, m)
+            assert np.abs(chain - expected).max() < 1e-12
 
     def test_a_row_does_not_depend_on_the_rows_beside_it(self):
-        """Each row's bits are the same in a call of 130 rows, three chunks, as alone."""
+        """Each row's bits are the same in a call of 65 rows, two chunks, as alone, for either serving
+        tier, and a float ``z`` (the serving tier's, the SIR target) gives the bits of an array
+        holding it in every row."""
         params = DelayParams(max_attempts=J_MAX + 3, lambda_mc=2e-8, lambda_sc=3e-8)
-        scales, intensities, inner = kernel_rows(params, 65, 9)
         alpha, m = params.radio.pathloss_exponent, params.max_attempts
-        together = far_moments(scales, intensities, alpha, inner, m)
-        for t in range(2):
+        for (gamma, z), (own, rival) in kernel_rows(params, 65, 9):
+            together = far_moments((gamma, z), (own, rival), alpha, m)
+            assert np.array_equal(together, far_moments((np.full(z.shape, gamma), z), (own, rival), alpha, m))
             for k in range(65):
-                alone = far_moments([s[t, k] for s in scales], intensities, alpha, inner[:, 0, k], m)
-                assert np.array_equal(together[t, k], alone), (t, k)
+                alone = far_moments((gamma, z[k]), (own[k], rival[k]), alpha, m)
+                assert np.array_equal(together[k], alone), k
+
+    def test_a_float_z_is_that_z_in_every_row(self):
+        """The serving tier's far field starts at the SIR target in every replication, so the kernel
+        passes it as a float, whose ``rho_terms`` row is taken once on the alternating-sum route: each
+        row has the bits of an array holding it in every row."""
+        params = DelayParams(max_attempts=4, lambda_mc=2e-8, lambda_sc=3e-8)
+        alpha, m = params.radio.pathloss_exponent, params.max_attempts
+        for (gamma, z), mean_points in kernel_rows(params, 65, 9):
+            once = far_moments((gamma, z), mean_points, alpha, m)
+            repeated = far_moments((np.full(z.shape, gamma), z), mean_points, alpha, m)
+            assert np.array_equal(once, repeated)
 
 
 # (serving tier, macro points, small points): the server is point 0 of its tier
@@ -397,28 +433,26 @@ class TestNearKernelAgainstMaterialisedAnnulus:
         inner, outer, annuli = 350.0, 1000.0, 100_000
         macro = point_set_from_xy(macro_xy, Tier.MACRO)
         small = point_set_from_xy(small_xy, Tier.SMALL_CELL)
-        macro_gains = _gains(macro.r, radio.power_macro, alpha)
-        small_gains = _gains(small.r, radio.power_small, alpha)
-        serving_gain = (macro_gains if serving_tier is Tier.MACRO else small_gains)[0]
+        gains = unit_fading_gains(macro, small, radio)
+        server = 0 if serving_tier is Tier.MACRO else len(macro)
+        serving_gain = gains[server]
 
         scale = radio.target_sir / serving_gain
         scales = (scale * radio.power_macro, scale * radio.power_small)
         lambdas = (params.lambda_mc, params.lambda_sc)
         m = params.max_attempts
         near_minus_log_q = sum(
-            math.log1p(radio.target_sir * g / serving_gain)
-            for g in [*macro_gains, *small_gains]
-            if g != serving_gain
+            math.log1p(radio.target_sir * g / serving_gain) for j, g in enumerate(gains) if j != server
         )
         # the plane beyond the inner radius averaged out
-        far = far_moments(scales, lambdas, alpha, inner, m)
+        far = moments_in_metres(scales, lambdas, alpha, inner, m)
         attempts, outage = simulator._downlink(np.array([near_minus_log_q]), m, far[None])
 
         far_minus_log_q = materialised_annuli(
             serving_gain, params, inner, outer, annuli, np.random.default_rng(500 + geometry)
         )
         # the annulus sampled, the plane beyond it averaged out
-        beyond = far_moments(scales, lambdas, alpha, outer, m)
+        beyond = moments_in_metres(scales, lambdas, alpha, outer, m)
         sampled_attempts, sampled_outage = simulator._downlink(
             near_minus_log_q + far_minus_log_q, m, np.tile(beyond, (annuli, 1))
         )
@@ -447,7 +481,7 @@ class TestNearKernelAgainstMaterialisedAnnulus:
         n = 40
         rival = np.expm1(np.geomspace(1e-12, 32.0, n))
         scales, lambdas = (1e11, 1e10), (1.0, 1.0)
-        concave = far_log_moments(scales, lambdas, 4.0, 5000.0, m) - far_log_moments(
+        concave = log_moments_in_metres(scales, lambdas, 4.0, 5000.0, m) - log_moments_in_metres(
             scales, lambdas, 4.0, 20_000.0, m
         )
         shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
@@ -462,35 +496,29 @@ class TestNearKernelAgainstMaterialisedAnnulus:
             assert outage[k] == pytest.approx(float(exact_outage), rel=1e-13, abs=0.0), k
 
 
-def replay_nearest(params, rng):
-    """Per tier (macro, then small cells), the nearest distance that a batch
-    of one draws, the formula written out: the lattice of one point has its
-    shift, two uniforms, as the levels ``U``, then ``r = sqrt(-log(1 - U) /
-    (pi lambda))``, wherever it falls."""
-    shift = rng.random(2)
-    return [
-        float(np.sqrt(-np.log1p(-shift[t : t + 1]) / (math.pi * lam))[0])
-        for t, lam in enumerate((params.lambda_mc, params.lambda_sc))
-    ]
+def replay_counts(rng):
+    """Per tier (macro, then small cells), the mean point count within the
+    nearest point that a batch of one draws, the formula written out: the
+    lattice of one point has its shift, two uniforms, as the levels ``U``,
+    then ``a = -log(1 - U)``, whatever the intensity."""
+    return -np.log1p(-rng.random(2))
 
 
-def link(tier, closest, params):
+def link(tier, counts, params):
     """(attempts, outage, downlink, backhaul mean) of the kernel's model on each
-    tier's nearest point ``closest``, the plane beyond each averaged out.
+    tier's nearest point, the mean point count within it ``counts``, the
+    plane beyond each averaged out.
 
-    ``_downlink`` takes the far moments (``far_moments``) on the ``-log q``
-    of the other tier's nearest point. The backhaul mean takes the router
-    distance's mean on the plane, ``1 / (2 sqrt(lambda_cr))``.
+    ``_downlink`` takes the far moments (``far_moments``) on the ``-log q =
+    log1p(z)`` of the other tier's nearest point (``serving_args``). The
+    backhaul mean takes the router distance's mean on the plane, ``1 / (2
+    sqrt(lambda_cr))``.
     """
-    radio = params.radio
     own = 0 if tier is Tier.MACRO else 1
     intensity = (params.lambda_mc, params.lambda_sc)[own]
-    powers = (radio.power_macro, radio.power_small)
-    gains = [_gains(np.array([r]), power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
-    column = np.reshape(closest, (2, 1))
-    minus_log_q = np.log1p(radio.target_sir / gains[own] * gains[1 - own])
-    far = serving_far_moments(column, column, own, params, params.max_attempts)
-    attempts, outage = (float(v[0]) for v in simulator._downlink(minus_log_q, params.max_attempts, far))
+    (gamma, z), mean_points = serving_args(np.reshape(counts, (2, 1)), own, params)
+    far = far_moments((gamma, z), mean_points, params.radio.pathloss_exponent, params.max_attempts)
+    attempts, outage = (float(v[0]) for v in simulator._downlink(np.log1p(z), params.max_attempts, far))
     downlink = params.slot_ms * attempts
     router_distance = 1.0 / (2.0 * math.sqrt(params.lambda_cr))
     backhaul = params.backhaul_beta * router_distance * (intensity / params.lambda_cr)
@@ -501,12 +529,12 @@ def serving_far_moments(closest, inner, own, params, m):
     """The far moments ``E[Z^j]`` (``far_moments``) of serving tier ``own``,
     one row per replication: ``closest`` holds each tier's nearest
     distances, one row per tier, and ``inner`` where each tier's
-    averaged-out field starts."""
+    averaged-out field starts, in metres (``plane_args``)."""
     radio = params.radio
     powers = (radio.power_macro, radio.power_small)
-    scale = radio.target_sir / _gains(closest[own], powers[own], radio.pathloss_exponent)
+    scale = radio.target_sir / (powers[own] * closest[own] ** -radio.pathloss_exponent)
     lambdas = (params.lambda_mc, params.lambda_sc)
-    return far_moments([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
+    return moments_in_metres([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
 
 
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
@@ -546,13 +574,13 @@ def test_replication_replays_the_kernel_on_its_nearest_points(case):
     outside = 0
     for rep in range(40):
         replayed = replication_rng(71, rep)
-        closest = replay_nearest(params, replayed)
+        counts = replay_counts(replayed)
         g = replication_rng(71, rep)
         samples = run_replication(cells, params, g)
         assert g.bit_generator.state == replayed.bit_generator.state, rep
-        outside += closest[0] > DEFAULT_WINDOW_RADIUS_M
+        outside += math.sqrt(counts[0] / (math.pi * params.lambda_mc)) > DEFAULT_WINDOW_RADIUS_M
         for scenario, tier, sample in zip(scenarios, serving_tiers, samples):
-            attempts, outage, downlink, backhaul = link(tier, closest, params)
+            attempts, outage, downlink, backhaul = link(tier, counts, params)
             hit = 0.0
             if scenario == MIXPOP:
                 hit = hit_probability(CachePolicy.MIX_POP, cache, 1.45, B3Variant.INTEGRAL_CONSISTENT)
@@ -572,7 +600,7 @@ def window_attempts(params, window, closest, own, rng, draws):
     alpha, m = radio.pathloss_exponent, params.max_attempts
     powers = (radio.power_macro, radio.power_small)
     rows = np.repeat(np.arange(closest.shape[1]), draws)  # one row per (replication, sample)
-    gains = [_gains(r, power, alpha)[rows] for r, power in zip(closest, powers)]
+    gains = [(power * r**-alpha)[rows] for r, power in zip(closest, powers)]
     minus_log_q = np.log1p(radio.target_sir * gains[1 - own] / gains[own])
     for lam, r, power in zip((params.lambda_mc, params.lambda_sc), closest, powers):
         start = np.minimum(r, window.radius)[rows] ** 2
@@ -599,7 +627,7 @@ def attempts_variance_bound(closest, own, params):
     radio = params.radio
     m = params.max_attempts
     powers = (radio.power_macro, radio.power_small)
-    gains = [_gains(r, power, radio.pathloss_exponent) for r, power in zip(closest, powers)]
+    gains = [power * r**-radio.pathloss_exponent for r, power in zip(closest, powers)]
     z = serving_far_moments(closest, closest, own, params, 2 * m - 2)
     moments = [np.ones(closest.shape[1])]  # E[X^j], j = 0 .. 2M - 2
     for j in range(1, 2 * m - 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -294,6 +295,26 @@ class TestEstimate:
     def test_same_seed_same_result(self):
         args = (MacroUser(), small_params(), CacheConfig(), 400, 17)
         assert estimate_one(*args) == estimate_one(*args)
+
+    @pytest.mark.parametrize("max_attempts", [4, J_MAX + 1])
+    def test_the_downlink_depends_on_the_intensities_only_through_their_ratios(self, max_attempts):
+        """Scaling all four intensities by 2^-600, or the two tiers' by 2^-1000, which leaves every
+        ratio exact, leaves the kernel's attempts and outage rows and the estimate's outage rate
+        unchanged, compared with ==, on either side of ``J_MAX``: in an interference-limited network
+        the SIR does not depend on the density's scale. Only the metres change, and the tail with
+        them. At 2^-1000 a tier's intensity times its smallest point count is subnormal."""
+        params = DelayParams(max_attempts=max_attempts)
+        scalings = [{}, dict.fromkeys(("lambda_cr", "lambda_mc", "lambda_sc", "lambda_ut"), 2.0**-600)]
+        scalings.append(dict.fromkeys(("lambda_mc", "lambda_sc"), 2.0**-1000))
+        runs = []
+        for scaling in scalings:
+            p = dataclasses.replace(params, **{name: getattr(params, name) * s for name, s in scaling.items()})
+            cells = [Cell(scenario, p, CacheConfig()) for scenario in (MacroUser(), SmallUser())]
+            rows = _simulate(cells, p, replication_rng(5, 0), BATCH_SIZE)[:, 2:4]
+            runs.append((rows, [est.outage_rate for est in estimate(cells, 300, 2026, workers=1)]))
+        for rows, outages in runs[1:]:
+            assert np.array_equal(runs[0][0], rows)
+            assert runs[0][1] == outages
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
         # four kernel calls of up to 32 batches, more than the three workers, so the pool runs them
