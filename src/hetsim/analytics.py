@@ -65,21 +65,18 @@ class DelayParams:
     radio: RadioParams = field(default_factory=RadioParams)
 
     def __post_init__(self):
-        if not self.slot_ms > 0:
-            raise InvalidParameterError(f"slot must be positive, got {self.slot_ms}")
         if not (isinstance(self.max_attempts, int) and 1 <= self.max_attempts <= MAX_ATTEMPTS_LIMIT):
             raise InvalidParameterError(
                 f"max_attempts must be an integer in [1, {MAX_ATTEMPTS_LIMIT}], got {self.max_attempts}"
             )
-        if self.backhaul_beta < 0:
-            raise InvalidParameterError(f"beta must be >= 0, got {self.backhaul_beta}")
-        if self.cache_read_mean_ms < 0:
-            raise InvalidParameterError(
-                f"cache read mean must be >= 0, got {self.cache_read_mean_ms}"
-            )
-        for name in ("lambda_cr", "lambda_mc", "lambda_sc", "lambda_ut"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be positive")
+        for name in ("slot_ms", "lambda_cr", "lambda_mc", "lambda_sc", "lambda_ut"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+        for name in ("backhaul_beta", "cache_read_mean_ms"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise InvalidParameterError(f"{name} must be non-negative and finite, got {value}")
         if not (self.lambda_ut > self.lambda_sc > self.lambda_mc > self.lambda_cr):
             log.warning(
                 "tier intensities are not ordered lambda_ut > lambda_sc > lambda_mc > "

@@ -70,7 +70,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, betaincc, hyp2f1
+from scipy.special import beta, betaincc, hyp2f1, stdtrit
 
 # is_hit, nearest, sample_ppp and sample_request are scalar forms of steps the kernel averages out
 # or runs over arrays; perfbench/tracer.py wraps them under these names
@@ -328,26 +328,24 @@ def far_moments(
     return np.minimum(moments, 1.0).reshape(shape + (max_attempts,))
 
 
-def _downlink(
-    minus_log_q: np.ndarray, max_attempts: int, far: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _downlink(minus_log_q: np.ndarray, max_attempts: int, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expected attempts and outage probability of every replication of a batch.
 
     This is ``downlink_delay``'s model. ``minus_log_q[k]`` is ``-log q`` of
-    replication ``k``'s sampled points. ``far``, if given, holds one row of
-    far moments ``E[Z^j]`` (``far_moments``) per replication.
+    replication ``k``'s sampled points. ``far`` holds one row of far moments
+    ``E[Z^j]`` (``far_moments``) per replication, or one row for all, zero
+    without a far field.
 
-    Row j of the table ``t`` starts as ``q^j E[Z^j]``, 0 for j >= 1 without
-    a far field, and each attempt maps it to ``(1 - q) t_j + t_(j+1)``, so
-    row 0 after k attempts is ``E[((1 - q) + q Z)^k] = E[(1 - q Q)^k]``.
+    Row j of the table ``t`` starts as ``q^j E[Z^j]``, and each attempt
+    maps it to ``(1 - q) t_j + t_(j+1)``, so row 0 after k attempts is
+    ``E[((1 - q) + q Z)^k] = E[(1 - q Q)^k]``.
     Every term is non-negative: q -> 0 and q -> 1 need no division and no branch.
     """
     miss = -np.expm1(-minus_log_q)
     t = np.zeros((max_attempts + 1, miss.size))
     t[0] = 1.0
-    if far is not None:
-        q = np.broadcast_to(np.exp(-minus_log_q), (max_attempts, miss.size))
-        t[1:] = np.cumprod(q, axis=0) * far.T
+    q = np.broadcast_to(np.exp(-minus_log_q), (max_attempts, miss.size))
+    t[1:] = np.cumprod(q, axis=0) * far.T
     attempts = np.zeros_like(miss)
     for _ in range(max_attempts):
         attempts += t[0]
@@ -393,7 +391,7 @@ def downlink_delay(
         rival = gains[1 - own][strongest : strongest + 1]
         gains[1 - own] = np.delete(gains[1 - own], strongest)
     minus_log_q = np.log1p(scale * rival) + sum(np.log1p(scale * g).sum() for g in gains)
-    attempts, outage = _downlink(minus_log_q, max_attempts)
+    attempts, outage = _downlink(minus_log_q, max_attempts, np.zeros((1, max_attempts)))
     return float(attempts[0]), float(outage[0]), slot_ms * float(attempts[0])
 
 
@@ -558,8 +556,6 @@ def ci_quantile(replications: int) -> float:
     batches = -(-replications // BATCH_SIZE)
     if batches < 2:
         return CI_Z
-    from scipy.special import stdtrit  # already loaded with analytics
-
     return float(stdtrit(batches - 1, 0.975))
 
 

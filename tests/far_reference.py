@@ -7,14 +7,17 @@ in the same order, so the two must agree bit for bit.
 ``exact_far_downlink`` evaluates the binomial expansion it replaces in exact
 rational arithmetic. ``analytics.rho_terms`` gets the terms of the PGFL
 excess from one hypergeometric call and a recurrence; ``rho_k`` makes one
-call per term. The far field's functions take each tier's ``z`` and mean
-point count; ``plane_args`` converts a far field stated in metres and
-watts, as the tests state their geometries, into them.
+call per term, and ``pgfl_excess`` takes each partial sum in 50-digit
+arithmetic. The far field's functions take each tier's ``z`` and mean point
+count, and are tested in those terms; ``plane_args`` gives them for a
+geometry stated in metres and watts, which only the tests that also sample
+points in metres need.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.special import hyp2f1
 
@@ -40,8 +43,9 @@ def z_moments_by_row(log_moments):
 def plane_args(scales, intensities, alpha, inner):
     """``(z, mean_points)`` of ``simulator.far_moments`` for the plane beyond ``inner``, tier ``t``'s
     points of intensity ``intensities[t]`` scaled by ``scales[t]``: ``z_t = s_t inner_t^-alpha`` and
-    ``a_t = pi lambda_t inner_t^2``. ``inner`` is one radius for every tier, or one per tier and
-    replication; a tier's scale is a float or an array over replications."""
+    ``a_t = pi lambda_t inner_t^2``, for the tests that sample the points nearer than ``inner`` in
+    metres. ``inner`` is one radius for every tier, or one per tier and replication; a tier's scale
+    is a float or an array over replications."""
     scales = np.asarray(scales, dtype=float)
     inner = np.broadcast_to(np.asarray(inner, dtype=float), scales.shape)
     return tuple(scales * inner**-alpha), tuple(math.pi * lam * r**2 for lam, r in zip(intensities, inner))
@@ -51,6 +55,14 @@ def rho_k(z, alpha, k):
     """``(2z/(a-2)) 2F1(k, 1-2/a; 2-2/a; -z)``, elementwise, one hypergeometric call per term."""
     delta = 2.0 / alpha
     return 2.0 * z / (alpha - 2.0) * hyp2f1(k, 1.0 - delta, 2.0 - delta, -z)
+
+
+def pgfl_excess(z, alpha, j):
+    """``2F1(j, -2/a; 1-2/a; -z) - 1``, the sum of ``rho_1..rho_j``, in 50-digit arithmetic on the
+    exact value of the float ``z``, where the "- 1" costs no digits."""
+    with mpmath.workdps(50):
+        delta = 2 / mpmath.mpf(alpha)
+        return float(mpmath.hyp2f1(j, -delta, 1 - delta, -mpmath.mpf(z)) - 1)
 
 
 def exact_far_downlink(miss, q, z):

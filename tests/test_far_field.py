@@ -1,21 +1,27 @@
 """The far field beyond each tier's nearest point, averaged out on the plane by its PGFL.
 
-``simulator.far_log_moments`` is held to quadrature and to 40-digit
-hypergeometric values, ``simulator.far_z_moments`` to 50-digit arithmetic
-and to its row-by-row loop, and ``simulator.far_moments``' coverage chain,
-the far moments above ``J_MAX``, to 50-digit arithmetic and to
-``far_z_moments`` where both apply; the kernel's far path is held to the
-exact binomial expansion, and ``_downlink`` fed with ``far_moments`` to
-annuli sampled point by point with the plane beyond averaged out, on either
-side of ``J_MAX``; every replication of
-``run_replication`` is held, on a replayed stream, to the kernel run on each
-tier's nearest point with the plane beyond averaged out, for every serving
-tier; and the averaged-out estimates are held to a window sampled point by
-point on the same nearest draws, the plane beyond it averaged out. Routers
-are never sampled, so they move no far field.
+The far field's functions take each tier's ``z`` at its nearest point and
+mean point count within it, and are held to their references in those
+terms: ``simulator.far_log_moments`` to 50-digit hypergeometric values,
+weighting and summing the tiers row by row, and to the defining integral;
+``simulator.far_z_moments`` to 50-digit arithmetic and to its row-by-row
+loop; and ``simulator.far_moments``' coverage chain, the far moments above
+``J_MAX``, to 50-digit arithmetic and to ``far_z_moments`` where both
+apply. ``analytics.rho_terms``' partial sums, the excess each tier's row
+sums, are held to 50 digits in ``test_analytics``. The kernel's far path is
+held to the exact binomial expansion. The tests that sample points in
+metres state their far fields in metres too (``plane_args``): ``_downlink``
+fed with ``far_moments`` is held to annuli sampled point by point with the
+plane beyond averaged out, on either side of ``J_MAX``, and the
+averaged-out estimates to a window sampled point by point on the same
+nearest draws, the plane beyond it averaged out. Every replication of
+``run_replication`` is held, on a replayed stream, to the kernel run on
+each tier's nearest point with the plane beyond averaged out, for every
+serving tier. Routers are never sampled, so they move no far field.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -44,9 +50,9 @@ from hetsim.simulator import (
     replication_rng,
     run_replication,
 )
-from far_reference import exact_far_downlink, plane_args, z_moments_by_row
+from far_reference import exact_far_downlink, pgfl_excess, plane_args, z_moments_by_row
 from model_helpers import nearest_distance, point_set_from_xy
-from sir_reference import unit_fading_gains
+from sir_reference import truncated_geometric, unit_fading_gains
 from stream_script import Recorder, levels
 
 GAMMA_3DB = 10.0 ** 0.3
@@ -55,143 +61,70 @@ GAMMA_3DB = 10.0 ** 0.3
 X_CUT = 1e-7
 
 
-def log_moments_in_metres(scales, intensities, alpha, inner, m):
-    """``far_log_moments`` of a far field stated in metres and watts (``plane_args``)."""
-    return far_log_moments(*plane_args(scales, intensities, alpha, inner), alpha, m)
+def quad_excess(z, alpha, i):
+    """``2 int (1 - (1 + z r^-alpha)^-i) r dr`` from 1 to infinity: the far field's ``Lambda_i``
+    per mean point within its disc, by its defining integral on the plane beyond a unit disc.
 
-
-def moments_in_metres(scales, intensities, alpha, inner, m):
-    """``far_moments`` of a far field stated in metres and watts (``plane_args``)."""
-    return far_moments(*plane_args(scales, intensities, alpha, inner), alpha, m)
-
-
-def quad_annulus_moment(s, alpha, inner, outer, i):
-    """``2 pi int (1 - (1 + s r^-alpha)^-i) r dr`` from ``inner`` to ``outer``, at unit intensity.
-
-    The integral runs in ``u = log r``, where an inner radius of a metre and
-    one of kilometres are equally smooth for the quadrature."""
+    The integral runs in ``u = log r``, where a field that saturates out to
+    ``r = z^(1/alpha)`` and one that starts far below 1 are equally smooth
+    for the quadrature, out to where ``x = z r^-alpha`` falls to ``X_CUT``.
+    Beyond, ``1 - (1 + x)^-i = i x - i (i + 1) x^2 / 2`` up to a relative
+    ``X_CUT^2``, and both terms integrate in closed form: ``r^2 x / (alpha -
+    2)`` and ``r^2 x^2 / (2 alpha - 2)``."""
+    cut = max(0.0, (math.log(z) - math.log(X_CUT)) / alpha)
     value, _ = integrate.quad(
-        lambda u: -math.expm1(-i * math.log1p(s * math.exp(-alpha * u))) * math.exp(2.0 * u),
-        math.log(inner),
-        math.log(outer),
+        lambda u: -math.expm1(-i * math.log1p(z * math.exp(-alpha * u))) * math.exp(2.0 * u),
+        0.0,
+        cut,
         epsabs=0.0,
         epsrel=1e-13,
         limit=200,
     )
-    return 2 * math.pi * value
-
-
-def quad_log_moment(s, alpha, inner, i):
-    """``2 pi int (1 - (1 + s r^-alpha)^-i) r dr`` from ``inner`` to infinity, at unit intensity.
-
-    Quadrature runs out to where ``x = s r^-alpha`` falls to ``X_CUT``.
-    Beyond, ``1 - (1 + x)^-i = i x - i (i + 1) x^2 / 2`` up to a relative
-    ``X_CUT^2``, and both terms integrate in closed form: ``r^2 x / (alpha -
-    2)`` and ``r^2 x^2 / (2 alpha - 2)``."""
-    cut = max(math.log(inner), (math.log(s) - math.log(X_CUT)) / alpha)
-    r2, x = math.exp(2.0 * cut), s * math.exp(-alpha * cut)
-    tail = i * x * r2 / (alpha - 2.0) - i * (i + 1) / 2 * x * x * r2 / (2.0 * alpha - 2.0)
-    return quad_annulus_moment(s, alpha, inner, math.exp(cut), i) + 2 * math.pi * tail
-
-
-def mp_log_moment(s, alpha, inner, i):
-    """``pi r^2 (2F1(i, -d; 1 - d; -z) - 1)`` at ``r = inner``, ``z = s r^-alpha`` and ``d =
-    2/alpha``, in 40-digit arithmetic on the exact values of the float arguments."""
-    with mpmath.workdps(40):
-        r, a = mpmath.mpf(inner), mpmath.mpf(alpha)
-        d = 2 / a
-        return float(mpmath.pi * r**2 * (mpmath.hyp2f1(i, -d, 1 - d, -mpmath.mpf(s) * r**-a) - 1))
-
-
-# a tier's far field starts at its nearest point, metres out or kilometres, up to the edge of a 5 km window
-INNER_RADII = [1.0, 10.0, 100.0, 2000.0, 4900.0, 4999.0, 5000.0]
-# a window sampled point by point ends at its radius, and the plane beyond is averaged out from there
-WINDOWS = [5000.0, DEFAULT_WINDOW_RADIUS_M]
+    r2, x = math.exp(2.0 * cut), z * math.exp(-alpha * cut)
+    return 2.0 * value + 2.0 * (i * x * r2 / (alpha - 2.0) - i * (i + 1) / 2 * x * x * r2 / (2.0 * alpha - 2.0))
 
 
 class TestLogMoments:
-    @pytest.mark.parametrize("inner", INNER_RADII)
     @pytest.mark.parametrize("alpha", [4.0, 3.2])
-    @pytest.mark.parametrize("s", np.geomspace(3e9, 1e12, 7).tolist())
-    def test_match_quadrature(self, alpha, s, inner):
-        lam = log_moments_in_metres((s,), (1.0,), alpha, inner, J_MAX)
-        for i in (1, 2, 4, J_MAX):
-            expected = quad_log_moment(s, alpha, inner, i)
-            assert lam[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
+    def test_match_quadrature(self, alpha):
+        """``Lambda_i`` of one tier to 1e-9 of its defining integral, for z from 5e-6, a server far
+        inside its nearest rival, to 1e12, a rival far stronger than the server."""
+        z = np.geomspace(5e-6, 1e12, 18)
+        lam = far_log_moments((z,), (1.0,), alpha, J_MAX)
+        for row, value in zip(lam, z):
+            for i in (1, 2, 4, J_MAX):
+                assert row[i - 1] == pytest.approx(quad_excess(value, alpha, i), rel=1e-9, abs=0.0), (value, i)
 
-    @pytest.mark.parametrize("outer", WINDOWS)
-    @pytest.mark.parametrize("inner", INNER_RADII)
-    @pytest.mark.parametrize("alpha", [2.1, 2.5, 4.0, 5.0, 10.0])
-    @pytest.mark.parametrize(
-        ("z", "end"),
-        [(z, "inner") for z in (1e-14, 1e-10, 1e-6, 1e-3, 0.1, 3.0, 100.0, 1e4, 1e8, 1e14)]
-        + [(z, "outer") for z in (1.0001, 1.5, 10.0, 1e4, 1e8, 1e14)],
-    )
-    def test_match_quadrature_up_to_a_server_at_the_near_edge(self, alpha, z, end, inner, outer):
-        """The plane beyond ``inner`` is the annulus out to a window's edge
-        ``outer`` plus the plane beyond that edge, each to 1e-9 of quadrature:
-        the split on which a window sampled point by point, with the plane
-        beyond it averaged out, rests. ``z = s R^-alpha`` at the inner radius
-        reaches ``target_sir * (P_macro / P_small)`` when the server sits near
-        it, far more when it is a nearer interferer, and falls below 1e-10 when
-        the server sits far inside it; ``z`` above 1 at the window's edge is a
-        server near that edge at a high SIR target, where the plane beyond
-        starts in the server's saturated zone."""
-        s = z * (inner if end == "inner" else outer) ** alpha
-        plane = log_moments_in_metres((s,), (1.0,), alpha, inner, J_MAX)
-        beyond = log_moments_in_metres((s,), (1.0,), alpha, outer, J_MAX)
-        for i in (1, 2, 4, J_MAX):
-            assert beyond[i - 1] == pytest.approx(quad_log_moment(s, alpha, outer, i), rel=1e-9, abs=0.0), i
-            annulus = quad_annulus_moment(s, alpha, inner, outer, i)
-            assert plane[i - 1] == pytest.approx(annulus + beyond[i - 1], rel=1e-9, abs=0.0), i
-
-    @pytest.mark.parametrize("inner", INNER_RADII)
-    @pytest.mark.parametrize("alpha", [2.001, 2.01, 2.05, 2.1, 2.5, 4.0])
-    @pytest.mark.parametrize("z", [1e-14, 1e-10, 1e-6, 1e-3, 0.1, 1.0, 3.0, 100.0, 1e4, 1e8, 1e14])
-    def test_match_the_40_digit_hypergeometric_form(self, alpha, z, inner):
-        """Every log-moment to 1e-14 relative, for pathloss exponents down to
-        just above 2: on the plane no end is subtracted, so nothing cancels.
-        ``z = s r^-alpha`` at the inner radius reaches ``target_sir * (P_macro
-        / P_small)`` when the server sits near it, far more when it is a
-        nearer interferer, and falls below 1e-10 when the server sits far
-        inside it."""
-        s = z * inner**alpha
-        lam = log_moments_in_metres((s,), (1.0,), alpha, inner, J_MAX)
-        expected = [mp_log_moment(s, alpha, inner, i) for i in range(1, J_MAX + 1)]
-        np.testing.assert_allclose(lam, expected, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize("inner", INNER_RADII)
     @pytest.mark.parametrize("alpha", [2.001, 2.5, 4.0, 10.0])
-    def test_match_per_tier_and_replication(self, alpha, inner):
-        """One inner radius per tier and replication: each tier's far field
-        starts at its own nearest point. Each replication's row is held to the
-        hypergeometric form, tier by tier, up to z = 1e14 at the inner radius."""
-        weights = (1.0, 0.5)
-        radii = np.array(
-            [[1.2 * inner, 9000.0, 15_000.0, 19_500.0, 20_000.0], [inner, 12_000.0, 7000.0, 3.0, 8000.0]]
-        )
-        z = np.array([[1e-6, 3.0, 1e14, 100.0, 1.0], [1e8, 1e-3, 0.1, 5.0, 10.0]])
-        scales = z * radii**alpha
-        lam = log_moments_in_metres(tuple(scales), weights, alpha, radii, J_MAX)
-        assert lam.shape == (radii.shape[1], J_MAX)
-        for k in range(radii.shape[1]):
+    def test_weight_each_tier_by_its_mean_count_row_by_row(self, alpha):
+        """Each replication's row is ``sum_t a_t (2F1(i, -d; 1 - d; -z_t) - 1)`` to 1e-14 relative,
+        with each tier's own ``z_t`` and mean count ``a_t`` in that row, ``z`` up to 1e14; a float
+        ``z`` or count serves every row."""
+        z = (np.array([1e-6, 3.0, 1e14, 100.0, 1.0]), np.array([1e8, 1e-3, 0.1, 5.0, 10.0]))
+        mean_points = (np.array([0.03, 2.0, 7.5, 1e-4, 40.0]), np.array([1.3, 0.2, 11.0, 3e3, 0.6]))
+        lam = far_log_moments(z, mean_points, alpha, J_MAX)
+        assert lam.shape == (5, J_MAX)
+        for k in range(5):
             expected = [
-                sum(w * mp_log_moment(s, alpha, r, i) for w, s, r in zip(weights, scales[:, k], radii[:, k]))
-                for i in range(1, J_MAX + 1)
+                sum(a[k] * pgfl_excess(t[k], alpha, i) for t, a in zip(z, mean_points)) for i in range(1, J_MAX + 1)
             ]
             np.testing.assert_allclose(lam[k], expected, rtol=1e-14, atol=0.0, err_msg=str(k))
+        float_z = far_log_moments((3.0, z[1]), (mean_points[0], 0.2), alpha, J_MAX)
+        repeated = far_log_moments((np.full(5, 3.0), z[1]), (mean_points[0], np.full(5, 0.2)), alpha, J_MAX)
+        assert np.array_equal(float_z, repeated)
 
     def test_tiers_add(self):
-        both = log_moments_in_metres((1e10, 1e9), (2.8e-6, 3.6e-6), 4.0, 5000.0, 4)
-        macro = log_moments_in_metres((1e10,), (2.8e-6,), 4.0, 5000.0, 4)
-        small = log_moments_in_metres((1e9,), (3.6e-6,), 4.0, 5000.0, 4)
+        both = far_log_moments((1.6e-4, 1.6e-5), (220.0, 283.0), 4.0, 4)
+        macro = far_log_moments((1.6e-4,), (220.0,), 4.0, 4)
+        small = far_log_moments((1.6e-5,), (283.0,), 4.0, 4)
+        assert both.shape == (4,)
         np.testing.assert_allclose(both, np.add(macro, small), rtol=1e-14)
 
     def test_alpha_4_first_moment_has_arctan_form(self):
-        # at alpha = 4, i = 1 the integral to infinity is pi sqrt(s) (pi/2 - atan(R^2 / sqrt(s)))
-        s, inner = 4e10, 5000.0
-        lam = log_moments_in_metres((s,), (1.0,), 4.0, inner, 1)
-        expected = math.pi * math.sqrt(s) * (math.pi / 2 - math.atan(inner * inner / math.sqrt(s)))
+        # at alpha = 4, i = 1 the excess is sqrt(z) (pi/2 - atan(1 / sqrt(z)))
+        z, a = 6.4e-5, math.pi * 5000.0**2
+        lam = far_log_moments((z,), (a,), 4.0, 1)
+        expected = a * math.sqrt(z) * (math.pi / 2 - math.atan(1.0 / math.sqrt(z)))
         assert lam[0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -206,10 +139,14 @@ def mp_z_moments(lam):
         ]
 
 
+# two tiers' far fields starting where a server's nearest rivals of either tier lie far beyond it
+PLANE_Z = (1.6e-4, 1.6e-5)
+
+
 def concave_and_linear_rows(rng, n, m):
-    """``n`` rows of M = ``m`` log-moments, each concave (a plane far field from 5 km) or linear
+    """``n`` rows of M = ``m`` log-moments, each concave (a plane far field, ``PLANE_Z``) or linear
     (a fixed Q) at random, ``Lambda_1`` log-uniform from 1e-9 to 10."""
-    concave = log_moments_in_metres((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, m)
+    concave = far_log_moments(PLANE_Z, (1.0, 1.0), 4.0, m)
     shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
     return shapes * 10.0 ** rng.uniform(-9.0, 1.0, (n, 1))
 
@@ -223,7 +160,7 @@ class TestZMoments:
         if shape == "deterministic":
             lam = [scale * i for i in range(1, J_MAX + 1)]
         else:
-            unit = log_moments_in_metres((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, J_MAX)
+            unit = far_log_moments(PLANE_Z, (1.0, 1.0), 4.0, J_MAX)
             lam = [scale * v / unit[0] for v in unit]
         got = far_z_moments(lam)
         for j, (value, exact) in enumerate(zip(got, mp_z_moments(lam)), 1):
@@ -239,9 +176,9 @@ class TestZMoments:
         assert np.array_equal(far_z_moments([0.0] * J_MAX), np.zeros(J_MAX))
 
     def test_moments_are_never_negative(self):
-        """On a plane far field at Lambda_1 = 1.06e-3 the alternating sum of E[Z^6] and E[Z^7]
-        rounds to about -5e-18, and with it the outage at unit signal and no rival."""
-        unit = log_moments_in_metres((1e11, 1e10), (1.0, 1.0), 4.0, 5000.0, 7)
+        """On a plane far field at Lambda_1 = 1.06e-3 the alternating sums of E[Z^6] and E[Z^7]
+        round to about -2e-17 and -4e-17, and with them the outage at unit signal and no rival."""
+        unit = far_log_moments(PLANE_Z, (1.0, 1.0), 4.0, 7)
         z = far_z_moments(1.06e-3 * unit / unit[0])
         assert (z >= 0.0).all(), z
         attempts, outage = simulator._downlink(np.zeros(1), 7, z[None])
@@ -257,7 +194,7 @@ class TestZMoments:
             assert np.array_equal(far_z_moments(row), z_moments_by_row(row))
 
 
-def mp_far_z_moments(scales, intensities, alpha, inner, m):
+def mp_far_z_moments(z, mean_points, alpha, m):
     """``E[Z^j]`` for j = 1..m in 50-digit arithmetic on the exact values of the float arguments,
     by the PGFL route, not the chain's: ``E[Q^i] = exp(-Lambda_i)``, each tier's excess summed from
     ``rho_1`` by the recurrence of ``analytics.rho_terms``, and ``E[Z^j] = sum_i C(j, i) (-1)^i
@@ -266,15 +203,14 @@ def mp_far_z_moments(scales, intensities, alpha, inner, m):
         a = mpmath.mpf(alpha)
         d = 2 / a
         lam = [mpmath.mpf(0)] * m
-        for s, intensity, r in zip(scales, intensities, inner):
-            r = mpmath.mpf(r)
-            z = mpmath.mpf(s) * r**-a
-            rho_k = 2 * z / (a - 2) * mpmath.hyp2f1(1, 1 - d, 2 - d, -z)
+        for t, count in zip(z, mean_points):
+            t = mpmath.mpf(t)
+            rho_k = 2 * t / (a - 2) * mpmath.hyp2f1(1, 1 - d, 2 - d, -t)
             excess = mpmath.mpf(0)
             for k in range(1, m + 1):
                 excess += rho_k
-                lam[k - 1] += mpmath.pi * mpmath.mpf(intensity) * r**2 * excess
-                rho_k = ((k - 1 + d) / k) * rho_k + d * z * (1 + z) ** -k / k
+                lam[k - 1] += mpmath.mpf(count) * excess
+                rho_k = ((k - 1 + d) / k) * rho_k + d * t * (1 + t) ** -k / k
         q = [mpmath.mpf(1)] + [mpmath.exp(-v) for v in lam]
         return [float(sum((-1) ** i * math.comb(j, i) * q[i] for i in range(j + 1))) for j in range(1, m + 1)]
 
@@ -283,14 +219,12 @@ def mp_far_z_moments(scales, intensities, alpha, inner, m):
 CHAIN_Z = [1e-14, 1e-8, 1e-3, 0.1, 1.0, 3.0, 30.0, 1e3, 1e6, 1e10, 1e14]
 
 
-def chain_rows(alpha, mean_points):
-    """(scales, intensities, inner) of one row per ``CHAIN_Z``: two tiers with nearest points at 300
-    and 500 m, ``mean_points`` and 0.7 times it expected within them, the other tier's z 3.7 times
-    the own tier's."""
-    inner = np.array([[300.0], [500.0]]) * np.ones(len(CHAIN_Z))
-    intensities = (mean_points / (math.pi * 300.0**2), 0.7 * mean_points / (math.pi * 500.0**2))
-    scales = np.array([CHAIN_Z, np.multiply(CHAIN_Z, 3.7)]) * inner**alpha
-    return scales, intensities, inner
+def chain_rows(mean_points):
+    """``far_moments``' ``(z, mean_points)``, one row per tier and one column per ``CHAIN_Z``: the
+    other tier's z 3.7 times the own tier's, and its mean count within its nearest point 0.7 times
+    ``mean_points``."""
+    z = np.array([CHAIN_Z, np.multiply(CHAIN_Z, 3.7)])
+    return z, np.array([[mean_points], [0.7 * mean_points]]) * np.ones(len(CHAIN_Z))
 
 
 def serving_args(counts, own, params):
@@ -324,12 +258,12 @@ class TestChainMoments:
         """Every moment to 1e-12 absolute, for z from 1e-14 to 1e14 at the
         nearest points and pathloss exponents down to 2.05, where the far
         field's mean number of hitting points ``Lambda_M`` reaches 1e19."""
-        scales, intensities, inner = chain_rows(alpha, mean_points)
-        got = moments_in_metres(scales, intensities, alpha, inner, m)
+        z, counts = chain_rows(mean_points)
+        got = far_moments(z, counts, alpha, m)
         assert got.shape == (len(CHAIN_Z), m) and not np.isnan(got).any()
-        for k, z in enumerate(CHAIN_Z):
-            exact = mp_far_z_moments(scales[:, k], intensities, alpha, inner[:, k], m)
-            assert np.abs(got[k] - exact).max() < 1e-12, z
+        for k, own in enumerate(CHAIN_Z):
+            exact = mp_far_z_moments(z[:, k], counts[:, k], alpha, m)
+            assert np.abs(got[k] - exact).max() < 1e-12, own
 
     @pytest.mark.parametrize("alpha", [2.05, 4.0])
     @pytest.mark.parametrize("m", [1, 13, 60])
@@ -337,13 +271,12 @@ class TestChainMoments:
         """The unhit count's law sums to 1, and the chain's moments lie in [0, 1] and never rise with
         j; ``J_MAX`` at 0 sends every M, 1 too, to the chain."""
         monkeypatch.setattr(simulator, "J_MAX", 0)
-        scales, intensities, inner = chain_rows(alpha, 30.0)
+        z, counts = chain_rows(30.0)
         delta = 2.0 / alpha
-        z, mean_points = plane_args(scales, intensities, alpha, inner)
-        law = _unhit_law(np.array(z), delta * np.array(mean_points), delta, m)
+        law = _unhit_law(z, delta * counts, delta, m)
         assert (law >= 0.0).all()
         np.testing.assert_allclose(law.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
-        got = moments_in_metres(scales, intensities, alpha, inner, m)
+        got = far_moments(z, counts, alpha, m)
         assert (got >= 0.0).all() and (got <= 1.0).all()
         assert (np.diff(got, axis=-1) <= 0.0).all()
 
@@ -445,14 +378,14 @@ class TestNearKernelAgainstMaterialisedAnnulus:
             math.log1p(radio.target_sir * g / serving_gain) for j, g in enumerate(gains) if j != server
         )
         # the plane beyond the inner radius averaged out
-        far = moments_in_metres(scales, lambdas, alpha, inner, m)
+        far = far_moments(*plane_args(scales, lambdas, alpha, inner), alpha, m)
         attempts, outage = simulator._downlink(np.array([near_minus_log_q]), m, far[None])
 
         far_minus_log_q = materialised_annuli(
             serving_gain, params, inner, outer, annuli, np.random.default_rng(500 + geometry)
         )
         # the annulus sampled, the plane beyond it averaged out
-        beyond = moments_in_metres(scales, lambdas, alpha, outer, m)
+        beyond = far_moments(*plane_args(scales, lambdas, alpha, outer), alpha, m)
         sampled_attempts, sampled_outage = simulator._downlink(
             near_minus_log_q + far_minus_log_q, m, np.tile(beyond, (annuli, 1))
         )
@@ -462,27 +395,32 @@ class TestNearKernelAgainstMaterialisedAnnulus:
             se = sampled.std(ddof=1) / math.sqrt(annuli)
             assert abs(sampled.mean() - exact) < 4 * se, (exact, sampled.mean(), se)
 
-    def test_empty_annulus_reproduces_the_near_kernel(self):
-        """E[Z^j] = 0 means Q = 1: the expansion collapses to the plain kernel, bit for bit, for q
-        from nearly 1 to about 1e-3."""
+    def test_empty_far_field_is_the_truncated_geometric_law(self):
+        """E[Z^j] = 0 means Q = 1: the expansion collapses to ``sum_{k<M} (1 - q)^k`` attempts and
+        ``(1 - q)^M`` outage, held to 1e-14 relative in exact arithmetic on the kernel's float ``1 -
+        q``, for q from nearly 1 to about 1e-3."""
         minus_log_q = np.log1p(GAMMA_3DB * np.geomspace(1e-12, 300.0, 9))
+        miss = -np.expm1(-minus_log_q)
         for m in (1, 4, J_MAX, J_MAX + 1):
-            plain = simulator._downlink(minus_log_q, m)
-            empty = simulator._downlink(minus_log_q, m, np.zeros((minus_log_q.size, m)))
-            assert all(np.array_equal(a, b) for a, b in zip(empty, plain)), m
+            attempts, outage = simulator._downlink(minus_log_q, m, np.zeros((minus_log_q.size, m)))
+            for k in range(minus_log_q.size):
+                exact_attempts, exact_outage = truncated_geometric(1 - Fraction(miss[k]), m)
+                assert attempts[k] == pytest.approx(float(exact_attempts), rel=1e-14, abs=0.0), (m, k)
+                assert outage[k] == pytest.approx(float(exact_outage), rel=1e-14, abs=0.0), (m, k)
 
     @pytest.mark.parametrize("m", range(1, J_MAX + 1))
     def test_far_path_matches_the_exact_binomial_expansion(self, m):
         """The recurrence is ``E[(1 - q Q)^k] = sum_j C(k, j) (1 - q)^(k-j) q^j
         E[Z^j]`` to 1e-13 relative, for q from about 1e-14 to nearly 1, with
-        ``-log q = log1p(rival)``. The concave rows are the log-moments of the
-        5-20 km annulus: the plane from 5 km less the plane from 20 km."""
+        ``-log q = log1p(rival)``. The concave rows are the log-moments of an
+        annulus: the plane beyond a disc less the plane beyond one 4 times as
+        wide, where ``z`` is ``4^-alpha`` times as large and the mean count 16
+        times."""
         rng = np.random.default_rng(2000 + m)
         n = 40
         rival = np.expm1(np.geomspace(1e-12, 32.0, n))
-        scales, lambdas = (1e11, 1e10), (1.0, 1.0)
-        concave = log_moments_in_metres(scales, lambdas, 4.0, 5000.0, m) - log_moments_in_metres(
-            scales, lambdas, 4.0, 20_000.0, m
+        concave = far_log_moments(PLANE_Z, (1.0, 1.0), 4.0, m) - far_log_moments(
+            np.divide(PLANE_Z, 4.0**4), (16.0, 16.0), 4.0, m
         )
         shapes = np.where(rng.random((n, 1)) < 0.5, concave / concave[0], np.arange(1.0, m + 1))
         far = shapes * 10.0 ** rng.uniform(-8.0, 0.7, (n, 1))
@@ -534,7 +472,8 @@ def serving_far_moments(closest, inner, own, params, m):
     powers = (radio.power_macro, radio.power_small)
     scale = radio.target_sir / (powers[own] * closest[own] ** -radio.pathloss_exponent)
     lambdas = (params.lambda_mc, params.lambda_sc)
-    return moments_in_metres([scale * power for power in powers], lambdas, radio.pathloss_exponent, inner, m)
+    alpha = radio.pathloss_exponent
+    return far_moments(*plane_args([scale * power for power in powers], lambdas, alpha, inner), alpha, m)
 
 
 MIXPOP = SmallUser(policy=CachePolicy.MIX_POP, model=Fixed(1.45))
