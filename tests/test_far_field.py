@@ -2,8 +2,10 @@
 
 The far field's functions take each tier's ``z`` at its nearest point and
 mean point count within it, and are held to their references in those
-terms: ``simulator.far_log_moments`` to 50-digit hypergeometric values,
-weighting and summing the tiers row by row, and to the defining integral;
+terms: ``simulator.far_log_moments`` to 50-digit hypergeometric values at
+every M up to ``J_MAX``, weighting and summing the tiers row by row, and to
+the defining integral, on the plane beyond a tier's nearest point and split
+at a window's edge into the annulus and the plane beyond it;
 ``simulator.far_z_moments`` to 50-digit arithmetic and to its row-by-row
 loop; and ``simulator.far_moments``' coverage chain, the far moments above
 ``J_MAX``, to 50-digit arithmetic and to ``far_z_moments`` where both
@@ -61,27 +63,41 @@ GAMMA_3DB = 10.0 ** 0.3
 X_CUT = 1e-7
 
 
-def quad_excess(z, alpha, i):
-    """``2 int (1 - (1 + z r^-alpha)^-i) r dr`` from 1 to infinity: the far field's ``Lambda_i``
-    per mean point within its disc, by its defining integral on the plane beyond a unit disc.
+def quad_annulus_excess(z, alpha, outer, i):
+    """``2 int (1 - (1 + z r^-alpha)^-i) r dr`` from 1 to ``outer``: the far field's ``Lambda_i``
+    from the annulus out to ``outer`` times a tier's nearest point, per mean point within that point.
 
     The integral runs in ``u = log r``, where a field that saturates out to
     ``r = z^(1/alpha)`` and one that starts far below 1 are equally smooth
-    for the quadrature, out to where ``x = z r^-alpha`` falls to ``X_CUT``.
-    Beyond, ``1 - (1 + x)^-i = i x - i (i + 1) x^2 / 2`` up to a relative
-    ``X_CUT^2``, and both terms integrate in closed form: ``r^2 x / (alpha -
-    2)`` and ``r^2 x^2 / (2 alpha - 2)``."""
-    cut = max(0.0, (math.log(z) - math.log(X_CUT)) / alpha)
+    for the quadrature."""
     value, _ = integrate.quad(
         lambda u: -math.expm1(-i * math.log1p(z * math.exp(-alpha * u))) * math.exp(2.0 * u),
         0.0,
-        cut,
+        math.log(outer),
         epsabs=0.0,
         epsrel=1e-13,
         limit=200,
     )
+    return 2.0 * value
+
+
+def quad_excess(z, alpha, i):
+    """``2 int (1 - (1 + z r^-alpha)^-i) r dr`` from 1 to infinity: the far field's ``Lambda_i``
+    per mean point within its disc, by its defining integral on the plane beyond a unit disc.
+
+    Quadrature runs out to where ``x = z r^-alpha`` falls to ``X_CUT``.
+    Beyond, ``1 - (1 + x)^-i = i x - i (i + 1) x^2 / 2`` up to a relative
+    ``X_CUT^2``, and both terms integrate in closed form: ``r^2 x / (alpha -
+    2)`` and ``r^2 x^2 / (2 alpha - 2)``."""
+    cut = max(0.0, (math.log(z) - math.log(X_CUT)) / alpha)
     r2, x = math.exp(2.0 * cut), z * math.exp(-alpha * cut)
-    return 2.0 * value + 2.0 * (i * x * r2 / (alpha - 2.0) - i * (i + 1) / 2 * x * x * r2 / (2.0 * alpha - 2.0))
+    tail = i * x * r2 / (alpha - 2.0) - i * (i + 1) / 2 * x * x * r2 / (2.0 * alpha - 2.0)
+    return quad_annulus_excess(z, alpha, math.exp(cut), i) + 2.0 * tail
+
+
+# a window's radius over its distance to a tier's nearest point: 1 where that point sits on the
+# window's edge, up to 2e4 where it sits a metre out in a 20 km window
+EDGE_RATIOS = [1.0, 1.0002, 1.0204, 2.5, 4.0, 4.0008, 4.0816, 10.0, 50.0, 200.0, 500.0, 2000.0, 5000.0, 20_000.0]
 
 
 class TestLogMoments:
@@ -94,6 +110,47 @@ class TestLogMoments:
         for row, value in zip(lam, z):
             for i in (1, 2, 4, J_MAX):
                 assert row[i - 1] == pytest.approx(quad_excess(value, alpha, i), rel=1e-9, abs=0.0), (value, i)
+
+    @pytest.mark.parametrize("ratio", EDGE_RATIOS)
+    @pytest.mark.parametrize("alpha", [2.1, 2.5, 4.0, 5.0, 10.0])
+    @pytest.mark.parametrize(
+        ("z", "end"),
+        [(z, "near") for z in (1e-14, 1e-10, 1e-6, 1e-3, 0.1, 3.0, 100.0, 1e4, 1e8, 1e14)]
+        + [(z, "edge") for z in (1.0001, 1.5, 10.0, 1e4, 1e8, 1e14)],
+    )
+    def test_match_quadrature_up_to_a_server_at_the_near_edge(self, alpha, z, end, ratio):
+        """The plane beyond a tier's nearest point is the annulus out to a
+        window's edge ``ratio`` times as far plus the plane beyond that edge,
+        each to 1e-9 of quadrature: the split on which a window sampled point
+        by point, with the plane beyond it averaged out, rests. Beyond the edge
+        ``z`` is ``ratio^-alpha`` times as large and the mean count ``ratio^2``
+        times. ``z`` at the nearest point reaches ``target_sir * (P_macro /
+        P_small)`` when the server sits near it, far more when it is a nearer
+        interferer, and falls below 1e-10 when the server sits far inside it;
+        ``z`` above 1 at the window's edge is a server near that edge at a high
+        SIR target, where the plane beyond starts in the server's saturated
+        zone."""
+        z_near, z_edge = (z, z * ratio**-alpha) if end == "near" else (z * ratio**alpha, z)
+        plane = far_log_moments((z_near,), (1.0,), alpha, J_MAX)
+        beyond = far_log_moments((z_edge,), (ratio**2,), alpha, J_MAX)
+        for i in (1, 2, 4, J_MAX):
+            expected = ratio**2 * quad_excess(z_edge, alpha, i)
+            assert beyond[i - 1] == pytest.approx(expected, rel=1e-9, abs=0.0), i
+            annulus = quad_annulus_excess(z_near, alpha, ratio, i)
+            assert plane[i - 1] == pytest.approx(annulus + beyond[i - 1], rel=1e-9, abs=0.0), i
+
+    @pytest.mark.parametrize("m", range(1, J_MAX + 1))
+    @pytest.mark.parametrize("alpha", [2.001, 2.01, 2.05, 2.1, 2.5, 4.0])
+    @pytest.mark.parametrize("z", [1e-14, 1e-10, 1e-6, 1e-3, 0.1, 1.0, 3.0, 100.0, 1e4, 1e8, 1e14])
+    def test_match_the_50_digit_hypergeometric_form(self, z, alpha, m):
+        """Every log-moment up to ``max_attempts`` M, a mean count times the
+        tier's ``2F1(i, -d; 1 - d; -z) - 1``, to 1e-14 relative, for pathloss
+        exponents down to just above 2: on the plane no end is subtracted, so
+        nothing cancels."""
+        lam = far_log_moments((z,), (0.7,), alpha, m)
+        assert lam.shape == (m,)
+        expected = [0.7 * pgfl_excess(z, alpha, i) for i in range(1, m + 1)]
+        np.testing.assert_allclose(lam, expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [2.001, 2.5, 4.0, 10.0])
     def test_weight_each_tier_by_its_mean_count_row_by_row(self, alpha):
