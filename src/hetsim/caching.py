@@ -108,7 +108,7 @@ def hit_prob_uniform(
     eta: float,
     variant: B3Variant = B3Variant.AS_PRINTED,
 ) -> float:
-    """Uniform-segment term of the hit probability, in the chosen variant."""
+    """Uniform-segment term of the hit probability, in the chosen variant or its spelling."""
     if not (eta > 1 and math.isfinite(eta)):
         raise InvalidSteepnessError(f"steepness must exceed 1, got {eta}")
     if catalogue_bound <= s_popular:
@@ -118,7 +118,7 @@ def hit_prob_uniform(
     fraction = s_uniform / (catalogue_bound - s_popular)
     head = (1.0 + s_popular) ** (1.0 - eta)
     tail = (1.0 + catalogue_bound) ** (1.0 - eta)
-    if variant is B3Variant.AS_PRINTED:
+    if B3Variant(variant) is B3Variant.AS_PRINTED:
         return fraction * (1.0 - tail + head)
     return fraction * (head - tail)
 
@@ -143,6 +143,7 @@ def hit_probability(
     )
     if total > 1.0:
         message = "%s hit probability %.4f exceeds 1 under the %s variant"
+        variant = B3Variant(variant)
         warn_once(log, message, policy.value, total, variant.value, key=(policy, variant, round(total, 9)))
     return total
 

@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["master_seed"] = args.seed
         if args.b3_variant is not None:
-            overrides["b3_variant"] = B3Variant(args.b3_variant)
+            overrides["b3_variant"] = args.b3_variant
         if overrides:
             config = replace(config, **overrides)
         if args.out and (args.out.is_dir() or not args.out.parent.is_dir()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -73,6 +73,26 @@ class ExperimentConfig:
     distance_mode: DistanceMode = DistanceMode.AVERAGED
 
     def __post_init__(self):
+        """The one place a config's fields are checked and converted, whether they come from
+        ``load_config``, from the CLI's overrides (``dataclasses.replace``) or from Python: each
+        field takes its JSON spelling too, a list for a tuple and a string for an enum."""
+        for name, kind in _NUMBER_FIELDS.items():
+            if not _is_number(getattr(self, name), kind):
+                what = "an integer" if kind == "int" else "a finite number"
+                raise InvalidConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        grid, labels = self.sweep_grid, self.scenarios
+        if not isinstance(grid, (list, tuple)) or not all(_is_number(v, "float") for v in grid):
+            raise InvalidConfigError(f"sweep_grid must be a list of finite numbers, got {grid!r}")
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(v, str) for v in labels):
+            raise InvalidConfigError(f"scenarios must be a list of labels, got {labels!r}")
+        object.__setattr__(self, "scenarios", tuple(labels))
+        for name, kind in (("b3_variant", B3Variant), ("distance_mode", DistanceMode)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                allowed = ", ".join(v.value for v in kind)
+                raise InvalidConfigError(f"{name} must be one of {allowed}, got {value!r}") from None
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise InvalidConfigError(
                 f"sweep_variable must be one of {SWEEP_VARIABLES}, got {self.sweep_variable!r}"
@@ -217,20 +237,9 @@ _NUMBER_FIELDS = {f.name: f.type for f in fields(ExperimentConfig) if f.type in 
 
 
 def _is_number(value, kind: str) -> bool:
-    """Exact types: JSON ``true``/``false`` load as bool, an int subclass; NaN/Infinity are no number."""
-    return type(value) is int or (kind == "float" and type(value) is float and math.isfinite(value))
-
-
-def _config_to_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for name in _FIELD_NAMES:
-        value = getattr(config, name)
-        if isinstance(value, (B3Variant, DistanceMode)):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[name] = value
-    return out
+    """An int of exact type, since JSON ``true``/``false`` load as bool, an int subclass; for a float
+    field also any finite float, ``numpy.float64`` included. NaN/Infinity are no number."""
+    return type(value) is int or (kind == "float" and isinstance(value, float) and math.isfinite(value))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -253,36 +262,14 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(_FIELD_NAMES))
     if unknown:
         raise InvalidConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for name, kind in _NUMBER_FIELDS.items():
-        if name in raw and not _is_number(raw[name], kind):
-            what = "an integer" if kind == "int" else "a finite number"
-            raise InvalidConfigError(f"{path}: {name} must be {what}, got {raw[name]!r}")
-    grid = raw.get("sweep_grid", [])
-    if not isinstance(grid, list) or not all(_is_number(v, "float") for v in grid):
-        raise InvalidConfigError(f"{path}: sweep_grid must be a list of finite numbers, got {grid!r}")
-    labels = raw.get("scenarios", [])
-    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-        raise InvalidConfigError(f"{path}: scenarios must be a list of labels, got {labels!r}")
-    kwargs = dict(raw)
     try:
-        if "b3_variant" in kwargs:
-            kwargs["b3_variant"] = B3Variant(kwargs["b3_variant"])
-        if "distance_mode" in kwargs:
-            kwargs["distance_mode"] = DistanceMode(kwargs["distance_mode"])
-    except ValueError as exc:
-        raise InvalidConfigError(f"{path}: {exc}") from exc
-    if "scenarios" in kwargs:
-        kwargs["scenarios"] = tuple(kwargs["scenarios"])
-    if "sweep_grid" in kwargs:
-        kwargs["sweep_grid"] = tuple(kwargs["sweep_grid"])
-    try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{path}: {exc}") from exc
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    Path(path).write_text(json.dumps(_config_to_dict(config), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(config), indent=2) + "\n")
 
 
 def _cell(value) -> str:

@@ -112,6 +112,11 @@ class SmallUser:
     model: PopularityModel = Fixed(1.45)
     distance_mode: DistanceMode = DistanceMode.AVERAGED
 
+    def __post_init__(self):
+        # the kernel branches on identity, so a spelling such as "per-user" becomes its member here
+        object.__setattr__(self, "policy", CachePolicy(self.policy))
+        object.__setattr__(self, "distance_mode", DistanceMode(self.distance_mode))
+
 
 Scenario = MacroUser | SmallUser
 
@@ -442,17 +447,19 @@ def _kernel(cells: Sequence[Cell], params: DelayParams, counts: np.ndarray) -> n
     gamma, alpha, m = radio.target_sir, radio.pathloss_exponent, params.max_attempts
     owns = [0 if isinstance(cell.scenario, MacroUser) else 1 for cell in cells]  # serving tier indices
     links = {}  # serving tier -> (attempts, outage), shared by every cell of that tier
-    # the one non-finite source: a rival far nearer than the server, whose (r_o / r_r)^alpha overflows
-    # to z = inf and meets inf * 0 in the far field; estimate raises NumericalError on the result
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for own in sorted(set(owns)):
-            rival = 1 - own
-            # both intensities over one power of 2, exactly, so no product of one with a count underflows
-            own_lambda, exponent = math.frexp(lambdas[own])
+    for own in sorted(set(owns)):
+        rival = 1 - own
+        # both intensities over one power of 2, exactly, so no product of one with a count underflows
+        own_lambda, exponent = math.frexp(lambdas[own])
+        # the one non-finite source: a rival far nearer than the server, whose (r_o / r_r)^alpha
+        # overflows to z = inf, which would meet inf * 0 in the far field
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratio = math.ldexp(lambdas[rival], -exponent) * counts[own] / (own_lambda * counts[rival])
             z = gamma * (powers[rival] / powers[own]) * ratio ** (alpha / 2.0)
-            far = far_moments((gamma, z), (counts[own], counts[rival]), alpha, m)
-            links[own] = _downlink(np.log1p(z), m, far)
+        if not np.isfinite(z).all():
+            raise NumericalError(f"non-finite estimate: a rival's z overflows for {cells[owns.index(own)]}")
+        far = far_moments((gamma, z), (counts[own], counts[rival]), alpha, m)
+        links[own] = _downlink(np.log1p(z), m, far)
 
     router_distance = mean_nearest_distance(params.lambda_cr)  # plane PPP mean; the tail is linear in it
     out = np.empty((len(cells), 5, counts.shape[1]))
@@ -616,8 +623,9 @@ def estimate(
     index-ordered reduction make the result independent of ``workers``
     (default: HETSIM_THREADS, else the CPUs this process may run on, capped
     at 8) and of which other cells are estimated alongside. A cell whose
-    estimate is not finite, as when the intensities' ratio is so extreme that
-    a rival's ``(r_o / r_r)^alpha`` overflows, raises ``NumericalError``.
+    estimate would not be finite raises ``NumericalError``: in the kernel,
+    when the intensities' ratio is so extreme that a rival's ``(r_o /
+    r_r)^alpha`` overflows, and here for any other cause.
     """
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications}")

@@ -1,12 +1,9 @@
 """Convenience forms of simulator calls for tests: one cell, or one downlink from point sets;
 and a record of the process pools ``estimate`` enters."""
 
-import numpy as np
-
 from hetsim import simulator
 from hetsim.channel import RadioParams
 from hetsim.simulator import Cell, downlink_delay, estimate, run_replication
-from sir_reference import unit_fading_gains
 
 
 def estimate_one(scenario, params, cache, replications, master_seed, workers=None):
@@ -20,10 +17,19 @@ def replicate_one(scenario, params, cache, rng):
 
 
 def kernel(serving_tier, serving_index, macro, small, radio=RadioParams(), max_attempts=4):
-    """(expected attempts, outage probability, delay) of ``downlink_delay``, 0.1 ms slots."""
-    gains = np.array(unit_fading_gains(macro, small, radio))
+    """(expected attempts, outage probability, delay) of ``downlink_delay``, 0.1 ms slots.
+
+    Each tier's gains under unit fading come from its stored radii with numpy; ``sir_reference``
+    recomputes them from Cartesian coordinates."""
+    alpha = radio.pathloss_exponent
     return downlink_delay(
-        serving_tier, serving_index, gains[: len(macro)], gains[len(macro) :], radio.target_sir, 0.1, max_attempts
+        serving_tier,
+        serving_index,
+        radio.power_macro * macro.r**-alpha,
+        radio.power_small * small.r**-alpha,
+        radio.target_sir,
+        0.1,
+        max_attempts,
     )
 
 

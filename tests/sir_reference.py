@@ -8,8 +8,7 @@ the far field averaged out. The helpers here recompute
 the model from its definition, one point at a time in scalar Python, from
 Cartesian coordinates rather than the stored radii: the per-attempt SIR,
 the protocol itself with fading drawn on every attempt, and the exact
-per-attempt success probability given the geometry. ``unit_fading_gains``
-also builds ``downlink_delay``'s gain arrays (``single_cell.kernel``).
+per-attempt success probability given the geometry.
 """
 
 import math

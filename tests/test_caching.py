@@ -76,10 +76,15 @@ class TestHitProbUniform:
         for variant in B3Variant:
             assert hit_prob_uniform(0.0, 9.5, 500.0, 1.45, variant) == 0.0
 
-    def test_printed_value(self):
-        assert hit_prob_uniform(90.0, 9.5, 500.0, 1.45, B3Variant.AS_PRINTED) == pytest.approx(
+    @pytest.mark.parametrize("variant", [B3Variant.AS_PRINTED, "printed"], ids=["member", "spelling"])
+    def test_printed_value(self, variant):
+        assert hit_prob_uniform(90.0, 9.5, 500.0, 1.45, variant) == pytest.approx(
             oracle.FROZEN["b3_printed_fixed"], rel=1e-12
         )
+
+    def test_an_unknown_spelling_raises(self):
+        with pytest.raises(ValueError, match="exotic"):
+            hit_prob_uniform(90.0, 9.5, 500.0, 1.45, "exotic")
 
     def test_integral_value(self):
         got = hit_prob_uniform(90.0, 9.5, 500.0, 1.45, B3Variant.INTEGRAL_CONSISTENT)

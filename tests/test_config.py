@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hetsim.caching import B3Variant, CachePolicy
+from hetsim.cli import run_sweep
 from hetsim.config import (
     CSV_HEADER,
     DEFAULT_SCENARIOS,
@@ -82,6 +85,46 @@ class TestDefaults:
         assert ExperimentConfig(window_radius_m=1e200).window_radius_m == 1e200
 
 
+class TestFieldChecks:
+    """Python callers may pass a config's JSON spellings, and get the loader's checks and messages."""
+
+    def test_json_spellings_convert(self):
+        cfg = ExperimentConfig(
+            b3_variant="integral", distance_mode="per-user", scenarios=["macro"], sweep_grid=[1e-6, np.float64(2e-6)]
+        )
+        assert cfg.b3_variant is B3Variant.INTEGRAL_CONSISTENT
+        assert cfg.distance_mode is DistanceMode.PER_USER
+        assert (cfg.scenarios, cfg.sweep_grid) == (("macro",), (1e-6, 2e-6))
+
+    def test_a_spelled_variant_gives_the_members_rows(self):
+        def rows(variant):
+            return run_sweep(ExperimentConfig(b3_variant=variant, sweep_variable="storage_S"), theory_only=True)
+
+        assert rows("printed") == rows(B3Variant.AS_PRINTED) != rows(B3Variant.INTEGRAL_CONSISTENT)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("b3_variant", "bogus"),
+            ("distance_mode", "peruser"),
+            ("replications", 2.5),
+            ("replications", True),
+            ("lambda_mc_per_m2", math.nan),
+            pytest.param("sweep_grid", ["1"], id="sweep_grid-['1']"),
+            ("scenarios", "macro"),
+        ],
+    )
+    def test_a_malformed_value_names_its_field(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_an_unknown_spelling_lists_the_allowed_ones(self):
+        with pytest.raises(InvalidConfigError, match="averaged, per-user"):
+            ExperimentConfig(distance_mode="peruser")
+        with pytest.raises(InvalidConfigError, match="printed, integral"):
+            dataclasses.replace(ExperimentConfig(), b3_variant="bogus")
+
+
 class TestScenarioLabels:
     @pytest.mark.parametrize("label", DEFAULT_SCENARIOS)
     def test_default_labels_round_trip(self, label):
@@ -155,6 +198,15 @@ class TestLoadSave:
         path = tmp_path / "config.json"
         save_config(path, cfg)
         assert load_config(path) == cfg
+
+    def test_saved_json_spells_enums_and_lists(self, tmp_path):
+        cfg = ExperimentConfig(b3_variant=B3Variant.INTEGRAL_CONSISTENT, distance_mode=DistanceMode.PER_USER)
+        path = tmp_path / "config.json"
+        save_config(path, cfg)
+        saved = json.loads(path.read_text())
+        assert (saved["b3_variant"], saved["distance_mode"]) == ("integral", "per-user")
+        assert saved["scenarios"] == list(DEFAULT_SCENARIOS)
+        assert saved["sweep_grid"] == list(cfg.sweep_grid)
 
     def test_empty_file_names_fields(self, tmp_path):
         path = tmp_path / "empty.json"

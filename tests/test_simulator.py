@@ -297,6 +297,19 @@ class TestEstimate:
         assert estimate_one(*args) == estimate_one(*args)
 
     @pytest.mark.parametrize("max_attempts", [4, J_MAX + 1])
+    def test_a_floating_point_warning_in_the_far_field_reaches_the_caller(self, monkeypatch, max_attempts):
+        # on either far-field route; numpy warns of a divide by zero only where no errstate silences it
+        far_moments = simulator.far_moments
+
+        def warning_far_moments(*args):
+            np.log(np.zeros(1))
+            return far_moments(*args)
+
+        monkeypatch.setattr(simulator, "far_moments", warning_far_moments)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            estimate_one(MacroUser(), small_params(max_attempts=max_attempts), CacheConfig(), 64, 3, workers=1)
+
+    @pytest.mark.parametrize("max_attempts", [4, J_MAX + 1])
     def test_the_downlink_depends_on_the_intensities_only_through_their_ratios(self, max_attempts):
         """Scaling all four intensities by 2^-600, or the two tiers' by 2^-1000, which leaves every
         ratio exact, leaves the kernel's attempts and outage rows and the estimate's outage rate
@@ -525,12 +538,13 @@ class TestHitIsTheIntegralClosedForm:
         hits = _simulate(cells, params, replication_rng(89, 0), BATCH_SIZE)[0, 4]
         assert hits.tolist() == [expected] * BATCH_SIZE
 
+    @pytest.mark.parametrize("mode", [DistanceMode.PER_USER, "per-user"], ids=["member", "spelling"])
     @pytest.mark.parametrize("policy", list(CACHES), ids=lambda policy: policy.value)
-    def test_per_user_steepness(self, policy):
+    def test_per_user_steepness(self, policy, mode):
         # metre-scale cells (mean serving distance 2 m), so the steepness varies per replication
         params = small_params(lambda_cr=0.005, lambda_mc=0.01, lambda_sc=0.0625, lambda_ut=0.125)
         cache = CACHES[policy]
-        scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=DistanceMode.PER_USER)
+        scenario = SmallUser(policy=policy, model=DistanceDependent(), distance_mode=mode)
         g = Recorder(replication_rng(97, 0))
         hits = _simulate([Cell(scenario, params, cache)], params, g, BATCH_SIZE)[0, 4]
         # the lattice's shift gives the small-cell tier's levels and nearest distances
@@ -547,6 +561,12 @@ class TestHitIsTheIntegralClosedForm:
 
 
 class TestDistanceModes:
+    def test_an_unknown_spelling_raises(self):
+        with pytest.raises(ValueError, match="peruser"):
+            SmallUser(policy=CachePolicy.MIX_POP, model=DistanceDependent(), distance_mode="peruser")
+        with pytest.raises(ValueError, match="lru"):
+            SmallUser(policy="lru")
+
     def test_per_user_mode_exposes_approximation_gap(self):
         """At metre-scale cell radii the per-user steepness varies strongly,
         so the averaged-steepness hit rate must differ measurably."""
